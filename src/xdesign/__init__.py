@@ -29,14 +29,12 @@ from .panel import (
     CsvSchema,
     Panel,
     SyntheticPanelConfig,
-    UnitRecord,
     calibrate_scales,
     ess_share,
     generate_synthetic_panel,
     ingest_log_csv,
 )
 from .risk import (
-    ComponentScores,
     PlanningWeights,
     component_scores,
     contamination,
@@ -65,7 +63,6 @@ __all__ = [
     "AssignmentTable",
     "CalibrationError",
     "CalibrationScales",
-    "ComponentScores",
     "ConfigurationError",
     "CsvSchema",
     "DesignSpec",
@@ -80,7 +77,6 @@ __all__ = [
     "RiskSurface",
     "RobustDecision",
     "SyntheticPanelConfig",
-    "UnitRecord",
     "XDesignError",
     "calibrate_scales",
     "component_scores",

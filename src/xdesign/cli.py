@@ -28,7 +28,7 @@ from .diagnostics import (
     transport_bound_check,
 )
 from .errors import XDesignError
-from .risk import score_grid
+from .risk import COMPONENT_NAMES, score_grid
 from .selector import risk_surface, robust_select
 from .svg import write_bar_chart, write_heat_table, write_line_chart, write_scatter
 
@@ -96,13 +96,12 @@ def run_select(config: RunConfig) -> dict:
     with _emission(config.out_dir) as emitter:
         surface_path = None
         if "csv" in config.formats:
-            header = [
-                "design", "design_index", "theta_index",
-                "graph_spill", "budget_spill", "carryover", "locality",
-                "raw_geometry", "raw_variance", "raw_mde", "raw_contamination", "raw_op_cost", "raw_mismatch",
-                "norm_geometry", "norm_variance", "norm_mde", "norm_contamination", "norm_op_cost", "norm_mismatch",
-                "risk",
-            ]
+            header = (
+                ["design", "design_index", "theta_index", "graph_spill", "budget_spill", "carryover", "locality"]
+                + [f"raw_{name}" for name in COMPONENT_NAMES]
+                + [f"norm_{name}" for name in COMPONENT_NAMES]
+                + ["risk"]
+            )
             rows = []
             for d in range(surface.n_designs):
                 for k in range(surface.n_grid):
@@ -115,7 +114,6 @@ def run_select(config: RunConfig) -> dict:
                     )
             surface_path = emitter.write_csv("surface.csv", header, rows)
 
-        component_names = ("geometry", "variance", "mde", "contamination", "op_cost", "mismatch")
         report = {
             "schema_version": SCHEMA_VERSION,
             "config_digest": config_digest(config),
@@ -138,7 +136,7 @@ def run_select(config: RunConfig) -> dict:
                 "components": {
                     name: {
                         comp: float(surface.normalized[i, decision.worst_theta[i], j])
-                        for j, comp in enumerate(component_names)
+                        for j, comp in enumerate(COMPONENT_NAMES)
                     }
                     for i, name in enumerate(names)
                 },
@@ -169,8 +167,8 @@ def run_sweep(config: RunConfig) -> dict:
     sweep_cfg = SweepConfig(
         gamma_grid=tuple(opts.get("gamma_grid", SweepConfig().gamma_grid)),
         locality=opts.get("locality", "cluster"),
-        reps=int(opts.get("reps", config.reps)),
-        seed=int(opts.get("seed", config.seed)),
+        reps=opts.get("reps", config.reps),
+        seed=opts.get("seed", config.seed),
     )
     result = regime_sweep(sweep_cfg, panel, calib, catalog, weights)
 

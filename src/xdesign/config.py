@@ -3,14 +3,15 @@
 The config names the panel source (synthetic spec or CSV path), calibration
 overrides, the ambiguity grid, catalog overrides, planning weights, replication
 count, and the master seed. Command-line flags may override only seed, reps,
-output directory, and formats.
+output directory, and formats. Every key and the type of its value are checked
+when the config is built; a bad one raises an error that names its field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -22,28 +23,70 @@ from .risk import PlanningWeights
 
 __all__ = ["RunConfig", "load_config", "config_digest"]
 
-_TOP_KEYS = {
-    "panel", "calibration", "grid", "catalog", "weights", "reps", "seed",
-    "out", "formats", "shortlist_fraction", "epsilon_mode", "sweep", "diagnostics",
-}
 _FORMATS = ("json", "csv", "svg")
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown {section} key {sorted(unknown)[0]!r}")
+def _fields(cls) -> dict:
+    """Config keys of a flat dataclass: its field names, typed by their annotations."""
+    return {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(cls)}
+
+
+# Every config key and the type of its value: ``float`` accepts any number, a
+# dict is a nested object and a one-element list a list of such values.
+_SCHEMA = {
+    "panel": {"synthetic": _fields(SyntheticPanelConfig), "csv": {"path": str, "schema": _fields(CsvSchema)}},
+    "calibration": _fields(CalibrationScales),
+    "grid": {"graph_spill": [float], "budget_spill": [float], "carryover": [float], "localities": [str]},
+    "catalog": [
+        {
+            "kind": str, "name": str, "treat_prob": float, "block_length": int,
+            "saturation_levels": [float], "mixture_prob": float, "all_treated": bool,
+            "op_cost_level": float, "op_cost": _fields(OpCostInputs),
+        }
+    ],
+    "weights": _fields(PlanningWeights),
+    "reps": int,
+    "seed": int,
+    "out": str,
+    "formats": [str],
+    "shortlist_fraction": float,
+    "epsilon_mode": str,
+    "sweep": {"gamma_grid": [float], "locality": str, "reps": int, "seed": int},
+    "diagnostics": {"tolerance": float, "checks": [str], "transport_count": int, "seed": int},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+# Keys that only say where and how to write the artifacts, not what they hold.
+_OUTPUT_KEYS = ("out", "formats")
+
+
+def _is_type(value: Any, kind: type) -> bool:
+    # JSON true/false load as bool, an int subclass: accept them only as bool.
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _validate(where: str, value: Any, spec: Any) -> None:
+    """Check ``value`` against ``spec``; errors name the dotted field path."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be an object, got {value!r}")
+        unknown = set(value) - set(spec)
+        if unknown:
+            raise ConfigurationError(f"unknown {where} key {sorted(unknown)[0]!r}")
+        for key, item in value.items():
+            _validate(f"{where}.{key}" if where != "config" else key, item, spec[key])
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _validate(f"{where}[{i}]", item, spec[0])
+    elif not _is_type(value, spec):
+        raise ConfigurationError(f"{where} must be {_TYPE_NAMES[spec]}, got {value!r}")
 
 
 def _build_design(entry: dict) -> DesignSpec:
-    _check_keys(
-        "catalog entry",
-        entry,
-        {
-            "kind", "name", "treat_prob", "block_length", "saturation_levels",
-            "mixture_prob", "all_treated", "op_cost_level", "op_cost",
-        },
-    )
     if "kind" not in entry:
         raise ConfigurationError("catalog entry missing 'kind'")
     kwargs: dict[str, Any] = {"kind": entry["kind"]}
@@ -57,14 +100,7 @@ def _build_design(entry: dict) -> DesignSpec:
     if "op_cost_level" in entry:
         kwargs["op_cost_inputs"] = OpCostInputs.flat(float(entry["op_cost_level"]))
     elif "op_cost" in entry:
-        oc = entry["op_cost"]
-        _check_keys(
-            "op_cost",
-            oc,
-            {"effort", "orchestration", "rollback", "platform",
-             "w_effort", "w_orchestration", "w_rollback", "w_platform"},
-        )
-        kwargs["op_cost_inputs"] = OpCostInputs(**oc)
+        kwargs["op_cost_inputs"] = OpCostInputs(**entry["op_cost"])
     else:
         base = {d.kind: d.op_cost_inputs for d in default_catalog()}
         kwargs["op_cost_inputs"] = base.get(entry["kind"], OpCostInputs.flat(0.5))
@@ -78,12 +114,13 @@ class RunConfig:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_keys("config", self.data, _TOP_KEYS)
-        panel = self.data.get("panel", {"synthetic": {}})
-        if not isinstance(panel, dict) or len(panel) != 1 or next(iter(panel)) not in ("synthetic", "csv"):
+        _validate("config", self.data, _SCHEMA)
+        if len(self.data.get("panel", {"synthetic": {}})) != 1:
             raise ConfigurationError("panel must have exactly one source: 'synthetic' or 'csv'")
         if self.reps < 1:
             raise ConfigurationError("reps must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigurationError(f"unknown format {fmt!r}")
@@ -92,11 +129,11 @@ class RunConfig:
 
     @property
     def reps(self) -> int:
-        return int(self.data.get("reps", 10))
+        return self.data.get("reps", 10)
 
     @property
     def seed(self) -> int:
-        return int(self.data.get("seed", 0))
+        return self.data.get("seed", 0)
 
     @property
     def out_dir(self) -> Path:
@@ -112,13 +149,11 @@ class RunConfig:
 
     @property
     def epsilon_mode(self) -> str:
-        return str(self.data.get("epsilon_mode", "fraction"))
+        return self.data.get("epsilon_mode", "fraction")
 
     @property
     def diagnostics_options(self) -> dict:
-        opts = self.data.get("diagnostics", {})
-        _check_keys("diagnostics", opts, {"tolerance", "checks", "transport_count", "seed"})
-        return opts
+        return self.data.get("diagnostics", {})
 
     def with_overrides(
         self,
@@ -143,16 +178,8 @@ class RunConfig:
     def build_panel(self) -> Panel:
         source = self.data.get("panel", {"synthetic": {}})
         if "synthetic" in source:
-            spec = dict(source["synthetic"])
-            _check_keys(
-                "synthetic panel",
-                spec,
-                {"n_units", "n_clusters", "n_budget_groups", "n_regions",
-                 "n_periods", "baseline_mean", "baseline_sd"},
-            )
-            return generate_synthetic_panel(SyntheticPanelConfig(**spec), seed=self.seed)
-        spec = dict(source["csv"])
-        _check_keys("csv panel", spec, {"path", "schema"})
+            return generate_synthetic_panel(SyntheticPanelConfig(**source["synthetic"]), seed=self.seed)
+        spec = source["csv"]
         if "path" not in spec:
             raise ConfigurationError("csv panel source needs a 'path'")
         schema = CsvSchema(**spec.get("schema", {}))
@@ -160,49 +187,29 @@ class RunConfig:
             return ingest_log_csv(handle, schema)
 
     def build_calibration(self, panel: Panel) -> CalibrationScales:
-        overrides = dict(self.data.get("calibration", {}))
-        _check_keys(
-            "calibration",
-            overrides,
-            {"direct_effect", "spill_scale", "carry_scale", "graph_frac", "budget_frac", "noise_sd"},
-        )
-        return calibrate_scales(panel, **overrides)
+        return calibrate_scales(panel, **self.data.get("calibration", {}))
 
     def build_grid(self) -> AmbiguityGrid:
         spec = self.data.get("grid")
         if not spec:
             return default_grid()
-        _check_keys("grid", spec, {"graph_spill", "budget_spill", "carryover", "localities"})
-        kwargs = {}
-        for key in ("graph_spill", "budget_spill", "carryover", "localities"):
-            if key in spec:
-                kwargs[key] = tuple(spec[key])
-        return AmbiguityGrid.from_axes(**kwargs)
+        return AmbiguityGrid.from_axes(**{key: tuple(values) for key, values in spec.items()})
 
     def build_catalog(self) -> list[DesignSpec]:
         entries = self.data.get("catalog")
         if not entries:
             return default_catalog()
-        catalog = [_build_design(dict(entry)) for entry in entries]
+        catalog = [_build_design(entry) for entry in entries]
         names = [d.name for d in catalog]
         if len(set(names)) != len(names):
             raise ConfigurationError("catalog design names must be unique")
         return catalog
 
     def build_weights(self) -> PlanningWeights:
-        spec = dict(self.data.get("weights", {}))
-        _check_keys(
-            "weights",
-            spec,
-            {"geometry", "variance", "mde", "contamination", "op_cost", "mismatch",
-             "alpha", "beta", "t_weeks", "periods_per_week"},
-        )
-        return PlanningWeights(**spec)
+        return PlanningWeights(**self.data.get("weights", {}))
 
     def sweep_options(self) -> dict:
-        opts = dict(self.data.get("sweep", {}))
-        _check_keys("sweep", opts, {"gamma_grid", "locality", "reps", "seed"})
-        return opts
+        return self.data.get("sweep", {})
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -223,6 +230,11 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def config_digest(config: RunConfig) -> str:
-    """Stable digest of the effective configuration."""
-    canonical = json.dumps(config.data, sort_keys=True, separators=(",", ":"))
+    """Stable digest of the configuration that affects the computation.
+
+    The output directory and formats are left out, so one run written to two
+    places, or in two formats, has one digest.
+    """
+    computed = {k: v for k, v in config.data.items() if k not in _OUTPUT_KEYS}
+    canonical = json.dumps(computed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

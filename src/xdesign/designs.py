@@ -10,16 +10,13 @@ scores, not measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigurationError, PlanningError
-from .mechanisms import MechanismPoint
 from .panel import Panel
 
 __all__ = [
-    "DesignKind",
     "OpCostInputs",
     "DesignSpec",
     "AssignmentTable",
@@ -27,8 +24,6 @@ __all__ = [
     "effective_units",
     "default_catalog",
 ]
-
-DesignKind = Literal["user", "cluster", "switchback", "budget_split", "two_stage", "mixed"]
 
 KINDS: tuple[str, ...] = ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed")
 
@@ -130,18 +125,12 @@ def _tile(per_unit: np.ndarray, n_periods: int) -> np.ndarray:
     return np.repeat(per_unit[:, None], n_periods, axis=1)
 
 
-def replay(
-    design: DesignSpec,
-    panel: Panel,
-    theta: MechanismPoint | None = None,
-    seed: int | np.random.SeedSequence = 0,
-) -> AssignmentTable:
+def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence = 0) -> AssignmentTable:
     """Draw one assignment for ``design`` over the panel. Deterministic in ``seed``.
 
-    ``theta`` is accepted for signature symmetry with the rest of the pipeline;
-    none of the shipped assignment rules depends on the mechanism.
+    No assignment rule depends on the interference mechanism, so one replay
+    serves every grid point.
     """
-    del theta
     rng = np.random.default_rng(seed)
     n, t = panel.n_units, panel.n_periods
     p = design.treat_prob

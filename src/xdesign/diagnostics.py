@@ -271,7 +271,7 @@ def mde_grid(
         raise ConfigurationError("durations must be >= 1 week")
     rows = []
     for d_idx, design in enumerate(designs):
-        table = replay(design, panel, None, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
+        table = replay(design, panel, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
         v = variance_component(panel.baseline, table)
         cells = {}
         for t_weeks in durations:
@@ -309,7 +309,6 @@ class SweepConfig:
     locality: str = "cluster"
     reps: int = 20
     seed: int = 0
-    mapping: Callable[[float], tuple[float, float, float]] | None = None
 
     def __post_init__(self) -> None:
         if len(self.gamma_grid) < 2 or any(
@@ -322,8 +321,7 @@ class SweepConfig:
             raise ConfigurationError("reps must be >= 1")
 
     def theta(self, gamma: float) -> MechanismPoint:
-        mapping = self.mapping or default_sweep_mapping
-        g, b, lam = mapping(gamma)
+        g, b, lam = default_sweep_mapping(gamma)
         return MechanismPoint(g, b, lam, self.locality)
 
 
@@ -354,7 +352,6 @@ def regime_sweep(
     calib: CalibrationScales,
     catalog: Sequence[DesignSpec],
     weights: PlanningWeights,
-    max_workers: int | None = None,
 ) -> SweepResult:
     """Winner map over the intensity sweep.
 
@@ -370,10 +367,7 @@ def regime_sweep(
         theta = cfg.theta(gamma)
         thetas.append(theta)
         grid = AmbiguityGrid((theta,))
-        scores = score_grid(
-            panel, catalog, grid, calib, weights,
-            reps=cfg.reps, master_seed=cfg.seed, max_workers=max_workers,
-        )
+        scores = score_grid(panel, catalog, grid, calib, weights, reps=cfg.reps, master_seed=cfg.seed)
         surface = risk_surface(scores, weights)
         risks[g_idx] = surface.risks[:, 0]
         winners.append(int(surface.risks[:, 0].argmin()))
@@ -464,29 +458,26 @@ def oracle_comparison(
     low_reps: int = 45,
     high_reps: int = 260,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> dict:
     """Compare a few-replay selection against a high-replication oracle run.
 
     Both runs share the panel and the replication seed schedule, so the
-    low-rep run replays a prefix of the oracle's draws. Passes when both runs
-    select the same design and the worst-case risk gap stays inside the
-    oracle run's certificate band (twice its planning tolerance).
+    low-rep run is the first ``low_reps`` replications of the oracle's draws
+    and is scored once, as a prefix. Passes when both runs select the same
+    design and the worst-case risk gap stays inside the oracle run's
+    certificate band (twice its planning tolerance).
     """
+    if not 1 <= low_reps <= high_reps:
+        raise ConfigurationError("oracle comparison needs 1 <= low_reps <= high_reps")
     cfg = cfg or default_oracle_config()
     panel = generate_synthetic_panel(cfg.panel, seed=seed)
     calib = calibrate_scales(panel, **dict(cfg.calib_overrides))
     catalog = default_catalog()
-
-    def run(reps: int):
-        scores = score_grid(
-            panel, catalog, cfg.grid, calib, cfg.weights,
-            reps=reps, master_seed=seed, max_workers=max_workers,
-        )
-        return robust_select(risk_surface(scores, cfg.weights), cfg.shortlist_fraction)
-
-    low = run(low_reps)
-    high = run(high_reps)
+    per_rep = score_grid(panel, catalog, cfg.grid, calib, cfg.weights, reps=high_reps, master_seed=seed)
+    low, high = (
+        robust_select(risk_surface(scores, cfg.weights), cfg.shortlist_fraction)
+        for scores in (per_rep[:, :, :low_reps], per_rep)
+    )
     risk_gap = abs(low.q[low.selected] - high.q[high.selected])
     passed = low.selected == high.selected and risk_gap <= 2.0 * high.epsilon_t
     return {

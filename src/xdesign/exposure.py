@@ -52,10 +52,6 @@ class ExposurePanel:
             if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
 
-    @property
-    def n_cells(self) -> int:
-        return self.direct.size
-
 
 def _group_share(z: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per-cell treated share of the unit's group in the same period (self included)."""

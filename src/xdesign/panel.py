@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import CalibrationError, ConfigurationError, IngestionError
 
 __all__ = [
-    "UnitRecord",
     "Panel",
     "SyntheticPanelConfig",
     "CalibrationScales",
@@ -29,16 +29,6 @@ __all__ = [
     "calibrate_scales",
     "ess_share",
 ]
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One experimental unit and its three group memberships."""
-
-    unit_id: str
-    cluster_id: str
-    budget_id: str
-    region_id: str
 
 
 def _codes(labels: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -127,13 +117,6 @@ class Panel:
     @property
     def n_regions(self) -> int:
         return len(self.region_names)
-
-    @property
-    def units(self) -> list[UnitRecord]:
-        return [
-            UnitRecord(u, c, b, r)
-            for u, c, b, r in zip(self.unit_ids, self.cluster_ids, self.budget_ids, self.region_ids)
-        ]
 
     def group_codes(self, which: str) -> np.ndarray:
         """Integer group codes per unit for ``which`` in {cluster, budget, region}."""
@@ -264,6 +247,9 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
             raise IngestionError(
                 f"row {lineno}: non-numeric outcome {raw[col[schema.outcome]]!r}"
             ) from None
+        if not math.isfinite(outcome):
+            # NaN also marks an unfilled cell below, so it must never get that far.
+            raise IngestionError(f"row {lineno}: non-finite outcome {raw[col[schema.outcome]]!r}")
         cluster = raw[col[schema.cluster_id]].strip() if has["cluster"] else "all"
         budget = raw[col[schema.budget_id]].strip() if has["budget"] else "all"
         region = raw[col[schema.region_id]].strip() if has["region"] else "all"

@@ -3,19 +3,21 @@
 For one (design, mechanism) pair the pipeline replays the assignment rule,
 derives exposure features, simulates outcomes under the calibrated
 interference model, and scores geometry, assignment-unit variance, planning
-MDE, contamination, operational cost, and estimand mismatch, averaged over
-seeded replications.
+MDE, contamination, operational cost, and estimand mismatch for each seeded
+replication. Scores stay per replication in one float array whose last axis
+holds the six components in ``COMPONENT_NAMES`` order followed by the
+difference-in-means bias; the selector reduces it over replications.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .designs import AssignmentTable, DesignSpec, OpCostInputs, effective_units, replay
 from .errors import ConfigurationError, PlanningError
@@ -25,7 +27,6 @@ from .panel import CalibrationScales, Panel, ess_share
 
 __all__ = [
     "PlanningWeights",
-    "ComponentScores",
     "simulate_outcomes",
     "variance_component",
     "mde",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 COMPONENT_NAMES = ("geometry", "variance", "mde", "contamination", "op_cost", "mismatch")
+# Channels of a per-replication score row: the components, then the bias.
+N_CHANNELS = len(COMPONENT_NAMES) + 1
+OP_COST = COMPONENT_NAMES.index("op_cost")
 
 
 @dataclass(frozen=True)
@@ -66,37 +70,6 @@ class PlanningWeights:
                 raise ConfigurationError(f"{name} must lie in (0, 1)")
         if self.t_weeks < 1 or self.periods_per_week < 1:
             raise ConfigurationError("t_weeks and periods_per_week must be >= 1")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.geometry, self.variance, self.mde, self.contamination, self.op_cost, self.mismatch]
-        )
-
-
-@dataclass(frozen=True)
-class ComponentScores:
-    """Raw component scores for one (design, mechanism) pair, averaged over replications.
-
-    ``bias_est`` is a diagnostic difference-in-means gap to the known launch
-    effect; it never enters the selector risk. ``se`` holds the replication
-    standard error per component (zero for the pre-registered op cost).
-    """
-
-    geometry: float
-    variance: float
-    mde: float
-    contamination: float
-    op_cost: float
-    mismatch: float
-    reps: int
-    bias_est: float = 0.0
-    se: tuple[float, float, float, float, float, float] = (0.0,) * 6
-
-    def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise ConfigurationError("reps must be >= 1")
-        if not np.all(np.isfinite(self.as_vector())):
-            raise ConfigurationError("component scores must be finite")
 
     def as_vector(self) -> np.ndarray:
         return np.array(
@@ -151,7 +124,7 @@ def variance_component(outcomes: np.ndarray, assignment: AssignmentTable) -> flo
 
 @lru_cache(maxsize=64)
 def _quantile_sum(alpha: float, beta: float) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0) + norm.ppf(1.0 - beta))
+    return float(ndtri(1.0 - alpha / 2.0) + ndtri(1.0 - beta))
 
 
 def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
@@ -205,19 +178,15 @@ def operational_cost(inputs: OpCostInputs) -> float:
     return float(weights @ scores / weights.sum())
 
 
-def estimand_mismatch(
-    exposure: ExposurePanel,
-    theta: MechanismPoint,
-    ess: float | None = None,
-) -> float:
+def estimand_mismatch(exposure: ExposurePanel, ess: float | None = None) -> float:
     """Unweighted mean L1 gap per coordinate between exposure and the launch profile.
 
     Unlike the geometry score this treats all four coordinates equally, so it
     captures how far the design's estimand sits from the launch estimand even
-    for channels the current mechanism happens to switch off. Support stress
-    is added as in :func:`contamination`.
+    for channels the current mechanism happens to switch off, and it does not
+    depend on the mechanism at all. Support stress is added as in
+    :func:`contamination`.
     """
-    del theta  # mismatch is mechanism-independent by construction
     stress = (1.0 - ess) if ess is not None else 0.0
     gap = (
         np.abs(1.0 - exposure.direct)
@@ -253,71 +222,55 @@ def component_scores(
     master_seed: int = 0,
     design_index: int = 0,
     theta_index: int = 0,
-) -> ComponentScores:
+) -> np.ndarray:
     """Replicated replay -> exposure -> outcome pipeline for one (design, mechanism) pair.
 
-    Replication ``r`` uses a seed derived from (master_seed, design_index,
-    theta_index, r), so grid evaluations are reproducible regardless of
-    scheduling order.
+    Returns a (reps, N_CHANNELS) array: one row of component scores plus the
+    difference-in-means bias per replication. The pre-registered op cost is
+    the same in every row. Replication ``r`` uses a seed derived from
+    (master_seed, design_index, theta_index, r), so grid evaluations are
+    reproducible regardless of scheduling order.
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
     n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
     ess = ess_share(panel.propensities) if panel.propensities is not None else None
     target = launch_effect(theta, calib)
+    op_cost = operational_cost(design.op_cost_inputs)
 
-    per_rep = np.empty((reps, 5))
-    biases = np.empty(reps)
+    rows = np.empty((reps, N_CHANNELS))
     for r in range(reps):
         replay_seed, noise_seed = replication_seed(master_seed, design_index, theta_index, r).spawn(2)
-        table = replay(design, panel, theta, seed=replay_seed)
+        table = replay(design, panel, seed=replay_seed)
         expo = exposure_features(table, panel, theta)
         y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
         v = variance_component(y, table)
-        per_rep[r] = (
+        rows[r] = (
             geometry_score(expo, theta),
             v,
             mde(v, n_eff, weights),
             contamination(expo, table, theta, ess),
-            estimand_mismatch(expo, theta, ess),
+            op_cost,
+            estimand_mismatch(expo, ess),
+            _diff_in_means(y, panel.baseline, table.z) - target,
         )
-        biases[r] = _diff_in_means(y, panel.baseline, table.z) - target
-
-    means = per_rep.mean(axis=0)
-    if reps > 1:
-        ses = per_rep.std(axis=0, ddof=1) / np.sqrt(reps)
-    else:
-        ses = np.zeros(5)
-    return ComponentScores(
-        geometry=float(means[0]),
-        variance=float(means[1]),
-        mde=float(means[2]),
-        contamination=float(means[3]),
-        op_cost=operational_cost(design.op_cost_inputs),
-        mismatch=float(means[4]),
-        reps=reps,
-        bias_est=float(biases.mean()),
-        se=(float(ses[0]), float(ses[1]), float(ses[2]), float(ses[3]), 0.0, float(ses[4])),
-    )
+    return rows
 
 
-def resolve_workers(max_workers: int | None = None) -> int:
-    """Worker count for grid evaluation; XDESIGN_THREADS caps it when set.
+def resolve_workers() -> int:
+    """Worker count for grid evaluation: ``XDESIGN_THREADS`` when set, else 1.
 
     Defaults to serial: per-pair tasks are dominated by small-array numpy ops
-    that hold the GIL, so extra threads only add contention at typical panel
-    sizes. Results are identical for any worker count.
+    that hold the GIL, so extra threads only pay off on large panels. Results
+    are identical for any worker count.
     """
-    if max_workers is None:
-        env = os.environ.get("XDESIGN_THREADS", "")
-        if env.strip():
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ConfigurationError(f"XDESIGN_THREADS must be an integer, got {env!r}") from None
-        else:
-            max_workers = 1
-    return max(1, max_workers)
+    env = os.environ.get("XDESIGN_THREADS", "")
+    if not env.strip():
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigurationError(f"XDESIGN_THREADS must be an integer, got {env!r}") from None
 
 
 def score_grid(
@@ -328,20 +281,23 @@ def score_grid(
     weights: PlanningWeights,
     reps: int = 1,
     master_seed: int = 0,
-    max_workers: int | None = None,
-) -> list[list[ComponentScores]]:
-    """Evaluate every (design, mechanism) pair; returns scores[design][theta].
+) -> np.ndarray:
+    """Score every (design, mechanism) pair; returns a (designs, grid, reps, N_CHANNELS) array.
 
-    Pairs are independent and evaluated in a thread pool; the per-pair seed
-    schedule makes the result identical for any worker count.
+    Pairs are independent, so they run in a thread pool when
+    ``XDESIGN_THREADS`` asks for more than one worker. The per-pair seed
+    schedule makes the result identical for any worker count, and the first
+    ``k`` replications identical for any ``reps >= k``.
     """
     if not catalog:
         raise ConfigurationError("catalog must be non-empty")
-    tasks = [(d_idx, t_idx) for d_idx in range(len(catalog)) for t_idx in range(len(grid))]
+    if reps < 1:
+        raise ConfigurationError("reps must be >= 1")
+    out = np.empty((len(catalog), len(grid), reps, N_CHANNELS))
 
-    def run(pair: tuple[int, int]) -> tuple[tuple[int, int], ComponentScores]:
+    def run(pair: tuple[int, int]) -> None:
         d_idx, t_idx = pair
-        return pair, component_scores(
+        out[d_idx, t_idx] = component_scores(
             catalog[d_idx],
             grid[t_idx],
             panel,
@@ -353,14 +309,12 @@ def score_grid(
             theta_index=t_idx,
         )
 
-    workers = resolve_workers(max_workers)
-    results: dict[tuple[int, int], ComponentScores] = {}
+    tasks = [(d_idx, t_idx) for d_idx in range(len(catalog)) for t_idx in range(len(grid))]
+    workers = resolve_workers()
     if workers == 1:
         for pair in tasks:
-            key, value = run(pair)
-            results[key] = value
+            run(pair)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, value in pool.map(run, tasks):
-                results[key] = value
-    return [[results[(d, k)] for k in range(len(grid))] for d in range(len(catalog))]
+            list(pool.map(run, tasks))
+    return out

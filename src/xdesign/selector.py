@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .risk import ComponentScores, PlanningWeights
+from .risk import N_CHANNELS, OP_COST, PlanningWeights
 
 __all__ = [
     "RiskSurface",
@@ -39,7 +39,7 @@ def normalize(raw: np.ndarray) -> np.ndarray:
 class RiskSurface:
     """Raw and normalized component scores plus the aggregated risk per cell."""
 
-    raw: np.ndarray  # (n_designs, n_grid, 6)
+    raw: np.ndarray  # (n_designs, n_grid, 6) replication means
     normalized: np.ndarray  # same shape, each component in [-1, 1]
     risks: np.ndarray  # (n_designs, n_grid)
     weights: PlanningWeights
@@ -54,33 +54,40 @@ class RiskSurface:
     def n_grid(self) -> int:
         return self.raw.shape[1]
 
-    def entry(self, design_index: int, theta_index: int) -> dict:
-        return {
-            "raw": self.raw[design_index, theta_index],
-            "normalized": self.normalized[design_index, theta_index],
-            "risk": float(self.risks[design_index, theta_index]),
-        }
 
+def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
+    """Reduce per-replication scores to normalized, weighted risks.
 
-def risk_surface(scores: list[list[ComponentScores]], weights: PlanningWeights) -> RiskSurface:
-    """Normalize a grid of component scores and aggregate into weighted risks."""
-    if not scores or not scores[0]:
-        raise ConfigurationError("score grid must be non-empty")
-    n_grid = len(scores[0])
-    if any(len(row) != n_grid for row in scores):
-        raise ConfigurationError("every design needs a score at every grid point")
-    raw = np.array([[cell.as_vector() for cell in row] for row in scores])
-    normalized = normalize(raw)
+    ``per_rep`` is the (n_designs, n_grid, reps, N_CHANNELS) array from
+    :func:`xdesign.risk.score_grid`. Each component is averaged over
+    replications, with standard error std(ddof=1) / sqrt(reps) (zero for a
+    single replication). The pre-registered op cost is the same in every
+    replication, so it is read from the first one and its standard error is
+    exactly zero. The bias channel does not enter the risk.
+    """
+    per_rep = np.asarray(per_rep, dtype=float)
+    if per_rep.ndim != 4 or per_rep.shape[3] != N_CHANNELS or per_rep.size == 0:
+        raise ConfigurationError(
+            f"per-replication scores must have shape (n_designs, n_grid, reps, {N_CHANNELS})"
+        )
+    components = per_rep[..., : N_CHANNELS - 1]
+    reps = per_rep.shape[2]
+    raw = components.mean(axis=2)
+    raw[..., OP_COST] = per_rep[:, :, 0, OP_COST]
+    if not np.all(np.isfinite(raw)):
+        raise ConfigurationError("component scores must be finite")
+    se = components.std(axis=2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
+    se[..., OP_COST] = 0.0
     scale = np.abs(raw).max(axis=(0, 1))
     safe = np.where(scale > 0, scale, 1.0)
-    se_raw = np.array([[cell.se for cell in row] for row in scores])
+    normalized = raw / safe
     return RiskSurface(
         raw=raw,
         normalized=normalized,
         risks=normalized @ weights.as_vector(),
         weights=weights,
         scale=scale,
-        se=se_raw / safe,
+        se=se / safe,
     )
 
 

@@ -227,6 +227,12 @@ class TestConfigDigest:
         c = a.with_overrides(seed=99)
         assert config_digest(a) != config_digest(c)
 
+    def test_digest_ignores_output_location_and_formats(self, tmp_path):
+        a = RunConfig(small_select_config(tmp_path / "one"))
+        b = RunConfig(small_select_config(tmp_path / "two", formats=["json"]))
+        assert config_digest(a) == config_digest(b)
+        assert config_digest(a) != config_digest(a.with_overrides(reps=4))
+
     def test_shipped_demo_configs_load(self):
         root = Path(__file__).resolve().parents[1]
         for name in ("select_demo.json", "sweep_demo.json"):
@@ -234,3 +240,32 @@ class TestConfigDigest:
             cfg.build_catalog()
             cfg.build_weights()
             cfg.build_grid()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("reps",), "x", "reps"),
+            (("reps",), 2.7, "reps"),
+            (("seed",), 1.5, "seed"),
+            (("panel", "synthetic", "n_units"), "200", "n_units"),
+            (("grid", "graph_spill"), 0.3, "graph_spill"),
+            (("catalog",), [{"kind": "user", "treat_prob": "0.5"}], "treat_prob"),
+        ],
+        ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
+             "treat_prob-string"],
+    )
+    def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
+        data = small_select_config(tmp_path / "out")
+        section = data
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["select", "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert field in lines[0]
+        assert not (tmp_path / "out").exists()

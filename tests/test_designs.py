@@ -6,7 +6,6 @@ import pytest
 from xdesign import (
     ConfigurationError,
     DesignSpec,
-    MechanismPoint,
     OpCostInputs,
     PlanningError,
     SyntheticPanelConfig,
@@ -16,8 +15,6 @@ from xdesign import (
     operational_cost,
     replay,
 )
-
-THETA = MechanismPoint(0.1, 0.2, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -31,36 +28,36 @@ def panel():
 class TestReplayRules:
     def test_all_treated_flag(self, panel):
         design = DesignSpec(kind="user", all_treated=True)
-        table = replay(design, panel, THETA, seed=0)
+        table = replay(design, panel, seed=0)
         assert np.all(table.z == 1)
 
     def test_same_seed_identical(self, panel):
         for kind in ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed"):
             design = DesignSpec(kind=kind, block_length=3)
-            a = replay(design, panel, THETA, seed=42)
-            b = replay(design, panel, THETA, seed=42)
+            a = replay(design, panel, seed=42)
+            b = replay(design, panel, seed=42)
             assert np.array_equal(a.z, b.z)
             assert np.array_equal(a.labels, b.labels)
 
     def test_user_constant_over_periods(self, panel):
-        table = replay(DesignSpec(kind="user"), panel, THETA, seed=1)
+        table = replay(DesignSpec(kind="user"), panel, seed=1)
         assert np.all(table.z == table.z[:, :1])
 
     def test_cluster_units_share_assignment(self, panel):
-        table = replay(DesignSpec(kind="cluster"), panel, THETA, seed=2)
+        table = replay(DesignSpec(kind="cluster"), panel, seed=2)
         for code in range(panel.n_clusters):
             members = panel.cluster_codes == code
             assert len(np.unique(table.z[members])) == 1
 
     def test_budget_split_groups_share_assignment(self, panel):
-        table = replay(DesignSpec(kind="budget_split"), panel, THETA, seed=3)
+        table = replay(DesignSpec(kind="budget_split"), panel, seed=3)
         for code in range(panel.n_budget_groups):
             members = panel.budget_codes == code
             assert len(np.unique(table.z[members])) == 1
 
     def test_switchback_constant_within_region_block(self, panel):
         design = DesignSpec(kind="switchback", block_length=4)
-        table = replay(design, panel, THETA, seed=4)
+        table = replay(design, panel, seed=4)
         for region in range(panel.n_regions):
             members = panel.region_codes == region
             for block_start in range(0, panel.n_periods, 4):
@@ -72,7 +69,7 @@ class TestReplayRules:
         # two-stage design draws a saturation level per cluster label and then
         # randomizes units inside, so it is exempt by construction.
         for kind in ("user", "cluster", "switchback", "budget_split"):
-            table = replay(DesignSpec(kind=kind, block_length=3), panel, THETA, seed=7)
+            table = replay(DesignSpec(kind=kind, block_length=3), panel, seed=7)
             z, labels = table.z.ravel(), table.labels.ravel()
             treated_labels = set(labels[z == 1])
             control_labels = set(labels[z == 0])
@@ -80,7 +77,7 @@ class TestReplayRules:
 
     def test_two_stage_cluster_shares_match_a_saturation_level(self, panel):
         design = DesignSpec(kind="two_stage", saturation_levels=(0.0, 1.0))
-        table = replay(design, panel, THETA, seed=7)
+        table = replay(design, panel, seed=7)
         # Degenerate levels make within-cluster shares exactly 0 or 1.
         for code in range(panel.n_clusters):
             share = table.z[panel.cluster_codes == code].mean()
@@ -88,11 +85,11 @@ class TestReplayRules:
 
     def test_mixed_branches(self, panel):
         # mixture_prob 1 behaves like cluster assignment, 0 like user assignment.
-        all_cluster = replay(DesignSpec(kind="mixed", mixture_prob=1.0), panel, THETA, seed=8)
+        all_cluster = replay(DesignSpec(kind="mixed", mixture_prob=1.0), panel, seed=8)
         for code in range(panel.n_clusters):
             members = panel.cluster_codes == code
             assert len(np.unique(all_cluster.z[members])) == 1
-        all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, THETA, seed=8)
+        all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, seed=8)
         assert all_unit.n_assignment_units == panel.n_units
 
 
@@ -103,7 +100,7 @@ class TestTreatedFraction:
         draws = {"user": 2000, "cluster": 100, "budget_split": 50, "switchback": 10 * 20}
         for kind, n_draws in draws.items():
             design = DesignSpec(kind=kind, treat_prob=0.5)
-            frac = replay(design, big, THETA, seed=11).treated_fraction()
+            frac = replay(design, big, seed=11).treated_fraction()
             tol = 4.0 * np.sqrt(0.25 / n_draws)
             assert abs(frac - 0.5) < tol, (kind, frac, tol)
 
@@ -111,7 +108,7 @@ class TestTreatedFraction:
         cfg = SyntheticPanelConfig(n_units=3000, n_clusters=150, n_periods=4)
         big = generate_synthetic_panel(cfg, seed=7)
         design = DesignSpec(kind="two_stage", saturation_levels=(0.2, 0.6))
-        frac = replay(design, big, THETA, seed=12).treated_fraction()
+        frac = replay(design, big, seed=12).treated_fraction()
         # Mean saturation 0.4; dominant noise is the per-cluster level draw.
         tol = 4.0 * 0.2 / np.sqrt(150)
         assert abs(frac - 0.4) < tol

@@ -169,6 +169,11 @@ class TestOracleComparison:
         assert report["passed"]
         assert report["selected_low"] == report["selected_high"]
 
+    @pytest.mark.parametrize("low, high", [(10, 5), (0, 5)])
+    def test_low_reps_must_be_a_prefix(self, low, high):
+        with pytest.raises(ConfigurationError, match="low_reps"):
+            oracle_comparison(low_reps=low, high_reps=high)
+
 
 class TestDominanceCheck:
     def test_constructed_fixtures(self):

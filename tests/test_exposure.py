@@ -185,7 +185,7 @@ class TestExposureOnReplays:
         )
         theta = MechanismPoint(0.3, 0.5, 0.2, "budget")
         for kind in ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed"):
-            expo = exposure_features(replay(DesignSpec(kind=kind), panel, theta, seed=3), panel, theta)
+            expo = exposure_features(replay(DesignSpec(kind=kind), panel, seed=3), panel, theta)
             assert expo.budget_share.min() >= 0 and expo.budget_share.max() <= 1
             assert expo.graph_share.min() >= 0 and expo.graph_share.max() <= 1
             assert np.array_equal(expo.lag[:, 0], expo.direct[:, 0])

@@ -117,6 +117,20 @@ class TestIngestLogCsv:
         with pytest.raises(IngestionError, match="duplicate"):
             ingest_log_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            # NaN once marked an unfilled cell, so a duplicate row went unnoticed.
+            ("unit_id,period,outcome\nA,1,nan\nA,1,2\nB,1,3\n", 2),
+            ("unit_id,period,outcome\nA,1,1\nB,1,inf\n", 3),
+            ("unit_id,period,outcome\nA,1,1\nB,1,nan\n", 3),
+        ],
+        ids=["nan-then-duplicate", "inf", "lone-nan"],
+    )
+    def test_non_finite_outcome_cites_row(self, text, row):
+        with pytest.raises(IngestionError, match=f"row {row}: non-finite outcome"):
+            ingest_log_csv(io.StringIO(text))
+
     def test_incomplete_panel_rejected(self):
         text = "unit_id,period,outcome\nA,1,1\nA,2,2\nB,1,3\n"
         with pytest.raises(IngestionError, match="incomplete"):

@@ -8,8 +8,8 @@ import pytest
 from xdesign import (
     AssignmentTable,
     CalibrationScales,
+    AmbiguityGrid,
     ConfigurationError,
-    ComponentScores,
     DesignSpec,
     MechanismPoint,
     Panel,
@@ -25,11 +25,16 @@ from xdesign import (
     mde,
     operational_cost,
     outcome_strengths,
+    risk_surface,
+    score_grid,
     simulate_outcomes,
     variance_component,
 )
 from xdesign.designs import OpCostInputs
-from xdesign.risk import replication_seed
+from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed
+
+GEOMETRY, VARIANCE, MDE, CONTAMINATION, _, MISMATCH = range(len(COMPONENT_NAMES))
+BIAS = N_CHANNELS - 1
 
 
 def tiny_panel(n_units, n_periods, baseline=None, **groups) -> Panel:
@@ -254,7 +259,7 @@ class TestContamination:
             stress = 1.0 - ess
             c = contamination(expo, t, theta, ess)
             assert 0.0 <= c <= 1.0 + stress + 1e-12
-            e = estimand_mismatch(expo, theta, ess)
+            e = estimand_mismatch(expo, ess)
             assert 0.0 <= e <= 1.0 + stress + 1e-12
 
 
@@ -279,57 +284,72 @@ class TestEstimandMismatch:
         panel = tiny_panel(2, 2)
         theta = MechanismPoint(0.1, 0.1, 0.1)
         expo = exposure_features(manual_table(np.ones((2, 2))), panel, theta)
-        assert estimand_mismatch(expo, theta) == 0.0
+        assert estimand_mismatch(expo) == 0.0
 
     def test_isolated_control_cell_is_one(self):
         panel = tiny_panel(2, 1, cluster=["c0", "c1"], budget=["b0", "b1"], region=["r0", "r1"])
         theta = MechanismPoint(0.1, 0.1, 0.1)
         solo = exposure_features(manual_table([[0], [0]]), panel, theta)
-        assert estimand_mismatch(solo, theta) == pytest.approx(1.0, abs=1e-12)
+        assert estimand_mismatch(solo) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_launch_half_dark_is_half(self):
         # Two isolated units: one fully treated, one fully dark -> mean gap 0.5.
         panel = tiny_panel(2, 2, cluster=["c0", "c1"], budget=["b0", "b1"], region=["r0", "r1"])
         theta = MechanismPoint(0.1, 0.1, 0.1)
         expo = exposure_features(manual_table([[1, 1], [0, 0]]), panel, theta)
-        assert estimand_mismatch(expo, theta) == pytest.approx(0.5, abs=1e-12)
+        assert estimand_mismatch(expo) == pytest.approx(0.5, abs=1e-12)
 
     def test_stress_added(self):
         panel = tiny_panel(2, 1)
         theta = MechanismPoint(0, 0, 0)
         expo = exposure_features(manual_table([[1], [1]]), panel, theta)
-        assert estimand_mismatch(expo, theta, ess=0.8) == pytest.approx(0.2, abs=1e-12)
+        assert estimand_mismatch(expo, ess=0.8) == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.fixture()
+def setup():
+    panel = generate_synthetic_panel(
+        SyntheticPanelConfig(n_units=80, n_clusters=8, n_budget_groups=4, n_regions=2, n_periods=6),
+        seed=3,
+    )
+    calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=0.2)
+    weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+    return panel, calib, weights
+
+
+def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
+    """One replication run step by step: the slow reference for component_scores."""
+    from xdesign import effective_units, geometry_score, replay
+
+    replay_seed, noise_seed = seed.spawn(2)
+    table = replay(design, panel, seed=replay_seed)
+    expo = exposure_features(table, panel, theta)
+    y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
+    v = variance_component(y, table)
+    n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
+    treated = table.z == 1
+    bias = float(y[treated].mean() - y[~treated].mean()) - launch_effect(theta, calib)
+    return np.array([
+        geometry_score(expo, theta),
+        v,
+        mde(v, n_eff, weights),
+        contamination(expo, table, theta, None),
+        operational_cost(design.op_cost_inputs),
+        estimand_mismatch(expo, None),
+        bias,
+    ])
 
 
 class TestComponentScores:
-    @pytest.fixture()
-    def setup(self):
-        panel = generate_synthetic_panel(
-            SyntheticPanelConfig(n_units=80, n_clusters=8, n_budget_groups=4, n_regions=2, n_periods=6),
-            seed=3,
-        )
-        calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=0.2)
-        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
-        return panel, calib, weights
-
     def test_single_rep_matches_manual_pipeline(self, setup):
         panel, calib, weights = setup
         design = DesignSpec(kind="cluster")
         theta = MechanismPoint(0.3, 0.2, 0.1)
         got = component_scores(design, theta, panel, calib, weights, reps=1,
                                master_seed=11, design_index=2, theta_index=5)
-
-        from xdesign import effective_units, geometry_score, replay
-        replay_seed, noise_seed = replication_seed(11, 2, 5, 0).spawn(2)
-        table = replay(design, panel, theta, seed=replay_seed)
-        expo = exposure_features(table, panel, theta)
-        y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
-        v = variance_component(y, table)
-        assert got.geometry == pytest.approx(geometry_score(expo, theta), abs=1e-15)
-        assert got.variance == pytest.approx(v, abs=1e-15)
-        n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        assert got.mde == pytest.approx(mde(v, n_eff, weights), abs=1e-15)
-        assert got.op_cost == pytest.approx(operational_cost(design.op_cost_inputs))
+        assert got.shape == (1, N_CHANNELS)
+        expected = hand_row(design, theta, panel, calib, weights, replication_seed(11, 2, 5, 0))
+        assert np.array_equal(got[0], expected)
 
     def test_all_treated_zero_geometry(self, setup):
         panel, calib, weights = setup
@@ -337,35 +357,22 @@ class TestComponentScores:
         theta = MechanismPoint(0, 0, 0)
         calib0 = CalibrationScales(calib.direct_effect, calib.spill_scale, calib.carry_scale, noise_sd=0.0)
         got = component_scores(design, theta, panel, calib0, weights, reps=2, master_seed=1)
-        assert got.geometry == 0.0
-        assert got.mismatch == 0.0  # no propensities -> no stress
-        assert got.contamination == 0.0
+        assert np.all(got[:, GEOMETRY] == 0.0)
+        assert np.all(got[:, MISMATCH] == 0.0)  # no propensities -> no stress
+        assert np.all(got[:, CONTAMINATION] == 0.0)
 
     def test_averaging_matches_explicit_seed_schedule(self, setup):
+        # Every row, not just the mean, matches replication r run by hand
+        # through the same seed schedule.
         panel, calib, weights = setup
         design = DesignSpec(kind="mixed")
         theta = MechanismPoint(0.1, 0.2, 0.05, "budget")
-        avg = component_scores(design, theta, panel, calib, weights, reps=4,
-                               master_seed=21, design_index=1, theta_index=3)
-        singles = []
+        rows = component_scores(design, theta, panel, calib, weights, reps=4,
+                                master_seed=21, design_index=1, theta_index=3)
+        assert rows.shape == (4, N_CHANNELS)
         for r in range(4):
-            # Reproduce replication r by hand through the same seed schedule.
-            replay_seed, noise_seed = replication_seed(21, 1, 3, r).spawn(2)
-            from xdesign import effective_units, geometry_score, replay
-            table = replay(design, panel, theta, seed=replay_seed)
-            expo = exposure_features(table, panel, theta)
-            y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
-            v = variance_component(y, table)
-            n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-            singles.append([
-                geometry_score(expo, theta),
-                v,
-                mde(v, n_eff, weights),
-                contamination(expo, table, theta, None),
-                estimand_mismatch(expo, theta, None),
-            ])
-        means = np.mean(singles, axis=0)
-        assert got_vec(avg) == pytest.approx(list(means), abs=1e-12)
+            expected = hand_row(design, theta, panel, calib, weights, replication_seed(21, 1, 3, r))
+            assert np.array_equal(rows[r], expected), r
 
     def test_all_treated_bias_vanishes_with_noise(self, setup):
         panel, _, weights = setup
@@ -375,7 +382,7 @@ class TestComponentScores:
             calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=noise_sd)
             got = component_scores(design, theta, panel, calib, weights, reps=1, master_seed=5)
             cells = panel.n_units * panel.n_periods
-            assert abs(got.bias_est) <= 4.0 * noise_sd / math.sqrt(cells)
+            assert abs(got[0, BIAS]) <= 4.0 * noise_sd / math.sqrt(cells)
 
     def test_transport_bound_on_single_channel_case(self):
         # Budget-only channel, no direct effect or noise: the average realized
@@ -398,9 +405,10 @@ class TestComponentScores:
     def test_op_cost_independent_of_mechanism(self, setup):
         panel, calib, weights = setup
         design = DesignSpec(kind="switchback")
-        a = component_scores(design, MechanismPoint(0, 0, 0), panel, calib, weights, reps=1)
-        b = component_scores(design, MechanismPoint(0.3, 0.5, 0.2), panel, calib, weights, reps=1, theta_index=9)
-        assert a.op_cost == b.op_cost
+        a = component_scores(design, MechanismPoint(0, 0, 0), panel, calib, weights, reps=3)
+        b = component_scores(design, MechanismPoint(0.3, 0.5, 0.2), panel, calib, weights, reps=3, theta_index=9)
+        assert np.all(a[:, OP_COST] == operational_cost(design.op_cost_inputs))
+        assert np.array_equal(a[:, OP_COST], b[:, OP_COST])
 
     def test_rep_validation(self, setup):
         panel, calib, weights = setup
@@ -408,5 +416,51 @@ class TestComponentScores:
             component_scores(DesignSpec(kind="user"), MechanismPoint(0, 0, 0), panel, calib, weights, reps=0)
 
 
-def got_vec(scores: ComponentScores) -> list:
-    return [scores.geometry, scores.variance, scores.mde, scores.contamination, scores.mismatch]
+SMALL_CATALOG = [DesignSpec(kind="user"), DesignSpec(kind="cluster"), DesignSpec(kind="switchback")]
+SMALL_GRID = AmbiguityGrid.from_axes(
+    graph_spill=(0.0, 0.3), budget_spill=(0.5,), carryover=(0.2,), localities=("cluster", "budget")
+)
+
+
+class TestScoreGrid:
+    def test_cells_are_component_scores(self, setup):
+        panel, calib, weights = setup
+        per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=3, master_seed=4)
+        assert per_rep.shape == (len(SMALL_CATALOG), len(SMALL_GRID), 3, N_CHANNELS)
+        for d, design in enumerate(SMALL_CATALOG):
+            for k in range(len(SMALL_GRID)):
+                rows = component_scores(design, SMALL_GRID[k], panel, calib, weights, reps=3,
+                                        master_seed=4, design_index=d, theta_index=k)
+                assert np.array_equal(per_rep[d, k], rows)
+
+    def test_fewer_reps_are_a_prefix(self, setup):
+        panel, calib, weights = setup
+        few = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=5, master_seed=2)
+        many = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=12, master_seed=2)
+        assert np.array_equal(few, many[:, :, :5])
+
+    def test_thread_pool_matches_serial(self, setup, monkeypatch):
+        panel, calib, weights = setup
+        serial = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=2)
+        monkeypatch.setenv("XDESIGN_THREADS", "3")
+        assert np.array_equal(score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=2), serial)
+
+    @pytest.mark.parametrize("reps", [1, 12])
+    def test_risk_surface_reduces_each_pair(self, setup, reps):
+        # The 4-D reduction must equal, bit for bit, the mean and
+        # std(ddof=1) / sqrt(reps) of each pair's contiguous (reps, 5) block of
+        # replicated components, with the op cost taken as is and its standard
+        # error exactly zero.
+        panel, calib, weights = setup
+        per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=reps, master_seed=8)
+        surface = risk_surface(per_rep, weights)
+        scale = np.where(surface.scale > 0, surface.scale, 1.0)
+        replicated = [c for c in range(BIAS) if c != OP_COST]
+        for d, design in enumerate(SMALL_CATALOG):
+            for k in range(len(SMALL_GRID)):
+                pair = np.ascontiguousarray(per_rep[d, k][:, replicated])
+                means = np.insert(pair.mean(axis=0), OP_COST, operational_cost(design.op_cost_inputs))
+                assert np.array_equal(surface.raw[d, k], means)
+                ses = pair.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(replicated))
+                assert np.array_equal(surface.se[d, k], np.insert(ses, OP_COST, 0.0) / scale)
+                assert surface.se[d, k, OP_COST] == 0.0

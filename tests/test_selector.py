@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xdesign import (
-    ComponentScores,
     ConfigurationError,
     PlanningWeights,
     RiskSurface,
@@ -20,15 +19,13 @@ W = PlanningWeights()
 WEIGHT_VECTOR = np.array([1.00, 0.80, 0.75, 0.45, 0.45, 0.65])
 
 
-def scores_from_vector(vec, reps=1) -> ComponentScores:
-    g, v, m, c, o, e = vec
-    return ComponentScores(geometry=g, variance=v, mde=m, contamination=c,
-                           op_cost=o, mismatch=e, reps=reps)
+def per_rep_from_raw(raw: np.ndarray) -> np.ndarray:
+    """A one-replication score array: each cell's six components plus a zero bias."""
+    return np.concatenate([raw[:, :, None, :], np.zeros(raw.shape[:2] + (1, 1))], axis=3)
 
 
 def surface_from_array(raw: np.ndarray) -> RiskSurface:
-    grid = [[scores_from_vector(raw[d, k]) for k in range(raw.shape[1])] for d in range(raw.shape[0])]
-    return risk_surface(grid, W)
+    return risk_surface(per_rep_from_raw(raw), W)
 
 
 class TestNormalize:
@@ -75,18 +72,24 @@ class TestRiskSurface:
     def test_geometry_only_weights(self):
         raw = np.random.default_rng(2).uniform(0.5, 2.0, size=(3, 2, 6))
         w = PlanningWeights(geometry=1.0, variance=0, mde=0, contamination=0, op_cost=0, mismatch=0)
-        grid = [[scores_from_vector(raw[d, k]) for k in range(2)] for d in range(3)]
-        surface = risk_surface(grid, w)
+        surface = risk_surface(per_rep_from_raw(raw), w)
         assert np.allclose(surface.risks, surface.normalized[:, :, 0])
 
     def test_zero_vector_zero_risk(self):
         raw = np.zeros((2, 1, 6))
         assert np.all(surface_from_array(raw).risks == 0.0)
 
-    def test_ragged_grid_rejected(self):
-        a = scores_from_vector([1, 1, 1, 1, 1, 1])
-        with pytest.raises(ConfigurationError):
-            risk_surface([[a, a], [a]], W)
+    def test_wrong_shape_rejected(self):
+        # Wrong ndim, wrong channel count, or no cells at all.
+        for shape in [(2, 3, 7), (2, 3, 1, 1, 7), (2, 3, 1, 6), (2, 3, 1, 8), (0, 3, 1, 7)]:
+            with pytest.raises(ConfigurationError, match="shape"):
+                risk_surface(np.ones(shape), W)
+
+    def test_non_finite_scores_rejected(self):
+        per_rep = per_rep_from_raw(np.ones((2, 1, 6)))
+        per_rep[1, 0, 0, 2] = np.inf
+        with pytest.raises(ConfigurationError, match="finite"):
+            risk_surface(per_rep, W)
 
 
 class TestRobustSelect:
@@ -146,11 +149,15 @@ class TestRobustSelect:
         assert loose.shortlist == (0, 1)
 
     def test_stderr_epsilon_mode(self):
-        cells = [
-            [ComponentScores(1, 1, 1, 1, 1, 1, reps=4, se=(0.1, 0, 0, 0, 0, 0))],
-            [ComponentScores(2, 2, 2, 2, 2, 2, reps=4, se=(0.3, 0, 0, 0, 0, 0))],
-        ]
-        surface = risk_surface(cells, W)
+        # Four replications per cell; only geometry varies, as level +/- c with
+        # c = se * sqrt(3), so its replication standard error is exactly se.
+        per_rep = np.zeros((2, 1, 4, 7))
+        for d, (level, se) in enumerate(((1.0, 0.1), (2.0, 0.3))):
+            per_rep[d, 0, :, :6] = level
+            per_rep[d, 0, :, 0] += se * np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
+        surface = risk_surface(per_rep, W)
+        assert surface.se[:, 0, 0] == pytest.approx([0.05, 0.15])
+        assert np.all(surface.se[:, :, 1:] == 0.0)
         decision = robust_select(surface, epsilon_mode="stderr")
         # max normalized geometry se = 0.3 / 2 = 0.15, weighted by w_g = 1.
         assert decision.epsilon_t == pytest.approx(0.15)
