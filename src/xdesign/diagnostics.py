@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .exposure import wasserstein1_1d
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
-from .risk import PlanningWeights, mde, score_grid, variance_component
+from .risk import PlanningWeights, mde, score_grid, score_groups, variance_component
 from .selector import dominance_audit, risk_surface, robust_select, weight_winner_search
 
 __all__ = [
@@ -355,22 +355,19 @@ def regime_sweep(
 ) -> SweepResult:
     """Winner map over the intensity sweep.
 
-    Components are recomputed per sweep point and normalized within that point
-    across the catalog, so each column of the risk table is a self-contained
-    design ranking.
+    All sweep points are one draw group (see :func:`xdesign.risk.score_groups`):
+    each (design, replication) is replayed once with seed index 0 and scores
+    every intensity. Components are normalized within each sweep point across
+    the catalog, so each column of the risk table is a self-contained design
+    ranking.
     """
     catalog = list(catalog)
-    risks = np.empty((len(cfg.gamma_grid), len(catalog)))
-    winners = []
-    thetas = []
-    for g_idx, gamma in enumerate(cfg.gamma_grid):
-        theta = cfg.theta(gamma)
-        thetas.append(theta)
-        grid = AmbiguityGrid((theta,))
-        scores = score_grid(panel, catalog, grid, calib, weights, reps=cfg.reps, master_seed=cfg.seed)
-        surface = risk_surface(scores, weights)
-        risks[g_idx] = surface.risks[:, 0]
-        winners.append(int(surface.risks[:, 0].argmin()))
+    thetas = [cfg.theta(gamma) for gamma in cfg.gamma_grid]
+    scores = score_groups(panel, catalog, [thetas], calib, weights, reps=cfg.reps, master_seed=cfg.seed)
+    risks = np.empty((len(thetas), len(catalog)))
+    for g_idx in range(len(thetas)):
+        risks[g_idx] = risk_surface(scores[:, g_idx : g_idx + 1], weights).risks[:, 0]
+    winners = [int(row.argmin()) for row in risks]
     return SweepResult(
         gammas=tuple(float(g) for g in cfg.gamma_grid),
         thetas=tuple(thetas),

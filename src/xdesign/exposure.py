@@ -56,13 +56,13 @@ class ExposurePanel:
 def _group_share(z: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per-cell treated share of the unit's group in the same period (self included)."""
     n_groups = int(codes.max()) + 1
+    n_periods = z.shape[1]
     counts = np.bincount(codes, minlength=n_groups).astype(float)
-    # One bincount per period; codes are constant across periods.
-    sums = np.empty((n_groups, z.shape[1]))
-    zf = z.astype(float)
-    for t in range(z.shape[1]):
-        sums[:, t] = np.bincount(codes, weights=zf[:, t], minlength=n_groups)
-    return sums[codes] / counts[codes][:, None]
+    # One bincount over the (group, period) key. It adds each bin's weights in
+    # unit order, as one bincount per period would, so the sums are the same.
+    key = (codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+    sums = np.bincount(key, weights=z.ravel(), minlength=n_groups * n_periods)
+    return (sums.reshape(n_groups, n_periods) / counts[:, None])[codes]
 
 
 def exposure_features(assignment: AssignmentTable, panel: Panel, theta: MechanismPoint) -> ExposurePanel:

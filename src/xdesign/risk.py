@@ -1,17 +1,26 @@
 """Outcome simulation and the six raw planning-risk components.
 
-For one (design, mechanism) pair the pipeline replays the assignment rule,
-derives exposure features, simulates outcomes under the calibrated
-interference model, and scores geometry, assignment-unit variance, planning
-MDE, contamination, operational cost, and estimand mismatch for each seeded
-replication. Scores stay per replication in one float array whose last axis
-holds the six components in ``COMPONENT_NAMES`` order followed by the
-difference-in-means bias; the selector reduces it over replications.
+For one design the pipeline replays the assignment rule, derives exposure
+features, simulates outcomes under the calibrated interference model, and
+scores geometry, assignment-unit variance, planning MDE, contamination,
+operational cost, and estimand mismatch for each seeded replication. Scores
+stay per replication in one float array whose last axis holds the six
+components in ``COMPONENT_NAMES`` order followed by the difference-in-means
+bias; the selector reduces it over replications.
+
+Mechanism points are scored in draw groups: the points of one group share the
+replay and the noise of each replication. Outcomes are linear in the channel
+strengths and exposures depend on the mechanism only through its locality, so
+one replication's per-feature means give every point of its group in closed
+form. ``score_grid`` makes each audit-grid point a group of its own, so grid
+points never share draws; ``score_groups`` takes any grouping, and the regime
+sweep scores all its intensities as one group.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +30,7 @@ from scipy.special import ndtri
 
 from .designs import AssignmentTable, DesignSpec, OpCostInputs, effective_units, replay
 from .errors import ConfigurationError, PlanningError
-from .exposure import ExposurePanel, exposure_features, geometry_score
+from .exposure import ExposurePanel, _group_share
 from .mechanisms import AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
 
@@ -35,6 +44,7 @@ __all__ = [
     "estimand_mismatch",
     "replication_seed",
     "component_scores",
+    "score_groups",
     "score_grid",
 ]
 
@@ -204,12 +214,138 @@ def replication_seed(
     return np.random.SeedSequence(entropy=(master_seed, design_index, theta_index, rep))
 
 
-def _diff_in_means(y: np.ndarray, baseline: np.ndarray, z: np.ndarray) -> float:
-    treated = z == 1
-    if treated.all() or not treated.any():
-        # Single-arm replay: estimate the realized launch effect against baseline.
-        return float((y - baseline).mean())
-    return float(y[treated].mean() - y[~treated].mean())
+# Feature columns of one replication. The graph shares of the draw group's
+# localities follow from _BUDGET on; the budget locality's graph share is the
+# budget share itself, so it has no column of its own.
+_BASE, _DIRECT, _LAG, _BUDGET = range(4)
+
+
+@dataclass(frozen=True)
+class _DrawGroup:
+    """Mechanism points scored with one replay and one noise draw per replication.
+
+    Every channel of a point is linear in per-feature means of the replication:
+    each matrix maps those means to one channel, with one column per point.
+    """
+
+    seed_index: int
+    localities: tuple[str, ...]  # graph-share column of each, from _BUDGET on
+    outcome: np.ndarray  # feature means -> mean outcome
+    geometry: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score
+    mismatch: np.ndarray  # mean gaps to launch -> mismatch before stress
+    contamination: np.ndarray  # control-arm means -> contamination before switching and stress
+    switching: np.ndarray  # (points,) weight of the treatment switch rate in contamination
+    target: np.ndarray  # (points,) launch effects
+
+
+def _draw_group(seed_index: int, points: Sequence[MechanismPoint], calib: CalibrationScales) -> _DrawGroup:
+    """The channel maps of ``points``, scored with seed index ``seed_index``."""
+    points = tuple(points)
+    if not points:
+        raise ConfigurationError("draw groups must be non-empty")
+    localities = ("budget",) + tuple(dict.fromkeys(p.locality for p in points if p.locality != "budget"))
+    shape = (_BUDGET + len(localities), len(points))
+    outcome, geometry, mismatch, contam = (np.zeros(shape) for _ in range(4))
+    switching = np.zeros(len(points))
+    for k, p in enumerate(points):
+        s = outcome_strengths(p, calib)
+        cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
+        # add.at, because a budget-locality point has its graph share in the budget column.
+        np.add.at(outcome[:, k], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
+        scale = 1.0 + p.intensity_sum
+        np.add.at(geometry[:, k], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
+                                         p.graph_spill / scale))
+        np.add.at(mismatch[:, k], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
+        total = p.intensity_sum
+        if total > 0:
+            np.add.at(contam[:, k], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
+            switching[k] = p.carryover / total
+    target = np.array([launch_effect(p, calib) for p in points])
+    return _DrawGroup(seed_index, localities, outcome, geometry, mismatch, contam, switching, target)
+
+
+def _support_stress(panel: Panel) -> float:
+    return 1.0 - ess_share(panel.propensities) if panel.propensities is not None else 0.0
+
+
+def _score_group(
+    design: DesignSpec,
+    group: _DrawGroup,
+    panel: Panel,
+    calib: CalibrationScales,
+    *,
+    reps: int,
+    master_seed: int,
+    design_index: int,
+    n_eff: int,
+    op_cost: float,
+    stress: float,
+    quantile_sum: float,
+) -> np.ndarray:
+    """(points, reps, N_CHANNELS) scores of one design over one draw group.
+
+    Per replication the replay, the noise and the exposure features are built
+    once; their per-label, per-arm and overall means then give every point's
+    channels in closed form.
+    """
+    n_points = group.target.size
+    out = np.empty((n_points, reps, N_CHANNELS))
+    features = np.empty((_BUDGET + len(group.localities), panel.n_units, panel.n_periods))
+    flat = features.reshape(len(features), -1)
+    n_cells = flat.shape[1]
+    share_codes = [panel.group_codes(locality) for locality in group.localities]
+    for r in range(reps):
+        replay_seed, noise_seed = replication_seed(master_seed, design_index, group.seed_index, r).spawn(2)
+        table = replay(design, panel, seed=replay_seed)
+        z = table.z
+        noise_mean = 0.0
+        if calib.noise_sd > 0:
+            # The draws of rng.normal(0, noise_sd), made in place.
+            np.random.default_rng(noise_seed).standard_normal(out=features[_BASE])
+            features[_BASE] *= calib.noise_sd
+            noise_mean = features[_BASE].mean()
+            features[_BASE] += panel.baseline
+        else:
+            features[_BASE] = panel.baseline
+        features[_DIRECT] = z
+        features[_LAG, :, 0] = z[:, 0]
+        features[_LAG, :, 1:] = z[:, :-1]
+        for col, codes in enumerate(share_codes, _BUDGET):
+            features[col] = _group_share(z, codes)
+
+        labels = table.labels.ravel()
+        counts = np.bincount(labels)
+        occupied = counts > 0
+        if np.count_nonzero(occupied) < 2:
+            raise PlanningError("variance needs at least 2 assignment units")
+        label_means = np.stack([np.bincount(labels, weights=row) for row in flat], axis=1)[occupied]
+        label_y = (label_means / counts[occupied, None]) @ group.outcome
+        v = label_y.var(axis=0, ddof=1)
+
+        treated_sums = flat @ flat[_DIRECT]
+        control_sums = flat @ (1.0 - flat[_DIRECT])
+        n_treated = treated_sums[_DIRECT]
+        n_control = n_cells - n_treated
+        means = (treated_sums + control_sums) / n_cells
+        launch_gap = 1.0 - means
+        control = control_sums / max(n_control, 1.0)
+        if n_treated and n_control:
+            estimate = (treated_sums / n_treated - control) @ group.outcome
+        else:
+            # Single-arm replay: the realized launch effect against baseline.
+            means[_BASE] = noise_mean
+            estimate = means @ group.outcome
+
+        out[:, r] = np.column_stack((
+            launch_gap @ group.geometry,
+            v,
+            quantile_sum * np.sqrt(2.0 * v / n_eff),
+            control @ group.contamination + _switch_rate(z) * group.switching + stress,
+            np.full(n_points, op_cost),
+            launch_gap @ group.mismatch + stress,
+            estimate - group.target,
+        ))
+    return out
 
 
 def component_scores(
@@ -223,7 +359,7 @@ def component_scores(
     design_index: int = 0,
     theta_index: int = 0,
 ) -> np.ndarray:
-    """Replicated replay -> exposure -> outcome pipeline for one (design, mechanism) pair.
+    """Replicated scores of one (design, mechanism) pair.
 
     Returns a (reps, N_CHANNELS) array: one row of component scores plus the
     difference-in-means bias per replication. The pre-registered op cost is
@@ -233,36 +369,27 @@ def component_scores(
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
-    n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-    ess = ess_share(panel.propensities) if panel.propensities is not None else None
-    target = launch_effect(theta, calib)
-    op_cost = operational_cost(design.op_cost_inputs)
-
-    rows = np.empty((reps, N_CHANNELS))
-    for r in range(reps):
-        replay_seed, noise_seed = replication_seed(master_seed, design_index, theta_index, r).spawn(2)
-        table = replay(design, panel, seed=replay_seed)
-        expo = exposure_features(table, panel, theta)
-        y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
-        v = variance_component(y, table)
-        rows[r] = (
-            geometry_score(expo, theta),
-            v,
-            mde(v, n_eff, weights),
-            contamination(expo, table, theta, ess),
-            op_cost,
-            estimand_mismatch(expo, ess),
-            _diff_in_means(y, panel.baseline, table.z) - target,
-        )
-    return rows
+    return _score_group(
+        design,
+        _draw_group(theta_index, (theta,), calib),
+        panel,
+        calib,
+        reps=reps,
+        master_seed=master_seed,
+        design_index=design_index,
+        n_eff=effective_units(design, panel, weights.t_weeks, weights.periods_per_week),
+        op_cost=operational_cost(design.op_cost_inputs),
+        stress=_support_stress(panel),
+        quantile_sum=_quantile_sum(weights.alpha, weights.beta),
+    )[0]
 
 
 def resolve_workers() -> int:
-    """Worker count for grid evaluation: ``XDESIGN_THREADS`` when set, else 1.
+    """Worker count for scoring: ``XDESIGN_THREADS`` when set, else 1.
 
-    Defaults to serial: per-pair tasks are dominated by small-array numpy ops
-    that hold the GIL, so extra threads only pay off on large panels. Results
-    are identical for any worker count.
+    Defaults to serial: one (design, draw group) task is mostly small numpy
+    operations that hold the GIL, so extra threads pay off only on large
+    panels. Results are identical for any worker count.
     """
     env = os.environ.get("XDESIGN_THREADS", "")
     if not env.strip():
@@ -271,6 +398,65 @@ def resolve_workers() -> int:
         return max(1, int(env))
     except ValueError:
         raise ConfigurationError(f"XDESIGN_THREADS must be an integer, got {env!r}") from None
+
+
+def score_groups(
+    panel: Panel,
+    catalog: list[DesignSpec],
+    groups: Sequence[Sequence[MechanismPoint]],
+    calib: CalibrationScales,
+    weights: PlanningWeights,
+    reps: int = 1,
+    master_seed: int = 0,
+) -> np.ndarray:
+    """Score every design over draw groups; returns a (designs, points, reps, N_CHANNELS) array.
+
+    A draw group is a sequence of mechanism points (duplicates allowed) that
+    share their draws: replication ``r`` of design ``d`` over group ``g``
+    replays the assignment and draws the noise from
+    ``replication_seed(master_seed, d, g, r)``, once for all the group's
+    points. Points are numbered in group order, across groups. The
+    (design, group) tasks run in a thread pool when ``XDESIGN_THREADS`` asks
+    for more than one worker; the result is identical for any worker count,
+    and the first ``k`` replications identical for any ``reps >= k``.
+    """
+    if not catalog:
+        raise ConfigurationError("catalog must be non-empty")
+    if reps < 1:
+        raise ConfigurationError("reps must be >= 1")
+    draw_groups = [_draw_group(g, points, calib) for g, points in enumerate(groups)]
+    starts = np.cumsum([0] + [group.target.size for group in draw_groups])
+    n_eff = [effective_units(d, panel, weights.t_weeks, weights.periods_per_week) for d in catalog]
+    op_cost = [operational_cost(d.op_cost_inputs) for d in catalog]
+    stress = _support_stress(panel)
+    quantile_sum = _quantile_sum(weights.alpha, weights.beta)
+    out = np.empty((len(catalog), starts[-1], reps, N_CHANNELS))
+
+    def run(task: tuple[int, int]) -> None:
+        d, g = task
+        out[d, starts[g] : starts[g + 1]] = _score_group(
+            catalog[d],
+            draw_groups[g],
+            panel,
+            calib,
+            reps=reps,
+            master_seed=master_seed,
+            design_index=d,
+            n_eff=n_eff[d],
+            op_cost=op_cost[d],
+            stress=stress,
+            quantile_sum=quantile_sum,
+        )
+
+    tasks = [(d, g) for d in range(len(catalog)) for g in range(len(draw_groups))]
+    workers = resolve_workers()
+    if workers == 1:
+        for task in tasks:
+            run(task)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, tasks))
+    return out
 
 
 def score_grid(
@@ -284,37 +470,8 @@ def score_grid(
 ) -> np.ndarray:
     """Score every (design, mechanism) pair; returns a (designs, grid, reps, N_CHANNELS) array.
 
-    Pairs are independent, so they run in a thread pool when
-    ``XDESIGN_THREADS`` asks for more than one worker. The per-pair seed
-    schedule makes the result identical for any worker count, and the first
-    ``k`` replications identical for any ``reps >= k``.
+    Grid point ``k`` is a draw group of its own with seed index ``k`` (see
+    :func:`score_groups`), so no two grid points share draws, and a pair's
+    rows equal :func:`component_scores` with ``theta_index=k``.
     """
-    if not catalog:
-        raise ConfigurationError("catalog must be non-empty")
-    if reps < 1:
-        raise ConfigurationError("reps must be >= 1")
-    out = np.empty((len(catalog), len(grid), reps, N_CHANNELS))
-
-    def run(pair: tuple[int, int]) -> None:
-        d_idx, t_idx = pair
-        out[d_idx, t_idx] = component_scores(
-            catalog[d_idx],
-            grid[t_idx],
-            panel,
-            calib,
-            weights,
-            reps=reps,
-            master_seed=master_seed,
-            design_index=d_idx,
-            theta_index=t_idx,
-        )
-
-    tasks = [(d_idx, t_idx) for d_idx in range(len(catalog)) for t_idx in range(len(grid))]
-    workers = resolve_workers()
-    if workers == 1:
-        for pair in tasks:
-            run(pair)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, tasks))
-    return out
+    return score_groups(panel, catalog, [(theta,) for theta in grid], calib, weights, reps, master_seed)

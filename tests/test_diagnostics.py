@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from xdesign import PlanningWeights, SyntheticPanelConfig, default_catalog, generate_synthetic_panel
+from xdesign import (
+    AmbiguityGrid,
+    PlanningWeights,
+    SyntheticPanelConfig,
+    default_catalog,
+    generate_synthetic_panel,
+    risk_surface,
+    score_grid,
+)
 from xdesign.diagnostics import (
     SweepConfig,
     TransportScenario,
@@ -156,6 +164,21 @@ class TestRegimeSweepSmall:
         assert a.risks.shape == (3, 6)
         # Per-point normalization keeps each column a valid ranking.
         assert np.all(a.risks > 0)
+
+    def test_one_draw_group_matches_per_gamma_grids(self, small_panel):
+        # The sweep scores all gammas from one replay per (design, rep); each
+        # gamma on its own one-point grid with seed index 0 has the same draws.
+        calib = calibrate_scales(small_panel, direct_effect=1.0)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=4)
+        catalog = default_catalog()
+        cfg = SweepConfig(reps=4, seed=6)
+        result = regime_sweep(cfg, small_panel, calib, catalog, weights)
+        for g_idx, gamma in enumerate(cfg.gamma_grid):
+            grid = AmbiguityGrid((cfg.theta(gamma),))
+            per_gamma = score_grid(small_panel, catalog, grid, calib, weights, reps=cfg.reps, master_seed=cfg.seed)
+            risks = risk_surface(per_gamma, weights).risks[:, 0]
+            assert np.all(np.abs(result.risks[g_idx] - risks) <= 1e-12 * np.maximum(1.0, np.abs(risks)))
+            assert result.winners[g_idx] == int(risks.argmin())
 
 
 class TestOracleComparison:

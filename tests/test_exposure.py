@@ -1,6 +1,7 @@
 """Tests for exposure features, the geometry score, and 1-D optimal transport."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +190,29 @@ class TestExposureOnReplays:
             assert expo.budget_share.min() >= 0 and expo.budget_share.max() <= 1
             assert expo.graph_share.min() >= 0 and expo.graph_share.max() <= 1
             assert np.array_equal(expo.lag[:, 0], expo.direct[:, 0])
+
+
+def loop_group_share(z, codes):
+    """Per-period bincount loop: the reference for the one-bincount group share."""
+    n_groups = int(codes.max()) + 1
+    counts = np.bincount(codes, minlength=n_groups).astype(float)
+    sums = np.empty((n_groups, z.shape[1]))
+    zf = z.astype(float)
+    for t in range(z.shape[1]):
+        sums[:, t] = np.bincount(codes, weights=zf[:, t], minlength=n_groups)
+    return sums[codes] / counts[codes][:, None]
+
+
+class TestGroupShare:
+    @pytest.mark.parametrize("config_name", ["select_demo.json", "sweep_demo.json"])
+    def test_one_bincount_equals_per_period_loop(self, config_name):
+        from xdesign.config import load_config
+        from xdesign.exposure import _group_share
+
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / config_name)
+        panel = config.build_panel()
+        for d_idx, design in enumerate(config.build_catalog()):
+            z = replay(design, panel, seed=d_idx).z
+            for locality in ("cluster", "budget", "region"):
+                codes = panel.group_codes(locality)
+                assert np.array_equal(_group_share(z, codes), loop_group_share(z, codes)), (design.name, locality)

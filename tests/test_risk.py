@@ -1,9 +1,12 @@
 """Tests for outcome simulation and the six risk components."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdesign import (
     AssignmentTable,
@@ -18,6 +21,7 @@ from xdesign import (
     SyntheticPanelConfig,
     component_scores,
     contamination,
+    ess_share,
     estimand_mismatch,
     exposure_features,
     generate_synthetic_panel,
@@ -30,8 +34,9 @@ from xdesign import (
     simulate_outcomes,
     variance_component,
 )
-from xdesign.designs import OpCostInputs
-from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed
+from xdesign.designs import KINDS, OpCostInputs
+from xdesign.diagnostics import default_sweep_mapping
+from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed, score_groups
 
 GEOMETRY, VARIANCE, MDE, CONTAMINATION, _, MISMATCH = range(len(COMPONENT_NAMES))
 BIAS = N_CHANNELS - 1
@@ -318,7 +323,11 @@ def setup():
 
 
 def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
-    """One replication run step by step: the slow reference for component_scores."""
+    """One replication run step by step through the per-point pipeline.
+
+    The slow reference for the closed-form scoring kernel: it replays, builds
+    the exposure panel and simulates outcomes for this one mechanism point.
+    """
     from xdesign import effective_units, geometry_score, replay
 
     replay_seed, noise_seed = seed.spawn(2)
@@ -327,17 +336,27 @@ def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
     y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
     v = variance_component(y, table)
     n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
+    ess = ess_share(panel.propensities) if panel.propensities is not None else None
     treated = table.z == 1
-    bias = float(y[treated].mean() - y[~treated].mean()) - launch_effect(theta, calib)
+    if treated.all() or not treated.any():
+        estimate = float((y - panel.baseline).mean())
+    else:
+        estimate = float(y[treated].mean() - y[~treated].mean())
     return np.array([
         geometry_score(expo, theta),
         v,
         mde(v, n_eff, weights),
-        contamination(expo, table, theta, None),
+        contamination(expo, table, theta, ess),
         operational_cost(design.op_cost_inputs),
-        estimand_mismatch(expo, None),
-        bias,
+        estimand_mismatch(expo, ess),
+        estimate - launch_effect(theta, calib),
     ])
+
+
+def assert_matches_reference(fast, ref):
+    """Closed-form scores agree with the reference to 1e-12 relative (absolute below 1)."""
+    err = np.abs(fast - ref)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref))), (fast, ref)
 
 
 class TestComponentScores:
@@ -349,7 +368,7 @@ class TestComponentScores:
                                master_seed=11, design_index=2, theta_index=5)
         assert got.shape == (1, N_CHANNELS)
         expected = hand_row(design, theta, panel, calib, weights, replication_seed(11, 2, 5, 0))
-        assert np.array_equal(got[0], expected)
+        assert_matches_reference(got[0], expected)
 
     def test_all_treated_zero_geometry(self, setup):
         panel, calib, weights = setup
@@ -372,7 +391,7 @@ class TestComponentScores:
         assert rows.shape == (4, N_CHANNELS)
         for r in range(4):
             expected = hand_row(design, theta, panel, calib, weights, replication_seed(21, 1, 3, r))
-            assert np.array_equal(rows[r], expected), r
+            assert_matches_reference(rows[r], expected)
 
     def test_all_treated_bias_vanishes_with_noise(self, setup):
         panel, _, weights = setup
@@ -464,3 +483,68 @@ class TestScoreGrid:
                 ses = pair.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(replicated))
                 assert np.array_equal(surface.se[d, k], np.insert(ses, OP_COST, 0.0) / scale)
                 assert surface.se[d, k, OP_COST] == 0.0
+
+
+# Every design kind, an all-treated replay of a one-arm and a cluster design,
+# and a two-period switchback block.
+REFERENCE_CATALOG = [DesignSpec(kind=kind) for kind in KINDS] + [
+    DesignSpec(kind="user", all_treated=True),
+    DesignSpec(kind="cluster", all_treated=True),
+    DesignSpec(kind="switchback", block_length=2),
+]
+REFERENCE_GROUPS = [
+    # One point per locality.
+    (MechanismPoint(0.3, 0.2, 0.05, "cluster"),),
+    (MechanismPoint(0.1, 0.5, 0.2, "budget"),),
+    (MechanismPoint(0.3, 0.0, 0.2, "region"),),
+    # Localities mixed within one group.
+    (
+        MechanismPoint(0.0, 0.0, 0.0, "region"),
+        MechanismPoint(0.3, 0.5, 0.2, "cluster"),
+        MechanismPoint(0.1, 0.2, 0.0, "budget"),
+        MechanismPoint(0.3, 0.1, 0.05, "region"),
+    ),
+    # Sweep points with duplicates: gammas 0.0 and 0.1 both map to (0, 0, 0).
+    tuple(MechanismPoint(*default_sweep_mapping(g), "cluster") for g in (0.0, 0.1, 0.5, 0.9)),
+]
+
+
+class TestDrawGroups:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(
+            st.integers(6, 40), st.integers(2, 6), st.integers(2, 5), st.integers(1, 3), st.integers(3, 6)
+        ),
+        panel_seed=st.integers(0, 2**16),
+        master_seed=st.integers(0, 2**16),
+        noise_sd=st.sampled_from((0.0, 0.3)),
+        with_propensities=st.booleans(),
+    )
+    def test_every_point_matches_per_point_pipeline(
+        self, shape, panel_seed, master_seed, noise_sd, with_propensities
+    ):
+        n_units, n_clusters, n_budget, n_regions, n_periods = shape
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(n_units, n_clusters, n_budget, n_regions, n_periods), seed=panel_seed
+        )
+        if with_propensities:
+            rng = np.random.default_rng(panel_seed)
+            panel = dataclasses.replace(panel, propensities=rng.uniform(0.05, 1.0, panel.baseline.shape))
+        calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=noise_sd)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        reps = 2
+        per_rep = score_groups(
+            panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=reps, master_seed=master_seed
+        )
+        points = [(g, theta) for g, group in enumerate(REFERENCE_GROUPS) for theta in group]
+        assert per_rep.shape == (len(REFERENCE_CATALOG), len(points), reps, N_CHANNELS)
+        for k, (g, theta) in enumerate(points):
+            for d, design in enumerate(REFERENCE_CATALOG):
+                for r in range(reps):
+                    seed = replication_seed(master_seed, d, g, r)
+                    assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, seed))
+
+    def test_empty_group_rejected(self, setup):
+        panel, calib, weights = setup
+        with pytest.raises(ConfigurationError):
+            score_groups(panel, SMALL_CATALOG, [SMALL_GRID.points, ()], calib, weights)
