@@ -4,23 +4,27 @@ The sweep moves one scalar intensity from "no interference" through graph
 spillover, mixed spillover with shared budgets, and finally carryover-dominant
 dynamics. The same catalog and planning weights are scored at every point; the
 winner changes because each design protects a different channel at a different
-power and cost.
+power and cost. The setup is the shipped ``configs/sweep_demo.json``, the same
+run as ``xdesign sweep --config configs/sweep_demo.json``.
 """
 
 from pathlib import Path
 
-import xdesign as xd
-from xdesign.diagnostics import default_sweep_config, regime_sweep
+from xdesign.config import load_config
+from xdesign.diagnostics import regime_sweep
 from xdesign.svg import write_line_chart
 
+CONFIG = Path(__file__).parents[1] / "configs" / "sweep_demo.json"
 OUT = Path(__file__).parent / "out"
 
 
 def main() -> None:
-    sweep, panel_cfg, calib_overrides, catalog = default_sweep_config(reps=20, seed=0)
-    panel = xd.generate_synthetic_panel(panel_cfg, seed=sweep.seed)
-    calib = xd.calibrate_scales(panel, **calib_overrides)
-    weights = xd.PlanningWeights(t_weeks=8, periods_per_week=5)
+    config = load_config(CONFIG)
+    sweep = config.build_sweep()
+    panel = config.build_panel()
+    calib = config.build_calibration(panel)
+    catalog = config.build_catalog()
+    weights = config.build_weights()
 
     print(f"panel: {panel.n_units} units x {panel.n_periods} periods, "
           f"{panel.n_clusters} clusters, {panel.n_budget_groups} budget pools")

@@ -36,7 +36,6 @@ from .panel import (
 )
 from .risk import (
     PlanningWeights,
-    component_scores,
     contamination,
     estimand_mismatch,
     mde,
@@ -79,7 +78,6 @@ __all__ = [
     "SyntheticPanelConfig",
     "XDesignError",
     "calibrate_scales",
-    "component_scores",
     "contamination",
     "default_catalog",
     "default_grid",

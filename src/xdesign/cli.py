@@ -1,9 +1,9 @@
 """Command-line entry points: select | sweep | diagnose | simulate.
 
 Every run is driven by one JSON config (see :mod:`xdesign.config`); flags only
-override seed, replication count, output directory, and formats. Artifacts are
-deterministic for identical (config, seed) regardless of the worker-thread cap
-set through the ``XDESIGN_THREADS`` environment variable.
+override seed, replication count, output directory, and formats. Scoring runs
+in one thread, and artifacts are deterministic for identical (config, seed).
+The ``XDESIGN_THREADS`` environment variable is not read: any value is ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .config import RunConfig, config_digest, load_config
 from .diagnostics import (
-    SweepConfig,
     catalog_approximation_check,
     default_transport_scenarios,
     dominance_check,
@@ -163,14 +162,7 @@ def run_sweep(config: RunConfig) -> dict:
     calib = config.build_calibration(panel)
     catalog = config.build_catalog()
     weights = config.build_weights()
-    opts = config.sweep_options()
-    sweep_cfg = SweepConfig(
-        gamma_grid=tuple(opts.get("gamma_grid", SweepConfig().gamma_grid)),
-        locality=opts.get("locality", "cluster"),
-        reps=opts.get("reps", config.reps),
-        seed=opts.get("seed", config.seed),
-    )
-    result = regime_sweep(sweep_cfg, panel, calib, catalog, weights)
+    result = regime_sweep(config.build_sweep(), panel, calib, catalog, weights)
 
     report = {
         "schema_version": SCHEMA_VERSION,

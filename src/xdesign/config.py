@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .designs import DesignSpec, OpCostInputs, default_catalog
+from .diagnostics import SweepConfig
 from .errors import ConfigurationError
 from .mechanisms import AmbiguityGrid, default_grid
 from .panel import CalibrationScales, CsvSchema, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel, ingest_log_csv
@@ -208,8 +209,12 @@ class RunConfig:
     def build_weights(self) -> PlanningWeights:
         return PlanningWeights(**self.data.get("weights", {}))
 
-    def sweep_options(self) -> dict:
-        return self.data.get("sweep", {})
+    def build_sweep(self) -> SweepConfig:
+        """The ``sweep`` section; its reps and seed default to the run's."""
+        spec = {"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})}
+        if "gamma_grid" in spec:
+            spec["gamma_grid"] = tuple(spec["gamma_grid"])
+        return SweepConfig(**spec)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -36,9 +36,7 @@ __all__ = [
     "catalog_approximation_check",
     "mde_grid",
     "default_sweep_mapping",
-    "default_sweep_config",
     "regime_sweep",
-    "default_oracle_config",
     "oracle_comparison",
     "dominance_check",
 ]
@@ -377,42 +375,6 @@ def regime_sweep(
     )
 
 
-def default_sweep_config(
-    reps: int = 20, seed: int = 0
-) -> tuple[SweepConfig, SyntheticPanelConfig, dict, list[DesignSpec]]:
-    """The shipped sweep setup: grid, panel shape, calibration, and catalog.
-
-    Tuned so the interference regimes separate the catalog: user randomization
-    is cheapest under weak interference, cluster randomization takes the early
-    clustered-spillover band (its control arm sees no treated neighbors while
-    every other design pays the contamination penalty), and the single-region
-    per-period switchback wins once carryover dominates: lagged treatment
-    inflates the between-unit spread of every constant-assignment design but
-    averages out across alternating time blocks.
-    """
-    sweep = SweepConfig(reps=reps, seed=seed, locality="cluster")
-    panel_cfg = SyntheticPanelConfig(
-        n_units=2000,
-        n_clusters=50,
-        n_budget_groups=6,
-        n_regions=1,
-        n_periods=40,
-        baseline_mean=10.0,
-        baseline_sd=1.0,
-    )
-    calib_overrides = {
-        "direct_effect": 1.0,
-        "spill_scale": 0.5,
-        "carry_scale": 1.0,
-        "noise_sd": 0.5,
-    }
-    catalog = [
-        d.with_overrides(saturation_levels=(0.15, 0.85)) if d.kind == "two_stage" else d
-        for d in default_catalog()
-    ]
-    return sweep, panel_cfg, calib_overrides, catalog
-
-
 # ---------------------------------------------------------------------------
 # Oracle comparison
 
@@ -446,10 +408,6 @@ class OracleConfig:
     shortlist_fraction: float = 0.10
 
 
-def default_oracle_config() -> OracleConfig:
-    return OracleConfig()
-
-
 def oracle_comparison(
     cfg: OracleConfig | None = None,
     low_reps: int = 45,
@@ -466,7 +424,7 @@ def oracle_comparison(
     """
     if not 1 <= low_reps <= high_reps:
         raise ConfigurationError("oracle comparison needs 1 <= low_reps <= high_reps")
-    cfg = cfg or default_oracle_config()
+    cfg = cfg or OracleConfig()
     panel = generate_synthetic_panel(cfg.panel, seed=seed)
     calib = calibrate_scales(panel, **dict(cfg.calib_overrides))
     catalog = default_catalog()

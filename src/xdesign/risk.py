@@ -14,14 +14,13 @@ strengths and exposures depend on the mechanism only through its locality, so
 one replication's per-feature means give every point of its group in closed
 form. ``score_grid`` makes each audit-grid point a group of its own, so grid
 points never share draws; ``score_groups`` takes any grouping, and the regime
-sweep scores all its intensities as one group.
+sweep scores all its intensities as one group. ``score_groups`` is the one
+scoring path, and it runs serially in one thread.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +42,6 @@ __all__ = [
     "operational_cost",
     "estimand_mismatch",
     "replication_seed",
-    "component_scores",
     "score_groups",
     "score_grid",
 ]
@@ -348,58 +346,6 @@ def _score_group(
     return out
 
 
-def component_scores(
-    design: DesignSpec,
-    theta: MechanismPoint,
-    panel: Panel,
-    calib: CalibrationScales,
-    weights: PlanningWeights,
-    reps: int = 1,
-    master_seed: int = 0,
-    design_index: int = 0,
-    theta_index: int = 0,
-) -> np.ndarray:
-    """Replicated scores of one (design, mechanism) pair.
-
-    Returns a (reps, N_CHANNELS) array: one row of component scores plus the
-    difference-in-means bias per replication. The pre-registered op cost is
-    the same in every row. Replication ``r`` uses a seed derived from
-    (master_seed, design_index, theta_index, r), so grid evaluations are
-    reproducible regardless of scheduling order.
-    """
-    if reps < 1:
-        raise ConfigurationError("reps must be >= 1")
-    return _score_group(
-        design,
-        _draw_group(theta_index, (theta,), calib),
-        panel,
-        calib,
-        reps=reps,
-        master_seed=master_seed,
-        design_index=design_index,
-        n_eff=effective_units(design, panel, weights.t_weeks, weights.periods_per_week),
-        op_cost=operational_cost(design.op_cost_inputs),
-        stress=_support_stress(panel),
-        quantile_sum=_quantile_sum(weights.alpha, weights.beta),
-    )[0]
-
-
-def resolve_workers() -> int:
-    """Worker count for scoring: ``XDESIGN_THREADS`` when set, else 1.
-
-    Defaults to serial: one (design, draw group) task is mostly small numpy
-    operations that hold the GIL, so extra threads pay off only on large
-    panels. Results are identical for any worker count.
-    """
-    env = os.environ.get("XDESIGN_THREADS", "")
-    if not env.strip():
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigurationError(f"XDESIGN_THREADS must be an integer, got {env!r}") from None
-
-
 def score_groups(
     panel: Panel,
     catalog: list[DesignSpec],
@@ -415,10 +361,9 @@ def score_groups(
     share their draws: replication ``r`` of design ``d`` over group ``g``
     replays the assignment and draws the noise from
     ``replication_seed(master_seed, d, g, r)``, once for all the group's
-    points. Points are numbered in group order, across groups. The
-    (design, group) tasks run in a thread pool when ``XDESIGN_THREADS`` asks
-    for more than one worker; the result is identical for any worker count,
-    and the first ``k`` replications identical for any ``reps >= k``.
+    points. Points are numbered in group order, across groups. Scoring runs
+    serially in one thread; the first ``k`` replications are identical for
+    any ``reps >= k``.
     """
     if not catalog:
         raise ConfigurationError("catalog must be non-empty")
@@ -426,36 +371,26 @@ def score_groups(
         raise ConfigurationError("reps must be >= 1")
     draw_groups = [_draw_group(g, points, calib) for g, points in enumerate(groups)]
     starts = np.cumsum([0] + [group.target.size for group in draw_groups])
-    n_eff = [effective_units(d, panel, weights.t_weeks, weights.periods_per_week) for d in catalog]
-    op_cost = [operational_cost(d.op_cost_inputs) for d in catalog]
     stress = _support_stress(panel)
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), starts[-1], reps, N_CHANNELS))
-
-    def run(task: tuple[int, int]) -> None:
-        d, g = task
-        out[d, starts[g] : starts[g + 1]] = _score_group(
-            catalog[d],
-            draw_groups[g],
-            panel,
-            calib,
-            reps=reps,
-            master_seed=master_seed,
-            design_index=d,
-            n_eff=n_eff[d],
-            op_cost=op_cost[d],
-            stress=stress,
-            quantile_sum=quantile_sum,
-        )
-
-    tasks = [(d, g) for d in range(len(catalog)) for g in range(len(draw_groups))]
-    workers = resolve_workers()
-    if workers == 1:
-        for task in tasks:
-            run(task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, tasks))
+    for d, design in enumerate(catalog):
+        n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
+        op_cost = operational_cost(design.op_cost_inputs)
+        for g, group in enumerate(draw_groups):
+            out[d, starts[g] : starts[g + 1]] = _score_group(
+                design,
+                group,
+                panel,
+                calib,
+                reps=reps,
+                master_seed=master_seed,
+                design_index=d,
+                n_eff=n_eff,
+                op_cost=op_cost,
+                stress=stress,
+                quantile_sum=quantile_sum,
+            )
     return out
 
 
@@ -471,7 +406,7 @@ def score_grid(
     """Score every (design, mechanism) pair; returns a (designs, grid, reps, N_CHANNELS) array.
 
     Grid point ``k`` is a draw group of its own with seed index ``k`` (see
-    :func:`score_groups`), so no two grid points share draws, and a pair's
-    rows equal :func:`component_scores` with ``theta_index=k``.
+    :func:`score_groups`), so no two grid points share draws: replication
+    ``r`` of pair ``(d, k)`` uses ``replication_seed(master_seed, d, k, r)``.
     """
     return score_groups(panel, catalog, [(theta,) for theta in grid], calib, weights, reps, master_seed)

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line surface and its artifacts."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +8,7 @@ from jsonschema import Draft202012Validator
 
 from xdesign.cli import _emission, main, run_select
 from xdesign.config import RunConfig, config_digest, load_config
+from xdesign.diagnostics import SweepConfig
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "xdesign" / "schemas"
 
@@ -77,23 +77,23 @@ class TestSelectCommand:
         assert q["budget_split"] - q["user"] > 2 * decision["epsilon_t"]
         assert decision["shortlist"] == ["user"]
 
-    def test_byte_identical_across_thread_caps(self, tmp_path):
-        data = small_select_config(tmp_path / "out")
-        cfg = write_config(tmp_path, data)
-        snapshots = []
-        for threads in ("1", "3"):
-            os.environ["XDESIGN_THREADS"] = threads
-            try:
-                assert main(["select", "--config", str(cfg)]) == 0
-            finally:
-                os.environ.pop("XDESIGN_THREADS", None)
-            snapshots.append(
-                {
-                    name: (tmp_path / "out" / name).read_bytes()
-                    for name in ("decision.json", "surface.csv", "ranking.svg")
-                }
-            )
-        assert snapshots[0] == snapshots[1]
+    def test_byte_identical_across_thread_caps(self, tmp_path, monkeypatch):
+        # XDESIGN_THREADS is not read: any value, even a non-integer, runs and
+        # writes the same bytes as a run with the variable unset.
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
+
+        def run() -> dict:
+            assert main(["select", "--config", str(cfg)]) == 0
+            return {
+                name: (tmp_path / "out" / name).read_bytes()
+                for name in ("decision.json", "surface.csv", "ranking.svg")
+            }
+
+        monkeypatch.delenv("XDESIGN_THREADS", raising=False)
+        unset = run()
+        for threads in ("1", "3", "many"):
+            monkeypatch.setenv("XDESIGN_THREADS", threads)
+            assert run() == unset, threads
 
     def test_flag_overrides(self, tmp_path):
         data = small_select_config(tmp_path / "out")
@@ -119,15 +119,6 @@ class TestSelectCommand:
         assert main(["select", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_invalid_thread_cap_is_clean_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
-        os.environ["XDESIGN_THREADS"] = "many"
-        try:
-            assert main(["select", "--config", str(cfg)]) == 1
-        finally:
-            os.environ.pop("XDESIGN_THREADS", None)
-        assert "XDESIGN_THREADS" in capsys.readouterr().err
-
 
 class TestSweepCommand:
     def test_small_sweep_artifacts(self, tmp_path):
@@ -143,6 +134,13 @@ class TestSweepCommand:
         assert csv_lines[0].endswith(",winner")
         assert len(csv_lines) == 4
         assert (out / "sweep.svg").exists()
+
+    def test_sweep_section_defaults(self):
+        # Without a sweep section the sweep takes the run's reps and seed and
+        # the SweepConfig defaults; a section overrides key by key.
+        assert RunConfig({"reps": 3, "seed": 5}).build_sweep() == SweepConfig(reps=3, seed=5)
+        sweep = RunConfig({"reps": 3, "sweep": {"gamma_grid": [0.0, 1.0], "seed": 2}}).build_sweep()
+        assert sweep == SweepConfig(gamma_grid=(0.0, 1.0), reps=3, seed=2)
 
 
 class TestDiagnoseCommand:

@@ -19,7 +19,6 @@ from xdesign import (
     PlanningError,
     PlanningWeights,
     SyntheticPanelConfig,
-    component_scores,
     contamination,
     ess_share,
     estimand_mismatch,
@@ -364,10 +363,9 @@ class TestComponentScores:
         panel, calib, weights = setup
         design = DesignSpec(kind="cluster")
         theta = MechanismPoint(0.3, 0.2, 0.1)
-        got = component_scores(design, theta, panel, calib, weights, reps=1,
-                               master_seed=11, design_index=2, theta_index=5)
+        got = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=1, master_seed=11)[0, 0]
         assert got.shape == (1, N_CHANNELS)
-        expected = hand_row(design, theta, panel, calib, weights, replication_seed(11, 2, 5, 0))
+        expected = hand_row(design, theta, panel, calib, weights, replication_seed(11, 0, 0, 0))
         assert_matches_reference(got[0], expected)
 
     def test_all_treated_zero_geometry(self, setup):
@@ -375,7 +373,7 @@ class TestComponentScores:
         design = DesignSpec(kind="user", all_treated=True)
         theta = MechanismPoint(0, 0, 0)
         calib0 = CalibrationScales(calib.direct_effect, calib.spill_scale, calib.carry_scale, noise_sd=0.0)
-        got = component_scores(design, theta, panel, calib0, weights, reps=2, master_seed=1)
+        got = score_grid(panel, [design], AmbiguityGrid((theta,)), calib0, weights, reps=2, master_seed=1)[0, 0]
         assert np.all(got[:, GEOMETRY] == 0.0)
         assert np.all(got[:, MISMATCH] == 0.0)  # no propensities -> no stress
         assert np.all(got[:, CONTAMINATION] == 0.0)
@@ -386,11 +384,10 @@ class TestComponentScores:
         panel, calib, weights = setup
         design = DesignSpec(kind="mixed")
         theta = MechanismPoint(0.1, 0.2, 0.05, "budget")
-        rows = component_scores(design, theta, panel, calib, weights, reps=4,
-                                master_seed=21, design_index=1, theta_index=3)
+        rows = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=4, master_seed=21)[0, 0]
         assert rows.shape == (4, N_CHANNELS)
         for r in range(4):
-            expected = hand_row(design, theta, panel, calib, weights, replication_seed(21, 1, 3, r))
+            expected = hand_row(design, theta, panel, calib, weights, replication_seed(21, 0, 0, r))
             assert_matches_reference(rows[r], expected)
 
     def test_all_treated_bias_vanishes_with_noise(self, setup):
@@ -399,7 +396,7 @@ class TestComponentScores:
         theta = MechanismPoint(0.3, 0.5, 0.2)
         for noise_sd in (0.4, 0.04):
             calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=noise_sd)
-            got = component_scores(design, theta, panel, calib, weights, reps=1, master_seed=5)
+            got = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=1, master_seed=5)[0, 0]
             cells = panel.n_units * panel.n_periods
             assert abs(got[0, BIAS]) <= 4.0 * noise_sd / math.sqrt(cells)
 
@@ -424,15 +421,16 @@ class TestComponentScores:
     def test_op_cost_independent_of_mechanism(self, setup):
         panel, calib, weights = setup
         design = DesignSpec(kind="switchback")
-        a = component_scores(design, MechanismPoint(0, 0, 0), panel, calib, weights, reps=3)
-        b = component_scores(design, MechanismPoint(0.3, 0.5, 0.2), panel, calib, weights, reps=3, theta_index=9)
+        grid = AmbiguityGrid((MechanismPoint(0, 0, 0), MechanismPoint(0.3, 0.5, 0.2)))
+        a, b = score_grid(panel, [design], grid, calib, weights, reps=3)[0]
         assert np.all(a[:, OP_COST] == operational_cost(design.op_cost_inputs))
         assert np.array_equal(a[:, OP_COST], b[:, OP_COST])
 
     def test_rep_validation(self, setup):
         panel, calib, weights = setup
         with pytest.raises(ConfigurationError):
-            component_scores(DesignSpec(kind="user"), MechanismPoint(0, 0, 0), panel, calib, weights, reps=0)
+            score_grid(panel, [DesignSpec(kind="user")], AmbiguityGrid((MechanismPoint(0, 0, 0),)), calib, weights,
+                       reps=0)
 
 
 SMALL_CATALOG = [DesignSpec(kind="user"), DesignSpec(kind="cluster"), DesignSpec(kind="switchback")]
@@ -442,27 +440,23 @@ SMALL_GRID = AmbiguityGrid.from_axes(
 
 
 class TestScoreGrid:
-    def test_cells_are_component_scores(self, setup):
+    def test_cells_follow_the_seed_schedule(self, setup):
+        # Cell (d, k, r) is replication r of design d at grid point k, replayed
+        # and drawn from replication_seed(master_seed, d, k, r).
         panel, calib, weights = setup
         per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=3, master_seed=4)
         assert per_rep.shape == (len(SMALL_CATALOG), len(SMALL_GRID), 3, N_CHANNELS)
         for d, design in enumerate(SMALL_CATALOG):
-            for k in range(len(SMALL_GRID)):
-                rows = component_scores(design, SMALL_GRID[k], panel, calib, weights, reps=3,
-                                        master_seed=4, design_index=d, theta_index=k)
-                assert np.array_equal(per_rep[d, k], rows)
+            for k, theta in enumerate(SMALL_GRID):
+                for r in range(3):
+                    expected = hand_row(design, theta, panel, calib, weights, replication_seed(4, d, k, r))
+                    assert_matches_reference(per_rep[d, k, r], expected)
 
     def test_fewer_reps_are_a_prefix(self, setup):
         panel, calib, weights = setup
         few = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=5, master_seed=2)
         many = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=12, master_seed=2)
         assert np.array_equal(few, many[:, :, :5])
-
-    def test_thread_pool_matches_serial(self, setup, monkeypatch):
-        panel, calib, weights = setup
-        serial = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=2)
-        monkeypatch.setenv("XDESIGN_THREADS", "3")
-        assert np.array_equal(score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=2), serial)
 
     @pytest.mark.parametrize("reps", [1, 12])
     def test_risk_surface_reduces_each_pair(self, setup, reps):
