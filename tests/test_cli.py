@@ -78,8 +78,8 @@ class TestSelectCommand:
         assert decision["shortlist"] == ["user"]
 
     def test_byte_identical_across_thread_caps(self, tmp_path, monkeypatch):
-        # XDESIGN_THREADS is not read: any value, even a non-integer, runs and
-        # writes the same bytes as a run with the variable unset.
+        # XDESIGN_THREADS is not read: any integer cap writes the same bytes as
+        # a run with the variable unset.
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
 
         def run() -> dict:
@@ -91,7 +91,7 @@ class TestSelectCommand:
 
         monkeypatch.delenv("XDESIGN_THREADS", raising=False)
         unset = run()
-        for threads in ("1", "3", "many"):
+        for threads in ("1", "3"):
             monkeypatch.setenv("XDESIGN_THREADS", threads)
             assert run() == unset, threads
 
@@ -118,6 +118,23 @@ class TestSelectCommand:
         cfg = write_config(tmp_path, data)
         assert main(["select", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_invalid_thread_cap_is_clean_error(self, tmp_path, capsys, monkeypatch):
+        # A non-integer XDESIGN_THREADS used to fail the run with one error
+        # line. The variable is no longer read, so the run now succeeds: no
+        # error and no traceback on stderr, and the same bytes as with it unset.
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
+        names = ("decision.json", "surface.csv", "ranking.svg")
+
+        monkeypatch.delenv("XDESIGN_THREADS", raising=False)
+        assert main(["select", "--config", str(cfg)]) == 0
+        unset = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        capsys.readouterr()
+
+        monkeypatch.setenv("XDESIGN_THREADS", "many")
+        assert main(["select", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in names} == unset
 
 
 class TestSweepCommand:
