@@ -129,31 +129,27 @@ def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence 
     """Draw one assignment for ``design`` over the panel. Deterministic in ``seed``.
 
     No assignment rule depends on the interference mechanism, so one replay
-    serves every grid point.
+    serves every grid point. ``all_treated`` keeps the kind's labels and
+    treats every cell.
     """
     rng = np.random.default_rng(seed)
     n, t = panel.n_units, panel.n_periods
     p = design.treat_prob
 
     if design.kind == "user":
-        draws = np.ones(n, dtype=np.int8) if design.all_treated else (rng.random(n) < p).astype(np.int8)
-        z = _tile(draws, t)
+        z = _tile((rng.random(n) < p).astype(np.int8), t)
         labels = _tile(np.arange(n, dtype=np.int64), t)
     elif design.kind in ("cluster", "budget_split"):
         codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
         n_groups = codes.max() + 1
-        draws = np.ones(n_groups, dtype=np.int8) if design.all_treated else (rng.random(n_groups) < p).astype(np.int8)
+        draws = (rng.random(n_groups) < p).astype(np.int8)
         z = _tile(draws[codes], t)
         labels = _tile(codes, t)
     elif design.kind == "switchback":
         codes = panel.region_codes
         n_regions = codes.max() + 1
         n_blocks = (t + design.block_length - 1) // design.block_length
-        draws = (
-            np.ones((n_regions, n_blocks), dtype=np.int8)
-            if design.all_treated
-            else (rng.random((n_regions, n_blocks)) < p).astype(np.int8)
-        )
+        draws = (rng.random((n_regions, n_blocks)) < p).astype(np.int8)
         block_of_period = np.arange(t) // design.block_length
         z = draws[codes][:, block_of_period]
         labels = (codes[:, None] * n_blocks + block_of_period[None, :]).astype(np.int64)
@@ -162,12 +158,7 @@ def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence 
         n_clusters = codes.max() + 1
         levels = np.asarray(design.saturation_levels, dtype=float)
         level_idx = rng.integers(0, len(levels), size=n_clusters)
-        unit_u = rng.random(n)
-        per_unit = (
-            np.ones(n, dtype=np.int8)
-            if design.all_treated
-            else (unit_u < levels[level_idx][codes]).astype(np.int8)
-        )
+        per_unit = (rng.random(n) < levels[level_idx][codes]).astype(np.int8)
         z = _tile(per_unit, t)
         labels = _tile(codes, t)
     elif design.kind == "mixed":
@@ -177,8 +168,6 @@ def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence 
         cluster_draws = (rng.random(n_clusters) < p).astype(np.int8)
         unit_draws = (rng.random(n) < p).astype(np.int8)
         per_unit = np.where(whole_cluster[codes], cluster_draws[codes], unit_draws).astype(np.int8)
-        if design.all_treated:
-            per_unit = np.ones(n, dtype=np.int8)
         label_per_unit = np.where(
             whole_cluster[codes], codes, n_clusters + np.arange(n, dtype=np.int64)
         ).astype(np.int64)
@@ -187,6 +176,8 @@ def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence 
     else:  # pragma: no cover - guarded by DesignSpec
         raise ConfigurationError(f"unknown design kind {design.kind!r}")
 
+    if design.all_treated:
+        z = np.ones_like(z)
     return AssignmentTable(z=z, labels=labels)
 
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .designs import AssignmentTable, DesignSpec, OpCostInputs, effective_units, replay
 from .errors import ConfigurationError, PlanningError
@@ -76,6 +75,11 @@ class PlanningWeights:
         for name in ("alpha", "beta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1)")
+        # z_{1-alpha/2} + z_{1-beta} > 0 exactly when 1 - alpha/2 > beta.
+        if self.alpha / 2.0 + self.beta >= 1.0:
+            raise ConfigurationError(
+                f"alpha/2 + beta must be < 1 for a positive MDE (alpha={self.alpha}, beta={self.beta})"
+            )
         if self.t_weeks < 1 or self.periods_per_week < 1:
             raise ConfigurationError("t_weeks and periods_per_week must be >= 1")
 
@@ -130,9 +134,9 @@ def variance_component(outcomes: np.ndarray, assignment: AssignmentTable) -> flo
     return float(np.var(means, ddof=1))
 
 
-@lru_cache(maxsize=64)
 def _quantile_sum(alpha: float, beta: float) -> float:
-    return float(ndtri(1.0 - alpha / 2.0) + ndtri(1.0 - beta))
+    z = NormalDist().inv_cdf
+    return z(1.0 - alpha / 2.0) + z(1.0 - beta)
 
 
 def mde(v: float, n_units: int, weights: PlanningWeights) -> float:

@@ -267,9 +267,10 @@ class TestConfigValidation:
             (("panel", "synthetic", "n_units"), "200", "n_units"),
             (("grid", "graph_spill"), 0.3, "graph_spill"),
             (("catalog",), [{"kind": "user", "treat_prob": "0.5"}], "treat_prob"),
+            (("weights",), {"alpha": 0.5, "beta": 0.9}, "alpha/2 + beta"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
-             "treat_prob-string"],
+             "treat_prob-string", "alpha-beta-negative-mde"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")

@@ -15,6 +15,7 @@ from xdesign import (
     operational_cost,
     replay,
 )
+from xdesign.designs import KINDS
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +27,13 @@ def panel():
 
 
 class TestReplayRules:
-    def test_all_treated_flag(self, panel):
-        design = DesignSpec(kind="user", all_treated=True)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_all_treated_flag(self, panel, kind):
+        design = DesignSpec(kind=kind, block_length=3, all_treated=True)
         table = replay(design, panel, seed=0)
         assert np.all(table.z == 1)
+        drawn = replay(design.with_overrides(all_treated=False), panel, seed=0)
+        assert np.array_equal(table.labels, drawn.labels)
 
     def test_same_seed_identical(self, panel):
         for kind in ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed"):

@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xdesign
 from xdesign import (
     AssignmentTable,
     CalibrationScales,
@@ -176,12 +181,36 @@ class TestMde:
     def test_zero_variance_zero_mde(self):
         assert mde(0.0, 10, PlanningWeights()) == 0.0
 
-    def test_against_independent_quantile_oracle(self):
-        w = PlanningWeights(alpha=0.05, beta=0.2)
-        expected = (normal_quantile_oracle(0.975) + normal_quantile_oracle(0.8)) * math.sqrt(2 / 8)
-        assert expected == pytest.approx(1.400792, abs=1e-5)
-        assert mde(1.0, 8, w) == pytest.approx(expected, abs=1e-8)
-        assert mde(1.0, 8, w) == pytest.approx(1.400792, abs=1e-5)
+    @pytest.mark.parametrize(
+        "alpha, beta", [(0.05, 0.2), (0.01, 0.1), (0.001, 0.01), (0.1, 0.5), (0.2, 0.05)]
+    )
+    def test_against_independent_quantile_oracle(self, alpha, beta):
+        w = PlanningWeights(alpha=alpha, beta=beta)
+        expected = (
+            normal_quantile_oracle(1 - alpha / 2) + normal_quantile_oracle(1 - beta)
+        ) * math.sqrt(2 / 8)
+        assert mde(1.0, 8, w) == pytest.approx(expected, abs=1e-12)
+        if (alpha, beta) == (0.05, 0.2):
+            assert expected == pytest.approx(1.400792, abs=1e-5)
+            assert mde(1.0, 8, w) == pytest.approx(1.400792, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.9), (0.4, 0.8)])
+    def test_non_positive_quantile_sum_rejected(self, alpha, beta):
+        # alpha/2 + beta >= 1 makes the MDE negative or zero.
+        with pytest.raises(ConfigurationError, match="alpha.*beta"):
+            PlanningWeights(alpha=alpha, beta=beta)
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, xdesign, xdesign.cli, xdesign.config, xdesign.diagnostics, xdesign.svg; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        src = str(Path(xdesign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_quadrupling_units_halves_mde(self):
         w = PlanningWeights()
