@@ -113,6 +113,18 @@ class AssignmentTable:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _trusted(cls, z: np.ndarray, labels: np.ndarray) -> "AssignmentTable":
+        """A table from arrays that are int8 0/1 and int64 of one 2-D shape by construction.
+
+        Skips the conversions and checks of ``__post_init__``; only ``replay``
+        builds tables this way.
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "z", z)
+        object.__setattr__(table, "labels", labels)
+        return table
+
     @property
     def n_assignment_units(self) -> int:
         return len(np.unique(self.labels))
@@ -178,7 +190,7 @@ def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence 
 
     if design.all_treated:
         z = np.ones_like(z)
-    return AssignmentTable(z=z, labels=labels)
+    return AssignmentTable._trusted(z, labels)
 
 
 def effective_units(

@@ -16,6 +16,13 @@ form. ``score_grid`` makes each audit-grid point a group of its own, so grid
 points never share draws; ``score_groups`` takes any grouping, and the regime
 sweep scores all its intensities as one group. ``score_groups`` is the one
 scoring path, and it runs serially in one thread.
+
+Within one (design, group) only the random draws run one replication at a
+time: each replication's seeds, replay and noise go into stacked buffers.
+The exposure features, the label, arm and overall means, and every point's
+channels are then computed once for a chunk of replications, whose feature
+block stays within ``_CHUNK_CELLS`` cells. No replication's arithmetic depends
+on the chunk it falls in, so the chunk size never changes a score.
 """
 
 from __future__ import annotations
@@ -216,10 +223,27 @@ def replication_seed(
     return np.random.SeedSequence(entropy=(master_seed, design_index, theta_index, rep))
 
 
-# Feature columns of one replication. The graph shares of the draw group's
+def _child_seeds(
+    master_seed: int, design_index: int, seed_index: int, rep: int
+) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
+    """The replay and noise seeds of one replication.
+
+    Equal to ``replication_seed(...).spawn(2)``, built without mixing the
+    parent's pool or keeping its spawn count.
+    """
+    entropy = (master_seed, design_index, seed_index, rep)
+    return np.random.SeedSequence(entropy, spawn_key=(0,)), np.random.SeedSequence(entropy, spawn_key=(1,))
+
+
+# Feature rows of one replication. The graph shares of the draw group's
 # localities follow from _BUDGET on; the budget locality's graph share is the
-# budget share itself, so it has no column of its own.
+# budget share itself, so it has no row of its own.
 _BASE, _DIRECT, _LAG, _BUDGET = range(4)
+
+# Float feature cells (4 MB) in one chunk of replications. Select's 200x8
+# panel fits all its replications in one chunk; the sweep's 2000x40 panel
+# takes one replication per chunk, so its working set does not grow.
+_CHUNK_CELLS = 2**19
 
 
 @dataclass(frozen=True)
@@ -270,6 +294,19 @@ def _support_stress(panel: Panel) -> float:
     return 1.0 - ess_share(panel.propensities) if panel.propensities is not None else 0.0
 
 
+def _project(maps: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``maps.T @ values``: (features, points) maps applied to (features, ...) values.
+
+    Sums in feature order with elementwise products rather than BLAS, so no
+    result depends on how many others share the call, and a replication scores
+    the same in any chunk.
+    """
+    total = maps[0][:, None] * values[0]
+    for f in range(1, len(maps)):
+        total += maps[f][:, None] * values[f]
+    return total
+
+
 def _score_group(
     design: DesignSpec,
     group: _DrawGroup,
@@ -283,70 +320,104 @@ def _score_group(
     op_cost: float,
     stress: float,
     quantile_sum: float,
+    features: np.ndarray,
+    arms: np.ndarray,
+    labels: np.ndarray,
 ) -> np.ndarray:
     """(points, reps, N_CHANNELS) scores of one design over one draw group.
 
-    Per replication the replay, the noise and the exposure features are built
-    once; their per-label, per-arm and overall means then give every point's
-    channels in closed form.
+    Only the draws run one replication at a time: the replay and the noise of
+    each replication are written into the stacked buffers ``features``
+    (features, chunk, units, periods), ``arms`` (chunk, 2, cells) and
+    ``labels`` (chunk, cells). Everything after them runs once per chunk of
+    replications: the exposure features, then the per-label, per-arm and
+    overall means, which give every point's channels in closed form. No
+    replication's arithmetic depends on the chunk it falls in.
     """
-    n_points = group.target.size
-    out = np.empty((n_points, reps, N_CHANNELS))
-    features = np.empty((_BUDGET + len(group.localities), panel.n_units, panel.n_periods))
-    flat = features.reshape(len(features), -1)
-    n_cells = flat.shape[1]
+    n_features = _BUDGET + len(group.localities)
+    n_cells = panel.n_units * panel.n_periods
+    chunk = len(labels)
     share_codes = [panel.group_codes(locality) for locality in group.localities]
-    for r in range(reps):
-        replay_seed, noise_seed = replication_seed(master_seed, design_index, group.seed_index, r).spawn(2)
-        table = replay(design, panel, seed=replay_seed)
-        z = table.z
-        noise_mean = 0.0
+    out = np.empty((group.target.size, reps, N_CHANNELS))
+    for start in range(0, reps, chunk):
+        n_reps = min(chunk, reps - start)
+        block = features[:n_features, :n_reps]
+        for i in range(n_reps):
+            replay_seed, noise_seed = _child_seeds(master_seed, design_index, group.seed_index, start + i)
+            table = replay(design, panel, seed=replay_seed)
+            block[_DIRECT, i] = table.z
+            labels[i] = table.labels.ravel()
+            if calib.noise_sd > 0:
+                # The draws of rng.normal(0, noise_sd), made in place.
+                np.random.default_rng(noise_seed).standard_normal(out=block[_BASE, i])
+
+        del table  # free the last replay before the chunk's temporaries
+        z = block[_DIRECT]
         if calib.noise_sd > 0:
-            # The draws of rng.normal(0, noise_sd), made in place.
-            np.random.default_rng(noise_seed).standard_normal(out=features[_BASE])
-            features[_BASE] *= calib.noise_sd
-            noise_mean = features[_BASE].mean()
-            features[_BASE] += panel.baseline
+            block[_BASE] *= calib.noise_sd
+            noise_mean = block[_BASE].reshape(n_reps, n_cells).mean(axis=1)
+            block[_BASE] += panel.baseline
         else:
-            features[_BASE] = panel.baseline
-        features[_DIRECT] = z
-        features[_LAG, :, 0] = z[:, 0]
-        features[_LAG, :, 1:] = z[:, :-1]
-        for col, codes in enumerate(share_codes, _BUDGET):
-            features[col] = _group_share(z, codes)
+            block[_BASE] = panel.baseline
+            noise_mean = 0.0
+        block[_LAG, :, :, 0] = z[:, :, 0]
+        block[_LAG, :, :, 1:] = z[:, :, :-1]
+        for row, codes in enumerate(share_codes, _BUDGET):
+            _group_share(z, codes, out=block[row])
+        flat = block.reshape(n_features, n_reps, n_cells)
 
-        labels = table.labels.ravel()
-        counts = np.bincount(labels)
-        occupied = counts > 0
-        if np.count_nonzero(occupied) < 2:
+        # Label means from one bincount per feature over rep-offset label
+        # codes; each label adds its cells in cell order whatever its offset.
+        key = labels[:n_reps]
+        n_labels = int(key.max()) + 1
+        key += (np.arange(n_reps) * n_labels)[:, None]
+        key = key.ravel()
+        counts = np.bincount(key, minlength=n_reps * n_labels)
+        occupied = np.flatnonzero(counts)
+        per_rep = np.bincount(occupied // n_labels, minlength=n_reps)
+        if per_rep.min() < 2:
             raise PlanningError("variance needs at least 2 assignment units")
-        label_means = np.stack([np.bincount(labels, weights=row) for row in flat], axis=1)[occupied]
-        label_y = (label_means / counts[occupied, None]) @ group.outcome
-        v = label_y.var(axis=0, ddof=1)
+        rows = flat.reshape(n_features, -1)
+        label_sums = np.stack([np.bincount(key, weights=row)[occupied] for row in rows])
+        label_y = _project(group.outcome, label_sums / counts[occupied])
+        # ddof=1 variance of each replication's occupied-label means.
+        first = np.cumsum(per_rep) - per_rep
+        label_mean = np.add.reduceat(label_y, first, axis=1) / per_rep
+        centered = label_y - np.repeat(label_mean, per_rep, axis=1)
+        v = np.add.reduceat(centered * centered, first, axis=1) / (per_rep - 1)
 
-        treated_sums = flat @ flat[_DIRECT]
-        control_sums = flat @ (1.0 - flat[_DIRECT])
+        # Arm sums: one BLAS product (features, cells) @ (cells, 2) per replication.
+        arm = arms[:n_reps]
+        arm[:, 0] = flat[_DIRECT]
+        np.subtract(1.0, flat[_DIRECT], out=arm[:, 1])
+        arm_sums = np.matmul(flat.transpose(1, 0, 2), arm.transpose(0, 2, 1))
+        treated_sums, control_sums = arm_sums.transpose(2, 1, 0)
         n_treated = treated_sums[_DIRECT]
         n_control = n_cells - n_treated
+        # A switch is a treated cell whose lag is 0 or a control cell whose lag
+        # is 1 (the first period's lag is the cell itself). Sums of 0/1 products
+        # are exact integers, so the rate equals the per-cell count.
+        n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
+        switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
         means = (treated_sums + control_sums) / n_cells
         launch_gap = 1.0 - means
-        control = control_sums / max(n_control, 1.0)
-        if n_treated and n_control:
-            estimate = (treated_sums / n_treated - control) @ group.outcome
-        else:
-            # Single-arm replay: the realized launch effect against baseline.
-            means[_BASE] = noise_mean
-            estimate = means @ group.outcome
+        control = control_sums / np.maximum(n_control, 1.0)
+        # A single-arm replay estimates the realized launch effect against baseline.
+        means[_BASE] = noise_mean
+        two_arm = (n_treated > 0) & (n_control > 0)
+        contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
+        estimate = _project(group.outcome, contrast)
 
-        out[:, r] = np.column_stack((
-            launch_gap @ group.geometry,
-            v,
-            quantile_sum * np.sqrt(2.0 * v / n_eff),
-            control @ group.contamination + _switch_rate(z) * group.switching + stress,
-            np.full(n_points, op_cost),
-            launch_gap @ group.mismatch + stress,
-            estimate - group.target,
-        ))
+        scores = out[:, start : start + n_reps]
+        scores[..., 0] = _project(group.geometry, launch_gap)
+        scores[..., 1] = v
+        scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
+        scores[..., 3] = (
+            _project(group.contamination, control) + group.switching[:, None] * switch_rate + stress
+        )
+        scores[..., 4] = op_cost
+        scores[..., 5] = _project(group.mismatch, launch_gap) + stress
+        scores[..., 6] = estimate - group.target[:, None]
     return out
 
 
@@ -378,6 +449,16 @@ def score_groups(
     stress = _support_stress(panel)
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), starts[-1], reps, N_CHANNELS))
+    # Buffers for one chunk of replications, reused by every design and group.
+    # A chunk holds at most _CHUNK_CELLS feature cells.
+    n_features = _BUDGET + max((len(group.localities) for group in draw_groups), default=1)
+    n_cells = panel.n_units * panel.n_periods
+    chunk = max(1, min(reps, _CHUNK_CELLS // (n_features * n_cells)))
+    buffers = dict(
+        features=np.empty((n_features, chunk, panel.n_units, panel.n_periods)),
+        arms=np.empty((chunk, 2, n_cells)),  # treated and control indicators
+        labels=np.empty((chunk, n_cells), dtype=np.int64),
+    )
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
         op_cost = operational_cost(design.op_cost_inputs)
@@ -394,6 +475,7 @@ def score_groups(
                 op_cost=op_cost,
                 stress=stress,
                 quantile_sum=quantile_sum,
+                **buffers,
             )
     return out
 

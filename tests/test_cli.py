@@ -112,6 +112,17 @@ class TestSelectCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
+    def test_single_assignment_unit_is_one_line_error(self, tmp_path, capsys):
+        # One region and one period leave the switchback a single assignment
+        # unit, so its variance is undefined: one error line, no outputs.
+        data = small_select_config(tmp_path / "out")
+        data["panel"]["synthetic"].update(n_regions=1, n_periods=1)
+        cfg = write_config(tmp_path, data)
+        assert main(["select", "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: variance needs at least 2 assignment units"]
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = small_select_config(tmp_path / "out")
         data["pannel"] = {}  # typo key

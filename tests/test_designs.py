@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xdesign import (
+    AssignmentTable,
     ConfigurationError,
     DesignSpec,
     OpCostInputs,
@@ -95,6 +96,27 @@ class TestReplayRules:
             assert len(np.unique(all_cluster.z[members])) == 1
         all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, seed=8)
         assert all_unit.n_assignment_units == panel.n_units
+
+
+class TestAssignmentTable:
+    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replay_tables_pass_validation(self, panel, kind, all_treated):
+        # replay builds its tables without the checks; they must hold anyway.
+        table = replay(DesignSpec(kind=kind, block_length=3, all_treated=all_treated), panel, seed=4)
+        assert table.z.dtype == np.int8 and table.labels.dtype == np.int64
+        assert table.z.shape == table.labels.shape == (panel.n_units, panel.n_periods)
+        checked = AssignmentTable(z=table.z, labels=table.labels)
+        assert np.array_equal(checked.z, table.z) and np.array_equal(checked.labels, table.labels)
+
+    def test_user_tables_are_validated(self):
+        labels = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="0/1"):
+            AssignmentTable(z=np.array([[0, 2], [1, 0]]), labels=labels)
+        with pytest.raises(ConfigurationError, match="shape"):
+            AssignmentTable(z=np.zeros((2, 3)), labels=labels)
+        table = AssignmentTable(z=[[0, 1], [1, 0]], labels=[[0, 0], [1, 1]])
+        assert table.z.dtype == np.int8 and table.labels.dtype == np.int64
 
 
 class TestTreatedFraction:

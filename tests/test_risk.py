@@ -38,6 +38,7 @@ from xdesign import (
     simulate_outcomes,
     variance_component,
 )
+from xdesign import risk
 from xdesign.designs import KINDS, OpCostInputs
 from xdesign.diagnostics import default_sweep_mapping
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed, score_groups
@@ -481,6 +482,17 @@ class TestScoreGrid:
                     expected = hand_row(design, theta, panel, calib, weights, replication_seed(4, d, k, r))
                     assert_matches_reference(per_rep[d, k, r], expected)
 
+    @pytest.mark.parametrize("entropy", [(0, 0, 0, 0), (4, 1, 2, 3), (7, 5, 80, 259), (2**40, 0, 9, 1)])
+    def test_child_seeds_equal_spawned_children(self, entropy):
+        # The kernel builds a replication's replay and noise seeds directly;
+        # they must be the two children replication_seed(...).spawn(2) gives.
+        built = risk._child_seeds(*entropy)
+        spawned = replication_seed(*entropy).spawn(2)
+        for a, b in zip(built, spawned):
+            assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
+            assert np.array_equal(a.generate_state(8), b.generate_state(8))
+            assert np.array_equal(a.generate_state(4, np.uint64), b.generate_state(4, np.uint64))
+
     def test_fewer_reps_are_a_prefix(self, setup):
         panel, calib, weights = setup
         few = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=5, master_seed=2)
@@ -566,6 +578,33 @@ class TestDrawGroups:
                 for r in range(reps):
                     seed = replication_seed(master_seed, d, g, r)
                     assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, seed))
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
+    def test_chunk_size_does_not_change_scores(self, setup, monkeypatch, noise_sd):
+        # The kernel scores replications in chunks of at most _CHUNK_CELLS
+        # feature cells. Splitting 12 replications into chunks of 1, 5 or 12
+        # must give the same bits: all six kinds, a mixed-locality group.
+        panel, _, weights = setup
+        calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=noise_sd)
+        # The mixed-locality group has a graph-share row for each of the three localities.
+        rep_cells = (risk._BUDGET + 3) * panel.n_units * panel.n_periods
+        scores = {}
+        for chunk in (1, 5, 12):
+            monkeypatch.setattr(risk, "_CHUNK_CELLS", chunk * rep_cells)
+            scores[chunk] = score_groups(
+                panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=12, master_seed=6
+            )
+        assert np.array_equal(scores[1], scores[12])
+        assert np.array_equal(scores[5], scores[12])
+
+    def test_single_assignment_unit_rejected(self):
+        # A switchback on one region and one period has one occupied label.
+        panel = tiny_panel(4, 1, baseline=np.arange(4.0)[:, None])
+        grid = AmbiguityGrid((MechanismPoint(0.3, 0.2, 0.1),))
+        calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=0.2)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        with pytest.raises(PlanningError, match="variance needs at least 2 assignment units"):
+            score_grid(panel, [DesignSpec(kind="switchback")], grid, calib, weights, reps=3)
 
     def test_empty_group_rejected(self, setup):
         panel, calib, weights = setup
