@@ -34,16 +34,7 @@ from .panel import (
     generate_synthetic_panel,
     ingest_log_csv,
 )
-from .risk import (
-    PlanningWeights,
-    contamination,
-    estimand_mismatch,
-    mde,
-    operational_cost,
-    score_grid,
-    simulate_outcomes,
-    variance_component,
-)
+from .risk import PlanningWeights, mde, operational_cost, score_grid
 from .selector import (
     RiskSurface,
     RobustDecision,
@@ -78,13 +69,11 @@ __all__ = [
     "SyntheticPanelConfig",
     "XDesignError",
     "calibrate_scales",
-    "contamination",
     "default_catalog",
     "default_grid",
     "dominance_audit",
     "effective_units",
     "ess_share",
-    "estimand_mismatch",
     "exposure_features",
     "generate_synthetic_panel",
     "geometry_score",
@@ -99,8 +88,6 @@ __all__ = [
     "risk_surface",
     "robust_select",
     "score_grid",
-    "simulate_outcomes",
-    "variance_component",
     "wasserstein1_1d",
     "weight_winner_search",
 ]

@@ -17,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .designs import DesignSpec, default_catalog, effective_units, replay
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PlanningError
 from .exposure import wasserstein1_1d
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
-from .risk import PlanningWeights, mde, score_grid, score_groups, variance_component
+from .risk import PlanningWeights, mde, score_grid, score_groups
 from .selector import dominance_audit, risk_surface, robust_select, weight_winner_search
 
 __all__ = [
@@ -270,7 +270,13 @@ def mde_grid(
     rows = []
     for d_idx, design in enumerate(designs):
         table = replay(design, panel, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
-        v = variance_component(panel.baseline, table)
+        labels = table.labels.ravel()
+        counts = np.bincount(labels)
+        occupied = counts > 0
+        if int(occupied.sum()) < 2:
+            raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
+        means = np.bincount(labels, weights=panel.baseline.ravel())[occupied] / counts[occupied]
+        v = float(np.var(means, ddof=1))
         cells = {}
         for t_weeks in durations:
             n_eff = effective_units(design, panel, int(t_weeks), weights.periods_per_week)

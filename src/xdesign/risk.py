@@ -1,11 +1,10 @@
-"""Outcome simulation and the six raw planning-risk components.
+"""The scoring kernel: the six raw planning-risk components of every design.
 
-For one design the pipeline replays the assignment rule, derives exposure
-features, simulates outcomes under the calibrated interference model, and
-scores geometry, assignment-unit variance, planning MDE, contamination,
-operational cost, and estimand mismatch for each seeded replication. Scores
-stay per replication in one float array whose last axis holds the six
-components in ``COMPONENT_NAMES`` order followed by the difference-in-means
+For each design and seeded replication the kernel replays the assignment rule
+and draws the outcome noise, then scores geometry, assignment-unit variance,
+planning MDE, contamination, operational cost and estimand mismatch in closed
+form. Scores stay per replication in one float array whose last axis holds the
+six components in ``COMPONENT_NAMES`` order followed by the difference-in-means
 bias; the selector reduces it over replications.
 
 Mechanism points are scored in draw groups: the points of one group share the
@@ -15,7 +14,8 @@ one replication's per-feature means give every point of its group in closed
 form. ``score_grid`` makes each audit-grid point a group of its own, so grid
 points never share draws; ``score_groups`` takes any grouping, and the regime
 sweep scores all its intensities as one group. ``score_groups`` is the one
-scoring path, and it runs serially in one thread.
+scoring path, and it runs serially in one thread. The tests check it, point by
+point, against a per-point reference pipeline to 1e-12.
 
 Within one (design, group) only the random draws run one replication at a
 time: each replication's seeds, replay and noise go into stacked buffers.
@@ -33,20 +33,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import AssignmentTable, DesignSpec, OpCostInputs, effective_units, replay
+from .designs import DesignSpec, OpCostInputs, effective_units, replay
 from .errors import ConfigurationError, PlanningError
-from .exposure import ExposurePanel, _group_share
+from .exposure import _group_share
 from .mechanisms import AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
 
 __all__ = [
     "PlanningWeights",
-    "simulate_outcomes",
-    "variance_component",
     "mde",
-    "contamination",
     "operational_cost",
-    "estimand_mismatch",
     "replication_seed",
     "score_groups",
     "score_grid",
@@ -96,51 +92,6 @@ class PlanningWeights:
         )
 
 
-def simulate_outcomes(
-    panel: Panel,
-    exposure: ExposurePanel,
-    theta: MechanismPoint,
-    calib: CalibrationScales,
-    seed: int | np.random.SeedSequence = 0,
-) -> np.ndarray:
-    """Simulate outcomes: baseline plus direct, spillover, and carryover terms plus noise.
-
-    Linear in the calibrated strengths; deterministic in ``seed``. Returns an
-    (n_units, n_periods) array.
-    """
-    s = outcome_strengths(theta, calib)
-    y = (
-        panel.baseline
-        + calib.direct_effect * exposure.direct
-        + s.graph * exposure.graph_share
-        + s.budget * exposure.budget_share
-        + s.carry * exposure.lag
-    )
-    if calib.noise_sd > 0:
-        rng = np.random.default_rng(seed)
-        y = y + rng.normal(0.0, calib.noise_sd, size=y.shape)
-    else:
-        y = y.astype(float, copy=True)
-    return y
-
-
-def variance_component(outcomes: np.ndarray, assignment: AssignmentTable) -> float:
-    """Sample variance of mean outcomes across assignment units."""
-    labels = assignment.labels.ravel()
-    values = np.asarray(outcomes, dtype=float).ravel()
-    # Replay label codes are dense, so bincount beats a sort-based unique; fall
-    # back for hand-built tables with sparse label values.
-    if labels.min() < 0 or labels.max() >= 4 * labels.size:
-        _, labels = np.unique(labels, return_inverse=True)
-    counts = np.bincount(labels)
-    occupied = counts > 0
-    if int(occupied.sum()) < 2:
-        raise PlanningError("variance needs at least 2 assignment units")
-    sums = np.bincount(labels, weights=values)
-    means = sums[occupied] / counts[occupied]
-    return float(np.var(means, ddof=1))
-
-
 def _quantile_sum(alpha: float, beta: float) -> float:
     z = NormalDist().inv_cdf
     return z(1.0 - alpha / 2.0) + z(1.0 - beta)
@@ -158,62 +109,11 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
     return _quantile_sum(weights.alpha, weights.beta) * float(np.sqrt(2.0 * v / n_units))
 
 
-def _switch_rate(z: np.ndarray) -> float:
-    if z.shape[1] < 2:
-        return 0.0
-    return float((z[:, 1:] != z[:, :-1]).mean())
-
-
-def contamination(
-    exposure: ExposurePanel,
-    assignment: AssignmentTable,
-    theta: MechanismPoint,
-    ess: float | None = None,
-) -> float:
-    """Control-arm spillover exposure plus switching, normalized by total intensity.
-
-    Averages the treated shares seen by control cells, weighted per channel,
-    plus the carryover-weighted treatment switch rate; a (1 - ess) support
-    stress is added when an effective-sample share is supplied. Falls back to
-    the stress alone when intensities are all zero or no control cells exist.
-    """
-    stress = (1.0 - ess) if ess is not None else 0.0
-    total = theta.intensity_sum
-    control = assignment.z == 0
-    if total == 0.0 or not control.any():
-        return stress
-    num = (
-        theta.graph_spill * float(exposure.graph_share[control].mean())
-        + theta.budget_spill * float(exposure.budget_share[control].mean())
-        + theta.carryover * _switch_rate(assignment.z)
-    )
-    return num / total + stress
-
-
 def operational_cost(inputs: OpCostInputs) -> float:
     """Weighted mean of the four pre-registered operational subscores."""
     weights = np.array([inputs.w_effort, inputs.w_orchestration, inputs.w_rollback, inputs.w_platform])
     scores = np.array([inputs.effort, inputs.orchestration, inputs.rollback, inputs.platform])
     return float(weights @ scores / weights.sum())
-
-
-def estimand_mismatch(exposure: ExposurePanel, ess: float | None = None) -> float:
-    """Unweighted mean L1 gap per coordinate between exposure and the launch profile.
-
-    Unlike the geometry score this treats all four coordinates equally, so it
-    captures how far the design's estimand sits from the launch estimand even
-    for channels the current mechanism happens to switch off, and it does not
-    depend on the mechanism at all. Support stress is added as in
-    :func:`contamination`.
-    """
-    stress = (1.0 - ess) if ess is not None else 0.0
-    gap = (
-        np.abs(1.0 - exposure.direct)
-        + np.abs(1.0 - exposure.budget_share)
-        + np.abs(1.0 - exposure.graph_share)
-        + np.abs(1.0 - exposure.lag)
-    )
-    return float(gap.mean()) / 4.0 + stress
 
 
 def replication_seed(
@@ -376,7 +276,7 @@ def _score_group(
         occupied = np.flatnonzero(counts)
         per_rep = np.bincount(occupied // n_labels, minlength=n_reps)
         if per_rep.min() < 2:
-            raise PlanningError("variance needs at least 2 assignment units")
+            raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
         rows = flat.reshape(n_features, -1)
         label_sums = np.stack([np.bincount(key, weights=row)[occupied] for row in rows])
         label_y = _project(group.outcome, label_sums / counts[occupied])

@@ -120,7 +120,7 @@ class TestSelectCommand:
         cfg = write_config(tmp_path, data)
         assert main(["select", "--config", str(cfg)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == ["error: variance needs at least 2 assignment units"]
+        assert lines == ["error: design 'switchback': variance needs at least 2 assignment units"]
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -1,8 +1,14 @@
-"""Tests for outcome simulation and the six risk components."""
+"""Tests for the scoring kernel and the six risk components.
+
+The per-point reference pipeline in ``reference.py`` is unit-tested here, and
+the kernel's scores are checked against its ``hand_row`` to 1e-12.
+"""
 
 import dataclasses
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,24 +30,23 @@ from xdesign import (
     PlanningError,
     PlanningWeights,
     SyntheticPanelConfig,
-    contamination,
-    ess_share,
-    estimand_mismatch,
+    default_grid,
     exposure_features,
     generate_synthetic_panel,
     launch_effect,
     mde,
     operational_cost,
     outcome_strengths,
+    replay,
     risk_surface,
     score_grid,
-    simulate_outcomes,
-    variance_component,
 )
 from xdesign import risk
 from xdesign.designs import KINDS, OpCostInputs
-from xdesign.diagnostics import default_sweep_mapping
+from xdesign.diagnostics import default_sweep_mapping, mde_grid
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed, score_groups
+
+from reference import contamination, estimand_mismatch, hand_row, simulate_outcomes, variance_component
 
 GEOMETRY, VARIANCE, MDE, CONTAMINATION, _, MISMATCH = range(len(COMPONENT_NAMES))
 BIAS = N_CHANNELS - 1
@@ -351,37 +356,6 @@ def setup():
     return panel, calib, weights
 
 
-def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
-    """One replication run step by step through the per-point pipeline.
-
-    The slow reference for the closed-form scoring kernel: it replays, builds
-    the exposure panel and simulates outcomes for this one mechanism point.
-    """
-    from xdesign import effective_units, geometry_score, replay
-
-    replay_seed, noise_seed = seed.spawn(2)
-    table = replay(design, panel, seed=replay_seed)
-    expo = exposure_features(table, panel, theta)
-    y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
-    v = variance_component(y, table)
-    n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-    ess = ess_share(panel.propensities) if panel.propensities is not None else None
-    treated = table.z == 1
-    if treated.all() or not treated.any():
-        estimate = float((y - panel.baseline).mean())
-    else:
-        estimate = float(y[treated].mean() - y[~treated].mean())
-    return np.array([
-        geometry_score(expo, theta),
-        v,
-        mde(v, n_eff, weights),
-        contamination(expo, table, theta, ess),
-        operational_cost(design.op_cost_inputs),
-        estimand_mismatch(expo, ess),
-        estimate - launch_effect(theta, calib),
-    ])
-
-
 def assert_matches_reference(fast, ref):
     """Closed-form scores agree with the reference to 1e-12 relative (absolute below 1)."""
     err = np.abs(fast - ref)
@@ -610,3 +584,69 @@ class TestDrawGroups:
         panel, calib, weights = setup
         with pytest.raises(ConfigurationError):
             score_groups(panel, SMALL_CATALOG, [SMALL_GRID.points, ()], calib, weights)
+
+
+class TestTransportIdentity:
+    @pytest.mark.parametrize("panel_seed", [0, 1, 2])
+    def test_two_arm_bias_is_minus_the_transport_term(self, panel_seed):
+        # With a zero baseline and no noise, the bias of every two-arm
+        # replication is minus the paper's transport term, the bound holding
+        # with equality: sum over the graph, budget and carry channels of the
+        # strength times the W1 distances of the treated arm's exposure to
+        # launch (1 - its mean) and of the control arm's to all-control (its
+        # mean). The exposures come from the per-point path under the kernel's
+        # seed schedule.
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(60, 6, 4, 2, 5, baseline_mean=0.0, baseline_sd=0.0), seed=panel_seed
+        )
+        assert not panel.baseline.any()
+        calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=0.0)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        catalog = [DesignSpec(kind=kind) for kind in KINDS]
+        grid = default_grid()
+        reps = 2
+        per_rep = score_grid(panel, catalog, grid, calib, weights, reps=reps, master_seed=panel_seed)
+        two_arm = 0
+        for d, design in enumerate(catalog):
+            for k, theta in enumerate(grid):
+                s = outcome_strengths(theta, calib)
+                for r in range(reps):
+                    replay_seed, _ = replication_seed(panel_seed, d, k, r).spawn(2)
+                    table = replay(design, panel, seed=replay_seed)
+                    treated = table.z == 1
+                    if treated.all() or not treated.any():
+                        continue
+                    expo = exposure_features(table, panel, theta)
+                    transport = sum(
+                        strength * ((1.0 - share[treated].mean()) + share[~treated].mean())
+                        for strength, share in (
+                            (s.graph, expo.graph_share), (s.budget, expo.budget_share), (s.carry, expo.lag)
+                        )
+                    )
+                    assert abs(per_rep[d, k, r, BIAS] + transport) <= 1e-12, (design.name, theta, r)
+                    two_arm += 1
+        assert two_arm > 0.9 * len(catalog) * len(grid) * reps
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize(
+        "module", ["xdesign"] + [f"xdesign.{m.name}" for m in pkgutil.iter_modules(xdesign.__path__)]
+    )
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(module)
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize("name", ["simulate_outcomes", "variance_component", "contamination",
+                                      "estimand_mismatch"])
+    def test_per_point_pipeline_is_not_shipped(self, name):
+        # The per-point pipeline is the tests' reference, not part of the library.
+        assert not hasattr(xdesign, name)
+        assert not hasattr(risk, name)
+
+    def test_mde_grid_rejects_one_occupied_label(self):
+        # A switchback on one region and one period has one occupied label.
+        panel = tiny_panel(4, 1, baseline=np.arange(4.0)[:, None])
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        with pytest.raises(PlanningError, match="design 'switchback': variance needs at least 2 assignment units"):
+            mde_grid([DesignSpec(kind="switchback")], panel, weights, durations=(1,))

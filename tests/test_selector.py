@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdesign import (
     ConfigurationError,
@@ -14,6 +16,7 @@ from xdesign import (
     robust_select,
     weight_winner_search,
 )
+from xdesign.risk import N_CHANNELS
 
 W = PlanningWeights()
 WEIGHT_VECTOR = np.array([1.00, 0.80, 0.75, 0.45, 0.45, 0.65])
@@ -289,3 +292,43 @@ class TestDeterminism:
         d2 = robust_select(permuted)
         assert d1.selected == d2.selected
         assert d1.q == d2.q
+
+
+class TestSelectorInvariants:
+    # Invariants of risk_surface and robust_select on a random per-replication
+    # array. They hold at the selector only: reordering the grid or catalog of
+    # a pipeline run changes the seed indices (d, k), and so the draws.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 4)),
+        seed=st.integers(0, 2**16),
+        epsilon_mode=st.sampled_from(("fraction", "stderr")),
+        data=st.data(),
+    )
+    def test_grid_permutation(self, shape, seed, epsilon_mode, data):
+        per_rep = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape + (N_CHANNELS,))
+        perm = np.array(data.draw(st.permutations(range(shape[1]))))
+        base = robust_select(risk_surface(per_rep, W), epsilon_mode=epsilon_mode)
+        moved = robust_select(risk_surface(per_rep[:, perm], W), epsilon_mode=epsilon_mode)
+        assert moved.q == base.q
+        assert moved.selected == base.selected
+        assert moved.shortlist == base.shortlist
+        assert moved.epsilon_t == base.epsilon_t
+        # Grid point k of the permuted surface is point perm[k] of the original.
+        assert tuple(int(perm[k]) for k in moved.worst_theta) == base.worst_theta
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 4)),
+        seed=st.integers(0, 2**16),
+        component=st.integers(0, 5),
+        factor=st.floats(1e-3, 1e3),
+    )
+    def test_component_scale(self, shape, seed, component, factor):
+        per_rep = np.random.default_rng(seed).uniform(0.0, 2.0, size=shape + (N_CHANNELS,))
+        scaled = per_rep.copy()
+        scaled[..., component] *= factor
+        base = risk_surface(per_rep, W)
+        moved = risk_surface(scaled, W)
+        assert np.max(np.abs(moved.normalized - base.normalized)) <= 1e-12
+        assert np.max(np.abs(moved.risks - base.risks)) <= 1e-12
