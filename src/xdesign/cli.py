@@ -16,6 +16,8 @@ from pathlib import Path
 
 from .config import RunConfig, config_digest, load_config
 from .diagnostics import (
+    TOLERANCE,
+    TRANSPORT_COUNT,
     catalog_approximation_check,
     default_transport_scenarios,
     dominance_check,
@@ -209,8 +211,8 @@ def run_diagnose(config: RunConfig, which: list[str]) -> dict:
     if unknown:
         raise XDesignError(f"unknown diagnostic {unknown[0]!r}")
     opts = config.diagnostics_options
-    tolerance = float(opts.get("tolerance", 1e-9))
-    seed = int(opts.get("seed", config.seed))
+    tolerance = opts.get("tolerance", TOLERANCE)
+    seed = opts.get("seed", config.seed)
     checks: list[dict] = []
 
     with _emission(config.out_dir) as emitter:
@@ -221,7 +223,7 @@ def run_diagnose(config: RunConfig, which: list[str]) -> dict:
                 emitter.write_json(f"{name}.json", check_report)
 
         if "transport" in which:
-            scenarios = default_transport_scenarios(int(opts.get("transport_count", 100)), seed=seed + 1)
+            scenarios = default_transport_scenarios(opts.get("transport_count", TRANSPORT_COUNT), seed=seed + 1)
             report = transport_bound_check(scenarios, seed=seed, tolerance=tolerance)
             record("transport", report)
             if "svg" in config.formats:

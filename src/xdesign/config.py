@@ -163,11 +163,19 @@ class RunConfig:
         out: str | None = None,
         formats: tuple[str, ...] | None = None,
     ) -> "RunConfig":
+        """A copy with the given values replaced.
+
+        ``seed`` and ``reps`` also replace the keys of the same name that the
+        ``sweep`` and ``diagnostics`` sections set, so a flag reaches every
+        command.
+        """
         data = dict(self.data)
-        if seed is not None:
-            data["seed"] = seed
-        if reps is not None:
-            data["reps"] = reps
+        for key, value in (("seed", seed), ("reps", reps)):
+            if value is not None:
+                data[key] = value
+                for section in ("sweep", "diagnostics"):
+                    if key in data.get(section, {}):
+                        data[section] = {**data[section], key: value}
         if out is not None:
             data["out"] = out
         if formats is not None:

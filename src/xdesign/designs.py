@@ -9,7 +9,7 @@ scores, not measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,17 +87,16 @@ class DesignSpec:
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
-    def with_overrides(self, **kwargs) -> "DesignSpec":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class AssignmentTable:
     """A replayed assignment: per-cell treatment and assignment-unit labels.
 
     ``z[i, t]`` is 0/1 treatment, ``labels[i, t]`` an integer code identifying
-    the assignment unit that drew the cell's treatment. All cells sharing a
-    label share one draw.
+    the cell's assignment unit, the unit whose cells are averaged together for
+    the variance. For most designs the cells of one label share one draw, but
+    not for ``two_stage``: its labels are clusters, and each unit draws its own
+    treatment at its cluster's saturation level.
     """
 
     z: np.ndarray
@@ -197,13 +196,12 @@ def effective_units(
     design: DesignSpec,
     panel: Panel,
     t_weeks: int,
-    periods_per_week: int | None = None,
+    periods_per_week: int,
 ) -> int:
     """Effective count of independent randomization draws over a ``t_weeks`` horizon.
 
     Only switchbacks accrue units with duration: one per region-block. The
-    other designs are bounded by the panel's group structure. ``periods_per_week``
-    defaults to the panel's periods spread evenly over ``t_weeks``.
+    other designs are bounded by the panel's group structure.
     """
     if t_weeks < 1:
         raise ConfigurationError("t_weeks must be >= 1")
@@ -214,8 +212,6 @@ def effective_units(
     elif design.kind == "budget_split":
         n = panel.n_budget_groups
     elif design.kind == "switchback":
-        if periods_per_week is None:
-            periods_per_week = max(1, panel.n_periods // t_weeks)
         n = panel.n_regions * int(periods_per_week * t_weeks // design.block_length)
     elif design.kind == "mixed":
         n = int(design.mixture_prob * panel.n_clusters + (1.0 - design.mixture_prob) * panel.n_units)

@@ -11,7 +11,7 @@ returns a JSON-ready report dict with a top-level ``passed`` flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "TransportScenario",
     "SweepConfig",
     "SweepResult",
-    "OracleConfig",
     "default_transport_scenarios",
     "transport_bound_check",
     "minimax_tightness_check",
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-9
+TRANSPORT_COUNT = 100
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ TOLERANCE = 1e-9
 class TransportScenario:
     """One bias-vs-bound case: a baseline sample, a shift, and a response class."""
 
-    family: str = "beta"  # "beta" | "normal" | "point"
+    family: str = "beta"  # "beta" | "point"
     params: tuple[float, ...] = (2.0, 5.0)
     shift: float = 0.3
     lipschitz: float = 1.0
@@ -64,7 +64,7 @@ class TransportScenario:
             raise ConfigurationError("lipschitz must be > 0")
         if self.n < 1:
             raise ConfigurationError("sample size must be >= 1")
-        if self.family not in ("beta", "normal", "point"):
+        if self.family not in ("beta", "point"):
             raise ConfigurationError(f"unknown sample family {self.family!r}")
         if self.response not in ("piecewise_linear", "linear"):
             raise ConfigurationError(f"unknown response family {self.response!r}")
@@ -74,9 +74,6 @@ def _draw_baseline(scenario: TransportScenario, rng: np.random.Generator) -> np.
     if scenario.family == "beta":
         a, b = scenario.params
         return rng.beta(a, b, scenario.n)
-    if scenario.family == "normal":
-        mu, sd = scenario.params
-        return rng.normal(mu, sd, scenario.n)
     (x0,) = scenario.params
     return np.full(scenario.n, float(x0))
 
@@ -95,7 +92,7 @@ def _make_response(
     return lambda x: np.interp(x, xs, ys)
 
 
-def default_transport_scenarios(count: int = 100, seed: int = 2024) -> list[TransportScenario]:
+def default_transport_scenarios(count: int = TRANSPORT_COUNT, seed: int = 2024) -> list[TransportScenario]:
     """Seeded beta-shift scenarios with random Lipschitz constants."""
     rng = np.random.default_rng(seed)
     out = []
@@ -150,20 +147,19 @@ def transport_bound_check(
 def minimax_tightness_check(
     L_values: Sequence[float],
     delta_values: Sequence[float],
-    n: int = 64,
-    origin: float = 0.2,
     tolerance: float = TOLERANCE,
 ) -> dict:
     """Point-mass construction attaining the geometry penalty exactly.
 
-    With P a point mass, Q its shift by delta, and the steepest admissible
-    linear response, the attained gap equals the penalty, so every ratio is 1.
-    A zero shift is reported as ratio 1 by convention (0/0 guard).
+    With P a point mass (64 draws at 0.2), Q its shift by delta, and the
+    steepest admissible linear response, the attained gap equals the penalty,
+    so every ratio is 1. A zero shift is reported as ratio 1 by convention
+    (0/0 guard).
     """
     cases = []
     for L in L_values:
         for delta in delta_values:
-            p = np.full(n, origin)
+            p = np.full(64, 0.2)
             q = p + delta
             gap = abs(float(L * p.mean()) - float(L * q.mean()))
             penalty = L * wasserstein1_1d(p, q)
@@ -385,42 +381,14 @@ def regime_sweep(
 # Oracle comparison
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Controlled synthetic setup for the low-vs-high replication comparison.
-
-    Shaped so the robust winner is decisively separated (few clusters make the
-    cluster-unit designs power-starved), keeping the few-replay selection
-    stable across seeds.
-    """
-
-    panel: SyntheticPanelConfig = field(
-        default_factory=lambda: SyntheticPanelConfig(
-            n_units=200, n_clusters=5, n_budget_groups=4, n_regions=3, n_periods=8
-        )
-    )
-    grid: AmbiguityGrid = field(
-        default_factory=lambda: AmbiguityGrid.from_axes(
-            graph_spill=(0.0, 0.3),
-            budget_spill=(0.0, 0.5),
-            carryover=(0.0, 0.2),
-            localities=("cluster",),
-        )
-    )
-    weights: PlanningWeights = field(
-        default_factory=lambda: PlanningWeights(t_weeks=2, periods_per_week=4)
-    )
-    calib_overrides: tuple[tuple[str, float], ...] = (("direct_effect", 1.0),)
-    shortlist_fraction: float = 0.10
-
-
-def oracle_comparison(
-    cfg: OracleConfig | None = None,
-    low_reps: int = 45,
-    high_reps: int = 260,
-    seed: int = 0,
-) -> dict:
+def oracle_comparison(low_reps: int = 45, high_reps: int = 260, seed: int = 0) -> dict:
     """Compare a few-replay selection against a high-replication oracle run.
+
+    The setup is fixed: a 200x8 synthetic panel with five clusters, a
+    cluster-locality 2x2x2 grid, a direct effect of 1 and a 0.10 shortlist
+    fraction. It is shaped so the robust winner is decisively separated (few
+    clusters make the cluster-unit designs power-starved), keeping the
+    few-replay selection stable across seeds.
 
     Both runs share the panel and the replication seed schedule, so the
     low-rep run is the first ``low_reps`` replications of the oracle's draws
@@ -430,14 +398,18 @@ def oracle_comparison(
     """
     if not 1 <= low_reps <= high_reps:
         raise ConfigurationError("oracle comparison needs 1 <= low_reps <= high_reps")
-    cfg = cfg or OracleConfig()
-    panel = generate_synthetic_panel(cfg.panel, seed=seed)
-    calib = calibrate_scales(panel, **dict(cfg.calib_overrides))
+    panel = generate_synthetic_panel(
+        SyntheticPanelConfig(n_units=200, n_clusters=5, n_budget_groups=4, n_regions=3, n_periods=8), seed=seed
+    )
+    calib = calibrate_scales(panel, direct_effect=1.0)
+    grid = AmbiguityGrid.from_axes(
+        graph_spill=(0.0, 0.3), budget_spill=(0.0, 0.5), carryover=(0.0, 0.2), localities=("cluster",)
+    )
+    weights = PlanningWeights(t_weeks=2, periods_per_week=4)
     catalog = default_catalog()
-    per_rep = score_grid(panel, catalog, cfg.grid, calib, cfg.weights, reps=high_reps, master_seed=seed)
+    per_rep = score_grid(panel, catalog, grid, calib, weights, reps=high_reps, master_seed=seed)
     low, high = (
-        robust_select(risk_surface(scores, cfg.weights), cfg.shortlist_fraction)
-        for scores in (per_rep[:, :, :low_reps], per_rep)
+        robust_select(risk_surface(scores, weights), 0.10) for scores in (per_rep[:, :, :low_reps], per_rep)
     )
     risk_gap = abs(low.q[low.selected] - high.q[high.selected])
     passed = low.selected == high.selected and risk_gap <= 2.0 * high.epsilon_t
@@ -459,7 +431,7 @@ def oracle_comparison(
 # Dominance audit fixtures
 
 
-def dominance_check(seed: int = 0, n_weight_samples: int = 1000) -> dict:
+def dominance_check(seed: int = 0) -> dict:
     """Exercise the dominance audit on constructed crossing and dominating surfaces."""
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.2, 1.0, size=(4, 5, 6))
@@ -475,7 +447,7 @@ def dominance_check(seed: int = 0, n_weight_samples: int = 1000) -> dict:
 
     dom_result = dominance_audit(dominating)
     cross_result = dominance_audit(crossing)
-    winners = weight_winner_search(crossing, n_samples=n_weight_samples, seed=seed)
+    winners = weight_winner_search(crossing, seed=seed)
     passed = dom_result == 0 and cross_result is None and len(winners) >= 2
     return {
         "check": "dominance_audit",

@@ -122,7 +122,7 @@ def outcome_strengths(theta: MechanismPoint, calib: CalibrationScales) -> Outcom
     """
     return OutcomeStrengths(
         graph=calib.spill_scale * calib.graph_frac * theta.graph_spill / _GRAPH_REF,
-        budget=calib.spill_scale * calib.budget_frac * theta.budget_spill / _BUDGET_REF,
+        budget=calib.spill_scale * (1.0 - calib.graph_frac) * theta.budget_spill / _BUDGET_REF,
         carry=calib.carry_scale * theta.carryover / _CARRY_REF,
     )
 

@@ -325,30 +325,26 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
 class CalibrationScales:
     """Outcome-scale constants used by the interference simulator.
 
-    ``graph_frac + budget_frac`` must equal 1: they split the spillover scale
-    across the graph-side and budget-side channels.
+    ``graph_frac`` of the spillover scale goes to the graph-side channel and
+    the rest, ``1 - graph_frac``, to the budget-side channel.
     """
 
     direct_effect: float
     spill_scale: float
     carry_scale: float
     graph_frac: float = 0.5
-    budget_frac: float = 0.5
     noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("direct_effect", "spill_scale", "carry_scale", "graph_frac", "budget_frac", "noise_sd"):
+        for name in ("direct_effect", "spill_scale", "carry_scale", "graph_frac", "noise_sd"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise CalibrationError(f"{name} must be finite")
         for name in ("spill_scale", "carry_scale", "noise_sd"):
             if getattr(self, name) < 0:
                 raise CalibrationError(f"{name} must be >= 0")
-        for name in ("graph_frac", "budget_frac"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise CalibrationError(f"{name} must lie in [0, 1]")
-        if abs(self.graph_frac + self.budget_frac - 1.0) > 1e-12:
-            raise CalibrationError("graph_frac + budget_frac must equal 1")
+        if not 0.0 <= self.graph_frac <= 1.0:
+            raise CalibrationError("graph_frac must lie in [0, 1]")
 
 
 def calibrate_scales(
@@ -357,8 +353,7 @@ def calibrate_scales(
     direct_effect: float | None = None,
     spill_scale: float | None = None,
     carry_scale: float | None = None,
-    graph_frac: float | None = None,
-    budget_frac: float | None = None,
+    graph_frac: float = 0.5,
     noise_sd: float | None = None,
 ) -> CalibrationScales:
     """Derive outcome scales from the panel's outcome dispersion.
@@ -366,7 +361,8 @@ def calibrate_scales(
     Any override is returned verbatim. Defaults are fixed multiples of the
     sample standard deviation of the baseline outcomes: direct effect 0.1*sd,
     spillover scale 0.5*sd, carryover scale 0.25*sd, noise sd 0.5*sd, with the
-    spillover scale split evenly across channels.
+    spillover scale split evenly (``graph_frac`` 0.5) between the graph and
+    budget channels.
     """
     sd_needed = any(v is None for v in (direct_effect, spill_scale, carry_scale, noise_sd))
     sigma = 0.0
@@ -376,18 +372,11 @@ def calibrate_scales(
             raise CalibrationError(
                 "panel outcome standard deviation is 0; supply explicit scale overrides"
             )
-    if graph_frac is None and budget_frac is None:
-        graph_frac, budget_frac = 0.5, 0.5
-    elif graph_frac is None:
-        graph_frac = 1.0 - float(budget_frac)  # type: ignore[arg-type]
-    elif budget_frac is None:
-        budget_frac = 1.0 - graph_frac
     return CalibrationScales(
         direct_effect=0.1 * sigma if direct_effect is None else float(direct_effect),
         spill_scale=0.5 * sigma if spill_scale is None else float(spill_scale),
         carry_scale=0.25 * sigma if carry_scale is None else float(carry_scale),
         graph_frac=float(graph_frac),
-        budget_frac=float(budget_frac),
         noise_sd=0.5 * sigma if noise_sd is None else float(noise_sd),
     )
 

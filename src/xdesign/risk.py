@@ -247,19 +247,15 @@ def _score_group(
             table = replay(design, panel, seed=replay_seed)
             block[_DIRECT, i] = table.z
             labels[i] = table.labels.ravel()
-            if calib.noise_sd > 0:
-                # The draws of rng.normal(0, noise_sd), made in place.
-                np.random.default_rng(noise_seed).standard_normal(out=block[_BASE, i])
+            # Standard normals; scaled below, they are the draws of rng.normal(0, noise_sd).
+            np.random.default_rng(noise_seed).standard_normal(out=block[_BASE, i])
 
         del table  # free the last replay before the chunk's temporaries
         z = block[_DIRECT]
-        if calib.noise_sd > 0:
-            block[_BASE] *= calib.noise_sd
-            noise_mean = block[_BASE].reshape(n_reps, n_cells).mean(axis=1)
-            block[_BASE] += panel.baseline
-        else:
-            block[_BASE] = panel.baseline
-            noise_mean = 0.0
+        # A zero noise_sd scales every draw to +-0, which leaves the baseline exact.
+        block[_BASE] *= calib.noise_sd
+        noise_mean = block[_BASE].reshape(n_reps, n_cells).mean(axis=1)
+        block[_BASE] += panel.baseline
         block[_LAG, :, :, 0] = z[:, :, 0]
         block[_LAG, :, :, 1:] = z[:, :, :-1]
         for row, codes in enumerate(share_codes, _BUDGET):

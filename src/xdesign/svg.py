@@ -156,8 +156,8 @@ def write_scatter(
     title: str,
     x_label: str = "",
     y_label: str = "",
-    identity_line: bool = True,
 ) -> None:
+    """Scatter of (x, y) points on equal axes over the dashed y = x line."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     lo = min(min(xs), min(ys), 0.0)
@@ -165,13 +165,12 @@ def write_scatter(
     lo_p, hi_p = _span([lo, hi])
     canvas = _Canvas(title, x_label, y_label)
     canvas.axes(lo_p, hi_p, lo_p, hi_p)
-    if identity_line:
-        x0, y0 = canvas.to_xy(lo_p, lo_p, lo_p, hi_p, lo_p, hi_p)
-        x1, y1 = canvas.to_xy(hi_p, hi_p, lo_p, hi_p, lo_p, hi_p)
-        canvas.parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-            f'stroke="#888888" stroke-dasharray="4,4"/>'
-        )
+    x0, y0 = canvas.to_xy(lo_p, lo_p, lo_p, hi_p, lo_p, hi_p)
+    x1, y1 = canvas.to_xy(hi_p, hi_p, lo_p, hi_p, lo_p, hi_p)
+    canvas.parts.append(
+        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+        f'stroke="#888888" stroke-dasharray="4,4"/>'
+    )
     for x, y in points:
         px, py = canvas.to_xy(x, y, lo_p, hi_p, lo_p, hi_p)
         canvas.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#1f77b4" fill-opacity="0.7"/>')

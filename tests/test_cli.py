@@ -170,6 +170,21 @@ class TestSweepCommand:
         sweep = RunConfig({"reps": 3, "sweep": {"gamma_grid": [0.0, 1.0], "seed": 2}}).build_sweep()
         assert sweep == SweepConfig(gamma_grid=(0.0, 1.0), reps=3, seed=2)
 
+    def test_seed_and_reps_flags_reach_the_sweep_section(self, tmp_path):
+        # The shipped sweep config sets seed and reps in its sweep section as
+        # well; the flags must replace both levels.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "sweep_demo.json"
+        flags = ["--seed", "7", "--reps", "3", "--out", str(tmp_path / "flags")]
+        assert main(["sweep", "--config", str(shipped), *flags]) == 0
+        data = json.loads(shipped.read_text(encoding="utf-8"))
+        data["seed"] = data["sweep"]["seed"] = 7
+        data["reps"] = data["sweep"]["reps"] = 3
+        data["out"] = str(tmp_path / "config")
+        assert main(["sweep", "--config", str(write_config(tmp_path, data))]) == 0
+        flags, config = (json.loads((tmp_path / name / "sweep.json").read_text()) for name in ("flags", "config"))
+        assert flags["risks"] == config["risks"]
+        assert flags["winners"] == config["winners"]
+
 
 class TestDiagnoseCommand:
     def test_fast_subset_passes(self, tmp_path):
@@ -182,6 +197,15 @@ class TestDiagnoseCommand:
         assert [c["check"] for c in report["checks"]] == [
             "transport_bound", "minimax_tightness", "catalog_approximation", "dominance_audit",
         ]
+
+    def test_seed_flag_reaches_the_diagnostics_section(self, tmp_path):
+        checks = "transport,catalog,dominance"
+        for name, flags, section_seed in (("flag", ["--seed", "3"], 0), ("config", [], 3)):
+            data = {"out": str(tmp_path / name), "diagnostics": {"seed": section_seed, "transport_count": 10}}
+            cfg = write_config(tmp_path, data)
+            assert main(["diagnose", "--config", str(cfg), "--checks", checks, *flags]) == 0
+        flag, config = (json.loads((tmp_path / name / "diagnostics.json").read_text()) for name in ("flag", "config"))
+        assert flag["checks"] == config["checks"]
 
     def test_forced_failure_exits_nonzero(self, tmp_path, capsys):
         data = {"out": str(tmp_path / "out"), "diagnostics": {"tolerance": -1.0}}
@@ -279,9 +303,10 @@ class TestConfigValidation:
             (("grid", "graph_spill"), 0.3, "graph_spill"),
             (("catalog",), [{"kind": "user", "treat_prob": "0.5"}], "treat_prob"),
             (("weights",), {"alpha": 0.5, "beta": 0.9}, "alpha/2 + beta"),
+            (("calibration", "budget_frac"), 0.5, "budget_frac"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
-             "treat_prob-string", "alpha-beta-negative-mde"],
+             "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")

@@ -1,5 +1,7 @@
 """Tests for the design catalog, replay rules, and effective assignment-unit counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ class TestReplayRules:
         design = DesignSpec(kind=kind, block_length=3, all_treated=True)
         table = replay(design, panel, seed=0)
         assert np.all(table.z == 1)
-        drawn = replay(design.with_overrides(all_treated=False), panel, seed=0)
+        drawn = replay(dataclasses.replace(design, all_treated=False), panel, seed=0)
         assert np.array_equal(table.labels, drawn.labels)
 
     def test_same_seed_identical(self, panel):
@@ -142,7 +144,7 @@ class TestTreatedFraction:
 
 class TestEffectiveUnits:
     def test_user_counts_units(self, panel):
-        assert effective_units(DesignSpec(kind="user"), panel, 2) == panel.n_units
+        assert effective_units(DesignSpec(kind="user"), panel, 2, periods_per_week=5) == panel.n_units
 
     def test_switchback_formula(self, panel):
         # 1-region panel analog: 3 regions, 20 periods/week, 2 weeks, blocks of 4.
@@ -159,7 +161,7 @@ class TestEffectiveUnits:
         cfg = SyntheticPanelConfig(n_units=100, n_clusters=10, n_periods=2)
         p = generate_synthetic_panel(cfg, seed=2)
         design = DesignSpec(kind="mixed", mixture_prob=0.5)
-        assert effective_units(design, p, 1) == 55
+        assert effective_units(design, p, 1, periods_per_week=2) == 55
 
     def test_monotone_in_duration(self, panel):
         for kind in ("user", "cluster", "budget_split", "two_stage", "mixed"):
@@ -174,7 +176,7 @@ class TestEffectiveUnits:
         cfg = SyntheticPanelConfig(n_units=10, n_clusters=1, n_periods=2)
         p = generate_synthetic_panel(cfg, seed=3)
         with pytest.raises(PlanningError, match="insufficient assignment units"):
-            effective_units(DesignSpec(kind="cluster"), p, 1)
+            effective_units(DesignSpec(kind="cluster"), p, 1, periods_per_week=2)
 
 
 class TestDefaultCatalog:

@@ -172,7 +172,7 @@ class TestCalibrateScales:
         panel = self._panel([[1.0], [1.0]])  # zero-sd panel: defaults would fail
         scales = calibrate_scales(
             panel, direct_effect=0.3, spill_scale=0.7, carry_scale=0.2,
-            graph_frac=0.6, budget_frac=0.4, noise_sd=0.05,
+            graph_frac=0.6, noise_sd=0.05,
         )
         assert scales.direct_effect == 0.3
         assert scales.spill_scale == 0.7
@@ -189,7 +189,7 @@ class TestCalibrateScales:
         assert scales.spill_scale == pytest.approx(1.0, abs=1e-12)
         assert scales.carry_scale == pytest.approx(0.5, abs=1e-12)
         assert scales.direct_effect == pytest.approx(0.2, abs=1e-12)
-        assert scales.graph_frac == scales.budget_frac == 0.5
+        assert scales.graph_frac == 0.5
 
     def test_constant_outcomes_error(self):
         panel = self._panel([[3.0], [3.0]])
@@ -205,7 +205,6 @@ class TestCalibrateScales:
             spill_scale=first.spill_scale,
             carry_scale=first.carry_scale,
             graph_frac=first.graph_frac,
-            budget_frac=first.budget_frac,
             noise_sd=first.noise_sd,
         )
         assert first == second

@@ -410,7 +410,7 @@ class TestComponentScores:
         # response slope times the intensity-scaled exposure gap.
         panel = tiny_panel(4, 1)
         theta = MechanismPoint(0.0, 0.5, 0.0)
-        calib = CalibrationScales(0.0, 1.0, 0.0, graph_frac=0.0, budget_frac=1.0, noise_sd=0.0)
+        calib = CalibrationScales(0.0, 1.0, 0.0, graph_frac=0.0, noise_sd=0.0)
         z = np.array([[1], [1], [0], [0]], dtype=np.int8)
         t = manual_table(z)
         expo = exposure_features(t, panel, theta)
