@@ -7,7 +7,7 @@ and picks the design minimizing worst-case planning risk, returning a
 certified shortlist when the risk surface is too flat for a unique answer.
 """
 
-from .designs import AssignmentTable, DesignSpec, OpCostInputs, default_catalog, effective_units, replay
+from .designs import AssignmentTable, DesignSpec, default_catalog, effective_units, replay
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -34,7 +34,7 @@ from .panel import (
     generate_synthetic_panel,
     ingest_log_csv,
 )
-from .risk import PlanningWeights, mde, operational_cost, score_grid
+from .risk import PlanningWeights, mde, score_grid
 from .selector import (
     RiskSurface,
     RobustDecision,
@@ -59,7 +59,6 @@ __all__ = [
     "ExposurePanel",
     "IngestionError",
     "MechanismPoint",
-    "OpCostInputs",
     "OutcomeStrengths",
     "Panel",
     "PlanningError",
@@ -81,7 +80,6 @@ __all__ = [
     "launch_effect",
     "mde",
     "normalize",
-    "operational_cost",
     "outcome_strengths",
     "regime_threshold",
     "replay",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .designs import DesignSpec, OpCostInputs, default_catalog
+from .designs import DesignSpec, default_catalog
 from .diagnostics import SweepConfig
 from .errors import ConfigurationError
 from .mechanisms import AmbiguityGrid, default_grid
@@ -41,8 +41,7 @@ _SCHEMA = {
     "catalog": [
         {
             "kind": str, "name": str, "treat_prob": float, "block_length": int,
-            "saturation_levels": [float], "mixture_prob": float, "all_treated": bool,
-            "op_cost_level": float, "op_cost": _fields(OpCostInputs),
+            "saturation_levels": [float], "mixture_prob": float, "all_treated": bool, "op_cost_level": float,
         }
     ],
     "weights": _fields(PlanningWeights),
@@ -91,20 +90,11 @@ def _build_design(entry: dict) -> DesignSpec:
     if "kind" not in entry:
         raise ConfigurationError("catalog entry missing 'kind'")
     kwargs: dict[str, Any] = {"kind": entry["kind"]}
-    for key in ("name", "treat_prob", "block_length", "mixture_prob", "all_treated"):
+    for key in ("name", "treat_prob", "block_length", "mixture_prob", "all_treated", "op_cost_level"):
         if key in entry:
             kwargs[key] = entry[key]
     if "saturation_levels" in entry:
         kwargs["saturation_levels"] = tuple(entry["saturation_levels"])
-    if "op_cost" in entry and "op_cost_level" in entry:
-        raise ConfigurationError("catalog entry sets both op_cost and op_cost_level")
-    if "op_cost_level" in entry:
-        kwargs["op_cost_inputs"] = OpCostInputs.flat(float(entry["op_cost_level"]))
-    elif "op_cost" in entry:
-        kwargs["op_cost_inputs"] = OpCostInputs(**entry["op_cost"])
-    else:
-        base = {d.kind: d.op_cost_inputs for d in default_catalog()}
-        kwargs["op_cost_inputs"] = base.get(entry["kind"], OpCostInputs.flat(0.5))
     return DesignSpec(**kwargs)
 
 
@@ -122,6 +112,11 @@ class RunConfig:
             raise ConfigurationError("reps must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        for section in ("sweep", "diagnostics"):
+            if self.data.get(section, {}).get("seed", 0) < 0:
+                raise ConfigurationError(f"{section}.seed must be >= 0")
+        if self.diagnostics_options.get("transport_count", 1) < 1:
+            raise ConfigurationError("diagnostics.transport_count must be >= 1")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigurationError(f"unknown format {fmt!r}")

@@ -3,13 +3,13 @@
 Each design is an implementable randomization scheme: it draws treatment for
 its own assignment unit (user, cluster, budget pool, region-time block, or a
 mixture) and replays that assignment over a panel. The effective number of
-assignment units drives power; the operational-cost inputs are pre-registered
-scores, not measurements.
+assignment units drives power; the operational cost is a pre-registered score,
+not a measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import ConfigurationError, PlanningError
 from .panel import Panel
 
 __all__ = [
-    "OpCostInputs",
     "DesignSpec",
     "AssignmentTable",
     "replay",
@@ -28,34 +27,17 @@ __all__ = [
 KINDS: tuple[str, ...] = ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed")
 
 
-@dataclass(frozen=True)
-class OpCostInputs:
-    """Pre-registered operational subscores in [0, 1] and their aggregation weights."""
-
-    effort: float
-    orchestration: float
-    rollback: float
-    platform: float
-    w_effort: float = 1.0
-    w_orchestration: float = 1.0
-    w_rollback: float = 1.0
-    w_platform: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("effort", "orchestration", "rollback", "platform"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"op-cost subscore {name} must lie in [0, 1]")
-        weights = (self.w_effort, self.w_orchestration, self.w_rollback, self.w_platform)
-        if any(w < 0 for w in weights):
-            raise ConfigurationError("op-cost weights must be >= 0")
-        if sum(weights) <= 0:
-            raise ConfigurationError("op-cost weight sum must be > 0")
-
-    @classmethod
-    def flat(cls, level: float) -> "OpCostInputs":
-        """Equal subscores at ``level`` with equal weights."""
-        return cls(level, level, level, level)
+# Pre-registered operational-cost levels per design kind: user randomization is
+# routine; blocking/scheduling designs are mid-cost; new allocation machinery
+# (budget splits, saturation, multi-axis mixtures) is expensive.
+_OP_COST_LEVELS = {
+    "user": 0.10,
+    "cluster": 0.40,
+    "switchback": 0.40,
+    "budget_split": 0.80,
+    "two_stage": 0.80,
+    "mixed": 0.80,
+}
 
 
 @dataclass(frozen=True)
@@ -67,13 +49,17 @@ class DesignSpec:
     block_length: int = 1
     saturation_levels: tuple[float, ...] = (0.25, 0.75)
     mixture_prob: float = 0.5
-    op_cost_inputs: OpCostInputs = field(default_factory=lambda: OpCostInputs.flat(0.5))
+    op_cost_level: float | None = None  # None takes the kind's preset
     all_treated: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown design kind {self.kind!r}")
+        if self.op_cost_level is None:
+            object.__setattr__(self, "op_cost_level", _OP_COST_LEVELS[self.kind])
+        if not 0.0 <= self.op_cost_level <= 1.0:
+            raise ConfigurationError("op_cost_level must lie in [0, 1]")
         if not 0.0 < self.treat_prob < 1.0:
             raise ConfigurationError("treat_prob must lie in (0, 1)")
         if self.block_length < 1:
@@ -222,22 +208,6 @@ def effective_units(
     return n
 
 
-# Pre-registered operational-cost levels per design kind: user randomization is
-# routine; blocking/scheduling designs are mid-cost; new allocation machinery
-# (budget splits, saturation, multi-axis mixtures) is expensive.
-_OP_COST_LEVELS = {
-    "user": 0.10,
-    "cluster": 0.40,
-    "switchback": 0.40,
-    "budget_split": 0.80,
-    "two_stage": 0.80,
-    "mixed": 0.80,
-}
-
-
 def default_catalog() -> list[DesignSpec]:
     """The six-design catalog with pre-registered op-cost presets."""
-    return [
-        DesignSpec(kind=kind, op_cost_inputs=OpCostInputs.flat(_OP_COST_LEVELS[kind]))
-        for kind in KINDS
-    ]
+    return [DesignSpec(kind=kind) for kind in KINDS]

@@ -33,7 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import DesignSpec, OpCostInputs, effective_units, replay
+from .designs import DesignSpec, effective_units, replay
 from .errors import ConfigurationError, PlanningError
 from .exposure import _group_share
 from .mechanisms import AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
@@ -42,7 +42,6 @@ from .panel import CalibrationScales, Panel, ess_share
 __all__ = [
     "PlanningWeights",
     "mde",
-    "operational_cost",
     "replication_seed",
     "score_groups",
     "score_grid",
@@ -107,13 +106,6 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
     if n_units < 2:
         raise PlanningError("mde needs at least 2 assignment units")
     return _quantile_sum(weights.alpha, weights.beta) * float(np.sqrt(2.0 * v / n_units))
-
-
-def operational_cost(inputs: OpCostInputs) -> float:
-    """Weighted mean of the four pre-registered operational subscores."""
-    weights = np.array([inputs.w_effort, inputs.w_orchestration, inputs.w_rollback, inputs.w_platform])
-    scores = np.array([inputs.effort, inputs.orchestration, inputs.rollback, inputs.platform])
-    return float(weights @ scores / weights.sum())
 
 
 def replication_seed(
@@ -217,7 +209,6 @@ def _score_group(
     master_seed: int,
     design_index: int,
     n_eff: int,
-    op_cost: float,
     stress: float,
     quantile_sum: float,
     features: np.ndarray,
@@ -311,7 +302,7 @@ def _score_group(
         scores[..., 3] = (
             _project(group.contamination, control) + group.switching[:, None] * switch_rate + stress
         )
-        scores[..., 4] = op_cost
+        scores[..., 4] = design.op_cost_level
         scores[..., 5] = _project(group.mismatch, launch_gap) + stress
         scores[..., 6] = estimate - group.target[:, None]
     return out
@@ -357,7 +348,6 @@ def score_groups(
     )
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        op_cost = operational_cost(design.op_cost_inputs)
         for g, group in enumerate(draw_groups):
             out[d, starts[g] : starts[g + 1]] = _score_group(
                 design,
@@ -368,7 +358,6 @@ def score_groups(
                 master_seed=master_seed,
                 design_index=d,
                 n_eff=n_eff,
-                op_cost=op_cost,
                 stress=stress,
                 quantile_sum=quantile_sum,
                 **buffers,

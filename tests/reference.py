@@ -24,7 +24,6 @@ from xdesign import (
     geometry_score,
     launch_effect,
     mde,
-    operational_cost,
     outcome_strengths,
     replay,
 )
@@ -149,7 +148,7 @@ def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
         v,
         mde(v, n_eff, weights),
         contamination(expo, table, theta, ess),
-        operational_cost(design.op_cost_inputs),
+        design.op_cost_level,
         estimand_mismatch(expo, ess),
         estimate - launch_effect(theta, calib),
     ])

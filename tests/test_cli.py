@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line surface and its artifacts."""
 
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from xdesign.cli import _emission, main, run_select
+from xdesign import SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
+from xdesign.cli import _emission, main, run_select, run_simulate
 from xdesign.config import RunConfig, config_digest, load_config
 from xdesign.diagnostics import SweepConfig
 
@@ -250,13 +255,39 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, data)
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "panel: 80 units x 6 periods" in capsys.readouterr().out
-        from xdesign import ingest_log_csv
-
         with open(tmp_path / "out" / "panel.csv", encoding="utf-8", newline="") as handle:
             panel = ingest_log_csv(handle)
         assert panel.n_units == 80
         assert panel.n_periods == 6
         assert panel.n_clusters == 4
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.fixed_dictionaries({
+            "n_units": st.integers(2, 12),
+            "n_clusters": st.integers(1, 4),
+            "n_budget_groups": st.integers(1, 4),
+            "n_regions": st.integers(1, 3),
+            "n_periods": st.integers(1, 5),
+            "baseline_mean": st.floats(-1e6, 1e6),
+            "baseline_sd": st.floats(0.0, 1e3),
+        }),
+        seed=st.integers(0, 2**32),
+    )
+    def test_simulate_then_ingest_is_the_built_panel(self, shape, seed):
+        # The CSV that simulate writes ingests back to the panel it was
+        # built from: the same ids, group labels and periods, and a baseline
+        # equal bit for bit.
+        built = generate_synthetic_panel(SyntheticPanelConfig(**shape), seed=seed)
+        with tempfile.TemporaryDirectory() as out:
+            run_simulate(RunConfig({"panel": {"synthetic": shape}, "seed": seed, "out": out}))
+            with open(Path(out) / "panel.csv", encoding="utf-8", newline="") as handle:
+                ingested = ingest_log_csv(handle)
+        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "n_periods"):
+            assert getattr(ingested, name) == getattr(built, name), name
+        assert ingested.baseline.dtype == built.baseline.dtype == np.float64
+        assert ingested.baseline.tobytes() == built.baseline.tobytes()
+        assert ingested.propensities is None and built.propensities is None
 
 
 class TestEmissionCleanup:
@@ -304,15 +335,22 @@ class TestConfigValidation:
             (("catalog",), [{"kind": "user", "treat_prob": "0.5"}], "treat_prob"),
             (("weights",), {"alpha": 0.5, "beta": 0.9}, "alpha/2 + beta"),
             (("calibration", "budget_frac"), 0.5, "budget_frac"),
+            (("catalog",), [{"kind": "user", "op_cost_level": 1.5}], "op_cost_level"),
+            (("catalog",), [{"kind": "user", "op_cost": {"effort": 0.1}}], "catalog[0] key 'op_cost'"),
+            (("sweep", "seed"), -1, "sweep.seed"),
+            (("diagnostics", "seed"), -1, "diagnostics.seed"),
+            (("diagnostics", "transport_count"), 0, "transport_count"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
-             "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed"],
+             "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
+             "op_cost_level-above-1", "op_cost-removed", "sweep-seed-negative", "diagnostics-seed-negative",
+             "transport_count-zero"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")
         section = data
         for key in path[:-1]:
-            section = section[key]
+            section = section.setdefault(key, {})
         section[path[-1]] = value
         cfg = write_config(tmp_path, data)
         assert main(["select", "--config", str(cfg)]) == 1

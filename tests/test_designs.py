@@ -9,15 +9,14 @@ from xdesign import (
     AssignmentTable,
     ConfigurationError,
     DesignSpec,
-    OpCostInputs,
     PlanningError,
     SyntheticPanelConfig,
     default_catalog,
     effective_units,
     generate_synthetic_panel,
-    operational_cost,
     replay,
 )
+from xdesign.config import RunConfig
 from xdesign.designs import KINDS
 
 
@@ -185,7 +184,7 @@ class TestDefaultCatalog:
         assert names == ["user", "cluster", "switchback", "budget_split", "two_stage", "mixed"]
 
     def test_op_cost_presets(self):
-        costs = {d.kind: operational_cost(d.op_cost_inputs) for d in default_catalog()}
+        costs = {d.kind: d.op_cost_level for d in default_catalog()}
         assert costs["user"] == pytest.approx(0.10)
         assert 0.35 <= costs["cluster"] <= 0.45
         assert 0.35 <= costs["switchback"] <= 0.45
@@ -199,7 +198,21 @@ class TestDefaultCatalog:
             DesignSpec(kind="switchback", block_length=0)
         with pytest.raises(ConfigurationError):
             DesignSpec(kind="two_stage", saturation_levels=())
-        with pytest.raises(ConfigurationError):
-            OpCostInputs(0.5, 0.5, 0.5, 1.5)
-        with pytest.raises(ConfigurationError):
-            OpCostInputs(0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0)
+        with pytest.raises(ConfigurationError, match="op_cost_level"):
+            DesignSpec(kind="user", op_cost_level=1.5)
+        with pytest.raises(ConfigurationError, match="op_cost_level"):
+            DesignSpec(kind="user", op_cost_level=-0.1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_op_cost_default_per_kind(self, kind):
+        # A bare DesignSpec, the default catalog and a config entry that sets
+        # only the kind all take the kind's preset.
+        preset = DesignSpec(kind=kind).op_cost_level
+        assert preset in (0.10, 0.40, 0.80)
+        assert {d.kind: d.op_cost_level for d in default_catalog()}[kind] == preset
+        [design] = RunConfig({"catalog": [{"kind": kind}]}).build_catalog()
+        assert design.op_cost_level == preset
+
+    def test_explicit_op_cost_level_kept(self):
+        assert DesignSpec(kind="mixed", op_cost_level=0.0).op_cost_level == 0.0
+        assert DesignSpec(kind="user", op_cost_level=1.0).op_cost_level == 1.0

@@ -35,14 +35,13 @@ from xdesign import (
     generate_synthetic_panel,
     launch_effect,
     mde,
-    operational_cost,
     outcome_strengths,
     replay,
     risk_surface,
     score_grid,
 )
-from xdesign import risk
-from xdesign.designs import KINDS, OpCostInputs
+from xdesign import designs, risk
+from xdesign.designs import KINDS
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed, score_groups
 
@@ -302,22 +301,6 @@ class TestContamination:
             assert 0.0 <= e <= 1.0 + stress + 1e-12
 
 
-class TestOperationalCost:
-    def test_zero_subscores(self):
-        assert operational_cost(OpCostInputs.flat(0.0)) == 0.0
-
-    def test_user_preset(self):
-        assert operational_cost(OpCostInputs.flat(0.10)) == pytest.approx(0.10)
-
-    def test_equal_weights_mean(self):
-        assert operational_cost(OpCostInputs(0.8, 0.8, 0.8, 0.8)) == pytest.approx(0.8)
-
-    def test_weighted_mean(self):
-        inputs = OpCostInputs(1.0, 0.0, 0.0, 0.0, w_effort=3.0, w_orchestration=1.0,
-                              w_rollback=0.0, w_platform=0.0)
-        assert operational_cost(inputs) == pytest.approx(0.75)
-
-
 class TestEstimandMismatch:
     def test_full_launch_zero(self):
         panel = tiny_panel(2, 2)
@@ -427,7 +410,7 @@ class TestComponentScores:
         design = DesignSpec(kind="switchback")
         grid = AmbiguityGrid((MechanismPoint(0, 0, 0), MechanismPoint(0.3, 0.5, 0.2)))
         a, b = score_grid(panel, [design], grid, calib, weights, reps=3)[0]
-        assert np.all(a[:, OP_COST] == operational_cost(design.op_cost_inputs))
+        assert np.all(a[:, OP_COST] == design.op_cost_level)
         assert np.array_equal(a[:, OP_COST], b[:, OP_COST])
 
     def test_rep_validation(self, setup):
@@ -487,7 +470,7 @@ class TestScoreGrid:
         for d, design in enumerate(SMALL_CATALOG):
             for k in range(len(SMALL_GRID)):
                 pair = np.ascontiguousarray(per_rep[d, k][:, replicated])
-                means = np.insert(pair.mean(axis=0), OP_COST, operational_cost(design.op_cost_inputs))
+                means = np.insert(pair.mean(axis=0), OP_COST, design.op_cost_level)
                 assert np.array_equal(surface.raw[d, k], means)
                 ses = pair.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(replicated))
                 assert np.array_equal(surface.se[d, k], np.insert(ses, OP_COST, 0.0) / scale)
@@ -643,6 +626,13 @@ class TestPublicSurface:
         # The per-point pipeline is the tests' reference, not part of the library.
         assert not hasattr(xdesign, name)
         assert not hasattr(risk, name)
+
+    @pytest.mark.parametrize("name", ["OpCostInputs", "operational_cost"])
+    def test_op_cost_is_one_number(self, name):
+        # A design's operational cost is DesignSpec.op_cost_level; neither the
+        # subscore type nor its weighted mean is shipped.
+        for module in (xdesign, designs, risk):
+            assert not hasattr(module, name), module.__name__
 
     def test_mde_grid_rejects_one_occupied_label(self):
         # A switchback on one region and one period has one occupied label.
