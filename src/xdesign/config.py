@@ -115,6 +115,11 @@ class RunConfig:
         for section in ("sweep", "diagnostics"):
             if self.data.get(section, {}).get("seed", 0) < 0:
                 raise ConfigurationError(f"{section}.seed must be >= 0")
+        if self.data.get("sweep", {}).get("reps", 1) < 1:
+            raise ConfigurationError("sweep.reps must be >= 1")
+        # An absent catalog means the default one; an empty one is a mistake.
+        if "catalog" in self.data and not self.data["catalog"]:
+            raise ConfigurationError("catalog must be non-empty")
         if self.diagnostics_options.get("transport_count", 1) < 1:
             raise ConfigurationError("diagnostics.transport_count must be >= 1")
         for fmt in self.formats:
@@ -200,10 +205,9 @@ class RunConfig:
         return AmbiguityGrid.from_axes(**{key: tuple(values) for key, values in spec.items()})
 
     def build_catalog(self) -> list[DesignSpec]:
-        entries = self.data.get("catalog")
-        if not entries:
+        if "catalog" not in self.data:
             return default_catalog()
-        catalog = [_build_design(entry) for entry in entries]
+        catalog = [_build_design(entry) for entry in self.data["catalog"]]
         names = [d.name for d in catalog]
         if len(set(names)) != len(names):
             raise ConfigurationError("catalog design names must be unique")

@@ -122,8 +122,13 @@ def _tile(per_unit: np.ndarray, n_periods: int) -> np.ndarray:
     return np.repeat(per_unit[:, None], n_periods, axis=1)
 
 
-def replay(design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence = 0) -> AssignmentTable:
+def replay(
+    design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence | np.random.Generator = 0
+) -> AssignmentTable:
     """Draw one assignment for ``design`` over the panel. Deterministic in ``seed``.
+
+    ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
+    used as is and draws from its current state, which it advances.
 
     No assignment rule depends on the interference mechanism, so one replay
     serves every grid point. ``all_treated`` keeps the kind's labels and

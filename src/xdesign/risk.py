@@ -17,17 +17,21 @@ sweep scores all its intensities as one group. ``score_groups`` is the one
 scoring path, and it runs serially in one thread. The tests check it, point by
 point, against a per-point reference pipeline to 1e-12.
 
-Within one (design, group) only the random draws run one replication at a
-time: each replication's seeds, replay and noise go into stacked buffers.
-The exposure features, the label, arm and overall means, and every point's
-channels are then computed once for a chunk of replications, whose feature
-block stays within ``_CHUNK_CELLS`` cells. No replication's arithmetic depends
-on the chunk it falls in, so the chunk size never changes a score.
+Draw groups with the same localities and number of points form one batch,
+and a design's replications over a batch are slots (group, rep). Only the
+random draws run one slot at a time: each slot's replay and noise generator
+states come from one vectorized pass per batch that reproduces
+``replication_seed(...).spawn(2)``, and its replay and noise go into stacked
+buffers. The exposure features, the label, arm and overall means, and every
+point's channels are then computed once for a chunk of slots, which may span
+the batch's groups, and whose per-slot buffers stay within ``_CHUNK_BYTES``.
+No slot's arithmetic depends on the chunk it falls in, so the chunk size
+never changes a score.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -115,16 +119,99 @@ def replication_seed(
     return np.random.SeedSequence(entropy=(master_seed, design_index, theta_index, rep))
 
 
-def _child_seeds(
-    master_seed: int, design_index: int, seed_index: int, rep: int
-) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """The replay and noise seeds of one replication.
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants;
+# _child_seed_words reproduces both for many entropies at once.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
-    Equal to ``replication_seed(...).spawn(2)``, built without mixing the
-    parent's pool or keeping its spawn count.
+
+def _int_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of a non-negative int (0 is one word)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
+
+
+def _child_seed_words(master_seed: int, design_index: int, seed_index: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """The PCG64 seed words of the replay and the noise generator of each row.
+
+    Returns a (rows, 2, 4) uint64 array: ``[i, c]`` is
+    ``generate_state(4, np.uint64)`` of child ``c`` of
+    ``replication_seed(master_seed, design_index, seed_index[i], rep[i]).spawn(2)``,
+    which :func:`_pcg64_state` turns into the state ``default_rng(child)``
+    starts from. SeedSequence's hash of the entropy words, with spawn key 0 or
+    1 appended, runs for all rows at once.
     """
-    entropy = (master_seed, design_index, seed_index, rep)
-    return np.random.SeedSequence(entropy, spawn_key=(0,)), np.random.SeedSequence(entropy, spawn_key=(1,))
+    prefix = _int_words(master_seed) + _int_words(design_index)
+    # Each row twice in a row: spawn key 0 (replay), then 1 (noise).
+    fields = [np.repeat(np.asarray(x, dtype=np.uint64), 2) for x in (seed_index, rep)]
+    n_rows = fields[0].size
+    rows = np.arange(n_rows)
+    # The entropy words of each row, spawn key last: a field of 2^32 or more
+    # takes two words, so rows may differ in length and later words are masked.
+    words = np.zeros((n_rows, len(prefix) + 5), dtype=np.uint32)
+    words[:, : len(prefix)] = prefix
+    end = np.full(n_rows, len(prefix))
+    for field in fields:
+        high = (field >> np.uint64(32)).astype(np.uint32)
+        words[rows, end] = field.astype(np.uint32)
+        words[rows, end + 1] = high
+        end += 1 + (high > 0)
+    words[rows, end] = rows % 2
+    # mix_entropy: the pool takes the first words, is mixed with itself, then
+    # takes each further word. Four entropy ints always fill the pool.
+    hash_const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        value, hash_const = _hashmix(words[:, i], hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for src in range(_POOL_SIZE, int(end.max()) + 1):
+        live = src <= end
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(words[:, src], hash_const)
+            pool[dst] = np.where(live, _mix(pool[dst], value), pool[dst])
+    # generate_state: eight words, read as four little-endian uint64.
+    hash_const = _INIT_B
+    state = np.empty((n_rows, 2 * _POOL_SIZE), dtype=np.uint64)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ value >> _XSHIFT
+    return (state[:, 0::2] | state[:, 1::2] << np.uint64(32)).reshape(-1, 2, _POOL_SIZE)
+
+
+def _pcg64_state(state_high: int, state_low: int, seq_high: int, seq_low: int) -> dict:
+    """The ``bit_generator.state`` of a PCG64 seeded with these four uint64 seed words."""
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+    state = ((state_high << 64 | state_low) + inc) * _PCG_MULT + inc & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 # Feature rows of one replication. The graph shares of the draw group's
@@ -132,78 +219,110 @@ def _child_seeds(
 # budget share itself, so it has no row of its own.
 _BASE, _DIRECT, _LAG, _BUDGET = range(4)
 
-# Float feature cells (4 MB) in one chunk of replications. Select's 200x8
-# panel fits all its replications in one chunk; the sweep's 2000x40 panel
-# takes one replication per chunk, so its working set does not grow.
-_CHUNK_CELLS = 2**19
+# Bytes of the per-slot buffers (features, arm indicators, labels) in one
+# chunk. A slot of select's 200x8 panel takes 100 KB, so a chunk holds 20
+# slots; one of the sweep's 2000x40 panel takes 5.5 MB, so a chunk holds one.
+_CHUNK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
-class _DrawGroup:
-    """Mechanism points scored with one replay and one noise draw per replication.
+class _Batch:
+    """Draw groups of one layout: the same localities and number of points.
 
-    Every channel of a point is linear in per-feature means of the replication:
-    each matrix maps those means to one channel, with one column per point.
+    Every channel of a point is linear in per-feature means of a replication:
+    each map sends those means to one channel, with one column per (point,
+    group). The groups' replications share chunks.
     """
 
-    seed_index: int
+    seed_index: np.ndarray  # (groups,)
+    points: np.ndarray  # (groups, points) output index of each point
     localities: tuple[str, ...]  # graph-share column of each, from _BUDGET on
     outcome: np.ndarray  # feature means -> mean outcome
-    geometry: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score
-    mismatch: np.ndarray  # mean gaps to launch -> mismatch before stress
+    gap: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score, then mismatch before stress
     contamination: np.ndarray  # control-arm means -> contamination before switching and stress
-    switching: np.ndarray  # (points,) weight of the treatment switch rate in contamination
-    target: np.ndarray  # (points,) launch effects
+    switching: np.ndarray  # (points, groups) weight of the treatment switch rate in contamination
+    target: np.ndarray  # (points, groups) launch effects
 
 
-def _draw_group(seed_index: int, points: Sequence[MechanismPoint], calib: CalibrationScales) -> _DrawGroup:
-    """The channel maps of ``points``, scored with seed index ``seed_index``."""
-    points = tuple(points)
-    if not points:
+def _batches(groups: Sequence[Sequence[MechanismPoint]], calib: CalibrationScales) -> list[_Batch]:
+    """The draw groups by layout, in first-seen order; group ``g`` has seed index ``g``."""
+    groups = [tuple(points) for points in groups]
+    if not all(groups):
         raise ConfigurationError("draw groups must be non-empty")
-    localities = ("budget",) + tuple(dict.fromkeys(p.locality for p in points if p.locality != "budget"))
-    shape = (_BUDGET + len(localities), len(points))
+    starts = np.cumsum([0] + [len(points) for points in groups])
+    layouts: dict[tuple[tuple[str, ...], int], list[int]] = {}
+    for g, points in enumerate(groups):
+        localities = ("budget",) + tuple(dict.fromkeys(p.locality for p in points if p.locality != "budget"))
+        layouts.setdefault((localities, len(points)), []).append(g)
+    return [
+        _batch(localities, np.array(members), [groups[g] for g in members], starts, calib)
+        for (localities, _), members in layouts.items()
+    ]
+
+
+def _batch(
+    localities: tuple[str, ...],
+    seed_index: np.ndarray,
+    groups: list[tuple[MechanismPoint, ...]],
+    starts: np.ndarray,
+    calib: CalibrationScales,
+) -> _Batch:
+    """The stacked channel maps of ``groups``, whose first points have output index ``starts[seed_index]``."""
+    n_points = len(groups[0])
+    shape = (_BUDGET + len(localities), n_points, len(groups))
     outcome, geometry, mismatch, contam = (np.zeros(shape) for _ in range(4))
-    switching = np.zeros(len(points))
-    for k, p in enumerate(points):
-        s = outcome_strengths(p, calib)
-        cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
-        # add.at, because a budget-locality point has its graph share in the budget column.
-        np.add.at(outcome[:, k], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
-        scale = 1.0 + p.intensity_sum
-        np.add.at(geometry[:, k], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
-                                         p.graph_spill / scale))
-        np.add.at(mismatch[:, k], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
-        total = p.intensity_sum
-        if total > 0:
-            np.add.at(contam[:, k], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
-            switching[k] = p.carryover / total
-    target = np.array([launch_effect(p, calib) for p in points])
-    return _DrawGroup(seed_index, localities, outcome, geometry, mismatch, contam, switching, target)
+    switching, target = np.zeros(shape[1:]), np.zeros(shape[1:])
+    for j, points in enumerate(groups):
+        for k, p in enumerate(points):
+            s = outcome_strengths(p, calib)
+            cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
+            # add.at, because a budget-locality point has its graph share in the budget column.
+            np.add.at(outcome[:, k, j], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
+            scale = 1.0 + p.intensity_sum
+            np.add.at(geometry[:, k, j], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
+                                                p.graph_spill / scale))
+            np.add.at(mismatch[:, k, j], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
+            total = p.intensity_sum
+            if total > 0:
+                np.add.at(contam[:, k, j], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
+                switching[k, j] = p.carryover / total
+            target[k, j] = launch_effect(p, calib)
+    return _Batch(
+        seed_index=seed_index,
+        points=starts[seed_index, None] + np.arange(n_points),
+        localities=localities,
+        outcome=outcome,
+        gap=np.concatenate([geometry, mismatch], axis=1),
+        contamination=contam,
+        switching=switching,
+        target=target,
+    )
 
 
 def _support_stress(panel: Panel) -> float:
     return 1.0 - ess_share(panel.propensities) if panel.propensities is not None else 0.0
 
 
-def _project(maps: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``maps.T @ values``: (features, points) maps applied to (features, ...) values.
+def _project(maps: Iterable[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Per-feature (points, n) maps applied to (features, n) values: a (points, n) array.
 
     Sums in feature order with elementwise products rather than BLAS, so no
     result depends on how many others share the call, and a replication scores
     the same in any chunk.
     """
-    total = maps[0][:, None] * values[0]
-    for f in range(1, len(maps)):
-        total += maps[f][:, None] * values[f]
+    products = (m * v for m, v in zip(maps, values))
+    total = next(products)
+    for product in products:
+        total += product
     return total
 
 
-def _score_group(
+def _score_batch(
     design: DesignSpec,
-    group: _DrawGroup,
+    batch: _Batch,
     panel: Panel,
     calib: CalibrationScales,
+    out: np.ndarray,
     *,
     reps: int,
     master_seed: int,
@@ -211,70 +330,85 @@ def _score_group(
     n_eff: int,
     stress: float,
     quantile_sum: float,
+    generators: tuple[np.random.Generator, np.random.Generator],
     features: np.ndarray,
     arms: np.ndarray,
     labels: np.ndarray,
-) -> np.ndarray:
-    """(points, reps, N_CHANNELS) scores of one design over one draw group.
+) -> None:
+    """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
-    Only the draws run one replication at a time: the replay and the noise of
-    each replication are written into the stacked buffers ``features``
-    (features, chunk, units, periods), ``arms`` (chunk, 2, cells) and
-    ``labels`` (chunk, cells). Everything after them runs once per chunk of
-    replications: the exposure features, then the per-label, per-arm and
-    overall means, which give every point's channels in closed form. No
-    replication's arithmetic depends on the chunk it falls in.
+    The batch's replications are slots (group, rep) in group-major order. Only
+    the draws run one slot at a time: the replay and noise generators take
+    each slot's states, and its replay and noise go into the stacked buffers
+    ``features`` (features, chunk, units, periods), ``arms`` (chunk, 2, cells)
+    and ``labels`` (chunk, cells). Everything after them runs once per chunk
+    of slots, which may span groups: the exposure features, then the
+    per-label, per-arm and overall means, which give every point's channels
+    in closed form through the slot's own group maps. No slot's arithmetic
+    depends on the chunk it falls in.
     """
-    n_features = _BUDGET + len(group.localities)
+    n_features = _BUDGET + len(batch.localities)
     n_cells = panel.n_units * panel.n_periods
     chunk = len(labels)
-    share_codes = [panel.group_codes(locality) for locality in group.localities]
-    out = np.empty((group.target.size, reps, N_CHANNELS))
-    for start in range(0, reps, chunk):
-        n_reps = min(chunk, reps - start)
-        block = features[:n_features, :n_reps]
-        for i in range(n_reps):
-            replay_seed, noise_seed = _child_seeds(master_seed, design_index, group.seed_index, start + i)
-            table = replay(design, panel, seed=replay_seed)
+    share_codes = [panel.group_codes(locality) for locality in batch.localities]
+    slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
+    slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
+    seed_words = _child_seed_words(master_seed, design_index, batch.seed_index[slot_group], slot_rep)
+    # Each slot's maps and output indices, so that a chunk takes views of them.
+    outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
+    switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
+    replay_rng, noise_rng = generators
+    replay_bits, noise_bits = replay_rng.bit_generator, noise_rng.bit_generator
+    for start in range(0, len(slot_group), chunk):
+        stop = min(start + chunk, len(slot_group))
+        n_slots = stop - start
+        block = features[:n_features, :n_slots]
+        for i, (replay_words, noise_words) in enumerate(seed_words[start:stop].tolist()):
+            replay_bits.state = _pcg64_state(*replay_words)
+            noise_bits.state = _pcg64_state(*noise_words)
+            table = replay(design, panel, seed=replay_rng)
             block[_DIRECT, i] = table.z
             labels[i] = table.labels.ravel()
             # Standard normals; scaled below, they are the draws of rng.normal(0, noise_sd).
-            np.random.default_rng(noise_seed).standard_normal(out=block[_BASE, i])
+            noise_rng.standard_normal(out=block[_BASE, i])
 
         del table  # free the last replay before the chunk's temporaries
         z = block[_DIRECT]
         # A zero noise_sd scales every draw to +-0, which leaves the baseline exact.
         block[_BASE] *= calib.noise_sd
-        noise_mean = block[_BASE].reshape(n_reps, n_cells).mean(axis=1)
+        noise_mean = block[_BASE].reshape(n_slots, n_cells).mean(axis=1)
         block[_BASE] += panel.baseline
         block[_LAG, :, :, 0] = z[:, :, 0]
         block[_LAG, :, :, 1:] = z[:, :, :-1]
         for row, codes in enumerate(share_codes, _BUDGET):
             _group_share(z, codes, out=block[row])
-        flat = block.reshape(n_features, n_reps, n_cells)
+        flat = block.reshape(n_features, n_slots, n_cells)
 
-        # Label means from one bincount per feature over rep-offset label
+        # Label means from one bincount per feature over slot-offset label
         # codes; each label adds its cells in cell order whatever its offset.
-        key = labels[:n_reps]
+        key = labels[:n_slots]
         n_labels = int(key.max()) + 1
-        key += (np.arange(n_reps) * n_labels)[:, None]
+        key += (np.arange(n_slots) * n_labels)[:, None]
         key = key.ravel()
-        counts = np.bincount(key, minlength=n_reps * n_labels)
+        counts = np.bincount(key, minlength=n_slots * n_labels)
         occupied = np.flatnonzero(counts)
-        per_rep = np.bincount(occupied // n_labels, minlength=n_reps)
-        if per_rep.min() < 2:
+        per_slot = np.bincount(occupied // n_labels, minlength=n_slots)
+        if per_slot.min() < 2:
             raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
-        rows = flat.reshape(n_features, -1)
-        label_sums = np.stack([np.bincount(key, weights=row)[occupied] for row in rows])
-        label_y = _project(group.outcome, label_sums / counts[occupied])
-        # ddof=1 variance of each replication's occupied-label means.
-        first = np.cumsum(per_rep) - per_rep
-        label_mean = np.add.reduceat(label_y, first, axis=1) / per_rep
-        centered = label_y - np.repeat(label_mean, per_rep, axis=1)
-        v = np.add.reduceat(centered * centered, first, axis=1) / (per_rep - 1)
+        label_means = np.empty((n_features, occupied.size))
+        for f, values in enumerate(flat.reshape(n_features, -1)):
+            label_means[f] = np.bincount(key, weights=values)[occupied]
+        label_means /= counts[occupied]
+        # Each label takes its slot's outcome map, one feature at a time.
+        label_y = _project((np.repeat(m, per_slot, axis=1) for m in outcome[:, :, start:stop]), label_means)
+        # ddof=1 variance of each slot's occupied-label means.
+        first = np.cumsum(per_slot) - per_slot
+        label_mean = np.add.reduceat(label_y, first, axis=1) / per_slot
+        centered = label_y - np.repeat(label_mean, per_slot, axis=1)
+        v = np.add.reduceat(centered * centered, first, axis=1) / (per_slot - 1)
 
-        # Arm sums: one BLAS product (features, cells) @ (cells, 2) per replication.
-        arm = arms[:n_reps]
+        # Arm sums: one BLAS product (features, cells) @ (cells, 2) per slot.
+        arm = arms[:n_slots]
         arm[:, 0] = flat[_DIRECT]
         np.subtract(1.0, flat[_DIRECT], out=arm[:, 1])
         arm_sums = np.matmul(flat.transpose(1, 0, 2), arm.transpose(0, 2, 1))
@@ -293,19 +427,20 @@ def _score_group(
         means[_BASE] = noise_mean
         two_arm = (n_treated > 0) & (n_control > 0)
         contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
-        estimate = _project(group.outcome, contrast)
+        estimate = _project(outcome[:, :, start:stop], contrast)
+        geometry, mismatch = np.split(_project(gap[:, :, start:stop], launch_gap), 2)
 
-        scores = out[:, start : start + n_reps]
-        scores[..., 0] = _project(group.geometry, launch_gap)
+        scores = np.empty(estimate.shape + (N_CHANNELS,))
+        scores[..., 0] = geometry
         scores[..., 1] = v
         scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
         scores[..., 3] = (
-            _project(group.contamination, control) + group.switching[:, None] * switch_rate + stress
+            _project(contamination[:, :, start:stop], control) + switching[:, start:stop] * switch_rate + stress
         )
         scores[..., 4] = design.op_cost_level
-        scores[..., 5] = _project(group.mismatch, launch_gap) + stress
-        scores[..., 6] = estimate - group.target[:, None]
-    return out
+        scores[..., 5] = mismatch + stress
+        scores[..., 6] = estimate - target[:, start:stop]
+        out[points[:, start:stop], slot_rep[start:stop]] = scores
 
 
 def score_groups(
@@ -331,35 +466,41 @@ def score_groups(
         raise ConfigurationError("catalog must be non-empty")
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
-    draw_groups = [_draw_group(g, points, calib) for g, points in enumerate(groups)]
-    starts = np.cumsum([0] + [group.target.size for group in draw_groups])
+    if master_seed < 0:
+        raise ConfigurationError("master_seed must be >= 0")
+    batches = _batches(groups, calib)
     stress = _support_stress(panel)
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
-    out = np.empty((len(catalog), starts[-1], reps, N_CHANNELS))
-    # Buffers for one chunk of replications, reused by every design and group.
-    # A chunk holds at most _CHUNK_CELLS feature cells.
-    n_features = _BUDGET + max((len(group.localities) for group in draw_groups), default=1)
+    out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
+    # Buffers for one chunk of slots, reused by every design and batch: each
+    # slot holds its features, two arm indicators and its labels.
+    n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
     n_cells = panel.n_units * panel.n_periods
-    chunk = max(1, min(reps, _CHUNK_CELLS // (n_features * n_cells)))
+    most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
+    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((n_features + 3) * n_cells * 8)))
     buffers = dict(
         features=np.empty((n_features, chunk, panel.n_units, panel.n_periods)),
         arms=np.empty((chunk, 2, n_cells)),  # treated and control indicators
         labels=np.empty((chunk, n_cells), dtype=np.int64),
     )
+    # The replay and noise generators; each slot sets their states.
+    generators = (np.random.Generator(np.random.PCG64(0)), np.random.Generator(np.random.PCG64(0)))
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        for g, group in enumerate(draw_groups):
-            out[d, starts[g] : starts[g + 1]] = _score_group(
+        for batch in batches:
+            _score_batch(
                 design,
-                group,
+                batch,
                 panel,
                 calib,
+                out[d],
                 reps=reps,
                 master_seed=master_seed,
                 design_index=d,
                 n_eff=n_eff,
                 stress=stress,
                 quantile_sum=quantile_sum,
+                generators=generators,
                 **buffers,
             )
     return out

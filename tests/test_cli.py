@@ -340,11 +340,13 @@ class TestConfigValidation:
             (("sweep", "seed"), -1, "sweep.seed"),
             (("diagnostics", "seed"), -1, "diagnostics.seed"),
             (("diagnostics", "transport_count"), 0, "transport_count"),
+            (("catalog",), [], "catalog must be non-empty"),
+            (("sweep", "reps"), 0, "sweep.reps must be >= 1"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
              "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
              "op_cost_level-above-1", "op_cost-removed", "sweep-seed-negative", "diagnostics-seed-negative",
-             "transport_count-zero"],
+             "transport_count-zero", "catalog-empty", "sweep-reps-zero"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")

@@ -439,16 +439,43 @@ class TestScoreGrid:
                     expected = hand_row(design, theta, panel, calib, weights, replication_seed(4, d, k, r))
                     assert_matches_reference(per_rep[d, k, r], expected)
 
-    @pytest.mark.parametrize("entropy", [(0, 0, 0, 0), (4, 1, 2, 3), (7, 5, 80, 259), (2**40, 0, 9, 1)])
-    def test_child_seeds_equal_spawned_children(self, entropy):
-        # The kernel builds a replication's replay and noise seeds directly;
-        # they must be the two children replication_seed(...).spawn(2) gives.
-        built = risk._child_seeds(*entropy)
-        spawned = replication_seed(*entropy).spawn(2)
-        for a, b in zip(built, spawned):
-            assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
-            assert np.array_equal(a.generate_state(8), b.generate_state(8))
-            assert np.array_equal(a.generate_state(4, np.uint64), b.generate_state(4, np.uint64))
+    @staticmethod
+    def assert_states_are_spawned_children(master_seed, design_index, rows):
+        # Row i's two seeded generators must start where default_rng does for
+        # the two children of replication_seed(...).spawn(2), and draw the same.
+        words = risk._child_seed_words(master_seed, design_index, *np.array(rows, dtype=np.uint64).T)
+        assert words.shape == (len(rows), 2, 4)
+        for row, (seed_index, rep) in zip(words.tolist(), rows):
+            children = replication_seed(master_seed, design_index, seed_index, rep).spawn(2)
+            for child_words, child in zip(row, children):
+                state = risk._pcg64_state(*child_words)
+                assert state == np.random.default_rng(child).bit_generator.state
+                for draw in (lambda g: g.random(3), lambda g: g.integers(0, 1000, 5), lambda g: g.standard_normal(3)):
+                    bits = np.random.PCG64(0)
+                    bits.state = state
+                    assert np.array_equal(draw(np.random.Generator(bits)), draw(np.random.default_rng(child)))
+
+    @pytest.mark.parametrize(
+        "entropy", [(0, 0, 0, 0), (4, 1, 2, 3), (7, 5, 80, 259), (2**40, 0, 9, 1), (2**64 + 3, 2, 1, 0)]
+    )
+    def test_seed_words_give_the_spawned_children(self, entropy):
+        master_seed, design_index, seed_index, rep = entropy
+        self.assert_states_are_spawned_children(master_seed, design_index, [(seed_index, rep)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        master_seed=st.integers(0, 2**80),
+        design_index=st.integers(0, 2**40),
+        rows=st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), min_size=1, max_size=4),
+    )
+    def test_seed_words_give_the_spawned_children_of_any_entropy(self, master_seed, design_index, rows):
+        # Rows of one call may take different numbers of entropy words.
+        self.assert_states_are_spawned_children(master_seed, design_index, rows)
+
+    def test_negative_master_seed_rejected(self, setup):
+        panel, calib, weights = setup
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            score_groups(panel, SMALL_CATALOG, [SMALL_GRID.points], calib, weights, master_seed=-1)
 
     def test_fewer_reps_are_a_prefix(self, setup):
         panel, calib, weights = setup
@@ -501,6 +528,18 @@ REFERENCE_GROUPS = [
 ]
 
 
+# Single-point groups of every locality, interleaved so that each layout's
+# groups are not contiguous.
+MIXED_GRID = AmbiguityGrid.from_axes(
+    graph_spill=(0.0, 0.3), budget_spill=(0.2, 0.5), carryover=(0.1,), localities=("cluster", "budget", "region")
+)
+
+
+def slot_bytes(panel: Panel, n_localities: int) -> int:
+    """Chunk buffer bytes per slot: the features of ``n_localities`` localities, two arm indicators, labels."""
+    return (risk._BUDGET + n_localities + 3) * panel.n_units * panel.n_periods * 8
+
+
 class TestDrawGroups:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -538,21 +577,36 @@ class TestDrawGroups:
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
     def test_chunk_size_does_not_change_scores(self, setup, monkeypatch, noise_sd):
-        # The kernel scores replications in chunks of at most _CHUNK_CELLS
-        # feature cells. Splitting 12 replications into chunks of 1, 5 or 12
-        # must give the same bits: all six kinds, a mixed-locality group.
+        # The kernel scores the replications of draw groups of one layout in
+        # shared chunks of slots. Chunks of 1 and 7 slots and of all a batch's
+        # slots must give the same bits: all six kinds, single-point groups
+        # of every locality (budget ones have one feature fewer), so that a
+        # chunk spans groups and a group's replications straddle chunks, plus
+        # the reference groups, one of them with mixed localities.
         panel, _, weights = setup
         calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=noise_sd)
-        # The mixed-locality group has a graph-share row for each of the three localities.
-        rep_cells = (risk._BUDGET + 3) * panel.n_units * panel.n_periods
+        groups = [(theta,) for theta in MIXED_GRID] + REFERENCE_GROUPS
+        reps = 3
         scores = {}
-        for chunk in (1, 5, 12):
-            monkeypatch.setattr(risk, "_CHUNK_CELLS", chunk * rep_cells)
-            scores[chunk] = score_groups(
-                panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=12, master_seed=6
-            )
-        assert np.array_equal(scores[1], scores[12])
-        assert np.array_equal(scores[5], scores[12])
+        every = len(groups) * reps
+        for slots in (1, 7, every):
+            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
+            scores[slots] = score_groups(panel, REFERENCE_CATALOG, groups, calib, weights, reps=reps, master_seed=6)
+        assert np.array_equal(scores[1], scores[every])
+        assert np.array_equal(scores[7], scores[every])
+
+    def test_chunks_across_groups_match_reference(self, setup, monkeypatch):
+        # Chunks of 7 slots span grid points; each cell still matches the
+        # per-point pipeline under its own seeds.
+        panel, calib, weights = setup
+        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2))
+        catalog = [DesignSpec(kind=kind) for kind in KINDS]
+        per_rep = score_grid(panel, catalog, MIXED_GRID, calib, weights, reps=3, master_seed=9)
+        for d, design in enumerate(catalog):
+            for k, theta in enumerate(MIXED_GRID):
+                for r in range(3):
+                    expected = hand_row(design, theta, panel, calib, weights, replication_seed(9, d, k, r))
+                    assert_matches_reference(per_rep[d, k, r], expected)
 
     def test_single_assignment_unit_rejected(self):
         # A switchback on one region and one period has one occupied label.
