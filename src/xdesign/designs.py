@@ -83,6 +83,11 @@ class AssignmentTable:
     the variance. For most designs the cells of one label share one draw, but
     not for ``two_stage``: its labels are clusters, and each unit draws its own
     treatment at its cluster's saturation level.
+
+    :func:`replay` draws per atom and returns this table as the cell view of
+    those draws: every cell of an atom (a unit over all its periods, or a
+    (region, period) pair for ``switchback``) has the atom's treatment and
+    label.
     """
 
     z: np.ndarray
@@ -118,8 +123,64 @@ class AssignmentTable:
         return float(self.z.mean())
 
 
-def _tile(per_unit: np.ndarray, n_periods: int) -> np.ndarray:
-    return np.repeat(per_unit[:, None], n_periods, axis=1)
+# Every assignment rule treats the cells of an atom alike. An atom is a unit
+# over all its periods, except for switchbacks, whose atoms are the
+# (region, period) pairs in region-major order.
+
+
+def _atom_labels(design: DesignSpec, panel: Panel) -> np.ndarray | None:
+    """The int64 assignment-unit label of each atom, or None for ``mixed``, whose labels are drawn."""
+    if design.kind == "user":
+        return np.arange(panel.n_units, dtype=np.int64)
+    if design.kind in ("cluster", "two_stage"):
+        return panel.cluster_codes
+    if design.kind == "budget_split":
+        return panel.budget_codes
+    if design.kind == "switchback":
+        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
+        block_of_period = np.arange(panel.n_periods) // design.block_length
+        return (np.arange(panel.n_regions)[:, None] * n_blocks + block_of_period).ravel()
+    return None
+
+
+def _draw_atoms(design: DesignSpec, panel: Panel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """One replay's int8 treatment per atom, and its drawn labels for ``mixed`` (None otherwise)."""
+    n, p = panel.n_units, design.treat_prob
+    labels = None
+    if design.kind == "user":
+        z = rng.random(n) < p
+    elif design.kind in ("cluster", "budget_split"):
+        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
+        z = (rng.random(codes.max() + 1) < p)[codes]
+    elif design.kind == "switchback":
+        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
+        draws = rng.random((panel.n_regions, n_blocks)) < p
+        z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
+    elif design.kind == "two_stage":
+        codes = panel.cluster_codes
+        levels = np.asarray(design.saturation_levels, dtype=float)
+        level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
+        z = rng.random(n) < levels[level_idx][codes]
+    elif design.kind == "mixed":
+        codes = panel.cluster_codes
+        n_clusters = codes.max() + 1
+        whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
+        cluster_draws = rng.random(n_clusters) < p
+        unit_draws = rng.random(n) < p
+        z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
+        labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
+    else:  # pragma: no cover - guarded by DesignSpec
+        raise ConfigurationError(f"unknown design kind {design.kind!r}")
+    if design.all_treated:
+        return np.ones(z.size, dtype=np.int8), labels
+    return z.astype(np.int8), labels
+
+
+def _cells(design: DesignSpec, panel: Panel, per_atom: np.ndarray) -> np.ndarray:
+    """The (n_units, n_periods) cell view of per-atom values."""
+    if design.kind == "switchback":
+        return per_atom.reshape(panel.n_regions, panel.n_periods)[panel.region_codes]
+    return np.repeat(per_atom[:, None], panel.n_periods, axis=1)
 
 
 def replay(
@@ -130,57 +191,15 @@ def replay(
     ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
     used as is and draws from its current state, which it advances.
 
+    The rule draws one treatment per atom, and the table is its cell view.
     No assignment rule depends on the interference mechanism, so one replay
     serves every grid point. ``all_treated`` keeps the kind's labels and
     treats every cell.
     """
-    rng = np.random.default_rng(seed)
-    n, t = panel.n_units, panel.n_periods
-    p = design.treat_prob
-
-    if design.kind == "user":
-        z = _tile((rng.random(n) < p).astype(np.int8), t)
-        labels = _tile(np.arange(n, dtype=np.int64), t)
-    elif design.kind in ("cluster", "budget_split"):
-        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
-        n_groups = codes.max() + 1
-        draws = (rng.random(n_groups) < p).astype(np.int8)
-        z = _tile(draws[codes], t)
-        labels = _tile(codes, t)
-    elif design.kind == "switchback":
-        codes = panel.region_codes
-        n_regions = codes.max() + 1
-        n_blocks = (t + design.block_length - 1) // design.block_length
-        draws = (rng.random((n_regions, n_blocks)) < p).astype(np.int8)
-        block_of_period = np.arange(t) // design.block_length
-        z = draws[codes][:, block_of_period]
-        labels = (codes[:, None] * n_blocks + block_of_period[None, :]).astype(np.int64)
-    elif design.kind == "two_stage":
-        codes = panel.cluster_codes
-        n_clusters = codes.max() + 1
-        levels = np.asarray(design.saturation_levels, dtype=float)
-        level_idx = rng.integers(0, len(levels), size=n_clusters)
-        per_unit = (rng.random(n) < levels[level_idx][codes]).astype(np.int8)
-        z = _tile(per_unit, t)
-        labels = _tile(codes, t)
-    elif design.kind == "mixed":
-        codes = panel.cluster_codes
-        n_clusters = codes.max() + 1
-        whole_cluster = rng.random(n_clusters) < design.mixture_prob
-        cluster_draws = (rng.random(n_clusters) < p).astype(np.int8)
-        unit_draws = (rng.random(n) < p).astype(np.int8)
-        per_unit = np.where(whole_cluster[codes], cluster_draws[codes], unit_draws).astype(np.int8)
-        label_per_unit = np.where(
-            whole_cluster[codes], codes, n_clusters + np.arange(n, dtype=np.int64)
-        ).astype(np.int64)
-        z = _tile(per_unit, t)
-        labels = _tile(label_per_unit, t)
-    else:  # pragma: no cover - guarded by DesignSpec
-        raise ConfigurationError(f"unknown design kind {design.kind!r}")
-
-    if design.all_treated:
-        z = np.ones_like(z)
-    return AssignmentTable._trusted(z, labels)
+    z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
+    if labels is None:
+        labels = _atom_labels(design, panel)
+    return AssignmentTable._trusted(_cells(design, panel, z), _cells(design, panel, labels))
 
 
 def effective_units(

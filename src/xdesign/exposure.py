@@ -53,28 +53,16 @@ class ExposurePanel:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
 
 
-def _group_share(z: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell treated share of the unit's group in the same period (self included).
-
-    ``z`` is one (units, periods) assignment, or a (reps, units, periods) stack
-    of them; the shares have the shape of ``z`` and are written to ``out`` if
-    given.
-    """
+def _group_share(z: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-cell treated share of the unit's group in the same period (self included)."""
     n_groups = int(codes.max()) + 1
-    n_periods = z.shape[-1]
-    n_bins = n_groups * n_periods
-    n_reps = z.size // (codes.size * n_periods)
+    n_periods = z.shape[1]
     counts = np.bincount(codes, minlength=n_groups).astype(float)
-    # One bincount over the (rep, group, period) key. It adds each bin's weights
-    # in unit order, as one bincount per rep and period would, so the sums are
-    # the same.
-    key = np.arange(n_reps)[:, None, None] * n_bins + codes[:, None] * n_periods + np.arange(n_periods)
-    sums = np.bincount(key.ravel(), weights=z.ravel(), minlength=n_reps * n_bins)
-    shares = sums.reshape(n_reps, n_groups, n_periods) / counts[:, None]
-    if out is None:
-        return np.take(shares, codes, axis=1).reshape(z.shape)
-    # Every code is a valid group; "clip" only spares take a buffered copy of out.
-    return np.take(shares, codes, axis=1, out=out, mode="clip")
+    # One bincount over the (group, period) key. It adds each bin's weights in
+    # unit order, as one bincount per period would, so the sums are the same.
+    key = codes[:, None] * n_periods + np.arange(n_periods)
+    sums = np.bincount(key.ravel(), weights=z.ravel(), minlength=n_groups * n_periods)
+    return (sums.reshape(n_groups, n_periods) / counts[:, None])[codes]
 
 
 def exposure_features(assignment: AssignmentTable, panel: Panel, theta: MechanismPoint) -> ExposurePanel:

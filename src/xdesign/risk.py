@@ -17,16 +17,25 @@ sweep scores all its intensities as one group. ``score_groups`` is the one
 scoring path, and it runs serially in one thread. The tests check it, point by
 point, against a per-point reference pipeline to 1e-12.
 
+Every assignment treats the cells of an atom alike: a unit over all its
+periods, or a (region, period) pair for switchbacks. The kernel needs only
+per-label, per-arm and overall sums of the exposure features, so it works on
+per-atom sums: the baseline and noise summed over the atom's cells, ``m * z``
+for direct treatment and ``m * z[prev]`` for the lag (``m`` is the atom's cell
+count), and the group shares from fixed per-grouping maps. No array the size
+of the panel's cells is built per replication except the noise draw itself.
+
 Draw groups with the same localities and number of points form one batch,
 and a design's replications over a batch are slots (group, rep). Only the
 random draws run one slot at a time: each slot's replay and noise generator
 states come from one vectorized pass per batch that reproduces
-``replication_seed(...).spawn(2)``, and its replay and noise go into stacked
-buffers. The exposure features, the label, arm and overall means, and every
-point's channels are then computed once for a chunk of slots, which may span
-the batch's groups, and whose per-slot buffers stay within ``_CHUNK_BYTES``.
-No slot's arithmetic depends on the chunk it falls in, so the chunk size
-never changes a score.
+``replication_seed(...).spawn(2)``; its replay gives per-atom treatment, and
+its per-cell standard normals are drawn into one reused buffer and summed per
+atom. The atom features, the label, arm and overall means, and every point's
+channels are then computed once for a chunk of slots, which may span the
+batch's groups, and whose per-slot arrays stay within ``_CHUNK_BYTES``. No
+slot's arithmetic depends on the chunk it falls in, so the chunk size never
+changes a score.
 """
 
 from __future__ import annotations
@@ -37,9 +46,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import DesignSpec, effective_units, replay
+from .designs import DesignSpec, _atom_labels, _draw_atoms, effective_units
 from .errors import ConfigurationError, PlanningError
-from .exposure import _group_share
 from .mechanisms import AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
 
@@ -214,15 +222,109 @@ def _pcg64_state(state_high: int, state_low: int, seq_high: int, seq_low: int) -
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
-# Feature rows of one replication. The graph shares of the draw group's
-# localities follow from _BUDGET on; the budget locality's graph share is the
-# budget share itself, so it has no row of its own.
+# Feature rows of one replication, each a per-atom sum over the atom's cells.
+# The graph shares of the draw group's localities follow from _BUDGET on; the
+# budget locality's graph share is the budget share itself, so it has no row
+# of its own.
 _BASE, _DIRECT, _LAG, _BUDGET = range(4)
 
-# Bytes of the per-slot buffers (features, arm indicators, labels) in one
-# chunk. A slot of select's 200x8 panel takes 100 KB, so a chunk holds 20
-# slots; one of the sweep's 2000x40 panel takes 5.5 MB, so a chunk holds one.
-_CHUNK_BYTES = 2**21
+# Bytes of one chunk's per-slot arrays, each atoms-sized: the features,
+# treatment and labels, plus about four label-level temporaries per point of
+# the group (a slot has at most one label per atom). A slot of select's 200x8
+# panel (one point) takes 18 KB, so a chunk holds 29 slots; one of the
+# sweep's 2000x40 panel (11 points) takes 816 KB, so a chunk holds one. Larger
+# chunks barely speed select up but raise its peak RSS above the per-cell
+# kernel's.
+_CHUNK_BYTES = 2**19
+
+_GROUPINGS = ("budget", "cluster", "region")
+
+
+@dataclass(frozen=True)
+class _Atoms:
+    """The atoms of one layout and the fixed maps from per-atom draws to features.
+
+    Atoms are units, or (region, period) pairs in region-major order when
+    ``regions`` is set (see :func:`xdesign.designs.replay`). ``cells`` is each
+    atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
+    the atom of the period before (itself in the first period), so the lag
+    sum is ``m * z[prev]``. ``cell_atom`` is the atom of each cell in
+    (unit, period) order, for (region, period) atoms only. ``shares`` maps
+    each grouping to what its per-atom share sums need: for units, the units
+    in group order, each group's first position in it, ``n_periods`` over
+    each group's size and the unit codes; for (region, period) atoms, the
+    (regions, regions) matrix ``M[r, s]`` of the share sum that a treated
+    region ``s`` adds to region ``r`` in one period.
+    """
+
+    regions: bool
+    cells: np.ndarray
+    baseline: np.ndarray
+    prev: np.ndarray
+    cell_atom: np.ndarray | None
+    shares: dict
+
+    @classmethod
+    def build(cls, panel: Panel, regions: bool) -> "_Atoms":
+        n_units, n_periods = panel.n_units, panel.n_periods
+        shares = {}
+        if regions:
+            n_regions = panel.n_regions
+            per_region = np.bincount(panel.region_codes, minlength=n_regions)
+            cells = np.repeat(per_region.astype(float), n_periods)
+            prev = (np.arange(n_regions)[:, None] * n_periods + np.maximum(np.arange(n_periods) - 1, 0)).ravel()
+            cell_atom = (panel.region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+            for grouping in _GROUPINGS:
+                codes = panel.group_codes(grouping)
+                n_groups = int(codes.max()) + 1
+                # Units per (group, region); a treated region s gives each
+                # group the share overlap[g, s] / size[g], which each of
+                # region r's overlap[g, r] units sees.
+                overlap = np.bincount(codes * n_regions + panel.region_codes, minlength=n_groups * n_regions)
+                overlap = overlap.reshape(n_groups, n_regions).astype(float)
+                seen = overlap / overlap.sum(axis=1, keepdims=True)
+                shares[grouping] = (overlap[:, :, None] * seen[:, None, :]).sum(axis=0)
+        else:
+            cells = np.full(n_units, float(n_periods))
+            prev = np.arange(n_units)
+            cell_atom = None
+            for grouping in _GROUPINGS:
+                codes = panel.group_codes(grouping)
+                order = np.argsort(codes, kind="stable")
+                sizes = np.bincount(codes)
+                shares[grouping] = (order, np.cumsum(sizes) - sizes, n_periods / sizes, codes)
+        atoms = cls(regions, cells, np.empty(cells.size), prev, cell_atom, shares)
+        atoms.reduce(panel.baseline, out=atoms.baseline)
+        return atoms
+
+    def reduce(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Write the per-atom sums of one (n_units, n_periods) array of cell values to ``out``."""
+        if self.regions:
+            out[:] = np.bincount(self.cell_atom, weights=values.ravel(), minlength=out.size)
+        else:
+            values.sum(axis=1, out=out)
+
+    def share_sums(self, grouping: str, z: np.ndarray, out: np.ndarray) -> None:
+        """Per-atom sums of each cell's treated group share, for a (slots, atoms) stack of 0/1 ``z``.
+
+        A cell's share is the treated fraction of its group in its period,
+        itself included. Every sum is taken in a fixed order, so a slot's
+        sums do not depend on the others in the stack.
+        """
+        if self.regions:
+            matrix = self.shares[grouping]
+            n_slots, n_regions = z.shape[0], matrix.shape[0]
+            by_region = z.reshape(n_slots, n_regions, -1)
+            total = out.reshape(by_region.shape)
+            np.multiply(matrix[None, :, 0, None], by_region[:, None, 0], out=total)
+            for source in range(1, n_regions):
+                total += matrix[None, :, source, None] * by_region[:, None, source]
+        else:
+            order, starts, scale, codes = self.shares[grouping]
+            # Sums of 0/1 values are exact integers in any order.
+            treated = np.add.reduceat(z[:, order], starts, axis=1)
+            # Every code is a valid group; "clip" only spares take a buffered copy of out.
+            np.take(treated * scale, codes, axis=1, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -320,10 +422,13 @@ def _project(maps: Iterable[np.ndarray], values: np.ndarray) -> np.ndarray:
 def _score_batch(
     design: DesignSpec,
     batch: _Batch,
+    atoms: _Atoms,
+    fixed_labels: np.ndarray | None,
     panel: Panel,
     calib: CalibrationScales,
     out: np.ndarray,
     *,
+    chunk: int,
     reps: int,
     master_seed: int,
     design_index: int,
@@ -331,26 +436,30 @@ def _score_batch(
     stress: float,
     quantile_sum: float,
     generators: tuple[np.random.Generator, np.random.Generator],
+    noise: np.ndarray,
     features: np.ndarray,
-    arms: np.ndarray,
+    treated: np.ndarray,
     labels: np.ndarray,
 ) -> None:
     """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
     The batch's replications are slots (group, rep) in group-major order. Only
     the draws run one slot at a time: the replay and noise generators take
-    each slot's states, and its replay and noise go into the stacked buffers
-    ``features`` (features, chunk, units, periods), ``arms`` (chunk, 2, cells)
-    and ``labels`` (chunk, cells). Everything after them runs once per chunk
-    of slots, which may span groups: the exposure features, then the
-    per-label, per-arm and overall means, which give every point's channels
-    in closed form through the slot's own group maps. No slot's arithmetic
-    depends on the chunk it falls in.
+    each slot's states; the replay's per-atom treatment goes into ``treated``
+    and, for ``mixed``, its labels into ``labels``; the per-cell standard
+    normals are drawn into ``noise`` (units, periods) and summed per atom
+    into ``features``. These three are flat buffers that hold
+    (chunk, atoms), (chunk, atoms) and (features, chunk, atoms). Labels
+    that do not depend on the draws come in ``fixed_labels`` (atoms,)
+    instead. Everything after the draws runs once per chunk of
+    slots, which may span groups: the per-atom features, then the per-label,
+    per-arm and overall means, which give every point's channels in closed
+    form through the slot's own group maps. No slot's arithmetic depends on
+    the chunk it falls in.
     """
     n_features = _BUDGET + len(batch.localities)
+    n_atoms = atoms.cells.size
     n_cells = panel.n_units * panel.n_periods
-    chunk = len(labels)
-    share_codes = [panel.group_codes(locality) for locality in batch.localities]
     slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
     slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
     seed_words = _child_seed_words(master_seed, design_index, batch.seed_index[slot_group], slot_rep)
@@ -362,41 +471,40 @@ def _score_batch(
     for start in range(0, len(slot_group), chunk):
         stop = min(start + chunk, len(slot_group))
         n_slots = stop - start
-        block = features[:n_features, :n_slots]
+        block = features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms)
+        z = treated[: n_slots * n_atoms].reshape(n_slots, n_atoms)
+        drawn_labels = labels[: n_slots * n_atoms].reshape(n_slots, n_atoms)
         for i, (replay_words, noise_words) in enumerate(seed_words[start:stop].tolist()):
             replay_bits.state = _pcg64_state(*replay_words)
             noise_bits.state = _pcg64_state(*noise_words)
-            table = replay(design, panel, seed=replay_rng)
-            block[_DIRECT, i] = table.z
-            labels[i] = table.labels.ravel()
-            # Standard normals; scaled below, they are the draws of rng.normal(0, noise_sd).
-            noise_rng.standard_normal(out=block[_BASE, i])
+            z[i], drawn = _draw_atoms(design, panel, replay_rng)
+            if drawn is not None:
+                drawn_labels[i] = drawn
+            # Standard normals, whose per-atom sums, scaled below, sum the draws of rng.normal(0, noise_sd).
+            noise_rng.standard_normal(out=noise)
+            atoms.reduce(noise, out=block[_BASE, i])
 
-        del table  # free the last replay before the chunk's temporaries
-        z = block[_DIRECT]
-        # A zero noise_sd scales every draw to +-0, which leaves the baseline exact.
+        # A zero noise_sd scales every sum to +-0, which leaves the baseline exact.
         block[_BASE] *= calib.noise_sd
-        noise_mean = block[_BASE].reshape(n_slots, n_cells).mean(axis=1)
-        block[_BASE] += panel.baseline
-        block[_LAG, :, :, 0] = z[:, :, 0]
-        block[_LAG, :, :, 1:] = z[:, :, :-1]
-        for row, codes in enumerate(share_codes, _BUDGET):
-            _group_share(z, codes, out=block[row])
-        flat = block.reshape(n_features, n_slots, n_cells)
+        noise_mean = block[_BASE].sum(axis=1) / n_cells
+        block[_BASE] += atoms.baseline
+        np.multiply(z, atoms.cells, out=block[_DIRECT])
+        np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
+        for row, grouping in enumerate(batch.localities, _BUDGET):
+            atoms.share_sums(grouping, z, out=block[row])
 
         # Label means from one bincount per feature over slot-offset label
-        # codes; each label adds its cells in cell order whatever its offset.
-        key = labels[:n_slots]
-        n_labels = int(key.max()) + 1
-        key += (np.arange(n_slots) * n_labels)[:, None]
-        key = key.ravel()
-        counts = np.bincount(key, minlength=n_slots * n_labels)
+        # codes; each label adds its atoms in atom order whatever its offset.
+        slot_labels = drawn_labels if fixed_labels is None else fixed_labels
+        n_labels = int(slot_labels.max()) + 1
+        key = (slot_labels + (np.arange(n_slots) * n_labels)[:, None]).ravel()
+        counts = np.bincount(key, weights=np.tile(atoms.cells, n_slots), minlength=n_slots * n_labels)
         occupied = np.flatnonzero(counts)
         per_slot = np.bincount(occupied // n_labels, minlength=n_slots)
         if per_slot.min() < 2:
             raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
         label_means = np.empty((n_features, occupied.size))
-        for f, values in enumerate(flat.reshape(n_features, -1)):
+        for f, values in enumerate(block.reshape(n_features, -1)):
             label_means[f] = np.bincount(key, weights=values)[occupied]
         label_means /= counts[occupied]
         # Each label takes its slot's outcome map, one feature at a time.
@@ -407,11 +515,9 @@ def _score_batch(
         centered = label_y - np.repeat(label_mean, per_slot, axis=1)
         v = np.add.reduceat(centered * centered, first, axis=1) / (per_slot - 1)
 
-        # Arm sums: one BLAS product (features, cells) @ (cells, 2) per slot.
-        arm = arms[:n_slots]
-        arm[:, 0] = flat[_DIRECT]
-        np.subtract(1.0, flat[_DIRECT], out=arm[:, 1])
-        arm_sums = np.matmul(flat.transpose(1, 0, 2), arm.transpose(0, 2, 1))
+        # Arm sums: one BLAS product (features, atoms) @ (atoms, 2) per slot.
+        arms = np.stack([z, 1.0 - z], axis=2)
+        arm_sums = np.matmul(block.transpose(1, 0, 2), arms)
         treated_sums, control_sums = arm_sums.transpose(2, 1, 0)
         n_treated = treated_sums[_DIRECT]
         n_control = n_cells - n_treated
@@ -472,28 +578,35 @@ def score_groups(
     stress = _support_stress(panel)
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
+    layouts = {regions: _Atoms.build(panel, regions) for regions in {d.kind == "switchback" for d in catalog}}
     # Buffers for one chunk of slots, reused by every design and batch: each
-    # slot holds its features, two arm indicators and its labels.
+    # slot holds its per-atom features, treatment and labels.
     n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
-    n_cells = panel.n_units * panel.n_periods
+    n_points = max(batch.points.shape[1] for batch in batches)
+    n_atoms = max(atoms.cells.size for atoms in layouts.values())
     most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
-    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((n_features + 3) * n_cells * 8)))
+    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((n_features + 2 + 4 * n_points) * n_atoms * 8)))
     buffers = dict(
-        features=np.empty((n_features, chunk, panel.n_units, panel.n_periods)),
-        arms=np.empty((chunk, 2, n_cells)),  # treated and control indicators
-        labels=np.empty((chunk, n_cells), dtype=np.int64),
+        noise=np.empty((panel.n_units, panel.n_periods)),
+        features=np.empty(n_features * chunk * n_atoms),
+        treated=np.empty(chunk * n_atoms),
+        labels=np.empty(chunk * n_atoms, dtype=np.int64),
     )
     # The replay and noise generators; each slot sets their states.
     generators = (np.random.Generator(np.random.PCG64(0)), np.random.Generator(np.random.PCG64(0)))
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
+        fixed_labels = _atom_labels(design, panel)
         for batch in batches:
             _score_batch(
                 design,
                 batch,
+                layouts[design.kind == "switchback"],
+                fixed_labels,
                 panel,
                 calib,
                 out[d],
+                chunk=chunk,
                 reps=reps,
                 master_seed=master_seed,
                 design_index=d,

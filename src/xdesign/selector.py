@@ -21,6 +21,16 @@ __all__ = [
 ]
 
 
+def _component_scale(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each component's largest absolute value across designs and grid points, and the divisor.
+
+    The divisor is that value, or 1 where it is 0, so that identically zero
+    components stay zero (0/0 guard).
+    """
+    scale = np.abs(raw).max(axis=(0, 1))
+    return scale, np.where(scale > 0, scale, 1.0)
+
+
 def normalize(raw: np.ndarray) -> np.ndarray:
     """Scale each component by its largest absolute value across designs and grid points.
 
@@ -30,9 +40,7 @@ def normalize(raw: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 3 or raw.shape[2] != 6 or raw.size == 0:
         raise ConfigurationError("raw surface must have shape (n_designs, n_grid, 6)")
-    scale = np.abs(raw).max(axis=(0, 1))
-    safe = np.where(scale > 0, scale, 1.0)
-    return raw / safe
+    return raw / _component_scale(raw)[1]
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
         raise ConfigurationError("component scores must be finite")
     se = components.std(axis=2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
     se[..., OP_COST] = 0.0
-    scale = np.abs(raw).max(axis=(0, 1))
-    safe = np.where(scale > 0, scale, 1.0)
+    scale, safe = _component_scale(raw)
     normalized = raw / safe
     return RiskSurface(
         raw=raw,

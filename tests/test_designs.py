@@ -17,7 +17,7 @@ from xdesign import (
     replay,
 )
 from xdesign.config import RunConfig
-from xdesign.designs import KINDS
+from xdesign.designs import KINDS, _atom_labels, _draw_atoms
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,46 @@ class TestReplayRules:
             assert len(np.unique(all_cluster.z[members])) == 1
         all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, seed=8)
         assert all_unit.n_assignment_units == panel.n_units
+
+
+class TestAtoms:
+    # Every rule draws per atom: a unit over all its periods, or a
+    # (region, period) pair in region-major order for switchbacks.
+
+    @pytest.mark.parametrize("block_length", [1, 3])
+    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replay_is_the_cell_view_of_its_atoms(self, panel, kind, all_treated, block_length):
+        design = DesignSpec(kind=kind, all_treated=all_treated, block_length=block_length)
+        units = np.arange(panel.n_units)[:, None]
+        periods = np.arange(panel.n_periods)
+        if kind == "switchback":
+            atom_of_cell = panel.region_codes[:, None] * panel.n_periods + periods
+        else:
+            atom_of_cell = np.broadcast_to(units, (panel.n_units, panel.n_periods))
+        for seed in range(5):
+            table = replay(design, panel, seed=seed)
+            z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
+            assert (labels is None) == (kind != "mixed")
+            if labels is None:
+                labels = _atom_labels(design, panel)
+            assert np.array_equal(table.z, z[atom_of_cell])
+            assert np.array_equal(table.labels, labels[atom_of_cell])
+
+    @pytest.mark.parametrize("block_length", [1, 3])
+    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replay_is_constant_on_each_atom(self, panel, kind, all_treated, block_length):
+        design = DesignSpec(kind=kind, all_treated=all_treated, block_length=block_length)
+        for seed in range(5):
+            table = replay(design, panel, seed=seed)
+            for cells in (table.z, table.labels):
+                if kind == "switchback":
+                    for region in range(panel.n_regions):
+                        members = cells[panel.region_codes == region]
+                        assert np.all(members == members[:1])
+                else:
+                    assert np.all(cells == cells[:, :1])
 
 
 class TestAssignmentTable:

@@ -216,21 +216,3 @@ class TestGroupShare:
             for locality in ("cluster", "budget", "region"):
                 codes = panel.group_codes(locality)
                 assert np.array_equal(_group_share(z, codes), loop_group_share(z, codes)), (design.name, locality)
-
-    @pytest.mark.parametrize("config_name", ["select_demo.json", "sweep_demo.json"])
-    def test_stacked_reps_equal_per_rep_loop(self, config_name):
-        # A (reps, units, periods) stack gives, bit for bit, each replication's
-        # own shares, whatever mix of designs the stack holds.
-        from xdesign.config import load_config
-        from xdesign.exposure import _group_share
-
-        config = load_config(Path(__file__).resolve().parents[1] / "configs" / config_name)
-        panel = config.build_panel()
-        stack = np.stack([replay(design, panel, seed=d).z for d, design in enumerate(config.build_catalog())])
-        for z in (stack, stack.astype(float)):
-            for locality in ("cluster", "budget", "region"):
-                codes = panel.group_codes(locality)
-                shares = _group_share(z, codes)
-                assert shares.shape == stack.shape
-                for r in range(len(stack)):
-                    assert np.array_equal(shares[r], loop_group_share(stack[r], codes)), (r, locality)

@@ -31,6 +31,7 @@ from xdesign import (
     PlanningWeights,
     SyntheticPanelConfig,
     default_grid,
+    ess_share,
     exposure_features,
     generate_synthetic_panel,
     launch_effect,
@@ -535,9 +536,27 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 )
 
 
-def slot_bytes(panel: Panel, n_localities: int) -> int:
-    """Chunk buffer bytes per slot: the features of ``n_localities`` localities, two arm indicators, labels."""
-    return (risk._BUDGET + n_localities + 3) * panel.n_units * panel.n_periods * 8
+def slot_bytes(panel: Panel, n_localities: int, n_points: int) -> int:
+    """Chunk bytes per slot, over unit atoms (the panel has more units than region-periods).
+
+    The features of ``n_localities`` localities, the treatment and the labels,
+    and four label-level temporaries for each of ``n_points`` points.
+    """
+    assert panel.n_units >= panel.n_regions * panel.n_periods
+    return (risk._BUDGET + n_localities + 2 + 4 * n_points) * panel.n_units * 8
+
+
+def record_chunks(monkeypatch) -> list[int]:
+    """The ``chunk`` of every ``_score_batch`` call, in call order."""
+    chunks = []
+    score_batch = risk._score_batch
+
+    def recording(*args, **kwargs):
+        chunks.append(kwargs["chunk"])
+        return score_batch(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "_score_batch", recording)
+    return chunks
 
 
 class TestDrawGroups:
@@ -589,9 +608,14 @@ class TestDrawGroups:
         reps = 3
         scores = {}
         every = len(groups) * reps
+        # A chunk never holds more than the largest batch's slots.
+        largest = max(batch.seed_index.size for batch in risk._batches(groups, calib)) * reps
+        chunks = record_chunks(monkeypatch)
         for slots in (1, 7, every):
-            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
+            chunks.clear()
+            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3, 4))
             scores[slots] = score_groups(panel, REFERENCE_CATALOG, groups, calib, weights, reps=reps, master_seed=6)
+            assert set(chunks) == {min(slots, largest)}
         assert np.array_equal(scores[1], scores[every])
         assert np.array_equal(scores[7], scores[every])
 
@@ -599,9 +623,11 @@ class TestDrawGroups:
         # Chunks of 7 slots span grid points; each cell still matches the
         # per-point pipeline under its own seeds.
         panel, calib, weights = setup
-        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2))
+        chunks = record_chunks(monkeypatch)
+        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2, 1))
         catalog = [DesignSpec(kind=kind) for kind in KINDS]
         per_rep = score_grid(panel, catalog, MIXED_GRID, calib, weights, reps=3, master_seed=9)
+        assert set(chunks) == {7}
         for d, design in enumerate(catalog):
             for k, theta in enumerate(MIXED_GRID):
                 for r in range(3):
@@ -621,6 +647,28 @@ class TestDrawGroups:
         panel, calib, weights = setup
         with pytest.raises(ConfigurationError):
             score_groups(panel, SMALL_CATALOG, [SMALL_GRID.points, ()], calib, weights)
+
+
+class TestZeroIntensityJump:
+    def test_any_pure_graph_spill_scores_full_contamination(self, setup):
+        # Contamination divides each channel's control-arm exposure by the
+        # intensity sum. A pure graph spill therefore weighs its exposure by
+        # graph_spill / intensity_sum = 1 however small it is, while zero
+        # intensity leaves only the support stress: the channel jumps at 0.
+        panel, calib, weights = setup
+        rng = np.random.default_rng(0)
+        panel = dataclasses.replace(panel, propensities=rng.uniform(0.2, 1.0, panel.baseline.shape))
+        stress = 1.0 - ess_share(panel.propensities)
+        assert stress > 0.0
+        group = (MechanismPoint(0.0, 0.0, 0.0), MechanismPoint(1e-6, 0.0, 0.0), MechanismPoint(0.5, 0.0, 0.0))
+        catalog = [DesignSpec(kind=kind) for kind in KINDS]
+        per_rep = score_groups(panel, catalog, [group], calib, weights, reps=3, master_seed=5)
+        contamination = per_rep[..., CONTAMINATION]
+        assert np.all(contamination[:, 0] == stress)
+        assert np.array_equal(contamination[:, 1], contamination[:, 2])
+        # User randomization leaves treated units in every cluster, so its
+        # control cells see a treated share well above zero.
+        assert np.all(contamination[KINDS.index("user"), 1] > stress + 0.1)
 
 
 class TestTransportIdentity:
