@@ -40,7 +40,6 @@ from .selector import (
     RobustDecision,
     dominance_audit,
     normalize,
-    regime_threshold,
     risk_surface,
     robust_select,
     weight_winner_search,
@@ -81,7 +80,6 @@ __all__ = [
     "mde",
     "normalize",
     "outcome_strengths",
-    "regime_threshold",
     "replay",
     "risk_surface",
     "robust_select",

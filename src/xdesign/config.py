@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -84,6 +85,9 @@ def _validate(where: str, value: Any, spec: Any) -> None:
             _validate(f"{where}[{i}]", item, spec[0])
     elif not _is_type(value, spec):
         raise ConfigurationError(f"{where} must be {_TYPE_NAMES[spec]}, got {value!r}")
+    # Python's json reads NaN and Infinity, which no field means.
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
 def _build_design(entry: dict) -> DesignSpec:
@@ -122,6 +126,8 @@ class RunConfig:
             raise ConfigurationError("catalog must be non-empty")
         if self.diagnostics_options.get("transport_count", 1) < 1:
             raise ConfigurationError("diagnostics.transport_count must be >= 1")
+        if self.diagnostics_options.get("tolerance", 0.0) < 0:
+            raise ConfigurationError("diagnostics.tolerance must be >= 0")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigurationError(f"unknown format {fmt!r}")

@@ -115,13 +115,6 @@ class AssignmentTable:
         object.__setattr__(table, "labels", labels)
         return table
 
-    @property
-    def n_assignment_units(self) -> int:
-        return len(np.unique(self.labels))
-
-    def treated_fraction(self) -> float:
-        return float(self.z.mean())
-
 
 # Every assignment rule treats the cells of an atom alike. An atom is a unit
 # over all its periods, except for switchbacks, whose atoms are the

@@ -22,20 +22,21 @@ periods, or a (region, period) pair for switchbacks. The kernel needs only
 per-label, per-arm and overall sums of the exposure features, so it works on
 per-atom sums: the baseline and noise summed over the atom's cells, ``m * z``
 for direct treatment and ``m * z[prev]`` for the lag (``m`` is the atom's cell
-count), and the group shares from fixed per-grouping maps. No array the size
-of the panel's cells is built per replication except the noise draw itself.
+count), and the group shares from fixed per-grouping maps. The noise of an
+atom is one normal with standard deviation ``sqrt(m) * noise_sd``, which has
+the distribution of the sum of its ``m`` cells' independent noise. No array
+the size of the panel's cells is built per replication.
 
-Draw groups with the same localities and number of points form one batch,
-and a design's replications over a batch are slots (group, rep). Only the
-random draws run one slot at a time: each slot's replay and noise generator
-states come from one vectorized pass per batch that reproduces
-``replication_seed(...).spawn(2)``; its replay gives per-atom treatment, and
-its per-cell standard normals are drawn into one reused buffer and summed per
-atom. The atom features, the label, arm and overall means, and every point's
-channels are then computed once for a chunk of slots, which may span the
-batch's groups, and whose per-slot arrays stay within ``_CHUNK_BYTES``. No
-slot's arithmetic depends on the chunk it falls in, so the chunk size never
-changes a score.
+Each (design, draw group) has one generator, seeded from
+``(master_seed, design index, group index)``, and its replications take
+their draws from it in order: the replay's per-atom treatment, then one
+standard normal per atom. Draw groups with the same localities and number of
+points form one batch, and a design's replications over a batch are slots
+(group, rep). Only the draws run one slot at a time. The atom features, the
+label, arm and overall means, and every point's channels are then computed
+once for a chunk of slots, which may span the batch's groups, and whose
+per-slot arrays stay within ``_CHUNK_BYTES``. No slot's arithmetic depends
+on the chunk it falls in, so the chunk size never changes a score.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .panel import CalibrationScales, Panel, ess_share
 __all__ = [
     "PlanningWeights",
     "mde",
-    "replication_seed",
     "score_groups",
     "score_grid",
 ]
@@ -120,108 +120,6 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
     return _quantile_sum(weights.alpha, weights.beta) * float(np.sqrt(2.0 * v / n_units))
 
 
-def replication_seed(
-    master_seed: int, design_index: int, theta_index: int, rep: int
-) -> np.random.SeedSequence:
-    """Deterministic per-replication seed; independent of evaluation order."""
-    return np.random.SeedSequence(entropy=(master_seed, design_index, theta_index, rep))
-
-
-# numpy's SeedSequence (pool size 4) and PCG64 seeding constants;
-# _child_seed_words reproduces both for many entropies at once.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-
-def _int_words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence makes of a non-negative int (0 is one word)."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    value = value ^ np.uint32(hash_const)
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ value >> _XSHIFT, hash_const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> _XSHIFT
-
-
-def _child_seed_words(master_seed: int, design_index: int, seed_index: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """The PCG64 seed words of the replay and the noise generator of each row.
-
-    Returns a (rows, 2, 4) uint64 array: ``[i, c]`` is
-    ``generate_state(4, np.uint64)`` of child ``c`` of
-    ``replication_seed(master_seed, design_index, seed_index[i], rep[i]).spawn(2)``,
-    which :func:`_pcg64_state` turns into the state ``default_rng(child)``
-    starts from. SeedSequence's hash of the entropy words, with spawn key 0 or
-    1 appended, runs for all rows at once.
-    """
-    prefix = _int_words(master_seed) + _int_words(design_index)
-    # Each row twice in a row: spawn key 0 (replay), then 1 (noise).
-    fields = [np.repeat(np.asarray(x, dtype=np.uint64), 2) for x in (seed_index, rep)]
-    n_rows = fields[0].size
-    rows = np.arange(n_rows)
-    # The entropy words of each row, spawn key last: a field of 2^32 or more
-    # takes two words, so rows may differ in length and later words are masked.
-    words = np.zeros((n_rows, len(prefix) + 5), dtype=np.uint32)
-    words[:, : len(prefix)] = prefix
-    end = np.full(n_rows, len(prefix))
-    for field in fields:
-        high = (field >> np.uint64(32)).astype(np.uint32)
-        words[rows, end] = field.astype(np.uint32)
-        words[rows, end + 1] = high
-        end += 1 + (high > 0)
-    words[rows, end] = rows % 2
-    # mix_entropy: the pool takes the first words, is mixed with itself, then
-    # takes each further word. Four entropy ints always fill the pool.
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value, hash_const = _hashmix(words[:, i], hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for src in range(_POOL_SIZE, int(end.max()) + 1):
-        live = src <= end
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(words[:, src], hash_const)
-            pool[dst] = np.where(live, _mix(pool[dst], value), pool[dst])
-    # generate_state: eight words, read as four little-endian uint64.
-    hash_const = _INIT_B
-    state = np.empty((n_rows, 2 * _POOL_SIZE), dtype=np.uint64)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ value >> _XSHIFT
-    return (state[:, 0::2] | state[:, 1::2] << np.uint64(32)).reshape(-1, 2, _POOL_SIZE)
-
-
-def _pcg64_state(state_high: int, state_low: int, seq_high: int, seq_low: int) -> dict:
-    """The ``bit_generator.state`` of a PCG64 seeded with these four uint64 seed words."""
-    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-    state = ((state_high << 64 | state_low) + inc) * _PCG_MULT + inc & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
 # Feature rows of one replication, each a per-atom sum over the atom's cells.
 # The graph shares of the draw group's localities follow from _BUDGET on; the
 # budget locality's graph share is the budget share itself, so it has no row
@@ -248,20 +146,18 @@ class _Atoms:
     ``regions`` is set (see :func:`xdesign.designs.replay`). ``cells`` is each
     atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
     the atom of the period before (itself in the first period), so the lag
-    sum is ``m * z[prev]``. ``cell_atom`` is the atom of each cell in
-    (unit, period) order, for (region, period) atoms only. ``shares`` maps
-    each grouping to what its per-atom share sums need: for units, the units
-    in group order, each group's first position in it, ``n_periods`` over
-    each group's size and the unit codes; for (region, period) atoms, the
-    (regions, regions) matrix ``M[r, s]`` of the share sum that a treated
-    region ``s`` adds to region ``r`` in one period.
+    sum is ``m * z[prev]``. ``shares`` maps each grouping to what its
+    per-atom share sums need: for units, the units in group order, each
+    group's first position in it, ``n_periods`` over each group's size and
+    the unit codes; for (region, period) atoms, the (regions, regions) matrix
+    ``M[r, s]`` of the share sum that a treated region ``s`` adds to region
+    ``r`` in one period.
     """
 
     regions: bool
     cells: np.ndarray
     baseline: np.ndarray
     prev: np.ndarray
-    cell_atom: np.ndarray | None
     shares: dict
 
     @classmethod
@@ -274,6 +170,7 @@ class _Atoms:
             cells = np.repeat(per_region.astype(float), n_periods)
             prev = (np.arange(n_regions)[:, None] * n_periods + np.maximum(np.arange(n_periods) - 1, 0)).ravel()
             cell_atom = (panel.region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+            baseline = np.bincount(cell_atom, weights=panel.baseline.ravel(), minlength=cells.size)
             for grouping in _GROUPINGS:
                 codes = panel.group_codes(grouping)
                 n_groups = int(codes.max()) + 1
@@ -287,22 +184,13 @@ class _Atoms:
         else:
             cells = np.full(n_units, float(n_periods))
             prev = np.arange(n_units)
-            cell_atom = None
+            baseline = panel.baseline.sum(axis=1)
             for grouping in _GROUPINGS:
                 codes = panel.group_codes(grouping)
                 order = np.argsort(codes, kind="stable")
                 sizes = np.bincount(codes)
                 shares[grouping] = (order, np.cumsum(sizes) - sizes, n_periods / sizes, codes)
-        atoms = cls(regions, cells, np.empty(cells.size), prev, cell_atom, shares)
-        atoms.reduce(panel.baseline, out=atoms.baseline)
-        return atoms
-
-    def reduce(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Write the per-atom sums of one (n_units, n_periods) array of cell values to ``out``."""
-        if self.regions:
-            out[:] = np.bincount(self.cell_atom, weights=values.ravel(), minlength=out.size)
-        else:
-            values.sum(axis=1, out=out)
+        return cls(regions, cells, baseline, prev, shares)
 
     def share_sums(self, grouping: str, z: np.ndarray, out: np.ndarray) -> None:
         """Per-atom sums of each cell's treated group share, for a (slots, atoms) stack of 0/1 ``z``.
@@ -435,23 +323,20 @@ def _score_batch(
     n_eff: int,
     stress: float,
     quantile_sum: float,
-    generators: tuple[np.random.Generator, np.random.Generator],
-    noise: np.ndarray,
     features: np.ndarray,
     treated: np.ndarray,
     labels: np.ndarray,
 ) -> None:
     """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
-    The batch's replications are slots (group, rep) in group-major order. Only
-    the draws run one slot at a time: the replay and noise generators take
-    each slot's states; the replay's per-atom treatment goes into ``treated``
-    and, for ``mixed``, its labels into ``labels``; the per-cell standard
-    normals are drawn into ``noise`` (units, periods) and summed per atom
-    into ``features``. These three are flat buffers that hold
-    (chunk, atoms), (chunk, atoms) and (features, chunk, atoms). Labels
-    that do not depend on the draws come in ``fixed_labels`` (atoms,)
-    instead. Everything after the draws runs once per chunk of
+    The batch's replications are slots (group, rep) in group-major order, and
+    each group's slots draw from the group's own generator in rep order. Only
+    the draws run one slot at a time: the replay's per-atom treatment goes
+    into ``treated`` and, for ``mixed``, its labels into ``labels``; then one
+    standard normal per atom goes into ``features``. These three are flat
+    buffers that hold (chunk, atoms), (chunk, atoms) and (features, chunk,
+    atoms). Labels that do not depend on the draws come in ``fixed_labels``
+    (atoms,) instead. Everything after the draws runs once per chunk of
     slots, which may span groups: the per-atom features, then the per-label,
     per-arm and overall means, which give every point's channels in closed
     form through the slot's own group maps. No slot's arithmetic depends on
@@ -462,30 +347,29 @@ def _score_batch(
     n_cells = panel.n_units * panel.n_periods
     slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
     slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
-    seed_words = _child_seed_words(master_seed, design_index, batch.seed_index[slot_group], slot_rep)
+    streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
+               for g in batch.seed_index.tolist()]
+    # An atom's noise sums m cells of sd noise_sd: one normal of sd sqrt(m) * noise_sd.
+    noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
     # Each slot's maps and output indices, so that a chunk takes views of them.
     outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
     switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
-    replay_rng, noise_rng = generators
-    replay_bits, noise_bits = replay_rng.bit_generator, noise_rng.bit_generator
     for start in range(0, len(slot_group), chunk):
         stop = min(start + chunk, len(slot_group))
         n_slots = stop - start
         block = features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms)
         z = treated[: n_slots * n_atoms].reshape(n_slots, n_atoms)
         drawn_labels = labels[: n_slots * n_atoms].reshape(n_slots, n_atoms)
-        for i, (replay_words, noise_words) in enumerate(seed_words[start:stop].tolist()):
-            replay_bits.state = _pcg64_state(*replay_words)
-            noise_bits.state = _pcg64_state(*noise_words)
-            z[i], drawn = _draw_atoms(design, panel, replay_rng)
+        for i, g in enumerate(slot_group[start:stop].tolist()):
+            rng = streams[g]
+            z[i], drawn = _draw_atoms(design, panel, rng)
             if drawn is not None:
                 drawn_labels[i] = drawn
-            # Standard normals, whose per-atom sums, scaled below, sum the draws of rng.normal(0, noise_sd).
-            noise_rng.standard_normal(out=noise)
-            atoms.reduce(noise, out=block[_BASE, i])
+            # Drawn even when noise_sd is 0, so that no later draw depends on the calibration.
+            rng.standard_normal(out=block[_BASE, i])
 
-        # A zero noise_sd scales every sum to +-0, which leaves the baseline exact.
-        block[_BASE] *= calib.noise_sd
+        # A zero noise_sd scales every normal to +-0, which leaves the baseline exact.
+        block[_BASE] *= noise_scale
         noise_mean = block[_BASE].sum(axis=1) / n_cells
         block[_BASE] += atoms.baseline
         np.multiply(z, atoms.cells, out=block[_DIRECT])
@@ -561,12 +445,12 @@ def score_groups(
     """Score every design over draw groups; returns a (designs, points, reps, N_CHANNELS) array.
 
     A draw group is a sequence of mechanism points (duplicates allowed) that
-    share their draws: replication ``r`` of design ``d`` over group ``g``
-    replays the assignment and draws the noise from
-    ``replication_seed(master_seed, d, g, r)``, once for all the group's
-    points. Points are numbered in group order, across groups. Scoring runs
-    serially in one thread; the first ``k`` replications are identical for
-    any ``reps >= k``.
+    share their draws. Design ``d`` over group ``g`` draws from one generator,
+    ``default_rng(SeedSequence((master_seed, d, g)))``: replication ``r``
+    takes the ``r``-th replay and atom noise from it, once for all the
+    group's points. Points are numbered in group order, across groups.
+    Scoring runs serially in one thread; the first ``k`` replications are
+    identical for any ``reps >= k``.
     """
     if not catalog:
         raise ConfigurationError("catalog must be non-empty")
@@ -587,13 +471,10 @@ def score_groups(
     most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
     chunk = max(1, min(most_slots, _CHUNK_BYTES // ((n_features + 2 + 4 * n_points) * n_atoms * 8)))
     buffers = dict(
-        noise=np.empty((panel.n_units, panel.n_periods)),
         features=np.empty(n_features * chunk * n_atoms),
         treated=np.empty(chunk * n_atoms),
         labels=np.empty(chunk * n_atoms, dtype=np.int64),
     )
-    # The replay and noise generators; each slot sets their states.
-    generators = (np.random.Generator(np.random.PCG64(0)), np.random.Generator(np.random.PCG64(0)))
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
         fixed_labels = _atom_labels(design, panel)
@@ -613,7 +494,6 @@ def score_groups(
                 n_eff=n_eff,
                 stress=stress,
                 quantile_sum=quantile_sum,
-                generators=generators,
                 **buffers,
             )
     return out
@@ -631,7 +511,8 @@ def score_grid(
     """Score every (design, mechanism) pair; returns a (designs, grid, reps, N_CHANNELS) array.
 
     Grid point ``k`` is a draw group of its own with seed index ``k`` (see
-    :func:`score_groups`), so no two grid points share draws: replication
-    ``r`` of pair ``(d, k)`` uses ``replication_seed(master_seed, d, k, r)``.
+    :func:`score_groups`), so no two grid points share draws: the
+    replications of pair ``(d, k)`` are consecutive draws of
+    ``default_rng(SeedSequence((master_seed, d, k)))``.
     """
     return score_groups(panel, catalog, [(theta,) for theta in grid], calib, weights, reps, master_seed)

@@ -17,7 +17,6 @@ __all__ = [
     "robust_select",
     "dominance_audit",
     "weight_winner_search",
-    "regime_threshold",
 ]
 
 
@@ -191,27 +190,3 @@ def weight_winner_search(
         k = int(rng.integers(0, n_grid))
         winners.add(int((raw[:, k, :] @ w).argmin()))
     return winners
-
-
-def regime_threshold(
-    d1_components,
-    d2_components,
-    g1: float,
-    g2: float,
-    weights: PlanningWeights,
-) -> float:
-    """Interference intensity above which design 2's surrogate risk undercuts design 1's.
-
-    ``d*_components`` are the five non-geometry normalized scores (variance,
-    mde, contamination, op cost, mismatch); ``g1 > g2`` are the designs'
-    geometry coefficients. Requires a positive weighted geometry gap.
-    """
-    c1 = np.asarray(d1_components, dtype=float)
-    c2 = np.asarray(d2_components, dtype=float)
-    if c1.shape != (5,) or c2.shape != (5,):
-        raise ConfigurationError("non-geometry component vectors must have length 5")
-    w = weights.as_vector()[1:]
-    denom = weights.geometry * (g1 - g2)
-    if denom <= 0:
-        raise ConfigurationError("threshold needs g1 > g2 and a positive geometry weight")
-    return float(w @ (c2 - c1) / denom)

@@ -9,6 +9,8 @@ with ``hand_row`` to 1e-12 relative.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from xdesign import (
@@ -125,16 +127,49 @@ def estimand_mismatch(exposure: ExposurePanel, ess: float | None = None) -> floa
     return float(gap.mean()) / 4.0 + stress
 
 
-def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
+def group_stream(master_seed: int, design_index: int, seed_index: int) -> np.random.Generator:
+    """The generator whose draws design ``design_index`` takes, rep after rep, over draw group ``seed_index``."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, design_index, seed_index)))
+
+
+def atom_of_cell(design, panel: Panel) -> np.ndarray:
+    """The (n_units, n_periods) atom index of each cell.
+
+    An atom is a unit over all its periods, or a (region, period) pair in
+    region-major order for switchbacks.
+    """
+    if design.kind == "switchback":
+        return panel.region_codes[:, None] * panel.n_periods + np.arange(panel.n_periods)
+    return np.broadcast_to(np.arange(panel.n_units)[:, None], (panel.n_units, panel.n_periods))
+
+
+def draw_replication(design, panel: Panel, calib: CalibrationScales, rng: np.random.Generator):
+    """One replication's draws from ``rng``: the replay, then the (n_units, n_periods) outcome noise.
+
+    The noise takes one standard normal per atom. An atom of ``m`` cells gets
+    ``sqrt(m) * noise_sd`` times its normal, spread evenly over its cells,
+    so that its noise sum has the distribution of ``m`` independent cell
+    draws of sd ``noise_sd``. The normals are drawn even when ``noise_sd`` is 0.
+    """
+    table = replay(design, panel, seed=rng)
+    atom = atom_of_cell(design, panel)
+    n_atoms = panel.n_regions * panel.n_periods if design.kind == "switchback" else panel.n_units
+    m = np.bincount(atom.ravel(), minlength=n_atoms)
+    normals = rng.standard_normal(n_atoms)
+    noise = (np.sqrt(m) * calib.noise_sd * normals)[atom] / m[atom]
+    return table, noise
+
+
+def hand_row(design, theta, panel, calib, weights, rng) -> np.ndarray:
     """One replication run step by step through the per-point pipeline.
 
-    The slow reference for the closed-form scoring kernel: it replays, builds
-    the exposure panel and simulates outcomes for this one mechanism point.
+    The slow reference for the closed-form scoring kernel: it draws the
+    replication from ``rng``, builds the exposure panel and simulates
+    outcomes for this one mechanism point.
     """
-    replay_seed, noise_seed = seed.spawn(2)
-    table = replay(design, panel, seed=replay_seed)
+    table, noise = draw_replication(design, panel, calib, rng)
     expo = exposure_features(table, panel, theta)
-    y = simulate_outcomes(panel, expo, theta, calib, seed=noise_seed)
+    y = simulate_outcomes(panel, expo, theta, dataclasses.replace(calib, noise_sd=0.0)) + noise
     v = variance_component(y, table)
     n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
     ess = ess_share(panel.propensities) if panel.propensities is not None else None
@@ -152,3 +187,17 @@ def hand_row(design, theta, panel, calib, weights, seed) -> np.ndarray:
         estimand_mismatch(expo, ess),
         estimate - launch_effect(theta, calib),
     ])
+
+
+def hand_rows(design, points, panel, calib, weights, rng, reps: int) -> np.ndarray:
+    """A (points, reps, 7) array: ``reps`` replications of one draw group, each drawn once from ``rng``.
+
+    Every point of the group is scored on the same draws of each replication.
+    """
+    rows = np.empty((len(points), reps, 7))
+    for r in range(reps):
+        start = rng.bit_generator.state
+        for k, theta in enumerate(points):
+            rng.bit_generator.state = start
+            rows[k, r] = hand_row(design, theta, panel, calib, weights, rng)
+    return rows

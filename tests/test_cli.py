@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line surface and its artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from xdesign import SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
+from xdesign import cli
 from xdesign.cli import _emission, main, run_select, run_simulate
 from xdesign.config import RunConfig, config_digest, load_config
 from xdesign.diagnostics import SweepConfig
@@ -152,6 +156,27 @@ class TestSelectCommand:
         assert capsys.readouterr().err == ""
         assert {name: (tmp_path / "out" / name).read_bytes() for name in names} == unset
 
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS and OpenMP read their thread counts when numpy loads, so each
+        # count runs in a fresh process.
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = "import sys; from xdesign.cli import main; sys.exit(main(sys.argv[1:]))"
+        snapshots = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            )
+            subprocess.run(
+                [sys.executable, "-c", run, "select", "--config", str(cfg)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            snapshots.append({name: (tmp_path / "out" / name).read_bytes() for name in ("decision.json", "surface.csv")})
+        assert snapshots[0] == snapshots[1]
+
 
 class TestSweepCommand:
     def test_small_sweep_artifacts(self, tmp_path):
@@ -212,9 +237,11 @@ class TestDiagnoseCommand:
         flag, config = (json.loads((tmp_path / name / "diagnostics.json").read_text()) for name in ("flag", "config"))
         assert flag["checks"] == config["checks"]
 
-    def test_forced_failure_exits_nonzero(self, tmp_path, capsys):
-        data = {"out": str(tmp_path / "out"), "diagnostics": {"tolerance": -1.0}}
-        cfg = write_config(tmp_path, data)
+    def test_forced_failure_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        # A config rejects a negative tolerance, so the check itself gets one.
+        check = cli.minimax_tightness_check
+        monkeypatch.setattr(cli, "minimax_tightness_check", lambda *args, **kw: check(*args, **{**kw, "tolerance": -1.0}))
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
         assert main(["diagnose", "--config", str(cfg), "--checks", "minimax"]) == 1
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert not report["passed"]
@@ -342,11 +369,22 @@ class TestConfigValidation:
             (("diagnostics", "transport_count"), 0, "transport_count"),
             (("catalog",), [], "catalog must be non-empty"),
             (("sweep", "reps"), 0, "sweep.reps must be >= 1"),
+            (("shortlist_fraction",), float("nan"), "shortlist_fraction must be a finite number"),
+            (("diagnostics", "tolerance"), float("inf"), "diagnostics.tolerance must be a finite number"),
+            (("diagnostics", "tolerance"), float("nan"), "diagnostics.tolerance must be a finite number"),
+            (("diagnostics", "tolerance"), -1e-9, "diagnostics.tolerance must be >= 0"),
+            (("calibration", "noise_sd"), float("inf"), "calibration.noise_sd must be a finite number"),
+            (("grid", "graph_spill"), [0.0, float("nan")], "grid.graph_spill[1] must be a finite number"),
+            (("catalog",), [{"kind": "user", "treat_prob": float("nan")}], "catalog[0].treat_prob must be a finite"),
+            (("weights", "alpha"), float("-inf"), "weights.alpha must be a finite number"),
+            (("sweep", "gamma_grid"), [float("inf")], "sweep.gamma_grid[0] must be a finite number"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
              "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
              "op_cost_level-above-1", "op_cost-removed", "sweep-seed-negative", "diagnostics-seed-negative",
-             "transport_count-zero", "catalog-empty", "sweep-reps-zero"],
+             "transport_count-zero", "catalog-empty", "sweep-reps-zero", "shortlist_fraction-nan",
+             "tolerance-infinity", "tolerance-nan", "tolerance-negative", "noise_sd-infinity", "graph_spill-nan",
+             "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")

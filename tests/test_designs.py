@@ -96,7 +96,7 @@ class TestReplayRules:
             members = panel.cluster_codes == code
             assert len(np.unique(all_cluster.z[members])) == 1
         all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, seed=8)
-        assert all_unit.n_assignment_units == panel.n_units
+        assert len(np.unique(all_unit.labels)) == panel.n_units
 
 
 class TestAtoms:
@@ -167,7 +167,7 @@ class TestTreatedFraction:
         draws = {"user": 2000, "cluster": 100, "budget_split": 50, "switchback": 10 * 20}
         for kind, n_draws in draws.items():
             design = DesignSpec(kind=kind, treat_prob=0.5)
-            frac = replay(design, big, seed=11).treated_fraction()
+            frac = replay(design, big, seed=11).z.mean()
             tol = 4.0 * np.sqrt(0.25 / n_draws)
             assert abs(frac - 0.5) < tol, (kind, frac, tol)
 
@@ -175,7 +175,7 @@ class TestTreatedFraction:
         cfg = SyntheticPanelConfig(n_units=3000, n_clusters=150, n_periods=4)
         big = generate_synthetic_panel(cfg, seed=7)
         design = DesignSpec(kind="two_stage", saturation_levels=(0.2, 0.6))
-        frac = replay(design, big, seed=12).treated_fraction()
+        frac = replay(design, big, seed=12).z.mean()
         # Mean saturation 0.4; dominant noise is the per-cluster level draw.
         tol = 4.0 * 0.2 / np.sqrt(150)
         assert abs(frac - 0.4) < tol

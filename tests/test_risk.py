@@ -37,16 +37,24 @@ from xdesign import (
     launch_effect,
     mde,
     outcome_strengths,
-    replay,
     risk_surface,
     score_grid,
 )
 from xdesign import designs, risk
 from xdesign.designs import KINDS
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
-from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, replication_seed, score_groups
+from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, score_groups
 
-from reference import contamination, estimand_mismatch, hand_row, simulate_outcomes, variance_component
+from reference import (
+    contamination,
+    draw_replication,
+    estimand_mismatch,
+    group_stream,
+    hand_row,
+    hand_rows,
+    simulate_outcomes,
+    variance_component,
+)
 
 GEOMETRY, VARIANCE, MDE, CONTAMINATION, _, MISMATCH = range(len(COMPONENT_NAMES))
 BIAS = N_CHANNELS - 1
@@ -353,7 +361,7 @@ class TestComponentScores:
         theta = MechanismPoint(0.3, 0.2, 0.1)
         got = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=1, master_seed=11)[0, 0]
         assert got.shape == (1, N_CHANNELS)
-        expected = hand_row(design, theta, panel, calib, weights, replication_seed(11, 0, 0, 0))
+        expected = hand_row(design, theta, panel, calib, weights, group_stream(11, 0, 0))
         assert_matches_reference(got[0], expected)
 
     def test_all_treated_zero_geometry(self, setup):
@@ -367,16 +375,16 @@ class TestComponentScores:
         assert np.all(got[:, CONTAMINATION] == 0.0)
 
     def test_averaging_matches_explicit_seed_schedule(self, setup):
-        # Every row, not just the mean, matches replication r run by hand
-        # through the same seed schedule.
+        # Every row, not just the mean, matches replication r run by hand:
+        # the r-th draw of the group's stream.
         panel, calib, weights = setup
         design = DesignSpec(kind="mixed")
         theta = MechanismPoint(0.1, 0.2, 0.05, "budget")
         rows = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=4, master_seed=21)[0, 0]
         assert rows.shape == (4, N_CHANNELS)
+        rng = group_stream(21, 0, 0)
         for r in range(4):
-            expected = hand_row(design, theta, panel, calib, weights, replication_seed(21, 0, 0, r))
-            assert_matches_reference(rows[r], expected)
+            assert_matches_reference(rows[r], hand_row(design, theta, panel, calib, weights, rng))
 
     def test_all_treated_bias_vanishes_with_noise(self, setup):
         panel, _, weights = setup
@@ -429,49 +437,16 @@ SMALL_GRID = AmbiguityGrid.from_axes(
 
 class TestScoreGrid:
     def test_cells_follow_the_seed_schedule(self, setup):
-        # Cell (d, k, r) is replication r of design d at grid point k, replayed
-        # and drawn from replication_seed(master_seed, d, k, r).
+        # Cell (d, k, r) is replication r of design d at grid point k: the
+        # r-th replay and noise draw of the stream seeded (master_seed, d, k).
         panel, calib, weights = setup
         per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=3, master_seed=4)
         assert per_rep.shape == (len(SMALL_CATALOG), len(SMALL_GRID), 3, N_CHANNELS)
         for d, design in enumerate(SMALL_CATALOG):
             for k, theta in enumerate(SMALL_GRID):
+                rng = group_stream(4, d, k)
                 for r in range(3):
-                    expected = hand_row(design, theta, panel, calib, weights, replication_seed(4, d, k, r))
-                    assert_matches_reference(per_rep[d, k, r], expected)
-
-    @staticmethod
-    def assert_states_are_spawned_children(master_seed, design_index, rows):
-        # Row i's two seeded generators must start where default_rng does for
-        # the two children of replication_seed(...).spawn(2), and draw the same.
-        words = risk._child_seed_words(master_seed, design_index, *np.array(rows, dtype=np.uint64).T)
-        assert words.shape == (len(rows), 2, 4)
-        for row, (seed_index, rep) in zip(words.tolist(), rows):
-            children = replication_seed(master_seed, design_index, seed_index, rep).spawn(2)
-            for child_words, child in zip(row, children):
-                state = risk._pcg64_state(*child_words)
-                assert state == np.random.default_rng(child).bit_generator.state
-                for draw in (lambda g: g.random(3), lambda g: g.integers(0, 1000, 5), lambda g: g.standard_normal(3)):
-                    bits = np.random.PCG64(0)
-                    bits.state = state
-                    assert np.array_equal(draw(np.random.Generator(bits)), draw(np.random.default_rng(child)))
-
-    @pytest.mark.parametrize(
-        "entropy", [(0, 0, 0, 0), (4, 1, 2, 3), (7, 5, 80, 259), (2**40, 0, 9, 1), (2**64 + 3, 2, 1, 0)]
-    )
-    def test_seed_words_give_the_spawned_children(self, entropy):
-        master_seed, design_index, seed_index, rep = entropy
-        self.assert_states_are_spawned_children(master_seed, design_index, [(seed_index, rep)])
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        master_seed=st.integers(0, 2**80),
-        design_index=st.integers(0, 2**40),
-        rows=st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), min_size=1, max_size=4),
-    )
-    def test_seed_words_give_the_spawned_children_of_any_entropy(self, master_seed, design_index, rows):
-        # Rows of one call may take different numbers of entropy words.
-        self.assert_states_are_spawned_children(master_seed, design_index, rows)
+                    assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, rng))
 
     def test_negative_master_seed_rejected(self, setup):
         panel, calib, weights = setup
@@ -586,13 +561,14 @@ class TestDrawGroups:
         per_rep = score_groups(
             panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=reps, master_seed=master_seed
         )
-        points = [(g, theta) for g, group in enumerate(REFERENCE_GROUPS) for theta in group]
-        assert per_rep.shape == (len(REFERENCE_CATALOG), len(points), reps, N_CHANNELS)
-        for k, (g, theta) in enumerate(points):
-            for d, design in enumerate(REFERENCE_CATALOG):
-                for r in range(reps):
-                    seed = replication_seed(master_seed, d, g, r)
-                    assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, seed))
+        n_points = sum(len(group) for group in REFERENCE_GROUPS)
+        assert per_rep.shape == (len(REFERENCE_CATALOG), n_points, reps, N_CHANNELS)
+        for d, design in enumerate(REFERENCE_CATALOG):
+            expected = np.concatenate([
+                hand_rows(design, group, panel, calib, weights, group_stream(master_seed, d, g), reps)
+                for g, group in enumerate(REFERENCE_GROUPS)
+            ])
+            assert_matches_reference(per_rep[d], expected)
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
     def test_chunk_size_does_not_change_scores(self, setup, monkeypatch, noise_sd):
@@ -630,9 +606,9 @@ class TestDrawGroups:
         assert set(chunks) == {7}
         for d, design in enumerate(catalog):
             for k, theta in enumerate(MIXED_GRID):
+                rng = group_stream(9, d, k)
                 for r in range(3):
-                    expected = hand_row(design, theta, panel, calib, weights, replication_seed(9, d, k, r))
-                    assert_matches_reference(per_rep[d, k, r], expected)
+                    assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, rng))
 
     def test_single_assignment_unit_rejected(self):
         # A switchback on one region and one period has one occupied label.
@@ -695,9 +671,9 @@ class TestTransportIdentity:
         for d, design in enumerate(catalog):
             for k, theta in enumerate(grid):
                 s = outcome_strengths(theta, calib)
+                rng = group_stream(panel_seed, d, k)
                 for r in range(reps):
-                    replay_seed, _ = replication_seed(panel_seed, d, k, r).spawn(2)
-                    table = replay(design, panel, seed=replay_seed)
+                    table, _ = draw_replication(design, panel, calib, rng)
                     treated = table.z == 1
                     if treated.all() or not treated.any():
                         continue

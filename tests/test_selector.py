@@ -11,7 +11,6 @@ from xdesign import (
     RiskSurface,
     dominance_audit,
     normalize,
-    regime_threshold,
     risk_surface,
     robust_select,
     weight_winner_search,
@@ -195,40 +194,6 @@ class TestDominanceAudit:
         raw[1] = 0.1
         winners = weight_winner_search(raw, n_samples=500, seed=1)
         assert winners == {1}
-
-
-class TestRegimeThreshold:
-    def test_equal_non_geometry_components_zero(self):
-        comps = [0.3, 0.4, 0.2, 0.5, 0.1]
-        assert regime_threshold(comps, comps, g1=1.0, g2=0.4, weights=W) == 0.0
-
-    def test_worked_example(self):
-        # Weighted non-geometry gap 0.2 and geometry gap w_g * 0.5 -> 0.4.
-        w = PlanningWeights(geometry=1.0, variance=1.0, mde=0, contamination=0, op_cost=0, mismatch=0)
-        d1 = [0.0, 0, 0, 0, 0]
-        d2 = [0.2, 0, 0, 0, 0]
-        assert regime_threshold(d1, d2, g1=1.0, g2=0.5, weights=w) == pytest.approx(0.4)
-
-    def test_equal_geometry_errors(self):
-        with pytest.raises(ConfigurationError):
-            regime_threshold([0] * 5, [0] * 5, g1=1.0, g2=1.0, weights=W)
-
-    def test_threshold_is_the_crossing_point(self):
-        # Above the threshold design 2's surrogate risk is lower; below, higher.
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            d1 = rng.uniform(0, 1, 5)
-            d2 = rng.uniform(0, 1, 5)
-            g1, g2 = 0.9, 0.3
-            gamma_star = regime_threshold(d1, d2, g1, g2, W)
-
-            def surrogate(gamma, g, comps):
-                return W.geometry * gamma * g + float(np.array([W.variance, W.mde, W.contamination, W.op_cost, W.mismatch]) @ comps)
-
-            for gamma in (gamma_star + 0.05, gamma_star + 1.0):
-                assert surrogate(gamma, g2, d2) < surrogate(gamma, g1, d1) + 1e-9
-            for gamma in (gamma_star - 0.05, gamma_star - 1.0):
-                assert surrogate(gamma, g2, d2) > surrogate(gamma, g1, d1) - 1e-9
 
 
 class TestSelectorCertificate:
