@@ -7,7 +7,8 @@ and picks the design minimizing worst-case planning risk, returning a
 certified shortlist when the risk surface is too flat for a unique answer.
 """
 
-from .designs import AssignmentTable, DesignSpec, default_catalog, effective_units, replay
+from .designs import DesignSpec, default_catalog, effective_units
+from .diagnostics import wasserstein1_1d
 from .errors import (
     CalibrationError,
     ConfigurationError,
@@ -15,7 +16,6 @@ from .errors import (
     PlanningError,
     XDesignError,
 )
-from .exposure import ExposurePanel, exposure_features, geometry_score, wasserstein1_1d
 from .mechanisms import (
     AmbiguityGrid,
     MechanismPoint,
@@ -39,7 +39,6 @@ from .selector import (
     RiskSurface,
     RobustDecision,
     dominance_audit,
-    normalize,
     risk_surface,
     robust_select,
     weight_winner_search,
@@ -49,13 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityGrid",
-    "AssignmentTable",
     "CalibrationError",
     "CalibrationScales",
     "ConfigurationError",
     "CsvSchema",
     "DesignSpec",
-    "ExposurePanel",
     "IngestionError",
     "MechanismPoint",
     "OutcomeStrengths",
@@ -72,15 +69,11 @@ __all__ = [
     "dominance_audit",
     "effective_units",
     "ess_share",
-    "exposure_features",
     "generate_synthetic_panel",
-    "geometry_score",
     "ingest_log_csv",
     "launch_effect",
     "mde",
-    "normalize",
     "outcome_strengths",
-    "replay",
     "risk_surface",
     "robust_select",
     "score_grid",

@@ -83,7 +83,7 @@ def _emission(out_dir: Path):
 
 
 def run_select(config: RunConfig) -> dict:
-    """Full pipeline: panel -> grid scores -> normalize -> worst-case decision."""
+    """Full pipeline: panel -> grid scores -> risk surface -> worst-case decision."""
     panel = config.build_panel()
     calib = config.build_calibration(panel)
     grid = config.build_grid()

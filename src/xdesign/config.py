@@ -198,8 +198,14 @@ class RunConfig:
         if "path" not in spec:
             raise ConfigurationError("csv panel source needs a 'path'")
         schema = CsvSchema(**spec.get("schema", {}))
-        with open(spec["path"], "r", encoding="utf-8", newline="") as handle:
-            return ingest_log_csv(handle, schema)
+        path = spec["path"]
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                return ingest_log_csv(handle, schema)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read panel.csv.path {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"cannot read panel.csv.path {path}: not UTF-8 text") from None
 
     def build_calibration(self, panel: Panel) -> CalibrationScales:
         return calibrate_scales(panel, **self.data.get("calibration", {}))

@@ -18,8 +18,6 @@ from .panel import Panel
 
 __all__ = [
     "DesignSpec",
-    "AssignmentTable",
-    "replay",
     "effective_units",
     "default_catalog",
 ]
@@ -74,48 +72,6 @@ class DesignSpec:
             object.__setattr__(self, "name", self.kind)
 
 
-@dataclass(frozen=True)
-class AssignmentTable:
-    """A replayed assignment: per-cell treatment and assignment-unit labels.
-
-    ``z[i, t]`` is 0/1 treatment, ``labels[i, t]`` an integer code identifying
-    the cell's assignment unit, the unit whose cells are averaged together for
-    the variance. For most designs the cells of one label share one draw, but
-    not for ``two_stage``: its labels are clusters, and each unit draws its own
-    treatment at its cluster's saturation level.
-
-    :func:`replay` draws per atom and returns this table as the cell view of
-    those draws: every cell of an atom (a unit over all its periods, or a
-    (region, period) pair for ``switchback``) has the atom's treatment and
-    label.
-    """
-
-    z: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=np.int8)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if z.shape != labels.shape or z.ndim != 2:
-            raise ConfigurationError("z and labels must share one (n_units, n_periods) shape")
-        if not np.all((z == 0) | (z == 1)):
-            raise ConfigurationError("z must be 0/1")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _trusted(cls, z: np.ndarray, labels: np.ndarray) -> "AssignmentTable":
-        """A table from arrays that are int8 0/1 and int64 of one 2-D shape by construction.
-
-        Skips the conversions and checks of ``__post_init__``; only ``replay``
-        builds tables this way.
-        """
-        table = object.__new__(cls)
-        object.__setattr__(table, "z", z)
-        object.__setattr__(table, "labels", labels)
-        return table
-
-
 # Every assignment rule treats the cells of an atom alike. An atom is a unit
 # over all its periods, except for switchbacks, whose atoms are the
 # (region, period) pairs in region-major order.
@@ -137,7 +93,11 @@ def _atom_labels(design: DesignSpec, panel: Panel) -> np.ndarray | None:
 
 
 def _draw_atoms(design: DesignSpec, panel: Panel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """One replay's int8 treatment per atom, and its drawn labels for ``mixed`` (None otherwise)."""
+    """One replay's int8 treatment per atom, and its drawn labels for ``mixed`` (None otherwise).
+
+    No rule depends on the interference mechanism, so one replay serves every
+    grid point. ``all_treated`` keeps the kind's labels and treats every atom.
+    """
     n, p = panel.n_units, design.treat_prob
     labels = None
     if design.kind == "user":
@@ -174,25 +134,6 @@ def _cells(design: DesignSpec, panel: Panel, per_atom: np.ndarray) -> np.ndarray
     if design.kind == "switchback":
         return per_atom.reshape(panel.n_regions, panel.n_periods)[panel.region_codes]
     return np.repeat(per_atom[:, None], panel.n_periods, axis=1)
-
-
-def replay(
-    design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence | np.random.Generator = 0
-) -> AssignmentTable:
-    """Draw one assignment for ``design`` over the panel. Deterministic in ``seed``.
-
-    ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
-    used as is and draws from its current state, which it advances.
-
-    The rule draws one treatment per atom, and the table is its cell view.
-    No assignment rule depends on the interference mechanism, so one replay
-    serves every grid point. ``all_treated`` keeps the kind's labels and
-    treats every cell.
-    """
-    z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
-    if labels is None:
-        labels = _atom_labels(design, panel)
-    return AssignmentTable._trusted(_cells(design, panel, z), _cells(design, panel, labels))
 
 
 def effective_units(

@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, default_catalog, effective_units, replay
+from .designs import DesignSpec, _atom_labels, _cells, _draw_atoms, default_catalog, effective_units
 from .errors import ConfigurationError, PlanningError
-from .exposure import wasserstein1_1d
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
 from .risk import PlanningWeights, mde, score_grid, score_groups
@@ -38,6 +37,7 @@ __all__ = [
     "regime_sweep",
     "oracle_comparison",
     "dominance_check",
+    "wasserstein1_1d",
 ]
 
 TOLERANCE = 1e-9
@@ -68,6 +68,21 @@ class TransportScenario:
             raise ConfigurationError(f"unknown sample family {self.family!r}")
         if self.response not in ("piecewise_linear", "linear"):
             raise ConfigurationError(f"unknown response family {self.response!r}")
+
+
+def wasserstein1_1d(p, q) -> float:
+    """Exact Wasserstein-1 distance between two equal-size 1-D empirical samples.
+
+    For equal-size samples the optimal transport plan matches order statistics,
+    so the distance is the mean absolute difference of the sorted samples.
+    """
+    p = np.asarray(p, dtype=float).ravel()
+    q = np.asarray(q, dtype=float).ravel()
+    if p.size == 0 or q.size == 0:
+        raise ConfigurationError("samples must be non-empty")
+    if p.size != q.size:
+        raise ConfigurationError(f"samples must have equal length, got {p.size} and {q.size}")
+    return float(np.abs(np.sort(p) - np.sort(q)).mean())
 
 
 def _draw_baseline(scenario: TransportScenario, rng: np.random.Generator) -> np.ndarray:
@@ -265,8 +280,8 @@ def mde_grid(
         raise ConfigurationError("durations must be >= 1 week")
     rows = []
     for d_idx, design in enumerate(designs):
-        table = replay(design, panel, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
-        labels = table.labels.ravel()
+        _, drawn = _draw_atoms(design, panel, np.random.default_rng(np.random.SeedSequence(entropy=(seed, d_idx))))
+        labels = _cells(design, panel, _atom_labels(design, panel) if drawn is None else drawn).ravel()
         counts = np.bincount(labels)
         occupied = counts > 0
         if int(occupied.sum()) < 2:

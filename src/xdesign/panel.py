@@ -125,16 +125,6 @@ class Panel:
         except KeyError:
             raise ConfigurationError(f"unknown grouping {which!r}") from None
 
-    def outcome(self, unit_id: str, period: int) -> float:
-        """Baseline outcome for (unit_id, period); periods are 1-based."""
-        try:
-            i = self.unit_ids.index(unit_id)
-        except ValueError:
-            raise ConfigurationError(f"unknown unit_id {unit_id!r}") from None
-        if not 1 <= period <= self.n_periods:
-            raise ConfigurationError(f"period {period} outside 1..{self.n_periods}")
-        return float(self.baseline[i, period - 1])
-
 
 @dataclass(frozen=True)
 class SyntheticPanelConfig:
@@ -206,7 +196,8 @@ class CsvSchema:
 def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchema | None = None) -> Panel:
     """Parse a unit-by-period log into a :class:`Panel`.
 
-    The stream must have a header row and complete (unit, period) coverage.
+    The stream must have a header row of distinct column names, rows with as
+    many fields as the header, and complete (unit, period) coverage.
     Missing group columns collapse every unit into one shared group; a missing
     propensity column leaves propensities absent. Raw period values are
     re-mapped to contiguous 1..T preserving their sorted order.
@@ -220,7 +211,11 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     except StopIteration:
         raise IngestionError("no data rows") from None
     header = [h.strip() for h in header]
-    col = {name: idx for idx, name in enumerate(header)}
+    col: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        if name in col:
+            raise IngestionError(f"duplicate column {name!r}")
+        col[name] = idx
     for required in (schema.unit_id, schema.period, schema.outcome):
         if required not in col:
             raise IngestionError(f"missing required column {required!r}")
@@ -235,7 +230,7 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     for lineno, raw in enumerate(reader, start=2):  # line 1 is the header
         if not raw or all(not c.strip() for c in raw):
             continue
-        if len(raw) < len(header):
+        if len(raw) != len(header):
             raise IngestionError(f"row {lineno}: expected {len(header)} fields, got {len(raw)}")
         unit = raw[col[schema.unit_id]].strip()
         period = raw[col[schema.period]].strip()

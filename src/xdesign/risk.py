@@ -143,7 +143,7 @@ class _Atoms:
     """The atoms of one layout and the fixed maps from per-atom draws to features.
 
     Atoms are units, or (region, period) pairs in region-major order when
-    ``regions`` is set (see :func:`xdesign.designs.replay`). ``cells`` is each
+    ``regions`` is set (see :func:`xdesign.designs._draw_atoms`). ``cells`` is each
     atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
     the atom of the period before (itself in the first period), so the lag
     sum is ``m * z[prev]``. ``shares`` maps each grouping to what its

@@ -12,7 +12,6 @@ from .risk import N_CHANNELS, OP_COST, PlanningWeights
 __all__ = [
     "RiskSurface",
     "RobustDecision",
-    "normalize",
     "risk_surface",
     "robust_select",
     "dominance_audit",
@@ -28,18 +27,6 @@ def _component_scale(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     scale = np.abs(raw).max(axis=(0, 1))
     return scale, np.where(scale > 0, scale, 1.0)
-
-
-def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale each component by its largest absolute value across designs and grid points.
-
-    Components that are identically zero stay zero (0/0 guard). Positive
-    scaling preserves within-component ordering.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 3 or raw.shape[2] != 6 or raw.size == 0:
-        raise ConfigurationError("raw surface must have shape (n_designs, n_grid, 6)")
-    return raw / _component_scale(raw)[1]
 
 
 @dataclass(frozen=True)

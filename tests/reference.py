@@ -1,34 +1,146 @@
-"""The per-point scoring pipeline, kept as the slow reference for the kernel.
+"""The per-cell scoring pipeline, kept as the slow reference for the kernel.
 
 ``xdesign.risk.score_groups`` scores every mechanism point of a draw group in
-closed form. This module scores one replication of one (design, mechanism)
-point step by step instead: replay, exposure features, simulated outcomes,
-then each risk component from the outcome panel. The tests compare the kernel
-with ``hand_row`` to 1e-12 relative.
+closed form on assignment atoms. This module scores one replication of one
+(design, mechanism) point step by step on cells instead: replay, exposure
+features, simulated outcomes, then each risk component from the outcome
+panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from xdesign import (
-    AssignmentTable,
     CalibrationScales,
-    ExposurePanel,
+    ConfigurationError,
+    DesignSpec,
     MechanismPoint,
     Panel,
     PlanningError,
     effective_units,
     ess_share,
-    exposure_features,
-    geometry_score,
     launch_effect,
     mde,
     outcome_strengths,
-    replay,
 )
+from xdesign.designs import _atom_labels, _cells, _draw_atoms
+
+
+@dataclass(frozen=True)
+class AssignmentTable:
+    """A replayed assignment: per-cell treatment and assignment-unit labels.
+
+    ``z[i, t]`` is 0/1 treatment, ``labels[i, t]`` an integer code identifying
+    the cell's assignment unit, the unit whose cells are averaged together for
+    the variance. For most designs the cells of one label share one draw, but
+    not for ``two_stage``: its labels are clusters, and each unit draws its own
+    treatment at its cluster's saturation level.
+    """
+
+    z: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        z = np.asarray(self.z, dtype=np.int8)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if z.shape != labels.shape or z.ndim != 2:
+            raise ConfigurationError("z and labels must share one (n_units, n_periods) shape")
+        if not np.all((z == 0) | (z == 1)):
+            raise ConfigurationError("z must be 0/1")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "labels", labels)
+
+
+def replay(
+    design: DesignSpec, panel: Panel, seed: int | np.random.SeedSequence | np.random.Generator = 0
+) -> AssignmentTable:
+    """The cell view of one replay: every cell of an atom gets the atom's treatment and label.
+
+    ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
+    used as is and draws from its current state, which it advances.
+    """
+    z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
+    if labels is None:
+        labels = _atom_labels(design, panel)
+    return AssignmentTable(_cells(design, panel, z), _cells(design, panel, labels))
+
+
+@dataclass(frozen=True)
+class ExposurePanel:
+    """Per-cell exposure coordinates derived from one assignment table.
+
+    Under full launch every coordinate equals one. Shares include the unit
+    itself, so a unit alone in its group sees exactly its own treatment.
+    ``lag`` at the first period equals the first-period treatment (no
+    pre-experiment history is assumed).
+    """
+
+    direct: np.ndarray
+    budget_share: np.ndarray
+    graph_share: np.ndarray
+    lag: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("direct", "budget_share", "graph_share", "lag"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shape = self.direct.shape
+        for name in ("budget_share", "graph_share", "lag"):
+            if getattr(self, name).shape != shape:
+                raise ConfigurationError("exposure coordinate shapes must match")
+        for name in ("budget_share", "graph_share"):
+            arr = getattr(self, name)
+            if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
+                raise ConfigurationError(f"{name} must lie in [0, 1]")
+
+
+def _group_share(z: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-cell treated share of the unit's group in the same period (self included)."""
+    n_groups = int(codes.max()) + 1
+    n_periods = z.shape[1]
+    counts = np.bincount(codes, minlength=n_groups).astype(float)
+    # One bincount over the (group, period) key. It adds each bin's weights in
+    # unit order, as one bincount per period would, so the sums are the same.
+    key = codes[:, None] * n_periods + np.arange(n_periods)
+    sums = np.bincount(key.ravel(), weights=z.ravel(), minlength=n_groups * n_periods)
+    return (sums.reshape(n_groups, n_periods) / counts[:, None])[codes]
+
+
+def exposure_features(assignment: AssignmentTable, panel: Panel, theta: MechanismPoint) -> ExposurePanel:
+    """Compute the four exposure coordinates for every (unit, period) cell.
+
+    The graph-share neighborhood is the grouping named by ``theta.locality``;
+    the budget share always uses the shared-budget grouping.
+    """
+    z = assignment.z
+    if z.shape != (panel.n_units, panel.n_periods):
+        raise ConfigurationError("assignment table does not cover the panel")
+    budget_share = _group_share(z, panel.budget_codes)
+    graph_share = _group_share(z, panel.group_codes(theta.locality))
+    lag = np.empty_like(z)
+    lag[:, 0] = z[:, 0]
+    lag[:, 1:] = z[:, :-1]
+    return ExposurePanel(direct=z, budget_share=budget_share, graph_share=graph_share, lag=lag)
+
+
+def geometry_score(exposure: ExposurePanel, theta: MechanismPoint) -> float:
+    """Intensity-weighted mean L1 gap between the exposure profile and full launch.
+
+    Zero exactly when every cell is treated (and, for each active spillover
+    channel, fully exposed); the 1/(1 + sum of intensities) factor puts grid
+    points with different channel weights on one scale.
+    """
+    g, b, lam = theta.graph_spill, theta.budget_spill, theta.carryover
+    gap = (
+        np.abs(1.0 - exposure.direct)
+        + b * np.abs(1.0 - exposure.budget_share)
+        + g * np.abs(1.0 - exposure.graph_share)
+        + lam * np.abs(1.0 - exposure.lag)
+    )
+    return float(gap.mean() / (1.0 + g + b + lam))
 
 
 def simulate_outcomes(

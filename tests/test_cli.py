@@ -119,6 +119,24 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+        assert "panel.csv.path" in err and "nope.csv" in err
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"unit_id,period,outcome\nA,1,1,9\nB,1,2\n", "error: row 2: expected 3 fields, got 4"),
+            (b"unit_id,period,outcome,outcome\nA,1,1,5\nB,1,2,6\n", "error: duplicate column 'outcome'"),
+            (b"unit_id,period,outcome\nA,1,\xff\nB,1,2\n", "error: cannot read panel.csv.path {path}: not UTF-8 text"),
+        ],
+        ids=["long-row", "duplicate-column", "not-utf8"],
+    )
+    def test_malformed_csv_panel_is_single_line_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        cfg = write_config(tmp_path, {"panel": {"csv": {"path": str(path)}}, "out": str(tmp_path / "out")})
+        assert main(["select", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [message.format(path=path)]
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     def test_single_assignment_unit_is_one_line_error(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""The tracked demo figures are what the demos write.
+"""The tracked demo figures are what the demos write, and every demo runs.
 
-Demos 02 and 03 run in about two seconds together; 01 and 04 take several
-seconds each and are run by hand.
+Each demo takes about a second or less.
 """
 
 import importlib.util
@@ -24,6 +23,7 @@ def load_demo(stem: str):
     [
         ("02_regime_sweep", ("02_sweep.svg",)),
         ("03_theory_checks", ("03_transport.svg", "03_mde.svg")),
+        ("01_robust_selection", ("01_ranking.svg",)),
     ],
 )
 def test_demo_writes_tracked_figures(stem, figures, tmp_path, monkeypatch):
@@ -32,3 +32,11 @@ def test_demo_writes_tracked_figures(stem, figures, tmp_path, monkeypatch):
     demo.main()
     for name in figures:
         assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name
+
+
+def test_log_ingestion_demo_runs(capsys):
+    load_demo("04_log_ingestion").main()
+    out = capsys.readouterr().out
+    for label in ("uniform logging:", "adaptive logging:"):
+        assert out.count(label) == 1
+    assert out.count("  selected: ") == 2

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from xdesign import (
-    AssignmentTable,
     ConfigurationError,
     DesignSpec,
     PlanningError,
@@ -14,10 +13,11 @@ from xdesign import (
     default_catalog,
     effective_units,
     generate_synthetic_panel,
-    replay,
 )
 from xdesign.config import RunConfig
 from xdesign.designs import KINDS, _atom_labels, _draw_atoms
+
+from reference import AssignmentTable, replay
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,8 @@ class TestAssignmentTable:
     @pytest.mark.parametrize("all_treated", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
     def test_replay_tables_pass_validation(self, panel, kind, all_treated):
-        # replay builds its tables without the checks; they must hold anyway.
+        # The reference replay spreads the kernel's atom draws over cells; the
+        # table it builds must hold the cell view's dtypes and shape.
         table = replay(DesignSpec(kind=kind, block_length=3, all_treated=all_treated), panel, seed=4)
         assert table.z.dtype == np.int8 and table.labels.dtype == np.int64
         assert table.z.shape == table.labels.shape == (panel.n_units, panel.n_periods)

@@ -5,6 +5,7 @@ import pytest
 
 from xdesign import (
     AmbiguityGrid,
+    DesignSpec,
     PlanningWeights,
     SyntheticPanelConfig,
     default_catalog,
@@ -28,6 +29,8 @@ from xdesign.diagnostics import (
 )
 from xdesign.errors import ConfigurationError
 from xdesign.panel import calibrate_scales
+
+from reference import replay, variance_component
 
 
 class TestTransportBound:
@@ -125,6 +128,17 @@ class TestMdeGrid:
         user = next(r for r in report["rows"] if r["design"] == "user")
         values = list(user["mde"].values())
         assert values == [values[0]] * 4
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_variance_matches_reference_replay(self, small_panel, seed):
+        # Design d's variance is that of the per-cell replay seeded (seed, d),
+        # mixed labels included, with the same arithmetic.
+        weights = PlanningWeights(t_weeks=2, periods_per_week=4)
+        catalog = default_catalog() + [DesignSpec(kind="switchback", block_length=3, all_treated=True)]
+        report = mde_grid(catalog, small_panel, weights, durations=(1,), seed=seed)
+        for d_idx, (design, row) in enumerate(zip(catalog, report["rows"])):
+            table = replay(design, small_panel, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
+            assert row["variance"] == variance_component(small_panel.baseline, table), design.name
 
     def test_monotone_nonincreasing_in_duration(self, small_panel):
         weights = PlanningWeights(t_weeks=2, periods_per_week=4)

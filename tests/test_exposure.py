@@ -1,4 +1,4 @@
-"""Tests for exposure features, the geometry score, and 1-D optimal transport."""
+"""Tests for the reference exposure features and geometry score, and for 1-D optimal transport."""
 
 import itertools
 from pathlib import Path
@@ -6,17 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xdesign import (
-    AssignmentTable,
-    ConfigurationError,
-    DesignSpec,
-    MechanismPoint,
-    Panel,
-    geometry_score,
-    exposure_features,
-    replay,
-    wasserstein1_1d,
-)
+from xdesign import ConfigurationError, DesignSpec, MechanismPoint, Panel, wasserstein1_1d
+
+from reference import AssignmentTable, _group_share, exposure_features, geometry_score, replay
 
 
 def tiny_panel(n_units=2, n_periods=1, cluster=None, budget=None, region=None) -> Panel:
@@ -207,7 +199,6 @@ class TestGroupShare:
     @pytest.mark.parametrize("config_name", ["select_demo.json", "sweep_demo.json"])
     def test_one_bincount_equals_per_period_loop(self, config_name):
         from xdesign.config import load_config
-        from xdesign.exposure import _group_share
 
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / config_name)
         panel = config.build_panel()

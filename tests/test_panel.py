@@ -88,7 +88,7 @@ class TestIngestLogCsv:
         assert panel.n_units == 2
         assert panel.n_periods == 1
         assert panel.propensities is None
-        assert panel.outcome("A", 1) == 2.0
+        assert panel.baseline[panel.unit_ids.index("A"), 0] == 2.0
         # Missing group columns collapse everyone into one shared group.
         assert panel.n_clusters == panel.n_budget_groups == panel.n_regions == 1
 
@@ -110,7 +110,7 @@ class TestIngestLogCsv:
         text = "unit_id,period,outcome\nA,10,1\nA,30,2\nB,10,3\nB,30,4\n"
         panel = ingest_log_csv(io.StringIO(text))
         assert panel.n_periods == 2
-        assert panel.outcome("A", 2) == 2.0
+        assert panel.baseline[panel.unit_ids.index("A"), 1] == 2.0
 
     def test_duplicate_observation_rejected(self):
         text = "unit_id,period,outcome\nA,1,1\nA,1,2\nB,1,3\n"
@@ -130,6 +130,26 @@ class TestIngestLogCsv:
     def test_non_finite_outcome_cites_row(self, text, row):
         with pytest.raises(IngestionError, match=f"row {row}: non-finite outcome"):
             ingest_log_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("unit_id,period,outcome\nA,1,1\nB,1\n", "row 3: expected 3 fields, got 2"),
+            ("unit_id,period,outcome\nA,1,1,9\nB,1,2\n", "row 2: expected 3 fields, got 4"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_row_width_must_match_header(self, text, message):
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            ingest_log_csv(io.StringIO(text))
+
+    def test_duplicate_column_rejected(self):
+        text = "unit_id,period,outcome,outcome\nA,1,1,5\nB,1,2,6\n"
+        with pytest.raises(IngestionError, match="^duplicate column 'outcome'$"):
+            ingest_log_csv(io.StringIO(text))
+        # Names are compared after stripping, as columns are looked up.
+        with pytest.raises(IngestionError, match="^duplicate column 'period'$"):
+            ingest_log_csv(io.StringIO("unit_id,period, period,outcome\nA,1,1,5\nB,1,1,6\n"))
 
     def test_incomplete_panel_rejected(self):
         text = "unit_id,period,outcome\nA,1,1\nA,2,2\nB,1,3\n"

@@ -5,7 +5,7 @@ the kernel's scores are checked against its ``hand_row`` to 1e-12.
 """
 
 import dataclasses
-import importlib
+import importlib.util
 import math
 import os
 import pkgutil
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import xdesign
 from xdesign import (
-    AssignmentTable,
     CalibrationScales,
     AmbiguityGrid,
     ConfigurationError,
@@ -32,7 +31,6 @@ from xdesign import (
     SyntheticPanelConfig,
     default_grid,
     ess_share,
-    exposure_features,
     generate_synthetic_panel,
     launch_effect,
     mde,
@@ -40,15 +38,19 @@ from xdesign import (
     risk_surface,
     score_grid,
 )
-from xdesign import designs, risk
+from xdesign import designs, diagnostics, risk, selector
 from xdesign.designs import KINDS
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, score_groups
 
 from reference import (
+    AssignmentTable,
+    ExposurePanel,
     contamination,
     draw_replication,
     estimand_mismatch,
+    exposure_features,
+    geometry_score,
     group_stream,
     hand_row,
     hand_rows,
@@ -266,8 +268,6 @@ class TestContamination:
     def test_saturated_control_cell_scores_one(self):
         # Hand-built exposure: a single control cell with graph share 1 under a
         # graph-only mechanism, no switching, no support stress.
-        from xdesign import ExposurePanel
-
         theta = MechanismPoint(0.3, 0.0, 0.0)
         z = np.array([[1], [0]], dtype=np.int8)
         expo = ExposurePanel(
@@ -409,7 +409,6 @@ class TestComponentScores:
         y = simulate_outcomes(panel, expo, theta, calib)
         realized_gap = abs(float((y - panel.baseline).mean()) - launch_effect(theta, calib))
         strengths = outcome_strengths(theta, calib)
-        from xdesign import geometry_score
         lipschitz = strengths.budget / theta.budget_spill  # slope per scaled coordinate
         scaled_distance = geometry_score(expo, theta) * (1 + theta.intensity_sum)
         assert realized_gap <= lipschitz * scaled_distance + 1e-12
@@ -711,6 +710,20 @@ class TestPublicSurface:
         # subscore type nor its weighted mean is shipped.
         for module in (xdesign, designs, risk):
             assert not hasattr(module, name), module.__name__
+
+    @pytest.mark.parametrize("name", ["AssignmentTable", "replay", "ExposurePanel", "exposure_features",
+                                      "geometry_score", "_group_share", "normalize"])
+    def test_test_only_names_are_not_shipped(self, name):
+        # The library scores on assignment atoms. The per-cell view of a
+        # replay is the tests' reference, and the tests read normalized
+        # scores from risk_surface.
+        for module in (xdesign, designs, diagnostics, risk, selector):
+            assert not hasattr(module, name), module.__name__
+
+    def test_exposure_module_and_panel_outcome_are_gone(self):
+        assert importlib.util.find_spec("xdesign.exposure") is None
+        assert not hasattr(Panel, "outcome")
+        assert xdesign.wasserstein1_1d is diagnostics.wasserstein1_1d
 
     def test_mde_grid_rejects_one_occupied_label(self):
         # A switchback on one region and one period has one occupied label.

@@ -10,7 +10,6 @@ from xdesign import (
     PlanningWeights,
     RiskSurface,
     dominance_audit,
-    normalize,
     risk_surface,
     robust_select,
     weight_winner_search,
@@ -35,19 +34,23 @@ class TestNormalize:
         raw = np.zeros((2, 1, 6))
         raw[0, 0] = [2, 2, 2, 2, 2, 2]
         raw[1, 0] = [4, 4, 4, 4, 4, 4]
-        out = normalize(raw)
+        out = surface_from_array(raw).normalized
         assert np.allclose(out[0, 0], 0.5)
         assert np.allclose(out[1, 0], 1.0)
 
     def test_zero_component_stays_zero(self):
-        raw = np.zeros((2, 2, 6))
-        out = normalize(raw)
-        assert np.all(out == 0.0)
+        raw = np.random.default_rng(3).uniform(0.1, 2.0, size=(2, 2, 6))
+        raw[..., 3] = 0.0
+        out = surface_from_array(raw).normalized
+        assert np.all(out[..., 3] == 0.0)
+        assert np.all(out[..., :3] > 0.0) and np.all(out[..., 4:] > 0.0)
+        assert np.all(surface_from_array(np.zeros((2, 2, 6))).normalized == 0.0)
 
     def test_preserves_within_component_order(self):
         rng = np.random.default_rng(0)
-        raw = rng.uniform(0, 5, size=(4, 3, 6))
-        out = normalize(raw)
+        raw = rng.uniform(-5, 5, size=(4, 3, 6))
+        out = surface_from_array(raw).normalized
+        assert np.all(np.abs(out) <= 1.0)
         for comp in range(6):
             flat_raw = raw[:, :, comp].ravel()
             flat_out = out[:, :, comp].ravel()
@@ -55,7 +58,7 @@ class TestNormalize:
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            normalize(np.zeros((2, 3)))
+            risk_surface(np.zeros((2, 3)), W)
 
 
 class TestRiskSurface:
