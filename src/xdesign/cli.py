@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import RunConfig, config_digest, load_config
@@ -29,11 +30,13 @@ from .diagnostics import (
     transport_bound_check,
 )
 from .errors import XDesignError
+from .mechanisms import MechanismPoint
 from .risk import COMPONENT_NAMES, score_grid
 from .selector import risk_surface, robust_select
 from .svg import write_bar_chart, write_heat_table, write_line_chart, write_scatter
 
 SCHEMA_VERSION = 1
+_THETA_FIELDS = tuple(f.name for f in fields(MechanismPoint))
 DIAGNOSTIC_NAMES = ("transport", "minimax", "catalog", "mde", "oracle", "dominance")
 
 __all__ = ["main", "run_select", "run_sweep", "run_diagnose", "run_simulate"]
@@ -98,7 +101,7 @@ def run_select(config: RunConfig) -> dict:
         surface_path = None
         if "csv" in config.formats:
             header = (
-                ["design", "design_index", "theta_index", "graph_spill", "budget_spill", "carryover", "locality"]
+                ["design", "design_index", "theta_index", *_THETA_FIELDS]
                 + [f"raw_{name}" for name in COMPONENT_NAMES]
                 + [f"norm_{name}" for name in COMPONENT_NAMES]
                 + ["risk"]
@@ -106,9 +109,8 @@ def run_select(config: RunConfig) -> dict:
             rows = []
             for d in range(surface.n_designs):
                 for k in range(surface.n_grid):
-                    theta = grid[k]
                     rows.append(
-                        [names[d], d, k, theta.graph_spill, theta.budget_spill, theta.carryover, theta.locality]
+                        [names[d], d, k, *(getattr(grid[k], name) for name in _THETA_FIELDS)]
                         + [float(x) for x in surface.raw[d, k]]
                         + [float(x) for x in surface.normalized[d, k]]
                         + [float(surface.risks[d, k])]
@@ -124,15 +126,7 @@ def run_select(config: RunConfig) -> dict:
                 "epsilon_t": decision.epsilon_t,
                 "shortlist": [names[i] for i in decision.shortlist],
                 "margin": decision.separation_margin,
-                "worst_theta": {
-                    name: {
-                        "graph_spill": grid[decision.worst_theta[i]].graph_spill,
-                        "budget_spill": grid[decision.worst_theta[i]].budget_spill,
-                        "carryover": grid[decision.worst_theta[i]].carryover,
-                        "locality": grid[decision.worst_theta[i]].locality,
-                    }
-                    for i, name in enumerate(names)
-                },
+                "worst_theta": {name: asdict(grid[decision.worst_theta[i]]) for i, name in enumerate(names)},
                 # Normalized component breakdown at each design's worst grid point.
                 "components": {
                     name: {

@@ -28,9 +28,21 @@ __all__ = ["RunConfig", "load_config", "config_digest"]
 _FORMATS = ("json", "csv", "svg")
 
 
+# The config value type of each dataclass field annotation; None is never a
+# config value, and a tuple field takes a list.
+_FIELD_TYPES = {
+    "int": int, "float": float, "str": str, "bool": bool, "float | None": float, "tuple[float, ...]": [float],
+}
+
+
 def _fields(cls) -> dict:
     """Config keys of a flat dataclass: its field names, typed by their annotations."""
-    return {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(cls)}
+    return {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+
+
+def _tuples(spec: dict) -> dict:
+    """``spec`` with its list values as tuples, as the dataclasses take them."""
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in spec.items()}
 
 
 # Every config key and the type of its value: ``float`` accepts any number, a
@@ -39,12 +51,7 @@ _SCHEMA = {
     "panel": {"synthetic": _fields(SyntheticPanelConfig), "csv": {"path": str, "schema": _fields(CsvSchema)}},
     "calibration": _fields(CalibrationScales),
     "grid": {"graph_spill": [float], "budget_spill": [float], "carryover": [float], "localities": [str]},
-    "catalog": [
-        {
-            "kind": str, "name": str, "treat_prob": float, "block_length": int,
-            "saturation_levels": [float], "mixture_prob": float, "all_treated": bool, "op_cost_level": float,
-        }
-    ],
+    "catalog": [_fields(DesignSpec)],
     "weights": _fields(PlanningWeights),
     "reps": int,
     "seed": int,
@@ -52,7 +59,7 @@ _SCHEMA = {
     "formats": [str],
     "shortlist_fraction": float,
     "epsilon_mode": str,
-    "sweep": {"gamma_grid": [float], "locality": str, "reps": int, "seed": int},
+    "sweep": _fields(SweepConfig),
     "diagnostics": {"tolerance": float, "checks": [str], "transport_count": int, "seed": int},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
@@ -93,13 +100,7 @@ def _validate(where: str, value: Any, spec: Any) -> None:
 def _build_design(entry: dict) -> DesignSpec:
     if "kind" not in entry:
         raise ConfigurationError("catalog entry missing 'kind'")
-    kwargs: dict[str, Any] = {"kind": entry["kind"]}
-    for key in ("name", "treat_prob", "block_length", "mixture_prob", "all_treated", "op_cost_level"):
-        if key in entry:
-            kwargs[key] = entry[key]
-    if "saturation_levels" in entry:
-        kwargs["saturation_levels"] = tuple(entry["saturation_levels"])
-    return DesignSpec(**kwargs)
+    return DesignSpec(**_tuples(entry))
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,9 @@ class RunConfig:
         # An absent catalog means the default one; an empty one is a mistake.
         if "catalog" in self.data and not self.data["catalog"]:
             raise ConfigurationError("catalog must be non-empty")
+        for key, values in self.data.get("grid", {}).items():
+            if not values:
+                raise ConfigurationError(f"grid.{key} must be non-empty")
         if self.diagnostics_options.get("transport_count", 1) < 1:
             raise ConfigurationError("diagnostics.transport_count must be >= 1")
         if self.diagnostics_options.get("tolerance", 0.0) < 0:
@@ -200,7 +204,8 @@ class RunConfig:
         schema = CsvSchema(**spec.get("schema", {}))
         path = spec["path"]
         try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
+            # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
+            with open(path, "r", encoding="utf-8-sig", newline="") as handle:
                 return ingest_log_csv(handle, schema)
         except OSError as exc:
             raise ConfigurationError(f"cannot read panel.csv.path {path}: {exc.strerror}") from None
@@ -214,7 +219,7 @@ class RunConfig:
         spec = self.data.get("grid")
         if not spec:
             return default_grid()
-        return AmbiguityGrid.from_axes(**{key: tuple(values) for key, values in spec.items()})
+        return AmbiguityGrid.from_axes(**_tuples(spec))
 
     def build_catalog(self) -> list[DesignSpec]:
         if "catalog" not in self.data:
@@ -230,10 +235,7 @@ class RunConfig:
 
     def build_sweep(self) -> SweepConfig:
         """The ``sweep`` section; its reps and seed default to the run's."""
-        spec = {"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})}
-        if "gamma_grid" in spec:
-            spec["gamma_grid"] = tuple(spec["gamma_grid"])
-        return SweepConfig(**spec)
+        return SweepConfig(**_tuples({"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})}))
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -243,7 +245,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -129,13 +129,6 @@ def _draw_atoms(design: DesignSpec, panel: Panel, rng: np.random.Generator) -> t
     return z.astype(np.int8), labels
 
 
-def _cells(design: DesignSpec, panel: Panel, per_atom: np.ndarray) -> np.ndarray:
-    """The (n_units, n_periods) cell view of per-atom values."""
-    if design.kind == "switchback":
-        return per_atom.reshape(panel.n_regions, panel.n_periods)[panel.region_codes]
-    return np.repeat(per_atom[:, None], panel.n_periods, axis=1)
-
-
 def effective_units(
     design: DesignSpec,
     panel: Panel,

@@ -11,16 +11,16 @@ returns a JSON-ready report dict with a top-level ``passed`` flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, _atom_labels, _cells, _draw_atoms, default_catalog, effective_units
-from .errors import ConfigurationError, PlanningError
+from .designs import DesignSpec, default_catalog, effective_units
+from .errors import ConfigurationError
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
-from .risk import PlanningWeights, mde, score_grid, score_groups
+from .risk import COMPONENT_NAMES, PlanningWeights, mde, score_grid, score_groups
 from .selector import dominance_audit, risk_surface, robust_select, weight_winner_search
 
 __all__ = [
@@ -272,22 +272,27 @@ def mde_grid(
 ) -> dict:
     """Planning MDE per design and duration.
 
-    Each design's assignment-unit variance comes from one seeded replay
-    aggregated over the panel's baseline outcomes; duration enters only
-    through the effective assignment-unit count.
+    Each design's assignment-unit variance is the kernel's ``variance``
+    channel for one replication over the panel's baseline alone: no effects,
+    no noise and one mechanism point, so design ``d`` replays from seed
+    ``(seed, d, 0)``. The kernel counts effective units at the shortest
+    duration, which has the fewest. Duration enters the MDE only through the
+    effective assignment-unit count.
     """
-    if any(d < 1 for d in durations):
-        raise ConfigurationError("durations must be >= 1 week")
+    if min(durations, default=0) < 1:
+        raise ConfigurationError("durations must be non-empty, each >= 1 week")
+    designs = list(designs)
+    scores = score_groups(
+        panel,
+        designs,
+        [[MechanismPoint(0.0, 0.0, 0.0)]],
+        CalibrationScales(0.0, 0.0, 0.0),
+        replace(weights, t_weeks=int(min(durations))),
+        reps=1,
+        master_seed=seed,
+    )
     rows = []
-    for d_idx, design in enumerate(designs):
-        _, drawn = _draw_atoms(design, panel, np.random.default_rng(np.random.SeedSequence(entropy=(seed, d_idx))))
-        labels = _cells(design, panel, _atom_labels(design, panel) if drawn is None else drawn).ravel()
-        counts = np.bincount(labels)
-        occupied = counts > 0
-        if int(occupied.sum()) < 2:
-            raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
-        means = np.bincount(labels, weights=panel.baseline.ravel())[occupied] / counts[occupied]
-        v = float(np.var(means, ddof=1))
+    for design, v in zip(designs, scores[:, 0, 0, COMPONENT_NAMES.index("variance")].tolist()):
         cells = {}
         for t_weeks in durations:
             n_eff = effective_units(design, panel, int(t_weeks), weights.periods_per_week)

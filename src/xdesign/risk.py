@@ -49,7 +49,7 @@ import numpy as np
 
 from .designs import DesignSpec, _atom_labels, _draw_atoms, effective_units
 from .errors import ConfigurationError, PlanningError
-from .mechanisms import AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
+from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
 
 __all__ = [
@@ -98,9 +98,7 @@ class PlanningWeights:
             raise ConfigurationError("t_weeks and periods_per_week must be >= 1")
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.geometry, self.variance, self.mde, self.contamination, self.op_cost, self.mismatch]
-        )
+        return np.array([getattr(self, name) for name in COMPONENT_NAMES])
 
 
 def _quantile_sum(alpha: float, beta: float) -> float:
@@ -134,8 +132,6 @@ _BASE, _DIRECT, _LAG, _BUDGET = range(4)
 # chunks barely speed select up but raise its peak RSS above the per-cell
 # kernel's.
 _CHUNK_BYTES = 2**19
-
-_GROUPINGS = ("budget", "cluster", "region")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class _Atoms:
             prev = (np.arange(n_regions)[:, None] * n_periods + np.maximum(np.arange(n_periods) - 1, 0)).ravel()
             cell_atom = (panel.region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
             baseline = np.bincount(cell_atom, weights=panel.baseline.ravel(), minlength=cells.size)
-            for grouping in _GROUPINGS:
+            for grouping in LOCALITIES:
                 codes = panel.group_codes(grouping)
                 n_groups = int(codes.max()) + 1
                 # Units per (group, region); a treated region s gives each
@@ -185,7 +181,7 @@ class _Atoms:
             cells = np.full(n_units, float(n_periods))
             prev = np.arange(n_units)
             baseline = panel.baseline.sum(axis=1)
-            for grouping in _GROUPINGS:
+            for grouping in LOCALITIES:
                 codes = panel.group_codes(grouping)
                 order = np.argsort(codes, kind="stable")
                 sizes = np.bincount(codes)

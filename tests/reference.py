@@ -27,7 +27,7 @@ from xdesign import (
     mde,
     outcome_strengths,
 )
-from xdesign.designs import _atom_labels, _cells, _draw_atoms
+from xdesign.designs import _atom_labels, _draw_atoms
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def replay(
     z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
     if labels is None:
         labels = _atom_labels(design, panel)
-    return AssignmentTable(_cells(design, panel, z), _cells(design, panel, labels))
+    atoms = atom_of_cell(design, panel)
+    return AssignmentTable(z[atoms], labels[atoms])
 
 
 @dataclass(frozen=True)

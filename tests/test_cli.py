@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface and its artifacts."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from xdesign import SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
+from xdesign import DesignSpec, SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
 from xdesign import cli
 from xdesign.cli import _emission, main, run_select, run_simulate
 from xdesign.config import RunConfig, config_digest, load_config
@@ -121,6 +122,28 @@ class TestSelectCommand:
         assert len(err.strip().splitlines()) == 1
         assert "panel.csv.path" in err and "nope.csv" in err
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_missing_config_is_single_line_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["select", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: cannot read config {path}: No such file or directory"
+        ]
+
+    def test_byte_order_mark_in_csv_panel_is_ignored(self, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        data = small_select_config(tmp_path / "sim")
+        assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+        plain = tmp_path / "sim" / "panel.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        decisions = []
+        for path in (plain, marked):
+            out = tmp_path / path.stem
+            cfg = write_config(tmp_path, {**data, "panel": {"csv": {"path": str(path)}}, "out": str(out), "reps": 1})
+            assert main(["select", "--config", str(cfg), "--format", "json"]) == 0
+            decisions.append(json.loads((out / "decision.json").read_text())["decision"])
+        assert decisions[0] == decisions[1]
 
     @pytest.mark.parametrize(
         "data, message",
@@ -396,13 +419,16 @@ class TestConfigValidation:
             (("catalog",), [{"kind": "user", "treat_prob": float("nan")}], "catalog[0].treat_prob must be a finite"),
             (("weights", "alpha"), float("-inf"), "weights.alpha must be a finite number"),
             (("sweep", "gamma_grid"), [float("inf")], "sweep.gamma_grid[0] must be a finite number"),
+            (("grid", "graph_spill"), [], "grid.graph_spill must be non-empty"),
+            (("sweep", "gamma"), [0.0, 1.0], "unknown sweep key 'gamma'"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
              "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
              "op_cost_level-above-1", "op_cost-removed", "sweep-seed-negative", "diagnostics-seed-negative",
              "transport_count-zero", "catalog-empty", "sweep-reps-zero", "shortlist_fraction-nan",
              "tolerance-infinity", "tolerance-nan", "tolerance-negative", "noise_sd-infinity", "graph_spill-nan",
-             "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity"],
+             "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity", "graph_spill-empty",
+             "sweep-unknown-key"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         data = small_select_config(tmp_path / "out")
@@ -417,3 +443,17 @@ class TestConfigValidation:
         assert lines[0].startswith("error:")
         assert field in lines[0]
         assert not (tmp_path / "out").exists()
+
+    def test_every_design_and_sweep_field_is_a_config_key(self):
+        design = DesignSpec(
+            kind="switchback", treat_prob=0.3, block_length=2, saturation_levels=(0.1, 0.9),
+            mixture_prob=0.2, op_cost_level=0.6, all_treated=True, name="sb2",
+        )
+        sweep = SweepConfig(gamma_grid=(0.0, 0.5), locality="region", reps=2, seed=3)
+
+        def entry(spec) -> dict:
+            return {key: list(v) if isinstance(v, tuple) else v for key, v in dataclasses.asdict(spec).items()}
+
+        config = RunConfig({"catalog": [entry(design)], "sweep": entry(sweep)})
+        assert config.build_catalog() == [design]
+        assert config.build_sweep() == sweep

@@ -30,7 +30,7 @@ from xdesign.diagnostics import (
 from xdesign.errors import ConfigurationError
 from xdesign.panel import calibrate_scales
 
-from reference import replay, variance_component
+from reference import group_stream, replay, variance_component
 
 
 class TestTransportBound:
@@ -131,14 +131,28 @@ class TestMdeGrid:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_variance_matches_reference_replay(self, small_panel, seed):
-        # Design d's variance is that of the per-cell replay seeded (seed, d),
-        # mixed labels included, with the same arithmetic.
+        # Design d's variance is the kernel's, over the replay that draw group
+        # 0 of design d takes (mixed labels included), to 1e-12 relative. That
+        # replay is the one the seed (seed, d) drew before mde_grid went
+        # through the kernel: trailing zero seed words do not change a draw.
         weights = PlanningWeights(t_weeks=2, periods_per_week=4)
         catalog = default_catalog() + [DesignSpec(kind="switchback", block_length=3, all_treated=True)]
         report = mde_grid(catalog, small_panel, weights, durations=(1,), seed=seed)
         for d_idx, (design, row) in enumerate(zip(catalog, report["rows"])):
-            table = replay(design, small_panel, seed=np.random.SeedSequence(entropy=(seed, d_idx)))
-            assert row["variance"] == variance_component(small_panel.baseline, table), design.name
+            table = replay(design, small_panel, seed=group_stream(seed, d_idx, 0))
+            expected = variance_component(small_panel.baseline, table)
+            assert row["variance"] == pytest.approx(expected, rel=1e-12), design.name
+            old = np.random.default_rng(np.random.SeedSequence(entropy=(seed, d_idx)))
+            assert np.array_equal(group_stream(seed, d_idx, 0).random(64), old.random(64))
+
+    def test_empty_catalog_rejected(self, small_panel):
+        with pytest.raises(ConfigurationError, match="catalog must be non-empty"):
+            mde_grid([], small_panel, PlanningWeights(), durations=(1,))
+
+    @pytest.mark.parametrize("durations", [(), (0, 1)])
+    def test_bad_durations_rejected(self, small_panel, durations):
+        with pytest.raises(ConfigurationError, match="durations must be non-empty, each >= 1 week"):
+            mde_grid(default_catalog(), small_panel, PlanningWeights(), durations=durations)
 
     def test_monotone_nonincreasing_in_duration(self, small_panel):
         weights = PlanningWeights(t_weeks=2, periods_per_week=4)

@@ -712,7 +712,7 @@ class TestPublicSurface:
             assert not hasattr(module, name), module.__name__
 
     @pytest.mark.parametrize("name", ["AssignmentTable", "replay", "ExposurePanel", "exposure_features",
-                                      "geometry_score", "_group_share", "normalize"])
+                                      "geometry_score", "_group_share", "normalize", "_cells"])
     def test_test_only_names_are_not_shipped(self, name):
         # The library scores on assignment atoms. The per-cell view of a
         # replay is the tests' reference, and the tests read normalized
@@ -731,3 +731,12 @@ class TestPublicSurface:
         weights = PlanningWeights(t_weeks=2, periods_per_week=3)
         with pytest.raises(PlanningError, match="design 'switchback': variance needs at least 2 assignment units"):
             mde_grid([DesignSpec(kind="switchback")], panel, weights, durations=(1,))
+
+    def test_mde_grid_reports_effective_units_before_variance(self):
+        # One period per week gives the one-region switchback a single
+        # effective unit as well as a single label; the kernel counts
+        # effective units first, at the shortest duration.
+        panel = tiny_panel(4, 1, baseline=np.arange(4.0)[:, None])
+        weights = PlanningWeights(t_weeks=2, periods_per_week=1)
+        with pytest.raises(PlanningError, match=r"insufficient assignment units for design 'switchback' \(n=1\)"):
+            mde_grid([DesignSpec(kind="switchback")], panel, weights, durations=(2, 1))
