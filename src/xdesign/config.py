@@ -18,7 +18,7 @@ from typing import Any
 
 from .designs import DesignSpec, default_catalog
 from .diagnostics import SweepConfig
-from .errors import ConfigurationError
+from .errors import CalibrationError, ConfigurationError
 from .mechanisms import AmbiguityGrid, default_grid
 from .panel import CalibrationScales, CsvSchema, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel, ingest_log_csv
 from .risk import PlanningWeights
@@ -97,10 +97,20 @@ def _validate(where: str, value: Any, spec: Any) -> None:
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
-def _build_design(entry: dict) -> DesignSpec:
-    if "kind" not in entry:
-        raise ConfigurationError("catalog entry missing 'kind'")
-    return DesignSpec(**_tuples(entry))
+def _in_section(where: str, spec: dict, build, /, **values):
+    """``build(**values)``, whose errors name the config section ``where`` that ``spec`` describes.
+
+    A message that starts with a key of ``spec`` (or with a ratio of it, as
+    in ``alpha/2``) gets that key's dotted path, as in ``weights.alpha must
+    lie in (0, 1)``; any other gets the section, as in ``weights: component
+    weights must be >= 0``.
+    """
+    try:
+        return build(**values)
+    except (ConfigurationError, CalibrationError) as exc:
+        message = str(exc)
+        joint = "." if message.split(" ", 1)[0].partition("/")[0] in spec else ": "
+        raise type(exc)(f"{where}{joint}{message}") from None
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,10 @@ class RunConfig:
     def build_panel(self) -> Panel:
         source = self.data.get("panel", {"synthetic": {}})
         if "synthetic" in source:
-            return generate_synthetic_panel(SyntheticPanelConfig(**source["synthetic"]), seed=self.seed)
+            spec = _in_section(
+                "panel.synthetic", _SCHEMA["panel"]["synthetic"], SyntheticPanelConfig, **source["synthetic"]
+            )
+            return generate_synthetic_panel(spec, seed=self.seed)
         spec = source["csv"]
         if "path" not in spec:
             raise ConfigurationError("csv panel source needs a 'path'")
@@ -213,29 +226,35 @@ class RunConfig:
             raise ConfigurationError(f"cannot read panel.csv.path {path}: not UTF-8 text") from None
 
     def build_calibration(self, panel: Panel) -> CalibrationScales:
-        return calibrate_scales(panel, **self.data.get("calibration", {}))
+        return _in_section("calibration", _SCHEMA["calibration"], calibrate_scales, panel=panel,
+                           **self.data.get("calibration", {}))
 
     def build_grid(self) -> AmbiguityGrid:
         spec = self.data.get("grid")
         if not spec:
             return default_grid()
-        return AmbiguityGrid.from_axes(**_tuples(spec))
+        return _in_section("grid", _SCHEMA["grid"], AmbiguityGrid.from_axes, **_tuples(spec))
 
     def build_catalog(self) -> list[DesignSpec]:
         if "catalog" not in self.data:
             return default_catalog()
-        catalog = [_build_design(entry) for entry in self.data["catalog"]]
+        catalog = []
+        for i, entry in enumerate(self.data["catalog"]):
+            if "kind" not in entry:
+                raise ConfigurationError(f"catalog[{i}] needs a 'kind'")
+            catalog.append(_in_section(f"catalog[{i}]", _SCHEMA["catalog"][0], DesignSpec, **_tuples(entry)))
         names = [d.name for d in catalog]
         if len(set(names)) != len(names):
             raise ConfigurationError("catalog design names must be unique")
         return catalog
 
     def build_weights(self) -> PlanningWeights:
-        return PlanningWeights(**self.data.get("weights", {}))
+        return _in_section("weights", _SCHEMA["weights"], PlanningWeights, **self.data.get("weights", {}))
 
     def build_sweep(self) -> SweepConfig:
         """The ``sweep`` section; its reps and seed default to the run's."""
-        return SweepConfig(**_tuples({"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})}))
+        values = _tuples({"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})})
+        return _in_section("sweep", _SCHEMA["sweep"], SweepConfig, **values)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -65,7 +65,7 @@ class DesignSpec:
         if not self.saturation_levels:
             raise ConfigurationError("saturation_levels must be non-empty")
         if any(not 0.0 <= s <= 1.0 for s in self.saturation_levels):
-            raise ConfigurationError("saturation levels must lie in [0, 1]")
+            raise ConfigurationError("saturation_levels must lie in [0, 1]")
         if not 0.0 <= self.mixture_prob <= 1.0:
             raise ConfigurationError("mixture_prob must lie in [0, 1]")
         if not self.name:
@@ -77,56 +77,87 @@ class DesignSpec:
 # (region, period) pairs in region-major order.
 
 
-def _atom_labels(design: DesignSpec, panel: Panel) -> np.ndarray | None:
-    """The int64 assignment-unit label of each atom, or None for ``mixed``, whose labels are drawn."""
-    if design.kind == "user":
-        return np.arange(panel.n_units, dtype=np.int64)
-    if design.kind in ("cluster", "two_stage"):
-        return panel.cluster_codes
-    if design.kind == "budget_split":
-        return panel.budget_codes
-    if design.kind == "switchback":
-        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
-        block_of_period = np.arange(panel.n_periods) // design.block_length
-        return (np.arange(panel.n_regions)[:, None] * n_blocks + block_of_period).ravel()
-    return None
+@dataclass(frozen=True)
+class _AtomRule:
+    """One design's assignment rule on one panel, with the constants its draws need.
 
-
-def _draw_atoms(design: DesignSpec, panel: Panel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """One replay's int8 treatment per atom, and its drawn labels for ``mixed`` (None otherwise).
-
-    No rule depends on the interference mechanism, so one replay serves every
-    grid point. ``all_treated`` keeps the kind's labels and treats every atom.
+    ``labels`` is the int64 assignment-unit label of each of the ``n_atoms``
+    atoms, or None for ``mixed``, whose labels are drawn; ``unit_labels`` are
+    then the labels of its unit-randomized units. ``codes`` maps each unit to
+    the cluster or budget group that the rule draws for, and ``n_groups``
+    counts those groups, or the blocks of a switchback region, whose periods
+    ``columns`` maps to their block. ``levels`` are the saturation levels.
     """
-    n, p = panel.n_units, design.treat_prob
-    labels = None
+
+    design: DesignSpec
+    n_atoms: int
+    labels: np.ndarray | None
+    codes: np.ndarray
+    n_groups: int
+    columns: np.ndarray
+    levels: np.ndarray
+    unit_labels: np.ndarray
+
+    @classmethod
+    def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
+        n_units, n_periods = panel.n_units, panel.n_periods
+        codes = panel.budget_codes if design.kind == "budget_split" else panel.cluster_codes
+        n_groups = int(codes.max()) + 1
+        columns = np.arange(n_periods) // design.block_length
+        n_atoms, labels = n_units, codes
+        if design.kind == "user":
+            labels = np.arange(n_units, dtype=np.int64)
+        elif design.kind == "switchback":
+            n_groups = int(columns[-1]) + 1
+            n_atoms = panel.n_regions * n_periods
+            labels = (np.arange(panel.n_regions)[:, None] * n_groups + columns).ravel()
+        elif design.kind == "mixed":
+            labels = None
+        return cls(
+            design=design,
+            n_atoms=n_atoms,
+            labels=labels,
+            codes=codes,
+            n_groups=n_groups,
+            columns=columns,
+            levels=np.asarray(design.saturation_levels, dtype=float),
+            unit_labels=n_groups + np.arange(n_units, dtype=np.int64),
+        )
+
+
+def _draw_atoms(rule: _AtomRule, rng: np.random.Generator, z: np.ndarray, labels: np.ndarray) -> None:
+    """Draw one replay: 0/1 treatment per atom into ``z``, and ``mixed``'s labels into ``labels``.
+
+    ``z`` and ``labels`` are (n_atoms,) arrays; ``labels`` is left alone for
+    every other kind. No rule depends on the interference mechanism, so one
+    replay serves every grid point. ``all_treated`` makes the kind's draws,
+    keeps its labels and treats every atom.
+    """
+    design, codes = rule.design, rule.codes
+    n, p = codes.size, design.treat_prob
+    # np.less takes its output buffer as the third argument: an out= keyword
+    # costs about as much as drawing a small panel's uniforms.
     if design.kind == "user":
-        z = rng.random(n) < p
+        np.less(rng.random(n), p, z)
     elif design.kind in ("cluster", "budget_split"):
-        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
-        z = (rng.random(codes.max() + 1) < p)[codes]
+        np.less(rng.random(rule.n_groups)[codes], p, z)
     elif design.kind == "switchback":
-        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
-        draws = rng.random((panel.n_regions, n_blocks)) < p
-        z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
+        by_region = z.reshape(-1, rule.columns.size)
+        np.less(rng.random((by_region.shape[0], rule.n_groups))[:, rule.columns], p, by_region)
     elif design.kind == "two_stage":
-        codes = panel.cluster_codes
-        levels = np.asarray(design.saturation_levels, dtype=float)
-        level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
-        z = rng.random(n) < levels[level_idx][codes]
+        level_idx = rng.integers(0, rule.levels.size, size=rule.n_groups)
+        np.less(rng.random(n), rule.levels[level_idx][codes], z)
     elif design.kind == "mixed":
-        codes = panel.cluster_codes
-        n_clusters = codes.max() + 1
-        whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
-        cluster_draws = rng.random(n_clusters) < p
-        unit_draws = rng.random(n) < p
-        z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
-        labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
+        whole_cluster = (rng.random(rule.n_groups) < design.mixture_prob)[codes]
+        cluster_draws = rng.random(rule.n_groups) < p
+        np.less(rng.random(n), p, z)
+        np.copyto(z, cluster_draws[codes], where=whole_cluster)
+        np.copyto(labels, rule.unit_labels)
+        np.copyto(labels, codes, where=whole_cluster)
     else:  # pragma: no cover - guarded by DesignSpec
         raise ConfigurationError(f"unknown design kind {design.kind!r}")
     if design.all_treated:
-        return np.ones(z.size, dtype=np.int8), labels
-    return z.astype(np.int8), labels
+        z.fill(1)
 
 
 def effective_units(

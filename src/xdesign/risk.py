@@ -10,12 +10,12 @@ bias; the selector reduces it over replications.
 Mechanism points are scored in draw groups: the points of one group share the
 replay and the noise of each replication. Outcomes are linear in the channel
 strengths and exposures depend on the mechanism only through its locality, so
-one replication's per-feature means give every point of its group in closed
-form. ``score_grid`` makes each audit-grid point a group of its own, so grid
-points never share draws; ``score_groups`` takes any grouping, and the regime
-sweep scores all its intensities as one group. ``score_groups`` is the one
-scoring path, and it runs serially in one thread. The tests check it, point by
-point, against a per-point reference pipeline to 1e-12.
+a few sufficient statistics of one replication give every point of its group
+in closed form. ``score_grid`` makes each audit-grid point a group of its own,
+so grid points never share draws; ``score_groups`` takes any grouping, and the
+regime sweep scores all its intensities as one group. ``score_groups`` is the
+one scoring path, and it runs serially in one thread. The tests check it,
+point by point, against a per-point reference pipeline to 1e-12.
 
 Every assignment treats the cells of an atom alike: a unit over all its
 periods, or a (region, period) pair for switchbacks. The kernel needs only
@@ -32,11 +32,20 @@ Each (design, draw group) has one generator, seeded from
 their draws from it in order: the replay's per-atom treatment, then one
 standard normal per atom. Draw groups with the same localities and number of
 points form one batch, and a design's replications over a batch are slots
-(group, rep). Only the draws run one slot at a time. The atom features, the
-label, arm and overall means, and every point's channels are then computed
-once for a chunk of slots, which may span the batch's groups, and whose
-per-slot arrays stay within ``_CHUNK_BYTES``. No slot's arithmetic depends
-on the chunk it falls in, so the chunk size never changes a score.
+(group, rep). Only the draws run one slot at a time. A chunk of slots, which
+may span the batch's groups and whose arrays stay within ``_CHUNK_BYTES``,
+is then reduced to each slot's sufficient statistics:
+
+- the per-arm sums of its atom features, which give the arm and overall
+  means behind geometry, contamination, mismatch and the bias;
+- its noise mean, which a single-arm replay's bias needs;
+- the (features, features) ddof=1 covariance ``C`` of its occupied labels'
+  feature means. A point whose outcome map is ``o`` has label means
+  ``o . (feature means)``, so their variance is ``o' C o``.
+
+Every slot's and every point's channels follow once per batch from these
+statistics. No (points, labels) array is built, and no slot's arithmetic
+depends on the chunk it falls in, so the chunk size never changes a score.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import DesignSpec, _atom_labels, _draw_atoms, effective_units
+from .designs import DesignSpec, _AtomRule, _draw_atoms, effective_units
 from .errors import ConfigurationError, PlanningError
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
@@ -124,13 +133,13 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
 # of its own.
 _BASE, _DIRECT, _LAG, _BUDGET = range(4)
 
-# Bytes of one chunk's per-slot arrays, each atoms-sized: the features,
-# treatment and labels, plus about four label-level temporaries per point of
-# the group (a slot has at most one label per atom). A slot of select's 200x8
-# panel (one point) takes 18 KB, so a chunk holds 29 slots; one of the
-# sweep's 2000x40 panel (11 points) takes 816 KB, so a chunk holds one. Larger
-# chunks barely speed select up but raise its peak RSS above the per-cell
-# kernel's.
+# Bytes of one chunk's per-slot arrays, each atoms-sized: the features, the
+# treatment, the drawn labels and the label keys, and per occupied label (a
+# slot has at most one per atom) the feature means and one feature's pair
+# products. A slot of select's 200x8 panel (five features) takes 28.8 KB, so
+# a chunk holds 18 slots; one of the sweep's 2000x40 panel takes 288 KB, so a
+# chunk holds one. Larger chunks barely speed select up but raise its peak
+# RSS above the per-cell kernel's.
 _CHUNK_BYTES = 2**19
 
 
@@ -303,11 +312,49 @@ def _project(maps: Iterable[np.ndarray], values: np.ndarray) -> np.ndarray:
     return total
 
 
+@dataclass(frozen=True)
+class _Labels:
+    """The assignment-unit labels of a chunk of slots, indexed for per-slot label means.
+
+    ``key`` is each (slot, atom) label offset by its slot, ``occupied`` the
+    keys that hold cells, in slot order, and ``sizes`` their cell counts.
+    Slot ``i`` has ``per_slot[i]`` occupied labels, from ``first[i]`` on.
+    """
+
+    key: np.ndarray
+    occupied: np.ndarray
+    sizes: np.ndarray
+    per_slot: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def index(cls, labels: np.ndarray, cells: np.ndarray) -> "_Labels":
+        """Index a (slots, atoms) stack of labels, whose atoms hold ``cells`` cells each."""
+        n_slots = labels.shape[0]
+        n_labels = int(labels.max()) + 1
+        key = (labels + (np.arange(n_slots) * n_labels)[:, None]).ravel()
+        counts = np.bincount(key, weights=np.tile(cells, n_slots), minlength=n_slots * n_labels)
+        occupied = np.flatnonzero(counts)
+        per_slot = np.bincount(occupied // n_labels, minlength=n_slots)
+        return cls(key, occupied, counts[occupied], per_slot, np.cumsum(per_slot) - per_slot)
+
+    def prefix(self, n_slots: int) -> "_Labels":
+        """The index of the first ``n_slots`` slots."""
+        n_occupied = int(self.per_slot[:n_slots].sum())
+        return _Labels(
+            self.key[: self.key.size // self.per_slot.size * n_slots],
+            self.occupied[:n_occupied],
+            self.sizes[:n_occupied],
+            self.per_slot[:n_slots],
+            self.first[:n_slots],
+        )
+
+
 def _score_batch(
-    design: DesignSpec,
+    rule: _AtomRule,
+    fixed_labels: _Labels | None,
     batch: _Batch,
     atoms: _Atoms,
-    fixed_labels: np.ndarray | None,
     panel: Panel,
     calib: CalibrationScales,
     out: np.ndarray,
@@ -331,42 +378,45 @@ def _score_batch(
     into ``treated`` and, for ``mixed``, its labels into ``labels``; then one
     standard normal per atom goes into ``features``. These three are flat
     buffers that hold (chunk, atoms), (chunk, atoms) and (features, chunk,
-    atoms). Labels that do not depend on the draws come in ``fixed_labels``
-    (atoms,) instead. Everything after the draws runs once per chunk of
-    slots, which may span groups: the per-atom features, then the per-label,
-    per-arm and overall means, which give every point's channels in closed
-    form through the slot's own group maps. No slot's arithmetic depends on
-    the chunk it falls in.
+    atoms). Labels that do not depend on the draws come indexed for ``chunk``
+    slots in ``fixed_labels``, and a short last chunk takes a prefix of them.
+
+    Each chunk of slots, which may span groups, is reduced to every slot's
+    sufficient statistics: the (features, 2) per-arm sums of its per-atom
+    features, its noise mean and the (features, features) ddof=1 covariance
+    ``C`` of its occupied labels' feature means. Every point's seven channels
+    then follow once for the whole batch through each slot's group maps; its
+    variance is ``o' C o`` for the point's outcome map ``o``. No slot's
+    arithmetic depends on the chunk it falls in.
     """
     n_features = _BUDGET + len(batch.localities)
     n_atoms = atoms.cells.size
     n_cells = panel.n_units * panel.n_periods
     slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
     slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
+    n_total = slot_group.size
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
     # An atom's noise sums m cells of sd noise_sd: one normal of sd sqrt(m) * noise_sd.
     noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
-    # Each slot's maps and output indices, so that a chunk takes views of them.
-    outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
-    switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
-    for start in range(0, len(slot_group), chunk):
-        stop = min(start + chunk, len(slot_group))
+    arm_sums = np.empty((n_total, n_features, 2))
+    noise_mean = np.empty(n_total)
+    cov = np.empty((n_features, n_features, n_total))
+    for start in range(0, n_total, chunk):
+        stop = min(start + chunk, n_total)
         n_slots = stop - start
         block = features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms)
         z = treated[: n_slots * n_atoms].reshape(n_slots, n_atoms)
         drawn_labels = labels[: n_slots * n_atoms].reshape(n_slots, n_atoms)
         for i, g in enumerate(slot_group[start:stop].tolist()):
             rng = streams[g]
-            z[i], drawn = _draw_atoms(design, panel, rng)
-            if drawn is not None:
-                drawn_labels[i] = drawn
+            _draw_atoms(rule, rng, z[i], drawn_labels[i])
             # Drawn even when noise_sd is 0, so that no later draw depends on the calibration.
             rng.standard_normal(out=block[_BASE, i])
 
         # A zero noise_sd scales every normal to +-0, which leaves the baseline exact.
         block[_BASE] *= noise_scale
-        noise_mean = block[_BASE].sum(axis=1) / n_cells
+        noise_mean[start:stop] = block[_BASE].sum(axis=1) / n_cells
         block[_BASE] += atoms.baseline
         np.multiply(z, atoms.cells, out=block[_DIRECT])
         np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
@@ -374,59 +424,64 @@ def _score_batch(
             atoms.share_sums(grouping, z, out=block[row])
 
         # Label means from one bincount per feature over slot-offset label
-        # codes; each label adds its atoms in atom order whatever its offset.
-        slot_labels = drawn_labels if fixed_labels is None else fixed_labels
-        n_labels = int(slot_labels.max()) + 1
-        key = (slot_labels + (np.arange(n_slots) * n_labels)[:, None]).ravel()
-        counts = np.bincount(key, weights=np.tile(atoms.cells, n_slots), minlength=n_slots * n_labels)
-        occupied = np.flatnonzero(counts)
-        per_slot = np.bincount(occupied // n_labels, minlength=n_slots)
-        if per_slot.min() < 2:
-            raise PlanningError(f"design {design.name!r}: variance needs at least 2 assignment units")
-        label_means = np.empty((n_features, occupied.size))
+        # keys; each label adds its atoms in atom order whatever its offset.
+        index = _Labels.index(drawn_labels, atoms.cells) if fixed_labels is None else fixed_labels.prefix(n_slots)
+        if index.per_slot.min() < 2:
+            raise PlanningError(f"design {rule.design.name!r}: variance needs at least 2 assignment units")
+        label_means = np.empty((n_features, index.occupied.size))
         for f, values in enumerate(block.reshape(n_features, -1)):
-            label_means[f] = np.bincount(key, weights=values)[occupied]
-        label_means /= counts[occupied]
-        # Each label takes its slot's outcome map, one feature at a time.
-        label_y = _project((np.repeat(m, per_slot, axis=1) for m in outcome[:, :, start:stop]), label_means)
-        # ddof=1 variance of each slot's occupied-label means.
-        first = np.cumsum(per_slot) - per_slot
-        label_mean = np.add.reduceat(label_y, first, axis=1) / per_slot
-        centered = label_y - np.repeat(label_mean, per_slot, axis=1)
-        v = np.add.reduceat(centered * centered, first, axis=1) / (per_slot - 1)
+            label_means[f] = np.bincount(index.key, weights=values)[index.occupied]
+        label_means /= index.sizes
+        # Centre each slot's label means, then sum each feature pair's
+        # products per slot: the upper triangle of every slot's covariance.
+        slot_means = np.add.reduceat(label_means, index.first, axis=1) / index.per_slot
+        label_means -= np.repeat(slot_means, index.per_slot, axis=1)
+        for f in range(n_features):
+            cov[f, f:, start:stop] = np.add.reduceat(label_means[f] * label_means[f:], index.first, axis=1)
+        cov[:, :, start:stop] /= index.per_slot - 1
 
         # Arm sums: one BLAS product (features, atoms) @ (atoms, 2) per slot.
         arms = np.stack([z, 1.0 - z], axis=2)
-        arm_sums = np.matmul(block.transpose(1, 0, 2), arms)
-        treated_sums, control_sums = arm_sums.transpose(2, 1, 0)
-        n_treated = treated_sums[_DIRECT]
-        n_control = n_cells - n_treated
-        # A switch is a treated cell whose lag is 0 or a control cell whose lag
-        # is 1 (the first period's lag is the cell itself). Sums of 0/1 products
-        # are exact integers, so the rate equals the per-cell count.
-        n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
-        switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
-        means = (treated_sums + control_sums) / n_cells
-        launch_gap = 1.0 - means
-        control = control_sums / np.maximum(n_control, 1.0)
-        # A single-arm replay estimates the realized launch effect against baseline.
-        means[_BASE] = noise_mean
-        two_arm = (n_treated > 0) & (n_control > 0)
-        contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
-        estimate = _project(outcome[:, :, start:stop], contrast)
-        geometry, mismatch = np.split(_project(gap[:, :, start:stop], launch_gap), 2)
+        np.matmul(block.transpose(1, 0, 2), arms, out=arm_sums[start:stop])
 
-        scores = np.empty(estimate.shape + (N_CHANNELS,))
-        scores[..., 0] = geometry
-        scores[..., 1] = v
-        scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
-        scores[..., 3] = (
-            _project(contamination[:, :, start:stop], control) + switching[:, start:stop] * switch_rate + stress
-        )
-        scores[..., 4] = design.op_cost_level
-        scores[..., 5] = mismatch + stress
-        scores[..., 6] = estimate - target[:, start:stop]
-        out[points[:, start:stop], slot_rep[start:stop]] = scores
+    # Every slot's maps and output indices.
+    outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
+    switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
+
+    lower = np.tril_indices(n_features, -1)
+    cov[lower] = cov.transpose(1, 0, 2)[lower]
+    # o' C o, summed in feature order. Rounding can take it just below the
+    # zero that a constant outcome has, which the variance cannot be.
+    v = _project(outcome, [_project(outcome, row) for row in cov])
+    np.maximum(v, 0.0, out=v)
+
+    treated_sums, control_sums = arm_sums.transpose(2, 1, 0)
+    n_treated = treated_sums[_DIRECT]
+    n_control = n_cells - n_treated
+    # A switch is a treated cell whose lag is 0 or a control cell whose lag
+    # is 1 (the first period's lag is the cell itself). Sums of 0/1 products
+    # are exact integers, so the rate equals the per-cell count.
+    n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
+    switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
+    means = (treated_sums + control_sums) / n_cells
+    launch_gap = 1.0 - means
+    control = control_sums / np.maximum(n_control, 1.0)
+    # A single-arm replay estimates the realized launch effect against baseline.
+    means[_BASE] = noise_mean
+    two_arm = (n_treated > 0) & (n_control > 0)
+    contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
+    estimate = _project(outcome, contrast)
+    geometry, mismatch = np.split(_project(gap, launch_gap), 2)
+
+    scores = np.empty(estimate.shape + (N_CHANNELS,))
+    scores[..., 0] = geometry
+    scores[..., 1] = v
+    scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
+    scores[..., 3] = _project(contamination, control) + switching * switch_rate + stress
+    scores[..., 4] = rule.design.op_cost_level
+    scores[..., 5] = mismatch + stress
+    scores[..., 6] = estimate - target
+    out[points, slot_rep] = scores
 
 
 def score_groups(
@@ -459,13 +514,12 @@ def score_groups(
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     layouts = {regions: _Atoms.build(panel, regions) for regions in {d.kind == "switchback" for d in catalog}}
-    # Buffers for one chunk of slots, reused by every design and batch: each
-    # slot holds its per-atom features, treatment and labels.
+    # Buffers for one chunk of slots, reused by every design and batch; see
+    # _CHUNK_BYTES for what a slot holds.
     n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
-    n_points = max(batch.points.shape[1] for batch in batches)
     n_atoms = max(atoms.cells.size for atoms in layouts.values())
     most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
-    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((n_features + 2 + 4 * n_points) * n_atoms * 8)))
+    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((3 * n_features + 3) * n_atoms * 8)))
     buffers = dict(
         features=np.empty(n_features * chunk * n_atoms),
         treated=np.empty(chunk * n_atoms),
@@ -473,13 +527,17 @@ def score_groups(
     )
     for d, design in enumerate(catalog):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        fixed_labels = _atom_labels(design, panel)
+        rule = _AtomRule.build(design, panel)
+        atoms = layouts[design.kind == "switchback"]
+        fixed_labels = None
+        if rule.labels is not None:
+            fixed_labels = _Labels.index(np.broadcast_to(rule.labels, (chunk, rule.n_atoms)), atoms.cells)
         for batch in batches:
             _score_batch(
-                design,
-                batch,
-                layouts[design.kind == "switchback"],
+                rule,
                 fixed_labels,
+                batch,
+                atoms,
                 panel,
                 calib,
                 out[d],

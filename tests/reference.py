@@ -27,7 +27,7 @@ from xdesign import (
     mde,
     outcome_strengths,
 )
-from xdesign.designs import _atom_labels, _draw_atoms
+from xdesign.designs import _AtomRule, _draw_atoms
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,11 @@ def replay(
     ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
     used as is and draws from its current state, which it advances.
     """
-    z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
-    if labels is None:
-        labels = _atom_labels(design, panel)
+    rule = _AtomRule.build(design, panel)
+    z, labels = np.empty(rule.n_atoms), np.empty(rule.n_atoms, dtype=np.int64)
+    _draw_atoms(rule, np.random.default_rng(seed), z, labels)
+    if rule.labels is not None:
+        labels = rule.labels
     atoms = atom_of_cell(design, panel)
     return AssignmentTable(z[atoms], labels[atoms])
 

@@ -444,6 +444,38 @@ class TestConfigValidation:
         assert field in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, path, value, message",
+        [
+            ("select", ("weights", "alpha"), 2, "weights.alpha must lie in (0, 1)"),
+            ("select", ("weights", "mde"), -1.0, "weights: component weights must be >= 0"),
+            ("sweep", ("sweep", "locality"), "street", "sweep.locality must be one of"),
+            ("sweep", ("sweep", "gamma_grid"), [0.5, 0.1], "sweep.gamma_grid must be strictly increasing"),
+            ("select", ("grid", "graph_spill"), [-0.1], "grid.graph_spill must be finite and >= 0"),
+            ("select", ("catalog",), [{"kind": "user"}, {"kind": "cluster", "treat_prob": 1.5}],
+             "catalog[1].treat_prob must lie in (0, 1)"),
+            ("select", ("catalog",), [{"kind": "cluster", "saturation_levels": [1.5]}],
+             "catalog[0].saturation_levels must lie in [0, 1]"),
+            ("select", ("catalog",), [{"treat_prob": 0.5}], "catalog[0] needs a 'kind'"),
+            ("select", ("panel", "synthetic", "baseline_sd"), -1.0, "panel.synthetic.baseline_sd must be >= 0"),
+            ("select", ("calibration", "noise_sd"), -1.0, "calibration.noise_sd must be >= 0"),
+        ],
+        ids=["weights", "weights-unnamed-field", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
+             "catalog-saturation_levels", "catalog-kind", "panel-synthetic", "calibration"],
+    )
+    def test_rejected_value_names_its_section(self, tmp_path, capsys, command, path, value, message):
+        data = small_select_config(tmp_path / "out")
+        section = data
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_every_design_and_sweep_field_is_a_config_key(self):
         design = DesignSpec(
             kind="switchback", treat_prob=0.3, block_length=2, saturation_levels=(0.1, 0.9),

@@ -15,7 +15,7 @@ from xdesign import (
     generate_synthetic_panel,
 )
 from xdesign.config import RunConfig
-from xdesign.designs import KINDS, _atom_labels, _draw_atoms
+from xdesign.designs import KINDS, _AtomRule, _draw_atoms
 
 from reference import AssignmentTable, replay
 
@@ -99,9 +99,69 @@ class TestReplayRules:
         assert len(np.unique(all_unit.labels)) == panel.n_units
 
 
+def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
+    """Each rule written with fresh arrays per replay, returning int8 treatment and ``mixed``'s labels.
+
+    ``_draw_atoms`` writes into the kernel's buffers from constants computed
+    once per design; it must make these generator calls, in this order, and
+    draw these bits.
+    """
+    n, p = panel.n_units, design.treat_prob
+    labels = None
+    if design.kind == "user":
+        z = rng.random(n) < p
+    elif design.kind in ("cluster", "budget_split"):
+        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
+        z = (rng.random(codes.max() + 1) < p)[codes]
+    elif design.kind == "switchback":
+        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
+        draws = rng.random((panel.n_regions, n_blocks)) < p
+        z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
+    elif design.kind == "two_stage":
+        codes = panel.cluster_codes
+        levels = np.asarray(design.saturation_levels, dtype=float)
+        level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
+        z = rng.random(n) < levels[level_idx][codes]
+    else:
+        codes = panel.cluster_codes
+        n_clusters = codes.max() + 1
+        whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
+        cluster_draws = rng.random(n_clusters) < p
+        unit_draws = rng.random(n) < p
+        z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
+        labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
+    if design.all_treated:
+        return np.ones(z.size, dtype=np.int8), labels
+    return z.astype(np.int8), labels
+
+
 class TestAtoms:
     # Every rule draws per atom: a unit over all its periods, or a
     # (region, period) pair in region-major order for switchbacks.
+
+    @pytest.mark.parametrize("block_length", [1, 3])
+    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draws_match_the_allocating_rule_bit_for_bit(self, panel, kind, all_treated, block_length):
+        # Consecutive replays from one generator, as the kernel draws a
+        # group's replications, into buffers that hold the previous replay.
+        design = DesignSpec(
+            kind=kind, all_treated=all_treated, block_length=block_length, saturation_levels=(0.1, 0.5, 0.9)
+        )
+        rule = _AtomRule.build(design, panel)
+        z, labels = np.full(rule.n_atoms, np.nan), np.full(rule.n_atoms, -1, dtype=np.int64)
+        for seed in range(3):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                _draw_atoms(rule, ours, z, labels)
+                expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs)
+                assert np.array_equal(z, expected_z)
+                if kind == "mixed":
+                    assert np.array_equal(labels, expected_labels)
+                else:
+                    assert expected_labels is None
+                    assert np.all(labels == -1)
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("block_length", [1, 3])
     @pytest.mark.parametrize("all_treated", [False, True])
@@ -114,12 +174,14 @@ class TestAtoms:
             atom_of_cell = panel.region_codes[:, None] * panel.n_periods + periods
         else:
             atom_of_cell = np.broadcast_to(units, (panel.n_units, panel.n_periods))
+        rule = _AtomRule.build(design, panel)
+        assert (rule.labels is None) == (kind == "mixed")
         for seed in range(5):
             table = replay(design, panel, seed=seed)
-            z, labels = _draw_atoms(design, panel, np.random.default_rng(seed))
-            assert (labels is None) == (kind != "mixed")
-            if labels is None:
-                labels = _atom_labels(design, panel)
+            z, labels = np.empty(rule.n_atoms), np.full(rule.n_atoms, -1, dtype=np.int64)
+            _draw_atoms(rule, np.random.default_rng(seed), z, labels)
+            if rule.labels is not None:
+                labels = rule.labels
             assert np.array_equal(table.z, z[atom_of_cell])
             assert np.array_equal(table.labels, labels[atom_of_cell])
 

@@ -510,14 +510,16 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 )
 
 
-def slot_bytes(panel: Panel, n_localities: int, n_points: int) -> int:
+def slot_bytes(panel: Panel, n_localities: int) -> int:
     """Chunk bytes per slot, over unit atoms (the panel has more units than region-periods).
 
-    The features of ``n_localities`` localities, the treatment and the labels,
-    and four label-level temporaries for each of ``n_points`` points.
+    The features of ``n_localities`` localities, the treatment, the drawn
+    labels and the label keys, and per label the feature means and one
+    feature row's pair products.
     """
     assert panel.n_units >= panel.n_regions * panel.n_periods
-    return (risk._BUDGET + n_localities + 2 + 4 * n_points) * panel.n_units * 8
+    n_features = risk._BUDGET + n_localities
+    return (3 * n_features + 3) * panel.n_units * 8
 
 
 def record_chunks(monkeypatch) -> list[int]:
@@ -588,7 +590,7 @@ class TestDrawGroups:
         chunks = record_chunks(monkeypatch)
         for slots in (1, 7, every):
             chunks.clear()
-            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3, 4))
+            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
             scores[slots] = score_groups(panel, REFERENCE_CATALOG, groups, calib, weights, reps=reps, master_seed=6)
             assert set(chunks) == {min(slots, largest)}
         assert np.array_equal(scores[1], scores[every])
@@ -599,7 +601,7 @@ class TestDrawGroups:
         # per-point pipeline under its own seeds.
         panel, calib, weights = setup
         chunks = record_chunks(monkeypatch)
-        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2, 1))
+        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2))
         catalog = [DesignSpec(kind=kind) for kind in KINDS]
         per_rep = score_grid(panel, catalog, MIXED_GRID, calib, weights, reps=3, master_seed=9)
         assert set(chunks) == {7}
@@ -644,6 +646,45 @@ class TestZeroIntensityJump:
         # User randomization leaves treated units in every cluster, so its
         # control cells see a treated share well above zero.
         assert np.all(contamination[KINDS.index("user"), 1] > stress + 0.1)
+
+
+class TestVarianceIsNonNegative:
+    # The kernel's variance is the quadratic form o' C o of a replication's
+    # label-mean covariance C, which rounding could take below the zero that
+    # the direct form of a constant outcome gives; the kernel clamps it. On
+    # unit atoms the direct and lag features are equal, so a direct effect at
+    # or near -carry cancels them; with zero baseline sd and zero noise the
+    # outcome is then (nearly) constant over labels.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(KINDS),
+        all_treated=st.booleans(),
+        carryover=st.sampled_from((0.05, 0.2)),
+        carry_scale=st.sampled_from((0.3, 1.7)),
+        offset=st.sampled_from((0.0, 1e-12, -1e-9, 1e-6)),
+        baseline_sd=st.sampled_from((0.0, 1.0)),
+        noise_sd=st.sampled_from((0.0, 0.3)),
+        graph_spill=st.sampled_from((0.0, 0.3)),
+        master_seed=st.integers(0, 2**16),
+    )
+    def test_near_cancelling_calibrations(
+        self, kind, all_treated, carryover, carry_scale, offset, baseline_sd, noise_sd, graph_spill, master_seed
+    ):
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(24, 4, 3, 2, 5, baseline_mean=10.3, baseline_sd=baseline_sd), seed=master_seed
+        )
+        theta = MechanismPoint(graph_spill, 0.0, carryover)
+        carry = outcome_strengths(theta, CalibrationScales(0.0, 0.5, carry_scale)).carry
+        calib = CalibrationScales(-carry * (1.0 + offset), 0.5, carry_scale, noise_sd=noise_sd)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        design = DesignSpec(kind=kind, all_treated=all_treated)
+        rows = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=2, master_seed=master_seed)
+        rows = rows[0, 0]
+        assert np.all(rows[:, VARIANCE] >= 0.0)
+        assert np.all(np.isfinite(rows[:, MDE]))
+        rng = group_stream(master_seed, 0, 0)
+        for row in rows:
+            assert_matches_reference(row, hand_row(design, theta, panel, calib, weights, rng))
 
 
 class TestTransportIdentity:
