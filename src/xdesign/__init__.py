@@ -30,6 +30,7 @@ from .panel import (
     Panel,
     SyntheticPanelConfig,
     calibrate_scales,
+    code_labels,
     ess_share,
     generate_synthetic_panel,
     ingest_log_csv,
@@ -64,6 +65,7 @@ __all__ = [
     "SyntheticPanelConfig",
     "XDesignError",
     "calibrate_scales",
+    "code_labels",
     "default_catalog",
     "default_grid",
     "dominance_audit",

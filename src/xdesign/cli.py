@@ -289,12 +289,10 @@ def run_simulate(config: RunConfig) -> dict:
     if panel.propensities is not None:
         header.append("propensity")
     rows = []
-    for i, unit in enumerate(panel.unit_ids):
+    groups = zip(panel.cluster_ids, panel.budget_ids, panel.region_ids)
+    for i, (unit, (cluster, budget, region)) in enumerate(zip(panel.unit_ids, groups)):
         for t in range(panel.n_periods):
-            row = [
-                unit, t + 1, float(panel.baseline[i, t]),
-                panel.cluster_ids[i], panel.budget_ids[i], panel.region_ids[i],
-            ]
+            row = [unit, t + 1, float(panel.baseline[i, t]), cluster, budget, region]
             if panel.propensities is not None:
                 row.append(float(panel.propensities[i, t]))
             rows.append(row)

@@ -115,9 +115,16 @@ def _in_section(where: str, spec: dict, build, /, **values):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed, validated run configuration."""
+    """Parsed, validated run configuration.
+
+    Every section is checked when the config is built: the grid, catalog,
+    weights and sweep are built then, and the panel source's settings are
+    checked. The panel itself and the calibration, which reads it, are built
+    by each run.
+    """
 
     data: dict = field(default_factory=dict)
+    _built: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate("config", self.data, _SCHEMA)
@@ -127,11 +134,8 @@ class RunConfig:
             raise ConfigurationError("reps must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        for section in ("sweep", "diagnostics"):
-            if self.data.get(section, {}).get("seed", 0) < 0:
-                raise ConfigurationError(f"{section}.seed must be >= 0")
-        if self.data.get("sweep", {}).get("reps", 1) < 1:
-            raise ConfigurationError("sweep.reps must be >= 1")
+        if self.diagnostics_options.get("seed", 0) < 0:
+            raise ConfigurationError("diagnostics.seed must be >= 0")
         # An absent catalog means the default one; an empty one is a mistake.
         if "catalog" in self.data and not self.data["catalog"]:
             raise ConfigurationError("catalog must be non-empty")
@@ -147,6 +151,15 @@ class RunConfig:
                 raise ConfigurationError(f"unknown format {fmt!r}")
         if self.data.get("epsilon_mode", "fraction") not in ("fraction", "stderr"):
             raise ConfigurationError("epsilon_mode must be 'fraction' or 'stderr'")
+        object.__setattr__(self, "_built", {
+            "panel": self._panel_source(),
+            "grid": self._grid(),
+            "catalog": self._catalog(),
+            "weights": _in_section("weights", _SCHEMA["weights"], PlanningWeights, **self.data.get("weights", {})),
+            # The sweep's reps and seed default to the run's.
+            "sweep": _in_section("sweep", _SCHEMA["sweep"], SweepConfig,
+                                 **_tuples({"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})})),
+        })
 
     @property
     def reps(self) -> int:
@@ -202,20 +215,43 @@ class RunConfig:
             data["formats"] = list(formats)
         return RunConfig(data)
 
-    # Builders -------------------------------------------------------------
-
-    def build_panel(self) -> Panel:
+    def _panel_source(self) -> SyntheticPanelConfig | tuple[str, CsvSchema]:
         source = self.data.get("panel", {"synthetic": {}})
         if "synthetic" in source:
-            spec = _in_section(
+            return _in_section(
                 "panel.synthetic", _SCHEMA["panel"]["synthetic"], SyntheticPanelConfig, **source["synthetic"]
             )
-            return generate_synthetic_panel(spec, seed=self.seed)
         spec = source["csv"]
         if "path" not in spec:
             raise ConfigurationError("csv panel source needs a 'path'")
-        schema = CsvSchema(**spec.get("schema", {}))
-        path = spec["path"]
+        return spec["path"], CsvSchema(**spec.get("schema", {}))
+
+    def _grid(self) -> AmbiguityGrid:
+        spec = self.data.get("grid")
+        if not spec:
+            return default_grid()
+        return _in_section("grid", _SCHEMA["grid"], AmbiguityGrid.from_axes, **_tuples(spec))
+
+    def _catalog(self) -> tuple[DesignSpec, ...]:
+        if "catalog" not in self.data:
+            return tuple(default_catalog())
+        catalog = []
+        for i, entry in enumerate(self.data["catalog"]):
+            if "kind" not in entry:
+                raise ConfigurationError(f"catalog[{i}] needs a 'kind'")
+            catalog.append(_in_section(f"catalog[{i}]", _SCHEMA["catalog"][0], DesignSpec, **_tuples(entry)))
+        names = [d.name for d in catalog]
+        if len(set(names)) != len(names):
+            raise ConfigurationError("catalog design names must be unique")
+        return tuple(catalog)
+
+    # Builders -------------------------------------------------------------
+
+    def build_panel(self) -> Panel:
+        source = self._built["panel"]
+        if isinstance(source, SyntheticPanelConfig):
+            return generate_synthetic_panel(source, seed=self.seed)
+        path, schema = source
         try:
             # utf-8-sig drops the byte-order mark that spreadsheet exports often start with.
             with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -230,31 +266,17 @@ class RunConfig:
                            **self.data.get("calibration", {}))
 
     def build_grid(self) -> AmbiguityGrid:
-        spec = self.data.get("grid")
-        if not spec:
-            return default_grid()
-        return _in_section("grid", _SCHEMA["grid"], AmbiguityGrid.from_axes, **_tuples(spec))
+        return self._built["grid"]
 
     def build_catalog(self) -> list[DesignSpec]:
-        if "catalog" not in self.data:
-            return default_catalog()
-        catalog = []
-        for i, entry in enumerate(self.data["catalog"]):
-            if "kind" not in entry:
-                raise ConfigurationError(f"catalog[{i}] needs a 'kind'")
-            catalog.append(_in_section(f"catalog[{i}]", _SCHEMA["catalog"][0], DesignSpec, **_tuples(entry)))
-        names = [d.name for d in catalog]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("catalog design names must be unique")
-        return catalog
+        return list(self._built["catalog"])
 
     def build_weights(self) -> PlanningWeights:
-        return _in_section("weights", _SCHEMA["weights"], PlanningWeights, **self.data.get("weights", {}))
+        return self._built["weights"]
 
     def build_sweep(self) -> SweepConfig:
         """The ``sweep`` section; its reps and seed default to the run's."""
-        values = _tuples({"reps": self.reps, "seed": self.seed, **self.data.get("sweep", {})})
-        return _in_section("sweep", _SCHEMA["sweep"], SweepConfig, **values)
+        return self._built["sweep"]
 
 
 def load_config(path: str | Path | None) -> RunConfig:

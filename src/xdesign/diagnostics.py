@@ -339,6 +339,8 @@ class SweepConfig:
             raise ConfigurationError(f"locality must be one of {LOCALITIES}")
         if self.reps < 1:
             raise ConfigurationError("reps must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     def theta(self, gamma: float) -> MechanismPoint:
         g, b, lam = default_sweep_mapping(gamma)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,13 +29,24 @@ __all__ = [
     "generate_synthetic_panel",
     "ingest_log_csv",
     "calibrate_scales",
+    "code_labels",
     "ess_share",
 ]
 
 
-def _codes(labels: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    names, inverse = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    return inverse.astype(np.int64), tuple(str(x) for x in names)
+def code_labels(labels: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer codes of string group labels and their distinct names, sorted.
+
+    ``names[codes[i]] == labels[i]``; the names come out in the order of
+    ``np.unique``, as Python sorts strings.
+    """
+    index = dict.fromkeys(labels)
+    names = tuple(sorted(index))
+    index.update(zip(names, range(len(names))))
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)), names
+
+
+_GROUPINGS = ("cluster", "budget", "region")
 
 
 @dataclass(frozen=True)
@@ -43,23 +56,23 @@ class Panel:
     ``baseline[i, t]`` is the baseline outcome of unit ``i`` in period ``t + 1``
     (periods are 1-based externally, contiguous). ``propensities`` has the same
     shape when present; all values must lie in (0, 1].
+
+    Each grouping is stored as one integer code per unit and the sorted,
+    distinct group names, each naming at least one unit: unit ``i`` is in
+    cluster ``cluster_names[cluster_codes[i]]``. :func:`code_labels` makes
+    both from per-unit labels.
     """
 
     unit_ids: tuple[str, ...]
-    cluster_ids: tuple[str, ...]
-    budget_ids: tuple[str, ...]
-    region_ids: tuple[str, ...]
+    cluster_codes: np.ndarray
+    cluster_names: tuple[str, ...]
+    budget_codes: np.ndarray
+    budget_names: tuple[str, ...]
+    region_codes: np.ndarray
+    region_names: tuple[str, ...]
     n_periods: int
     baseline: np.ndarray
     propensities: np.ndarray | None = None
-
-    # Derived integer codes, filled in __post_init__.
-    cluster_codes: np.ndarray = field(init=False, repr=False)
-    budget_codes: np.ndarray = field(init=False, repr=False)
-    region_codes: np.ndarray = field(init=False, repr=False)
-    cluster_names: tuple[str, ...] = field(init=False, repr=False)
-    budget_names: tuple[str, ...] = field(init=False, repr=False)
-    region_names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.unit_ids)
@@ -69,15 +82,20 @@ class Panel:
             raise ConfigurationError("panel needs at least 1 period")
         if len(set(self.unit_ids)) != n:
             raise ConfigurationError("unit_id values must be unique")
-        for name, labels in (
-            ("cluster_id", self.cluster_ids),
-            ("budget_id", self.budget_ids),
-            ("region_id", self.region_ids),
-        ):
-            if len(labels) != n:
-                raise ConfigurationError(f"{name} list length must match unit count")
-            if any(not str(x) for x in labels):
-                raise ConfigurationError(f"{name} labels must be non-empty")
+        for grouping in _GROUPINGS:
+            codes = np.asarray(getattr(self, f"{grouping}_codes"))
+            names = tuple(getattr(self, f"{grouping}_names"))
+            if codes.shape != (n,) or not np.issubdtype(codes.dtype, np.integer):
+                raise ConfigurationError(f"{grouping}_codes must hold one integer per unit")
+            codes = codes.astype(np.int64, copy=False)
+            if any(not str(x) for x in names):
+                raise ConfigurationError(f"{grouping}_id labels must be non-empty")
+            if any(b <= a for a, b in zip(names, names[1:])):
+                raise ConfigurationError(f"{grouping}_names must be sorted and distinct")
+            if codes.min() < 0 or codes.max() >= len(names) or not np.bincount(codes, minlength=len(names)).all():
+                raise ConfigurationError(f"{grouping}_codes must use each of the {len(names)} names")
+            object.__setattr__(self, f"{grouping}_codes", codes)
+            object.__setattr__(self, f"{grouping}_names", names)
         baseline = np.asarray(self.baseline, dtype=float)
         if baseline.shape != (n, self.n_periods):
             raise ConfigurationError(
@@ -93,14 +111,6 @@ class Panel:
             if not np.all((prop > 0.0) & (prop <= 1.0)):
                 raise ConfigurationError("propensities must lie in (0, 1]")
             object.__setattr__(self, "propensities", prop)
-        for attr, labels in (
-            ("cluster", self.cluster_ids),
-            ("budget", self.budget_ids),
-            ("region", self.region_ids),
-        ):
-            codes, names = _codes(labels)
-            object.__setattr__(self, f"{attr}_codes", codes)
-            object.__setattr__(self, f"{attr}_names", names)
 
     @property
     def n_units(self) -> int:
@@ -118,12 +128,28 @@ class Panel:
     def n_regions(self) -> int:
         return len(self.region_names)
 
+    @property
+    def cluster_ids(self) -> tuple[str, ...]:
+        """Each unit's cluster name, derived from the codes on every read."""
+        return self._labels("cluster")
+
+    @property
+    def budget_ids(self) -> tuple[str, ...]:
+        return self._labels("budget")
+
+    @property
+    def region_ids(self) -> tuple[str, ...]:
+        return self._labels("region")
+
+    def _labels(self, grouping: str) -> tuple[str, ...]:
+        names = getattr(self, f"{grouping}_names")
+        return tuple(names[c] for c in getattr(self, f"{grouping}_codes").tolist())
+
     def group_codes(self, which: str) -> np.ndarray:
         """Integer group codes per unit for ``which`` in {cluster, budget, region}."""
-        try:
-            return {"cluster": self.cluster_codes, "budget": self.budget_codes, "region": self.region_codes}[which]
-        except KeyError:
-            raise ConfigurationError(f"unknown grouping {which!r}") from None
+        if which not in _GROUPINGS:
+            raise ConfigurationError(f"unknown grouping {which!r}")
+        return getattr(self, f"{which}_codes")
 
 
 @dataclass(frozen=True)
@@ -160,21 +186,27 @@ def generate_synthetic_panel(cfg: SyntheticPanelConfig, seed: int | np.random.Se
     """
     rng = np.random.default_rng(seed)
 
-    def deal(n_groups: int, prefix: str) -> list[str]:
+    def deal(n_groups: int, prefix: str) -> tuple[np.ndarray, tuple[str, ...]]:
         order = rng.permutation(cfg.n_units)
         assign = np.empty(cfg.n_units, dtype=np.int64)
         assign[order] = np.arange(cfg.n_units) % n_groups
-        return [f"{prefix}{g:03d}" for g in assign]
+        # Round-robin fills groups 0..min(n_units, n_groups)-1; only those get
+        # a name, and the names sort as strings ("c1000" before "c101").
+        group_codes, names = code_labels([f"{prefix}{g:03d}" for g in range(min(cfg.n_units, n_groups))])
+        return group_codes[assign], names
 
-    clusters = deal(cfg.n_clusters, "c")
-    budgets = deal(cfg.n_budget_groups, "b")
-    regions = deal(cfg.n_regions, "r")
+    cluster_codes, cluster_names = deal(cfg.n_clusters, "c")
+    budget_codes, budget_names = deal(cfg.n_budget_groups, "b")
+    region_codes, region_names = deal(cfg.n_regions, "r")
     baseline = rng.normal(cfg.baseline_mean, cfg.baseline_sd, size=(cfg.n_units, cfg.n_periods))
     return Panel(
-        unit_ids=tuple(f"u{i:05d}" for i in range(cfg.n_units)),
-        cluster_ids=tuple(clusters),
-        budget_ids=tuple(budgets),
-        region_ids=tuple(regions),
+        unit_ids=tuple(map("u{:05d}".format, range(cfg.n_units))),
+        cluster_codes=cluster_codes,
+        cluster_names=cluster_names,
+        budget_codes=budget_codes,
+        budget_names=budget_names,
+        region_codes=region_codes,
+        region_names=region_names,
         n_periods=cfg.n_periods,
         baseline=baseline,
     )
@@ -193,6 +225,51 @@ class CsvSchema:
     propensity: str = "propensity"
 
 
+# Rows are coded a block at a time, so memory holds one block of parsed rows.
+_BLOCK_ROWS = 1 << 14
+
+
+class _Coder:
+    """First-seen integer codes of one column's stripped values, across blocks."""
+
+    def __init__(self) -> None:
+        self.raw: dict[str, int] = {}
+        self.names: dict[str, int] = {}  # stripped value -> code, in first-seen order
+
+    def __call__(self, values: list[str]) -> np.ndarray:
+        raw, names = self.raw, self.names
+        for value in dict.fromkeys(values):
+            if value not in raw:
+                raw[value] = names.setdefault(value.strip(), len(names))
+        return np.fromiter(map(raw.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _floats(values: list[str]) -> tuple[np.ndarray, int]:
+    """``float`` of each value up to the first that is not a number, and that one's index."""
+    try:
+        return np.fromiter(map(float, values), dtype=float, count=len(values)), len(values)
+    except ValueError:
+        parsed = []
+        for value in values:
+            try:
+                parsed.append(float(value))
+            except ValueError:
+                break
+        return np.array(parsed, dtype=float), len(parsed)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _period_key(value: str):
+    try:
+        return (0, float(value), "")
+    except ValueError:
+        return (1, 0.0, value)
+
+
 def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchema | None = None) -> Panel:
     """Parse a unit-by-period log into a :class:`Panel`.
 
@@ -200,7 +277,12 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     many fields as the header, and complete (unit, period) coverage.
     Missing group columns collapse every unit into one shared group; a missing
     propensity column leaves propensities absent. Raw period values are
-    re-mapped to contiguous 1..T preserving their sorted order.
+    re-mapped to contiguous 1..T preserving their sorted order: numbers first,
+    by value, then other strings. A NaN period, or one number written two ways
+    (``1`` and ``1.0``), is rejected. Units keep the order they first appear in.
+
+    Rows are checked in file order: when several rows are bad, the error names
+    the earliest one.
     """
     schema = schema or CsvSchema()
     if isinstance(stream, str):
@@ -219,100 +301,141 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     for required in (schema.unit_id, schema.period, schema.outcome):
         if required not in col:
             raise IngestionError(f"missing required column {required!r}")
-    has = {
-        "cluster": schema.cluster_id in col,
-        "budget": schema.budget_id in col,
-        "region": schema.region_id in col,
-        "propensity": schema.propensity in col,
-    }
+    groupings = [g for g in _GROUPINGS if getattr(schema, f"{g}_id") in col]
+    has_propensity = schema.propensity in col
 
-    rows: list[tuple[str, str, float, str, str, str, float | None]] = []
-    for lineno, raw in enumerate(reader, start=2):  # line 1 is the header
-        if not raw or all(not c.strip() for c in raw):
-            continue
-        if len(raw) != len(header):
-            raise IngestionError(f"row {lineno}: expected {len(header)} fields, got {len(raw)}")
-        unit = raw[col[schema.unit_id]].strip()
-        period = raw[col[schema.period]].strip()
-        if not unit or not period:
-            raise IngestionError(f"row {lineno}: empty unit_id or period")
-        try:
-            outcome = float(raw[col[schema.outcome]])
-        except ValueError:
-            raise IngestionError(
-                f"row {lineno}: non-numeric outcome {raw[col[schema.outcome]]!r}"
-            ) from None
-        if not math.isfinite(outcome):
-            # NaN also marks an unfilled cell below, so it must never get that far.
-            raise IngestionError(f"row {lineno}: non-finite outcome {raw[col[schema.outcome]]!r}")
-        cluster = raw[col[schema.cluster_id]].strip() if has["cluster"] else "all"
-        budget = raw[col[schema.budget_id]].strip() if has["budget"] else "all"
-        region = raw[col[schema.region_id]].strip() if has["region"] else "all"
-        prop: float | None = None
-        if has["propensity"]:
+    units, periods = _Coder(), _Coder()
+    groups = {g: _Coder() for g in groupings}
+    numeric_periods: dict[float, str] = {}  # period value -> its first spelling
+    chunks: dict[str, list[np.ndarray]] = {key: [] for key in ("unit", "period", "outcome", "propensity", *groupings)}
+
+    def flush(block: list[list[str]], lines: list[int], width_error: str | None = None) -> None:
+        """Code one block of rows, or raise the error of its earliest bad row.
+
+        A row's checks keep the order of a row-by-row reading: width, empty
+        unit or period, outcome, propensity, then the period's value.
+        """
+        found: list[tuple[int, int, str]] = []  # (row in block, check, message)
+        if width_error is not None:
+            found.append((len(block), 0, width_error))
+
+        def check(order: int, row: int | None, message) -> None:
+            if row is not None:
+                found.append((row, order, message(row)))
+
+        def column(name: str) -> list[str]:
+            return list(map(operator.itemgetter(col[name]), block))
+
+        n_known = len(periods.names)
+        u, p = units(column(schema.unit_id)), periods(column(schema.period))
+        empty = (u == units.names.get("", -1)) | (p == periods.names.get("", -1))
+        check(1, _first(empty), lambda i: "empty unit_id or period")
+        raw_outcome = column(schema.outcome)
+        outcome, parsed = _floats(raw_outcome)
+        check(2, parsed if parsed < len(block) else None, lambda i: f"non-numeric outcome {raw_outcome[i]!r}")
+        check(3, _first(~np.isfinite(outcome)), lambda i: f"non-finite outcome {raw_outcome[i]!r}")
+        if has_propensity:
+            raw_propensity = column(schema.propensity)
+            propensity, parsed = _floats(raw_propensity)
+            check(4, parsed if parsed < len(block) else None,
+                  lambda i: f"non-numeric propensity {raw_propensity[i]!r}")
+            check(5, _first(~((propensity > 0.0) & (propensity <= 1.0))),
+                  lambda i: f"propensity {float(propensity[i])} outside (0, 1]")
+        for name, code in itertools.islice(periods.names.items(), n_known, None):
             try:
-                prop = float(raw[col[schema.propensity]])
+                value = float(name)
             except ValueError:
-                raise IngestionError(
-                    f"row {lineno}: non-numeric propensity {raw[col[schema.propensity]]!r}"
-                ) from None
-            if not 0.0 < prop <= 1.0:
-                raise IngestionError(f"row {lineno}: propensity {prop} outside (0, 1]")
-        rows.append((unit, period, outcome, cluster, budget, region, prop))
+                continue
+            if math.isnan(value):
+                check(6, _first(p == code), lambda i: f"period {name!r} is NaN")
+            elif value in numeric_periods:
+                first = numeric_periods[value]
+                check(7, _first(p == code), lambda i: f"period {name!r} is period {first!r} written differently")
+            else:
+                numeric_periods[value] = name
+        if found:
+            row, _, message = min(found, key=lambda error: error[:2])
+            raise IngestionError(f"row {lines[row]}: {message}")
+        chunks["unit"].append(u)
+        chunks["period"].append(p)
+        chunks["outcome"].append(outcome)
+        if has_propensity:
+            chunks["propensity"].append(propensity)
+        for g in groupings:
+            chunks[g].append(groups[g](column(getattr(schema, f"{g}_id"))))
 
-    if not rows:
+    width = len(header)
+    block: list[list[str]] = []
+    lines: list[int] = []
+    for lineno, raw in enumerate(reader, start=2):  # line 1 is the header
+        # A blank row has the wrong width or a blank first field.
+        if len(raw) != width or not raw[0].strip():
+            if not "".join(raw).strip():
+                continue
+            if len(raw) != width:
+                flush(block, lines + [lineno], f"expected {width} fields, got {len(raw)}")
+        block.append(raw)
+        lines.append(lineno)
+        if len(block) == _BLOCK_ROWS:
+            flush(block, lines)
+            block, lines = [], []
+    if block:
+        flush(block, lines)
+    if not chunks["unit"]:
         raise IngestionError("no data rows")
+    unit_order = list(units.names)
+    period_names = list(periods.names)
+    period_order = sorted(range(len(period_names)), key=lambda c: _period_key(period_names[c]))
+    period_values = [period_names[c] for c in period_order]
+    n, n_periods = len(unit_order), len(period_values)
+    rank = np.empty(n_periods, dtype=np.int64)
+    rank[period_order] = np.arange(n_periods)
+    u, p = np.concatenate(chunks["unit"]), rank[np.concatenate(chunks["period"])]
+    cells = u * n_periods + p
+    counts = np.bincount(cells, minlength=n * n_periods)
 
-    def period_key(value: str):
-        try:
-            return (0, float(value), "")
-        except ValueError:
-            return (1, 0.0, value)
-
-    period_values = sorted({r[1] for r in rows}, key=period_key)
-    period_index = {v: i for i, v in enumerate(period_values)}
-    n_periods = len(period_values)
-
-    unit_order: list[str] = []
-    seen: set[str] = set()
-    for r in rows:
-        if r[0] not in seen:
-            seen.add(r[0])
-            unit_order.append(r[0])
-    unit_index = {u: i for i, u in enumerate(unit_order)}
-    n = len(unit_order)
-
-    baseline = np.full((n, n_periods), np.nan)
-    props = np.full((n, n_periods), np.nan) if has["propensity"] else None
-    groups: dict[str, list[str | None]] = {k: [None] * n for k in ("cluster", "budget", "region")}
-    for unit, period, outcome, cluster, budget, region, prop in rows:
-        i, t = unit_index[unit], period_index[period]
-        if not np.isnan(baseline[i, t]):
-            raise IngestionError(f"duplicate observation for unit {unit!r}, period {period!r}")
-        baseline[i, t] = outcome
-        if props is not None:
-            props[i, t] = prop
-        for key, value in (("cluster", cluster), ("budget", budget), ("region", region)):
-            if groups[key][i] is None:
-                groups[key][i] = value
-            elif groups[key][i] != value:
-                raise IngestionError(f"unit {unit!r} has conflicting {key} labels")
-
-    missing = np.argwhere(np.isnan(baseline))
-    if missing.size:
-        i, t = missing[0]
+    # The checks across rows, in the order a row-by-row reading meets them:
+    # a repeated cell, then each grouping's label against the unit's first one.
+    found: list[tuple[int, int, str]] = []  # (row, check, message)
+    if counts.max() > 1:
+        order = np.argsort(cells, kind="stable")
+        row = int(order[1:][cells[order[1:]] == cells[order[:-1]]].min())
+        found.append((row, 0, f"duplicate observation for unit {unit_order[u[row]]!r}, period {period_values[p[row]]!r}"))
+    # Units are coded in first-seen order, so a unit's first row is where its
+    # code first exceeds every code before it.
+    first_rows = np.flatnonzero(np.concatenate(([True], u[1:] > np.maximum.accumulate(u)[:-1])))
+    groups_of_units: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
+    for check, g in enumerate(groupings, start=1):
+        codes = np.concatenate(chunks[g])
+        unit_codes = codes[first_rows]
+        row = _first(codes != unit_codes[u])
+        if row is not None:
+            found.append((row, check, f"unit {unit_order[u[row]]!r} has conflicting {g} labels"))
+        sorted_codes, names = code_labels(list(groups[g].names))
+        groups_of_units[g] = sorted_codes[unit_codes], names
+    if found:
+        raise IngestionError(min(found, key=lambda error: error[:2])[2])
+    if counts.min() == 0:
+        i, t = divmod(int(np.flatnonzero(counts == 0)[0]), n_periods)
         raise IngestionError(
             f"incomplete panel: unit {unit_order[i]!r} has no row for period {period_values[t]!r}"
         )
 
+    def cell_table(values: np.ndarray) -> np.ndarray:
+        table = np.empty(n * n_periods)
+        table[cells] = values
+        return table.reshape(n, n_periods)
+
+    grouping_fields = {}
+    for g in _GROUPINGS:
+        codes, names = groups_of_units.get(g, (np.zeros(n, dtype=np.int64), ("all",)))
+        grouping_fields.update({f"{g}_codes": codes, f"{g}_names": names})
     return Panel(
         unit_ids=tuple(unit_order),
-        cluster_ids=tuple(groups["cluster"]),  # type: ignore[arg-type]
-        budget_ids=tuple(groups["budget"]),  # type: ignore[arg-type]
-        region_ids=tuple(groups["region"]),  # type: ignore[arg-type]
         n_periods=n_periods,
-        baseline=baseline,
-        propensities=props,
+        baseline=cell_table(np.concatenate(chunks["outcome"])),
+        propensities=cell_table(np.concatenate(chunks["propensity"])) if has_propensity else None,
+        **grouping_fields,
     )
 
 

@@ -1,15 +1,23 @@
-"""The per-cell scoring pipeline, kept as the slow reference for the kernel.
+"""Slow references for the library's fast paths, and panels built from string labels.
 
 ``xdesign.risk.score_groups`` scores every mechanism point of a draw group in
 closed form on assignment atoms. This module scores one replication of one
 (design, mechanism) point step by step on cells instead: replay, exposure
 features, simulated outcomes, then each risk component from the outcome
 panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
+
+``reference_synthetic_panel`` builds a synthetic panel the way the library
+once did, from one string label per unit coded with ``np.unique``, and
+``reference_ingest_log_csv`` parses a CSV log one row at a time; the tests
+compare ``generate_synthetic_panel`` and ``ingest_log_csv`` with them.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +25,14 @@ import numpy as np
 from xdesign import (
     CalibrationScales,
     ConfigurationError,
+    CsvSchema,
     DesignSpec,
+    IngestionError,
     MechanismPoint,
     Panel,
     PlanningError,
+    SyntheticPanelConfig,
+    code_labels,
     effective_units,
     ess_share,
     launch_effect,
@@ -28,6 +40,144 @@ from xdesign import (
     outcome_strengths,
 )
 from xdesign.designs import _AtomRule, _draw_atoms
+
+
+def labelled_panel(unit_ids, cluster_ids, budget_ids, region_ids, n_periods, baseline, propensities=None) -> Panel:
+    """A panel whose groupings are given as one string label per unit."""
+    groups = {}
+    for grouping, labels in (("cluster", cluster_ids), ("budget", budget_ids), ("region", region_ids)):
+        groups[f"{grouping}_codes"], groups[f"{grouping}_names"] = code_labels(labels)
+    return Panel(
+        unit_ids=tuple(unit_ids), n_periods=n_periods, baseline=baseline, propensities=propensities, **groups
+    )
+
+
+def reference_synthetic_panel(cfg: SyntheticPanelConfig, seed=0) -> Panel:
+    """``generate_synthetic_panel`` by strings: one label per unit, coded with ``np.unique``."""
+    rng = np.random.default_rng(seed)
+
+    def deal(n_groups: int, prefix: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        order = rng.permutation(cfg.n_units)
+        assign = np.empty(cfg.n_units, dtype=np.int64)
+        assign[order] = np.arange(cfg.n_units) % n_groups
+        labels = [f"{prefix}{g:03d}" for g in assign]
+        names, inverse = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+        return inverse.reshape(-1).astype(np.int64), tuple(str(x) for x in names)
+
+    cluster_codes, cluster_names = deal(cfg.n_clusters, "c")
+    budget_codes, budget_names = deal(cfg.n_budget_groups, "b")
+    region_codes, region_names = deal(cfg.n_regions, "r")
+    baseline = rng.normal(cfg.baseline_mean, cfg.baseline_sd, size=(cfg.n_units, cfg.n_periods))
+    return Panel(
+        unit_ids=tuple(f"u{i:05d}" for i in range(cfg.n_units)),
+        cluster_codes=cluster_codes,
+        cluster_names=cluster_names,
+        budget_codes=budget_codes,
+        budget_names=budget_names,
+        region_codes=region_codes,
+        region_names=region_names,
+        n_periods=cfg.n_periods,
+        baseline=baseline,
+    )
+
+
+def reference_ingest_log_csv(text: str, schema: CsvSchema | None = None) -> Panel:
+    """``ingest_log_csv`` one row at a time: each row's checks run before the next row's.
+
+    The period checks (no NaN; one spelling per number) run last in a row.
+    The checks across rows then run in row order, and completeness last.
+    """
+    schema = schema or CsvSchema()
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError("no data rows") from None
+    header = [h.strip() for h in header]
+    col: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        if name in col:
+            raise IngestionError(f"duplicate column {name!r}")
+        col[name] = idx
+    for required in (schema.unit_id, schema.period, schema.outcome):
+        if required not in col:
+            raise IngestionError(f"missing required column {required!r}")
+    groupings = {"cluster": schema.cluster_id, "budget": schema.budget_id, "region": schema.region_id}
+
+    rows = []
+    spellings: dict[float, str] = {}
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw or all(not c.strip() for c in raw):
+            continue
+        if len(raw) != len(header):
+            raise IngestionError(f"row {lineno}: expected {len(header)} fields, got {len(raw)}")
+        unit, period = raw[col[schema.unit_id]].strip(), raw[col[schema.period]].strip()
+        if not unit or not period:
+            raise IngestionError(f"row {lineno}: empty unit_id or period")
+        outcome_text = raw[col[schema.outcome]]
+        try:
+            outcome = float(outcome_text)
+        except ValueError:
+            raise IngestionError(f"row {lineno}: non-numeric outcome {outcome_text!r}") from None
+        if not math.isfinite(outcome):
+            raise IngestionError(f"row {lineno}: non-finite outcome {outcome_text!r}")
+        prop = None
+        if schema.propensity in col:
+            prop_text = raw[col[schema.propensity]]
+            try:
+                prop = float(prop_text)
+            except ValueError:
+                raise IngestionError(f"row {lineno}: non-numeric propensity {prop_text!r}") from None
+            if not 0.0 < prop <= 1.0:
+                raise IngestionError(f"row {lineno}: propensity {prop} outside (0, 1]")
+        try:
+            value = float(period)
+        except ValueError:
+            value = None
+        if value is not None and math.isnan(value):
+            raise IngestionError(f"row {lineno}: period {period!r} is NaN")
+        if value is not None and spellings.setdefault(value, period) != period:
+            raise IngestionError(f"row {lineno}: period {period!r} is period {spellings[value]!r} written differently")
+        labels = {g: raw[col[name]].strip() if name in col else "all" for g, name in groupings.items()}
+        rows.append((unit, period, outcome, labels, prop))
+    if not rows:
+        raise IngestionError("no data rows")
+
+    def period_key(value: str):
+        try:
+            return (0, float(value), "")
+        except ValueError:
+            return (1, 0.0, value)
+
+    period_values = sorted({r[1] for r in rows}, key=period_key)
+    period_index = {v: i for i, v in enumerate(period_values)}
+    unit_order = list(dict.fromkeys(r[0] for r in rows))
+    unit_index = {u: i for i, u in enumerate(unit_order)}
+    baseline = np.full((len(unit_order), len(period_values)), np.nan)
+    props = np.full(baseline.shape, np.nan) if schema.propensity in col else None
+    unit_labels: list[dict | None] = [None] * len(unit_order)
+    for unit, period, outcome, labels, prop in rows:
+        i, t = unit_index[unit], period_index[period]
+        if not np.isnan(baseline[i, t]):
+            raise IngestionError(f"duplicate observation for unit {unit!r}, period {period!r}")
+        baseline[i, t] = outcome
+        if props is not None:
+            props[i, t] = prop
+        if unit_labels[i] is None:
+            unit_labels[i] = labels
+        for g in groupings:
+            if unit_labels[i][g] != labels[g]:
+                raise IngestionError(f"unit {unit!r} has conflicting {g} labels")
+    missing = np.argwhere(np.isnan(baseline))
+    if missing.size:
+        i, t = missing[0]
+        raise IngestionError(
+            f"incomplete panel: unit {unit_order[i]!r} has no row for period {period_values[t]!r}"
+        )
+    return labelled_panel(
+        unit_order, *([labels[g] for labels in unit_labels] for g in groupings),
+        n_periods=len(period_values), baseline=baseline, propensities=props,
+    )
 
 
 @dataclass(frozen=True)

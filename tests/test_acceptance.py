@@ -34,7 +34,7 @@ from xdesign.diagnostics import (
     transport_bound_check,
 )
 
-from reference import AssignmentTable, exposure_features, geometry_score
+from reference import AssignmentTable, exposure_features, geometry_score, labelled_panel
 
 ROOT = Path(__file__).resolve().parents[1]
 WEIGHT_VECTOR = np.array([1.00, 0.80, 0.75, 0.45, 0.45, 0.65])
@@ -144,9 +144,7 @@ class TestAcceptance:
         assert got == pytest.approx(1.400792, abs=1e-5)
 
         # Geometry score worked example: shared budget pair, intensities (0, 0.5, 0).
-        from xdesign import Panel
-
-        panel = Panel(
+        panel = labelled_panel(
             unit_ids=("u0", "u1"), cluster_ids=("c0", "c0"), budget_ids=("b0", "b0"),
             region_ids=("r0", "r0"), n_periods=1, baseline=np.zeros((2, 1)),
         )

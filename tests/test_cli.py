@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from xdesign import DesignSpec, SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
+from xdesign import ConfigurationError, DesignSpec, SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
 from xdesign import cli
 from xdesign.cli import _emission, main, run_select, run_simulate
 from xdesign.config import RunConfig, config_digest, load_config
@@ -344,15 +344,18 @@ class TestSimulateCommand:
     )
     def test_simulate_then_ingest_is_the_built_panel(self, shape, seed):
         # The CSV that simulate writes ingests back to the panel it was
-        # built from: the same ids, group labels and periods, and a baseline
-        # equal bit for bit.
+        # built from: the same ids, group codes, names and labels and
+        # periods, and a baseline equal bit for bit.
         built = generate_synthetic_panel(SyntheticPanelConfig(**shape), seed=seed)
         with tempfile.TemporaryDirectory() as out:
             run_simulate(RunConfig({"panel": {"synthetic": shape}, "seed": seed, "out": out}))
             with open(Path(out) / "panel.csv", encoding="utf-8", newline="") as handle:
                 ingested = ingest_log_csv(handle)
-        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "n_periods"):
+        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "n_periods",
+                     "cluster_names", "budget_names", "region_names"):
             assert getattr(ingested, name) == getattr(built, name), name
+        for name in ("cluster_codes", "budget_codes", "region_codes"):
+            assert getattr(ingested, name).tolist() == getattr(built, name).tolist(), name
         assert ingested.baseline.dtype == built.baseline.dtype == np.float64
         assert ingested.baseline.tobytes() == built.baseline.tobytes()
         assert ingested.propensities is None and built.propensities is None
@@ -475,6 +478,39 @@ class TestConfigValidation:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, path, value, message",
+        [
+            ("sweep", ("grid", "graph_spill"), [-0.1], "grid.graph_spill must be finite and >= 0"),
+            ("select", ("sweep", "locality"), "street", "sweep.locality must be one of"),
+            ("simulate", ("weights", "alpha"), 2, "weights.alpha must lie in (0, 1)"),
+            ("simulate", ("catalog",), [{"kind": "user", "treat_prob": 1.5}], "catalog[0].treat_prob must lie in (0, 1)"),
+        ],
+        ids=["sweep-bad-grid", "select-bad-sweep", "simulate-bad-weights", "simulate-bad-catalog"],
+    )
+    def test_every_section_is_checked_by_every_command(self, tmp_path, capsys, command, path, value, message):
+        # A section that a command does not read is still checked when the
+        # config loads, so a mistake in it is not noticed only later.
+        data = small_select_config(tmp_path / "out")
+        section = data
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_panel_source_is_checked_at_load(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="^csv panel source needs a 'path'$"):
+            RunConfig({"panel": {"csv": {}}})
+        with pytest.raises(ConfigurationError, match="^unknown panel.csv.schema key 'unit'$"):
+            RunConfig({"panel": {"csv": {"path": "p.csv", "schema": {"unit": "u"}}}})
+        # The file is read by each run, not at load.
+        RunConfig({"panel": {"csv": {"path": str(tmp_path / "absent.csv")}}})
 
     def test_every_design_and_sweep_field_is_a_config_key(self):
         design = DesignSpec(

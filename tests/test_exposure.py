@@ -8,11 +8,11 @@ import pytest
 
 from xdesign import ConfigurationError, DesignSpec, MechanismPoint, Panel, wasserstein1_1d
 
-from reference import AssignmentTable, _group_share, exposure_features, geometry_score, replay
+from reference import AssignmentTable, _group_share, exposure_features, geometry_score, labelled_panel, replay
 
 
 def tiny_panel(n_units=2, n_periods=1, cluster=None, budget=None, region=None) -> Panel:
-    return Panel(
+    return labelled_panel(
         unit_ids=tuple(f"u{i}" for i in range(n_units)),
         cluster_ids=tuple(cluster or ["c0"] * n_units),
         budget_ids=tuple(budget or ["b0"] * n_units),

@@ -2,9 +2,12 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xdesign import (
     CalibrationError,
@@ -14,10 +17,15 @@ from xdesign import (
     Panel,
     SyntheticPanelConfig,
     calibrate_scales,
+    code_labels,
     ess_share,
     generate_synthetic_panel,
     ingest_log_csv,
 )
+
+from xdesign import panel as panel_module
+
+from reference import labelled_panel, reference_ingest_log_csv, reference_synthetic_panel
 
 
 def check_panel_invariants(panel: Panel) -> None:
@@ -29,7 +37,91 @@ def check_panel_invariants(panel: Panel) -> None:
         assert np.all((panel.propensities > 0) & (panel.propensities <= 1))
 
 
+def assert_same_panel(a: Panel, b: Panel) -> None:
+    assert a.unit_ids == b.unit_ids
+    for grouping in ("cluster", "budget", "region"):
+        assert getattr(a, f"{grouping}_names") == getattr(b, f"{grouping}_names"), grouping
+        codes_a, codes_b = getattr(a, f"{grouping}_codes"), getattr(b, f"{grouping}_codes")
+        assert codes_a.dtype == codes_b.dtype == np.int64 and np.array_equal(codes_a, codes_b), grouping
+    assert a.n_periods == b.n_periods
+    assert a.baseline.dtype == b.baseline.dtype == np.float64
+    assert a.baseline.tobytes() == b.baseline.tobytes()
+    if a.propensities is None or b.propensities is None:
+        assert a.propensities is None and b.propensities is None
+    else:
+        assert a.propensities.tobytes() == b.propensities.tobytes()
+
+
+class TestGroupCodes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(labels=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=40))
+    def test_code_labels_matches_np_unique(self, labels):
+        names, inverse = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+        codes, got = code_labels(labels)
+        assert got == tuple(names)
+        assert codes.dtype == np.int64 and codes.tolist() == inverse.reshape(-1).tolist()
+
+    def test_label_views_are_derived_from_the_codes(self):
+        panel = labelled_panel(("u0", "u1", "u2"), ("c2", "c10", "c2"), ("b",) * 3, ("r1", "r0", "r0"),
+                               n_periods=1, baseline=np.zeros((3, 1)))
+        assert panel.cluster_names == ("c10", "c2")
+        assert panel.cluster_codes.tolist() == [1, 0, 1]
+        assert panel.cluster_ids == ("c2", "c10", "c2")
+        assert panel.region_ids == ("r1", "r0", "r0")
+        with pytest.raises(AttributeError):
+            panel.cluster_ids = ("c0",) * 3
+
+    @pytest.mark.parametrize(
+        "codes, names, message",
+        [
+            ([0, 2], ("a", "b"), "cluster_codes must use each of the 2 names"),
+            ([0, 0], ("a", "b"), "cluster_codes must use each of the 2 names"),
+            ([-1, 0], ("a",), "cluster_codes must use each of the 1 names"),
+            ([0, 1], ("b", "a"), "cluster_names must be sorted and distinct"),
+            ([0, 1], ("a", "a"), "cluster_names must be sorted and distinct"),
+            ([0], ("a",), "cluster_codes must hold one integer per unit"),
+            ([0.0, 0.0], ("a",), "cluster_codes must hold one integer per unit"),
+            ([0, 0], ("",), "cluster_id labels must be non-empty"),
+        ],
+        ids=["out-of-range", "unused-name", "negative", "unsorted", "repeated", "short", "float", "empty-name"],
+    )
+    def test_malformed_grouping_rejected(self, codes, names, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            Panel(unit_ids=("u0", "u1"), cluster_codes=np.asarray(codes), cluster_names=names,
+                  budget_codes=np.zeros(2, dtype=np.int64), budget_names=("b",),
+                  region_codes=np.zeros(2, dtype=np.int64), region_names=("r",),
+                  n_periods=1, baseline=np.zeros((2, 1)))
+
+
 class TestSyntheticPanel:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.fixed_dictionaries({
+            "n_units": st.integers(2, 1500),
+            "n_clusters": st.integers(1, 1300),
+            "n_budget_groups": st.integers(1, 40),
+            "n_regions": st.integers(1, 5),
+            "n_periods": st.integers(1, 3),
+        }),
+        seed=st.integers(0, 2**32),
+    )
+    @example(shape={"n_units": 2000, "n_clusters": 50, "n_budget_groups": 6, "n_regions": 1, "n_periods": 40}, seed=0)
+    @example(shape={"n_units": 30, "n_clusters": 1200, "n_budget_groups": 5, "n_regions": 2, "n_periods": 2}, seed=1)
+    @example(shape={"n_units": 1500, "n_clusters": 1200, "n_budget_groups": 1100, "n_regions": 3, "n_periods": 1},
+             seed=2)
+    def test_matches_the_string_reference(self, shape, seed):
+        # The same generator calls give the same codes, names and baseline as
+        # labelling every unit with a string and coding the strings.
+        cfg = SyntheticPanelConfig(**shape)
+        assert_same_panel(generate_synthetic_panel(cfg, seed=seed), reference_synthetic_panel(cfg, seed=seed))
+
+    def test_names_sort_as_strings_and_empty_groups_get_none(self):
+        panel = generate_synthetic_panel(SyntheticPanelConfig(n_units=1100, n_clusters=1100, n_periods=1), seed=0)
+        assert panel.cluster_names.index("c1000") < panel.cluster_names.index("c101")
+        panel = generate_synthetic_panel(SyntheticPanelConfig(n_units=5, n_clusters=9, n_periods=1), seed=0)
+        assert panel.cluster_names == ("c000", "c001", "c002", "c003", "c004")
+
+
     def test_zero_sd_means_constant_baseline(self):
         cfg = SyntheticPanelConfig(n_units=10, n_periods=3, baseline_mean=4.2, baseline_sd=0.0)
         panel = generate_synthetic_panel(cfg, seed=1)
@@ -175,11 +267,100 @@ class TestIngestLogCsv:
             check_panel_invariants(ingest_log_csv(io.StringIO("\n".join(lines) + "\n")))
 
 
+    def test_earlier_bad_row_is_reported(self):
+        # Each column is checked at once, but the error still names the
+        # first bad row, whatever check it fails.
+        text = "unit_id,period,outcome,propensity\nA,1,oops,0.5\nB,1,2.0,0\n"
+        with pytest.raises(IngestionError, match="^row 2: non-numeric outcome 'oops'$"):
+            ingest_log_csv(io.StringIO(text))
+        text = "unit_id,period,outcome\nA,1,inf\nB,1,oops\nC,1\n"
+        with pytest.raises(IngestionError, match="^row 2: non-finite outcome 'inf'$"):
+            ingest_log_csv(io.StringIO(text))
+
+    def test_nan_period_rejected(self):
+        # NaN has no place in the period order, so the lags would depend on
+        # the process's string hashing.
+        text = "unit_id,period,outcome\nA,3,1\nA,nan,2\nA,1,3\nA,2,4\n"
+        with pytest.raises(IngestionError, match="^row 3: period 'nan' is NaN$"):
+            ingest_log_csv(io.StringIO(text))
+
+    def test_one_period_written_two_ways_rejected(self):
+        text = "unit_id,period,outcome\nA,1,1\nB,1,2\nA,2,3\nB,1.0,4\n"
+        with pytest.raises(IngestionError, match="^row 5: period '1.0' is period '1' written differently$"):
+            ingest_log_csv(io.StringIO(text))
+
+    def test_units_keep_first_seen_order_and_names_sort(self):
+        text = "unit_id,period,outcome,cluster_id\nz,2,1,c2\na,2,2,c10\nz,1,3, c2\na,1,4,c10\n"
+        panel = ingest_log_csv(io.StringIO(text))
+        assert panel.unit_ids == ("z", "a")
+        assert panel.cluster_names == ("c10", "c2") and panel.cluster_codes.tolist() == [1, 0]
+        assert panel.baseline.tolist() == [[3.0, 1.0], [4.0, 2.0]]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 3, 1 << 14]))
+    def test_matches_the_row_by_row_reference(self, data, block):
+        # Random logs, some with bad fields, missing, repeated, blank or
+        # ragged rows, read in blocks of a few rows: the panel, or the error
+        # message and the row it names, match the row-by-row reference.
+        text = data.draw(csv_logs())
+        with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
+            got = outcome_of(lambda: ingest_log_csv(io.StringIO(text)))
+        want = outcome_of(lambda: reference_ingest_log_csv(text))
+        if isinstance(want, Panel) and isinstance(got, Panel):
+            assert_same_panel(got, want)
+        else:
+            assert got == want
+
+
+def outcome_of(ingest):
+    try:
+        return ingest()
+    except (IngestionError, ConfigurationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def csv_logs(draw) -> str:
+    """A unit-by-period log with up to three faults."""
+    n_units, n_periods = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    periods = draw(st.lists(st.sampled_from(["1", "2", "10", "1.0", " 2", "x", "b", "-0", "0", "3"]),
+                            min_size=n_periods, max_size=n_periods, unique=True))
+    groups, propensity = draw(st.booleans()), draw(st.booleans())
+    header = ["unit_id", "period", "outcome"] + ["cluster_id", "budget_id", "region_id"] * groups
+    header += ["propensity"] * propensity
+    rows = []
+    for i in range(n_units):
+        for period in periods:
+            row = [f"u{i}", period, draw(st.sampled_from(["1.5", "-2", "0", "1e3", " 7 "]))]
+            row += [f"c{i % 3}", f"b{i % 2}", "r"] * groups
+            row += [draw(st.sampled_from(["0.5", "1", "0.25"]))] * propensity
+            rows.append(row)
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["field", "field", "label", "drop", "repeat", "blank", "width"]))
+        at = draw(st.integers(0, len(rows)))
+        row = rows[min(at, len(rows) - 1)] if rows else []
+        if fault == "field" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+                ["", " ", "oops", "nan", "inf", "0", "1.5", "1.0", "c9", " u0", "u1", "2"]))
+        elif fault == "label" and groups and len(row) > 5:
+            row[draw(st.integers(3, 5))] = draw(st.sampled_from(["c9", " c1", "b0", "b1"]))
+        elif fault == "drop" and rows:
+            rows.remove(row)
+        elif fault == "repeat" and rows:
+            rows.insert(at, list(rows[draw(st.integers(0, len(rows) - 1))]))
+        elif fault == "blank":
+            rows.insert(at, draw(st.sampled_from([[], [" "] * len(header)])))
+        elif fault == "width" and row:
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["9"]
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+
+
 class TestCalibrateScales:
     def _panel(self, values) -> Panel:
         arr = np.asarray(values, dtype=float)
         n = arr.shape[0]
-        return Panel(
+        return labelled_panel(
             unit_ids=tuple(f"u{i}" for i in range(n)),
             cluster_ids=("c",) * n,
             budget_ids=("b",) * n,

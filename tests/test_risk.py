@@ -54,6 +54,7 @@ from reference import (
     group_stream,
     hand_row,
     hand_rows,
+    labelled_panel,
     simulate_outcomes,
     variance_component,
 )
@@ -64,7 +65,7 @@ BIAS = N_CHANNELS - 1
 
 def tiny_panel(n_units, n_periods, baseline=None, **groups) -> Panel:
     base = baseline if baseline is not None else np.zeros((n_units, n_periods))
-    return Panel(
+    return labelled_panel(
         unit_ids=tuple(f"u{i}" for i in range(n_units)),
         cluster_ids=tuple(groups.get("cluster", ["c0"] * n_units)),
         budget_ids=tuple(groups.get("budget", ["b0"] * n_units)),
