@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -61,11 +63,14 @@ class _Emitter:
         return p
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> Path:
+        """Write rows of values, floats as ``repr`` and everything else as ``str``."""
+        cells = ([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
+        return self.write_rows(name, header, cells)
+
+    def write_rows(self, name: str, header: list[str], rows: Iterable[Sequence[str]]) -> Path:
+        """Write rows of formatted cells."""
         p = self.path(name)
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        p.write_text("\n".join(map(",".join, itertools.chain([header], rows))) + "\n", encoding="utf-8")
         return p
 
     def cleanup(self) -> None:
@@ -288,16 +293,20 @@ def run_simulate(config: RunConfig) -> dict:
     header = ["unit_id", "period", "outcome", "cluster_id", "budget_id", "region_id"]
     if panel.propensities is not None:
         header.append("propensity")
-    rows = []
-    groups = zip(panel.cluster_ids, panel.budget_ids, panel.region_ids)
-    for i, (unit, (cluster, budget, region)) in enumerate(zip(panel.unit_ids, groups)):
-        for t in range(panel.n_periods):
-            row = [unit, t + 1, float(panel.baseline[i, t]), cluster, budget, region]
-            if panel.propensities is not None:
-                row.append(float(panel.propensities[i, t]))
-            rows.append(row)
+    # One column of formatted cells each, in unit-major row order; the three
+    # group names of a unit share one column.
+    n_periods = panel.n_periods
+    groups = map(",".join, zip(panel.cluster_ids, panel.budget_ids, panel.region_ids))
+    columns = [
+        [unit for unit in panel.unit_ids for _ in range(n_periods)],
+        list(map(str, range(1, n_periods + 1))) * panel.n_units,
+        map(repr, panel.baseline.ravel().tolist()),
+        [group for group in groups for _ in range(n_periods)],
+    ]
+    if panel.propensities is not None:
+        columns.append(map(repr, panel.propensities.ravel().tolist()))
     with _emission(config.out_dir) as emitter:
-        emitter.write_csv("panel.csv", header, rows)
+        emitter.write_rows("panel.csv", header, zip(*columns))
     return {
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,

@@ -87,6 +87,9 @@ class _AtomRule:
     the cluster or budget group that the rule draws for, and ``n_groups``
     counts those groups, or the blocks of a switchback region, whose periods
     ``columns`` maps to their block. ``levels`` are the saturation levels.
+    A replay draws ``n_level_draws`` level indices (one per group for
+    ``two_stage``, else none), then ``n_uniform`` uniforms; see
+    :func:`_draw_uniforms`.
     """
 
     design: DesignSpec
@@ -97,6 +100,8 @@ class _AtomRule:
     columns: np.ndarray
     levels: np.ndarray
     unit_labels: np.ndarray
+    n_level_draws: int
+    n_uniform: int
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
@@ -104,15 +109,19 @@ class _AtomRule:
         codes = panel.budget_codes if design.kind == "budget_split" else panel.cluster_codes
         n_groups = int(codes.max()) + 1
         columns = np.arange(n_periods) // design.block_length
-        n_atoms, labels = n_units, codes
+        n_atoms, labels, n_uniform = n_units, codes, n_units
         if design.kind == "user":
             labels = np.arange(n_units, dtype=np.int64)
+        elif design.kind in ("cluster", "budget_split"):
+            n_uniform = n_groups
         elif design.kind == "switchback":
             n_groups = int(columns[-1]) + 1
             n_atoms = panel.n_regions * n_periods
             labels = (np.arange(panel.n_regions)[:, None] * n_groups + columns).ravel()
+            n_uniform = panel.n_regions * n_groups
         elif design.kind == "mixed":
             labels = None
+            n_uniform = 2 * n_groups + n_units
         return cls(
             design=design,
             n_atoms=n_atoms,
@@ -122,36 +131,58 @@ class _AtomRule:
             columns=columns,
             levels=np.asarray(design.saturation_levels, dtype=float),
             unit_labels=n_groups + np.arange(n_units, dtype=np.int64),
+            n_level_draws=n_groups if design.kind == "two_stage" else 0,
+            n_uniform=n_uniform,
         )
 
 
-def _draw_atoms(rule: _AtomRule, rng: np.random.Generator, z: np.ndarray, labels: np.ndarray) -> None:
-    """Draw one replay: 0/1 treatment per atom into ``z``, and ``mixed``'s labels into ``labels``.
+def _draw_uniforms(rule: _AtomRule, rng: np.random.Generator, uniforms: np.ndarray, level_draws: np.ndarray) -> None:
+    """Make one replay's generator calls: its level indices into ``level_draws``, then its uniforms.
 
-    ``z`` and ``labels`` are (n_atoms,) arrays; ``labels`` is left alone for
-    every other kind. No rule depends on the interference mechanism, so one
-    replay serves every grid point. ``all_treated`` makes the kind's draws,
-    keeps its labels and treats every atom.
+    ``uniforms`` is a C-contiguous float row of ``n_uniform`` and
+    ``level_draws`` an int64 row of ``n_level_draws``, which only
+    ``two_stage`` fills with each group's saturation-level index. The uniforms
+    are, in draw order, one per unit (``user``, ``two_stage``), per group
+    (``cluster``, ``budget_split``) or per region-block in region-major order
+    (``switchback``); ``mixed`` takes one per group for the whole-cluster
+    coin, one per group for the cluster draw and one per unit. Its one call
+    draws the same doubles as three calls of those sizes, since each double
+    takes one 64-bit output of the bit generator. No draw depends on the
+    interference mechanism, so one replay serves every grid point.
+    """
+    if rule.n_level_draws:
+        level_draws[:] = rng.integers(0, rule.levels.size, size=rule.n_level_draws)
+    rng.random(out=uniforms)
+
+
+def _assign_atoms(
+    rule: _AtomRule, uniforms: np.ndarray, level_draws: np.ndarray, z: np.ndarray, labels: np.ndarray
+) -> None:
+    """Map a stack of replays' draws to 0/1 treatment per atom in ``z``, and ``mixed``'s labels in ``labels``.
+
+    ``uniforms`` and ``level_draws`` are (slots, n_uniform) and (slots,
+    n_level_draws) stacks of :func:`_draw_uniforms` rows; ``z`` and
+    ``labels`` are (slots, n_atoms), and ``labels`` is left alone for every
+    kind but ``mixed``. A slot's treatment depends only on its own rows.
+    ``all_treated`` keeps the kind's draws and labels and treats every atom.
     """
     design, codes = rule.design, rule.codes
-    n, p = codes.size, design.treat_prob
-    # np.less takes its output buffer as the third argument: an out= keyword
-    # costs about as much as drawing a small panel's uniforms.
+    p = design.treat_prob
     if design.kind == "user":
-        np.less(rng.random(n), p, z)
+        np.less(uniforms, p, out=z)
     elif design.kind in ("cluster", "budget_split"):
-        np.less(rng.random(rule.n_groups)[codes], p, z)
+        np.less(uniforms[:, codes], p, out=z)
     elif design.kind == "switchback":
-        by_region = z.reshape(-1, rule.columns.size)
-        np.less(rng.random((by_region.shape[0], rule.n_groups))[:, rule.columns], p, by_region)
+        by_region = uniforms.reshape(uniforms.shape[0], -1, rule.n_groups)
+        np.less(by_region[:, :, rule.columns], p, out=z.reshape(by_region.shape[:2] + (-1,)))
     elif design.kind == "two_stage":
-        level_idx = rng.integers(0, rule.levels.size, size=rule.n_groups)
-        np.less(rng.random(n), rule.levels[level_idx][codes], z)
+        np.less(uniforms, rule.levels[level_draws][:, codes], out=z)
     elif design.kind == "mixed":
-        whole_cluster = (rng.random(rule.n_groups) < design.mixture_prob)[codes]
-        cluster_draws = rng.random(rule.n_groups) < p
-        np.less(rng.random(n), p, z)
-        np.copyto(z, cluster_draws[codes], where=whole_cluster)
+        n_groups = rule.n_groups
+        whole_cluster = (uniforms[:, :n_groups] < design.mixture_prob)[:, codes]
+        cluster_draws = uniforms[:, n_groups : 2 * n_groups] < p
+        np.less(uniforms[:, 2 * n_groups :], p, out=z)
+        np.copyto(z, cluster_draws[:, codes], where=whole_cluster)
         np.copyto(labels, rule.unit_labels)
         np.copyto(labels, codes, where=whole_cluster)
     else:  # pragma: no cover - guarded by DesignSpec

@@ -29,12 +29,14 @@ the size of the panel's cells is built per replication.
 
 Each (design, draw group) has one generator, seeded from
 ``(master_seed, design index, group index)``, and its replications take
-their draws from it in order: the replay's per-atom treatment, then one
-standard normal per atom. Draw groups with the same localities and number of
-points form one batch, and a design's replications over a batch are slots
-(group, rep). Only the draws run one slot at a time. A chunk of slots, which
-may span the batch's groups and whose arrays stay within ``_CHUNK_BYTES``,
-is then reduced to each slot's sufficient statistics:
+their draws from it in order: the replay's uniforms (after ``two_stage``'s
+level indices), then one standard normal per atom. Draw groups with the same
+localities and number of points form one batch, and a design's replications
+over a batch are slots (group, rep). Only the generator calls run one slot at
+a time, each into a row of the chunk's buffers. A chunk of slots, which may
+span the batch's groups and whose arrays stay within ``_CHUNK_BYTES``, then
+has all its uniforms mapped to per-atom treatment at once and is reduced to
+each slot's sufficient statistics:
 
 - the per-arm sums of its atom features, which give the arm and overall
   means behind geometry, contamination, mismatch and the bias;
@@ -56,7 +58,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .designs import DesignSpec, _AtomRule, _draw_atoms, effective_units
+from .designs import DesignSpec, _AtomRule, _assign_atoms, _draw_uniforms, effective_units
 from .errors import ConfigurationError, PlanningError
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
 from .panel import CalibrationScales, Panel, ess_share
@@ -133,13 +135,15 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
 # of its own.
 _BASE, _DIRECT, _LAG, _BUDGET = range(4)
 
-# Bytes of one chunk's per-slot arrays, each atoms-sized: the features, the
+# Bytes of one chunk's per-slot arrays. Atoms-sized: the features, the
 # treatment, the drawn labels and the label keys, and per occupied label (a
 # slot has at most one per atom) the feature means and one feature's pair
-# products. A slot of select's 200x8 panel (five features) takes 28.8 KB, so
-# a chunk holds 18 slots; one of the sweep's 2000x40 panel takes 288 KB, so a
-# chunk holds one. Larger chunks barely speed select up but raise its peak
-# RSS above the per-cell kernel's.
+# products. Then one replay's uniforms and level indices, as many as the
+# catalog's hungriest rule draws. A slot of select's 200x8 panel (five
+# features) takes 30.5 KB, 1.7 KB of them draws, so a chunk holds 17 slots;
+# one of the sweep's 2000x40 panel takes 305 KB, so a chunk holds one.
+# Larger chunks trade peak RSS for speed: four times this budget runs select
+# about 12% faster, with 2.3 MB more peak RSS (38.6 -> 40.9 MB).
 _CHUNK_BYTES = 2**19
 
 
@@ -148,7 +152,7 @@ class _Atoms:
     """The atoms of one layout and the fixed maps from per-atom draws to features.
 
     Atoms are units, or (region, period) pairs in region-major order when
-    ``regions`` is set (see :func:`xdesign.designs._draw_atoms`). ``cells`` is each
+    ``regions`` is set (see :func:`xdesign.designs._assign_atoms`). ``cells`` is each
     atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
     the atom of the period before (itself in the first period), so the lag
     sum is ``m * z[prev]``. ``shares`` maps each grouping to what its
@@ -340,6 +344,8 @@ class _Labels:
 
     def prefix(self, n_slots: int) -> "_Labels":
         """The index of the first ``n_slots`` slots."""
+        if n_slots == self.per_slot.size:
+            return self
         n_occupied = int(self.per_slot[:n_slots].sum())
         return _Labels(
             self.key[: self.key.size // self.per_slot.size * n_slots],
@@ -369,17 +375,22 @@ def _score_batch(
     features: np.ndarray,
     treated: np.ndarray,
     labels: np.ndarray,
+    uniforms: np.ndarray,
+    level_draws: np.ndarray,
 ) -> None:
     """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
     The batch's replications are slots (group, rep) in group-major order, and
-    each group's slots draw from the group's own generator in rep order. Only
-    the draws run one slot at a time: the replay's per-atom treatment goes
-    into ``treated`` and, for ``mixed``, its labels into ``labels``; then one
-    standard normal per atom goes into ``features``. These three are flat
-    buffers that hold (chunk, atoms), (chunk, atoms) and (features, chunk,
-    atoms). Labels that do not depend on the draws come indexed for ``chunk``
-    slots in ``fixed_labels``, and a short last chunk takes a prefix of them.
+    each group's slots draw from the group's own generator in rep order. The
+    per-slot loop makes only generator calls: the replay's level indices and
+    uniforms go into rows of ``level_draws`` and ``uniforms``, then one
+    standard normal per atom into ``features``. One call then maps the
+    chunk's draws to per-atom treatment in ``treated`` and, for ``mixed``,
+    labels in ``labels``. These are flat buffers that hold (chunk,
+    n_level_draws), (chunk, n_uniform), (features, chunk, atoms), (chunk,
+    atoms) and (chunk, atoms). Labels that do not depend on the draws come
+    indexed for ``chunk`` slots in ``fixed_labels``, and a short last chunk
+    takes a prefix of them.
 
     Each chunk of slots, which may span groups, is reduced to every slot's
     sufficient statistics: the (features, 2) per-arm sums of its per-atom
@@ -401,18 +412,34 @@ def _score_batch(
     noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
     arm_sums = np.empty((n_total, n_features, 2))
     noise_mean = np.empty(n_total)
-    cov = np.empty((n_features, n_features, n_total))
+    # Each slot's covariance is symmetric: keep its upper triangle, row by
+    # row, as pairs; pair_of numbers both (f, g) and (g, f).
+    upper = np.triu_indices(n_features)
+    pair_of = np.empty((n_features, n_features), dtype=np.intp)
+    pair_of[upper] = pair_of.T[upper] = np.arange(upper[0].size)
+    pairs = np.empty((upper[0].size, n_total))
+    def views(n_slots: int) -> tuple[np.ndarray, ...]:
+        """The buffers' leading parts, shaped for ``n_slots`` slots."""
+        return (
+            features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms),
+            treated[: n_slots * n_atoms].reshape(n_slots, n_atoms),
+            labels[: n_slots * n_atoms].reshape(n_slots, n_atoms),
+            uniforms[: n_slots * rule.n_uniform].reshape(n_slots, rule.n_uniform),
+            level_draws[: n_slots * rule.n_level_draws].reshape(n_slots, rule.n_level_draws),
+        )
+
+    full = views(chunk)
     for start in range(0, n_total, chunk):
         stop = min(start + chunk, n_total)
         n_slots = stop - start
-        block = features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms)
-        z = treated[: n_slots * n_atoms].reshape(n_slots, n_atoms)
-        drawn_labels = labels[: n_slots * n_atoms].reshape(n_slots, n_atoms)
-        for i, g in enumerate(slot_group[start:stop].tolist()):
+        block, z, drawn_labels, drawn_uniforms, drawn_levels = full if n_slots == chunk else views(n_slots)
+        rows = zip(slot_group[start:stop].tolist(), drawn_uniforms, drawn_levels, block[_BASE])
+        for g, uniform_row, level_row, noise_row in rows:
             rng = streams[g]
-            _draw_atoms(rule, rng, z[i], drawn_labels[i])
+            _draw_uniforms(rule, rng, uniform_row, level_row)
             # Drawn even when noise_sd is 0, so that no later draw depends on the calibration.
-            rng.standard_normal(out=block[_BASE, i])
+            rng.standard_normal(out=noise_row)
+        _assign_atoms(rule, drawn_uniforms, drawn_levels, z, drawn_labels)
 
         # A zero noise_sd scales every normal to +-0, which leaves the baseline exact.
         block[_BASE] *= noise_scale
@@ -437,8 +464,11 @@ def _score_batch(
         slot_means = np.add.reduceat(label_means, index.first, axis=1) / index.per_slot
         label_means -= np.repeat(slot_means, index.per_slot, axis=1)
         for f in range(n_features):
-            cov[f, f:, start:stop] = np.add.reduceat(label_means[f] * label_means[f:], index.first, axis=1)
-        cov[:, :, start:stop] /= index.per_slot - 1
+            row = pair_of[f, f]
+            pairs[row : row + n_features - f, start:stop] = np.add.reduceat(
+                label_means[f] * label_means[f:], index.first, axis=1
+            )
+        pairs[:, start:stop] /= index.per_slot - 1
 
         # Arm sums: one BLAS product (features, atoms) @ (atoms, 2) per slot.
         arms = np.stack([z, 1.0 - z], axis=2)
@@ -448,8 +478,7 @@ def _score_batch(
     outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
     switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
 
-    lower = np.tril_indices(n_features, -1)
-    cov[lower] = cov.transpose(1, 0, 2)[lower]
+    cov = pairs[pair_of]
     # o' C o, summed in feature order. Rounding can take it just below the
     # zero that a constant outcome has, which the variance cannot be.
     v = _project(outcome, [_project(outcome, row) for row in cov])
@@ -514,20 +543,25 @@ def score_groups(
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     layouts = {regions: _Atoms.build(panel, regions) for regions in {d.kind == "switchback" for d in catalog}}
+    rules = [_AtomRule.build(design, panel) for design in catalog]
     # Buffers for one chunk of slots, reused by every design and batch; see
     # _CHUNK_BYTES for what a slot holds.
     n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
     n_atoms = max(atoms.cells.size for atoms in layouts.values())
+    n_uniform = max(rule.n_uniform for rule in rules)
+    n_level_draws = max(rule.n_level_draws for rule in rules)
     most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
-    chunk = max(1, min(most_slots, _CHUNK_BYTES // ((3 * n_features + 3) * n_atoms * 8)))
+    slot_bytes = ((3 * n_features + 3) * n_atoms + n_uniform + n_level_draws) * 8
+    chunk = max(1, min(most_slots, _CHUNK_BYTES // slot_bytes))
     buffers = dict(
         features=np.empty(n_features * chunk * n_atoms),
         treated=np.empty(chunk * n_atoms),
         labels=np.empty(chunk * n_atoms, dtype=np.int64),
+        uniforms=np.empty(chunk * n_uniform),
+        level_draws=np.empty(chunk * n_level_draws, dtype=np.int64),
     )
-    for d, design in enumerate(catalog):
+    for d, (design, rule) in enumerate(zip(catalog, rules)):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        rule = _AtomRule.build(design, panel)
         atoms = layouts[design.kind == "switchback"]
         fixed_labels = None
         if rule.labels is not None:

@@ -10,6 +10,8 @@ panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
 once did, from one string label per unit coded with ``np.unique``, and
 ``reference_ingest_log_csv`` parses a CSV log one row at a time; the tests
 compare ``generate_synthetic_panel`` and ``ingest_log_csv`` with them.
+``reference_panel_csv`` writes a panel one Python row per cell, as
+``xdesign simulate`` once did; the tests compare its bytes with the command's.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from xdesign import (
     mde,
     outcome_strengths,
 )
-from xdesign.designs import _AtomRule, _draw_atoms
+from xdesign.designs import _AtomRule, _assign_atoms, _draw_uniforms
 
 
 def labelled_panel(unit_ids, cluster_ids, budget_ids, region_ids, n_periods, baseline, propensities=None) -> Panel:
@@ -50,6 +52,22 @@ def labelled_panel(unit_ids, cluster_ids, budget_ids, region_ids, n_periods, bas
     return Panel(
         unit_ids=tuple(unit_ids), n_periods=n_periods, baseline=baseline, propensities=propensities, **groups
     )
+
+
+def reference_panel_csv(panel: Panel) -> str:
+    """The text of ``simulate``'s panel.csv, built from one list of values per cell."""
+    header = ["unit_id", "period", "outcome", "cluster_id", "budget_id", "region_id"]
+    if panel.propensities is not None:
+        header.append("propensity")
+    lines = [",".join(header)]
+    groups = zip(panel.cluster_ids, panel.budget_ids, panel.region_ids)
+    for i, (unit, (cluster, budget, region)) in enumerate(zip(panel.unit_ids, groups)):
+        for t in range(panel.n_periods):
+            row = [unit, t + 1, float(panel.baseline[i, t]), cluster, budget, region]
+            if panel.propensities is not None:
+                row.append(float(panel.propensities[i, t]))
+            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def reference_synthetic_panel(cfg: SyntheticPanelConfig, seed=0) -> Panel:
@@ -214,12 +232,24 @@ def replay(
     used as is and draws from its current state, which it advances.
     """
     rule = _AtomRule.build(design, panel)
-    z, labels = np.empty(rule.n_atoms), np.empty(rule.n_atoms, dtype=np.int64)
-    _draw_atoms(rule, np.random.default_rng(seed), z, labels)
+    z, labels = draw_atoms(rule, np.random.default_rng(seed))
     if rule.labels is not None:
         labels = rule.labels
     atoms = atom_of_cell(design, panel)
     return AssignmentTable(z[atoms], labels[atoms])
+
+
+def draw_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replay's (n_atoms,) treatment and drawn labels (-1 for every kind but ``mixed``).
+
+    The kernel's two halves on a one-slot stack: the generator calls, then
+    the map from uniforms to atoms.
+    """
+    uniforms, level_draws = np.empty((1, rule.n_uniform)), np.empty((1, rule.n_level_draws), dtype=np.int64)
+    _draw_uniforms(rule, rng, uniforms[0], level_draws[0])
+    z, labels = np.empty((1, rule.n_atoms)), np.full((1, rule.n_atoms), -1, dtype=np.int64)
+    _assign_atoms(rule, uniforms, level_draws, z, labels)
+    return z[0], labels[0]
 
 
 @dataclass(frozen=True)

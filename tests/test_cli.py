@@ -20,6 +20,8 @@ from xdesign.cli import _emission, main, run_select, run_simulate
 from xdesign.config import RunConfig, config_digest, load_config
 from xdesign.diagnostics import SweepConfig
 
+from reference import reference_panel_csv
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "xdesign" / "schemas"
 
 
@@ -328,6 +330,27 @@ class TestSimulateCommand:
         assert panel.n_units == 80
         assert panel.n_periods == 6
         assert panel.n_clusters == 4
+
+    def test_panel_csv_matches_the_row_writer_byte_for_byte(self, tmp_path):
+        # The shipped demo panel, then a panel with propensities read back
+        # from CSV: simulate's columnar writer gives the bytes of one row
+        # list per cell formatted with repr.
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "select_demo.json")
+        config = RunConfig({**config.data, "out": str(tmp_path / "demo")})
+        run_simulate(config)
+        expected = reference_panel_csv(config.build_panel())
+        assert (tmp_path / "demo" / "panel.csv").read_bytes() == expected.encode("utf-8")
+
+        built = generate_synthetic_panel(SyntheticPanelConfig(n_units=30, n_clusters=4, n_periods=5), seed=3)
+        rng = np.random.default_rng(3)
+        with_propensities = dataclasses.replace(built, propensities=rng.uniform(0.05, 1.0, built.baseline.shape))
+        source = tmp_path / "source.csv"
+        source.write_text(reference_panel_csv(with_propensities), encoding="utf-8")
+        config = RunConfig({"panel": {"csv": {"path": str(source)}}, "out": str(tmp_path / "csv")})
+        run_simulate(config)
+        panel = config.build_panel()
+        assert panel.propensities is not None
+        assert (tmp_path / "csv" / "panel.csv").read_bytes() == reference_panel_csv(panel).encode("utf-8")
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

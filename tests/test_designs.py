@@ -15,9 +15,9 @@ from xdesign import (
     generate_synthetic_panel,
 )
 from xdesign.config import RunConfig
-from xdesign.designs import KINDS, _AtomRule, _draw_atoms
+from xdesign.designs import KINDS, _AtomRule, _assign_atoms, _draw_uniforms
 
-from reference import AssignmentTable, replay
+from reference import AssignmentTable, draw_atoms, replay
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,10 @@ class TestReplayRules:
 def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
     """Each rule written with fresh arrays per replay, returning int8 treatment and ``mixed``'s labels.
 
-    ``_draw_atoms`` writes into the kernel's buffers from constants computed
-    once per design; it must make these generator calls, in this order, and
-    draw these bits.
+    The kernel makes a replay's generator calls with ``_draw_uniforms`` into
+    buffers sized once per design, then maps a chunk of replays at once with
+    ``_assign_atoms``; together they must make these generator calls, in this
+    order, and draw these bits.
     """
     n, p = panel.n_units, design.treat_prob
     labels = None
@@ -143,25 +144,52 @@ class TestAtoms:
     @pytest.mark.parametrize("all_treated", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
     def test_draws_match_the_allocating_rule_bit_for_bit(self, panel, kind, all_treated, block_length):
-        # Consecutive replays from one generator, as the kernel draws a
-        # group's replications, into buffers that hold the previous replay.
+        # The kernel's way: chunks of slots whose draws come from two
+        # generators, interleaved, into buffers that hold the previous chunk;
+        # the last chunk is short. Each slot makes its generator calls, then
+        # the whole chunk is mapped at once.
         design = DesignSpec(
             kind=kind, all_treated=all_treated, block_length=block_length, saturation_levels=(0.1, 0.5, 0.9)
         )
         rule = _AtomRule.build(design, panel)
-        z, labels = np.full(rule.n_atoms, np.nan), np.full(rule.n_atoms, -1, dtype=np.int64)
-        for seed in range(3):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(4):
-                _draw_atoms(rule, ours, z, labels)
-                expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs)
-                assert np.array_equal(z, expected_z)
+        chunk, slot_stream = 3, [0, 1, 1, 0, 0, 1, 0]
+        uniforms = np.full((chunk, rule.n_uniform), np.nan)
+        level_draws = np.full((chunk, rule.n_level_draws), -1, dtype=np.int64)
+        z, labels = np.full((chunk, rule.n_atoms), np.nan), np.full((chunk, rule.n_atoms), -1, dtype=np.int64)
+        ours = [np.random.default_rng(seed) for seed in (3, 8)]
+        theirs = [np.random.default_rng(seed) for seed in (3, 8)]
+        for start in range(0, len(slot_stream), chunk):
+            streams = slot_stream[start : start + chunk]
+            n_slots = len(streams)
+            for i, s in enumerate(streams):
+                _draw_uniforms(rule, ours[s], uniforms[i], level_draws[i])
+            _assign_atoms(rule, uniforms[:n_slots], level_draws[:n_slots], z[:n_slots], labels[:n_slots])
+            for i, s in enumerate(streams):
+                expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])
+                assert np.array_equal(z[i], expected_z)
                 if kind == "mixed":
-                    assert np.array_equal(labels, expected_labels)
+                    assert np.array_equal(labels[i], expected_labels)
                 else:
                     assert expected_labels is None
-                    assert np.all(labels == -1)
-                assert ours.bit_generator.state == theirs.bit_generator.state
+                    assert np.all(labels[i] == -1)
+            for mine, reference in zip(ours, theirs):
+                assert mine.bit_generator.state == reference.bit_generator.state
+        assert n_slots < chunk
+
+    def test_one_uniform_call_draws_what_three_calls_draw(self, panel):
+        # mixed draws its whole-cluster coins, cluster draws and unit draws
+        # with one random(2G + n) into a row of its buffer; three calls of
+        # sizes G, G and n draw the same doubles and leave the same state.
+        rule = _AtomRule.build(DesignSpec(kind="mixed"), panel)
+        n_groups, n_units = rule.n_groups, panel.n_units
+        assert rule.n_uniform == 2 * n_groups + n_units
+        row = np.empty((2, rule.n_uniform))[1]
+        for seed in range(3):
+            one, three = np.random.default_rng(seed), np.random.default_rng(seed)
+            one.random(out=row)
+            calls = [three.random(n_groups), three.random(n_groups), three.random(n_units)]
+            assert np.array_equal(row, np.concatenate(calls))
+            assert one.bit_generator.state == three.bit_generator.state
 
     @pytest.mark.parametrize("block_length", [1, 3])
     @pytest.mark.parametrize("all_treated", [False, True])
@@ -178,8 +206,7 @@ class TestAtoms:
         assert (rule.labels is None) == (kind == "mixed")
         for seed in range(5):
             table = replay(design, panel, seed=seed)
-            z, labels = np.empty(rule.n_atoms), np.full(rule.n_atoms, -1, dtype=np.int64)
-            _draw_atoms(rule, np.random.default_rng(seed), z, labels)
+            z, labels = draw_atoms(rule, np.random.default_rng(seed))
             if rule.labels is not None:
                 labels = rule.labels
             assert np.array_equal(table.z, z[atom_of_cell])

@@ -11,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from xdesign import (
     score_grid,
 )
 from xdesign import designs, diagnostics, risk, selector
-from xdesign.designs import KINDS
+from xdesign.designs import KINDS, _AtomRule
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, score_groups
 
@@ -512,15 +513,19 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 
 
 def slot_bytes(panel: Panel, n_localities: int) -> int:
-    """Chunk bytes per slot, over unit atoms (the panel has more units than region-periods).
+    """Chunk bytes per slot of a catalog with every kind, over unit atoms.
 
-    The features of ``n_localities`` localities, the treatment, the drawn
-    labels and the label keys, and per label the feature means and one
-    feature row's pair products.
+    The panel has more units than region-periods. A slot holds the features
+    of ``n_localities`` localities, the treatment, the drawn labels and the
+    label keys, and per label the feature means and one feature row's pair
+    products; then one replay's uniforms and level draws, as many as the kind
+    that draws the most takes.
     """
     assert panel.n_units >= panel.n_regions * panel.n_periods
     n_features = risk._BUDGET + n_localities
-    return (3 * n_features + 3) * panel.n_units * 8
+    rules = [_AtomRule.build(DesignSpec(kind=kind), panel) for kind in KINDS]
+    draws = max(rule.n_uniform for rule in rules) + max(rule.n_level_draws for rule in rules)
+    return ((3 * n_features + 3) * panel.n_units + draws) * 8
 
 
 def record_chunks(monkeypatch) -> list[int]:
@@ -611,6 +616,28 @@ class TestDrawGroups:
                 rng = group_stream(9, d, k)
                 for r in range(3):
                     assert_matches_reference(per_rep[d, k, r], hand_row(design, theta, panel, calib, weights, rng))
+
+    def test_unwritten_buffer_cells_are_never_computed_on(self, setup, monkeypatch):
+        # Every float buffer the library allocates with np.empty starts as a
+        # signaling NaN, which raises "invalid value" in any arithmetic (a
+        # quiet NaN would pass silently). No arithmetic may touch a cell
+        # before it is written, such as a covariance cell that its chunk has
+        # not filled yet.
+        panel, calib, weights = setup
+        empty = np.empty
+
+        def signaling_empty(*args, **kwargs):
+            buffer = empty(*args, **kwargs)
+            if buffer.dtype == np.float64:
+                buffer.view(np.uint64).fill(0x7FF0000000000001)
+            return buffer
+
+        monkeypatch.setattr(np, "empty", signaling_empty)
+        assert np.isnan(np.empty(3)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = score_groups(panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=3, master_seed=2)
+        assert np.isfinite(scores).all()
 
     def test_single_assignment_unit_rejected(self):
         # A switchback on one region and one period has one occupied label.
