@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .config import RunConfig, config_digest, load_config
 from .diagnostics import (
+    DIAGNOSTIC_NAMES,
     TOLERANCE,
     TRANSPORT_COUNT,
     catalog_approximation_check,
@@ -39,7 +40,6 @@ from .svg import write_bar_chart, write_heat_table, write_line_chart, write_scat
 
 SCHEMA_VERSION = 1
 _THETA_FIELDS = tuple(f.name for f in fields(MechanismPoint))
-DIAGNOSTIC_NAMES = ("transport", "minimax", "catalog", "mde", "oracle", "dominance")
 
 __all__ = ["main", "run_select", "run_sweep", "run_diagnose", "run_simulate"]
 

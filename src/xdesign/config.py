@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .designs import DesignSpec, default_catalog
-from .diagnostics import SweepConfig
+from .diagnostics import DIAGNOSTIC_NAMES, SweepConfig
 from .errors import CalibrationError, ConfigurationError
 from .mechanisms import AmbiguityGrid, default_grid
 from .panel import CalibrationScales, CsvSchema, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel, ingest_log_csv
@@ -146,6 +146,14 @@ class RunConfig:
             raise ConfigurationError("diagnostics.transport_count must be >= 1")
         if self.diagnostics_options.get("tolerance", 0.0) < 0:
             raise ConfigurationError("diagnostics.tolerance must be >= 0")
+        checks = self.diagnostics_options.get("checks", DIAGNOSTIC_NAMES)
+        if not checks:
+            raise ConfigurationError("diagnostics.checks must be non-empty")
+        for name in checks:
+            if name not in DIAGNOSTIC_NAMES:
+                raise ConfigurationError(f"diagnostics.checks has unknown diagnostic {name!r}")
+        if self.shortlist_fraction < 0:
+            raise ConfigurationError("shortlist_fraction must be >= 0")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigurationError(f"unknown format {fmt!r}")

@@ -81,58 +81,52 @@ class DesignSpec:
 class _AtomRule:
     """One design's assignment rule on one panel, with the constants its draws need.
 
-    ``labels`` is the int64 assignment-unit label of each of the ``n_atoms``
-    atoms, or None for ``mixed``, whose labels are drawn; ``unit_labels`` are
-    then the labels of its unit-randomized units. ``codes`` maps each unit to
-    the cluster or budget group that the rule draws for, and ``n_groups``
-    counts those groups, or the blocks of a switchback region, whose periods
-    ``columns`` maps to their block. ``levels`` are the saturation levels.
-    A replay draws ``n_level_draws`` level indices (one per group for
-    ``two_stage``, else none), then ``n_uniform`` uniforms; see
-    :func:`_draw_uniforms`.
+    The atoms are (region, period) pairs if ``regions`` is set, else units.
+    ``source`` indexes the one uniform of a replay that each atom reads, and
+    ``labels`` is each atom's int64 assignment-unit label, or None for
+    ``mixed``, whose labels are drawn. ``codes`` maps each unit to the
+    cluster or budget group that the rule draws for, ``n_groups`` counts
+    those groups and ``levels`` are the saturation levels. A replay draws
+    ``n_level_draws`` level indices (one per group for ``two_stage``, else
+    none), then ``n_uniform`` uniforms; see :func:`_draw_uniforms`.
     """
 
     design: DesignSpec
-    n_atoms: int
+    regions: bool
+    source: np.ndarray
     labels: np.ndarray | None
     codes: np.ndarray
     n_groups: int
-    columns: np.ndarray
     levels: np.ndarray
-    unit_labels: np.ndarray
     n_level_draws: int
     n_uniform: int
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
-        n_units, n_periods = panel.n_units, panel.n_periods
         codes = panel.budget_codes if design.kind == "budget_split" else panel.cluster_codes
         n_groups = int(codes.max()) + 1
-        columns = np.arange(n_periods) // design.block_length
-        n_atoms, labels, n_uniform = n_units, codes, n_units
+        units = np.arange(panel.n_units, dtype=np.int64)
+        source, labels = units, codes
         if design.kind == "user":
-            labels = np.arange(n_units, dtype=np.int64)
+            labels = units
         elif design.kind in ("cluster", "budget_split"):
-            n_uniform = n_groups
+            source = codes
         elif design.kind == "switchback":
-            n_groups = int(columns[-1]) + 1
-            n_atoms = panel.n_regions * n_periods
-            labels = (np.arange(panel.n_regions)[:, None] * n_groups + columns).ravel()
-            n_uniform = panel.n_regions * n_groups
+            n_blocks = (panel.n_periods - 1) // design.block_length + 1
+            blocks = np.arange(panel.n_periods) // design.block_length
+            source = labels = (np.arange(panel.n_regions)[:, None] * n_blocks + blocks).ravel()
         elif design.kind == "mixed":
-            labels = None
-            n_uniform = 2 * n_groups + n_units
+            source, labels = 2 * n_groups + units, None
         return cls(
             design=design,
-            n_atoms=n_atoms,
+            regions=design.kind == "switchback",
+            source=source,
             labels=labels,
             codes=codes,
             n_groups=n_groups,
-            columns=columns,
             levels=np.asarray(design.saturation_levels, dtype=float),
-            unit_labels=n_groups + np.arange(n_units, dtype=np.int64),
             n_level_draws=n_groups if design.kind == "two_stage" else 0,
-            n_uniform=n_uniform,
+            n_uniform=int(source.max()) + 1,
         )
 
 
@@ -162,31 +156,23 @@ def _assign_atoms(
 
     ``uniforms`` and ``level_draws`` are (slots, n_uniform) and (slots,
     n_level_draws) stacks of :func:`_draw_uniforms` rows; ``z`` and
-    ``labels`` are (slots, n_atoms), and ``labels`` is left alone for every
-    kind but ``mixed``. A slot's treatment depends only on its own rows.
+    ``labels`` are (slots, atoms), and ``labels`` is left alone for every
+    kind but ``mixed``. An atom is treated when the uniform at its source
+    falls below ``treat_prob``, or below its group's drawn saturation level
+    for ``two_stage``. A slot's treatment depends only on its own rows.
     ``all_treated`` keeps the kind's draws and labels and treats every atom.
     """
-    design, codes = rule.design, rule.codes
-    p = design.treat_prob
-    if design.kind == "user":
-        np.less(uniforms, p, out=z)
-    elif design.kind in ("cluster", "budget_split"):
-        np.less(uniforms[:, codes], p, out=z)
-    elif design.kind == "switchback":
-        by_region = uniforms.reshape(uniforms.shape[0], -1, rule.n_groups)
-        np.less(by_region[:, :, rule.columns], p, out=z.reshape(by_region.shape[:2] + (-1,)))
-    elif design.kind == "two_stage":
-        np.less(uniforms, rule.levels[level_draws][:, codes], out=z)
-    elif design.kind == "mixed":
-        n_groups = rule.n_groups
-        whole_cluster = (uniforms[:, :n_groups] < design.mixture_prob)[:, codes]
-        cluster_draws = uniforms[:, n_groups : 2 * n_groups] < p
-        np.less(uniforms[:, 2 * n_groups :], p, out=z)
-        np.copyto(z, cluster_draws[:, codes], where=whole_cluster)
-        np.copyto(labels, rule.unit_labels)
-        np.copyto(labels, codes, where=whole_cluster)
-    else:  # pragma: no cover - guarded by DesignSpec
-        raise ConfigurationError(f"unknown design kind {design.kind!r}")
+    design = rule.design
+    threshold = rule.levels[level_draws][:, rule.codes] if rule.n_level_draws else design.treat_prob
+    if design.kind == "mixed":
+        # A whole-cluster unit reads its cluster's uniform, n_groups past the
+        # coins, and takes its cluster as its label; any other is its own.
+        whole_cluster = uniforms[:, rule.codes] < design.mixture_prob
+        source = np.where(whole_cluster, rule.n_groups + rule.codes, rule.source)
+        np.less(np.take_along_axis(uniforms, source, axis=1), threshold, out=z)
+        np.subtract(source, rule.n_groups, out=labels)
+    else:
+        np.less(uniforms[:, rule.source], threshold, out=z)
     if design.all_treated:
         z.fill(1)
 

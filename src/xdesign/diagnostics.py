@@ -42,6 +42,8 @@ __all__ = [
 
 TOLERANCE = 1e-9
 TRANSPORT_COUNT = 100
+# The checks that ``xdesign diagnose`` runs, by the names that select them.
+DIAGNOSTIC_NAMES = ("transport", "minimax", "catalog", "mde", "oracle", "dominance")
 
 
 # ---------------------------------------------------------------------------

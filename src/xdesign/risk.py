@@ -393,7 +393,7 @@ def _score_batch(
     takes a prefix of them.
 
     Each chunk of slots, which may span groups, is reduced to every slot's
-    sufficient statistics: the (features, 2) per-arm sums of its per-atom
+    sufficient statistics: the (2, features) per-arm sums of its per-atom
     features, its noise mean and the (features, features) ddof=1 covariance
     ``C`` of its occupied labels' feature means. Every point's seven channels
     then follow once for the whole batch through each slot's group maps; its
@@ -410,7 +410,7 @@ def _score_batch(
                for g in batch.seed_index.tolist()]
     # An atom's noise sums m cells of sd noise_sd: one normal of sd sqrt(m) * noise_sd.
     noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
-    arm_sums = np.empty((n_total, n_features, 2))
+    arm_sums = np.empty((2, n_features, n_total))
     noise_mean = np.empty(n_total)
     # Each slot's covariance is symmetric: keep its upper triangle, row by
     # row, as pairs; pair_of numbers both (f, g) and (g, f).
@@ -470,9 +470,10 @@ def _score_batch(
             )
         pairs[:, start:stop] /= index.per_slot - 1
 
-        # Arm sums: one BLAS product (features, atoms) @ (atoms, 2) per slot.
-        arms = np.stack([z, 1.0 - z], axis=2)
-        np.matmul(block.transpose(1, 0, 2), arms, out=arm_sums[start:stop])
+        # Arm sums over each slot's atoms. einsum without optimize never
+        # calls BLAS, so no thread count can reach a score.
+        np.einsum("fsa,sa->fs", block, z, out=arm_sums[0, :, start:stop])
+        np.einsum("fsa,sa->fs", block, 1.0 - z, out=arm_sums[1, :, start:stop])
 
     # Every slot's maps and output indices.
     outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
@@ -484,7 +485,7 @@ def _score_batch(
     v = _project(outcome, [_project(outcome, row) for row in cov])
     np.maximum(v, 0.0, out=v)
 
-    treated_sums, control_sums = arm_sums.transpose(2, 1, 0)
+    treated_sums, control_sums = arm_sums
     n_treated = treated_sums[_DIRECT]
     n_control = n_cells - n_treated
     # A switch is a treated cell whose lag is 0 or a control cell whose lag
@@ -542,8 +543,8 @@ def score_groups(
     stress = _support_stress(panel)
     quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
-    layouts = {regions: _Atoms.build(panel, regions) for regions in {d.kind == "switchback" for d in catalog}}
     rules = [_AtomRule.build(design, panel) for design in catalog]
+    layouts = {regions: _Atoms.build(panel, regions) for regions in {rule.regions for rule in rules}}
     # Buffers for one chunk of slots, reused by every design and batch; see
     # _CHUNK_BYTES for what a slot holds.
     n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
@@ -562,10 +563,10 @@ def score_groups(
     )
     for d, (design, rule) in enumerate(zip(catalog, rules)):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        atoms = layouts[design.kind == "switchback"]
+        atoms = layouts[rule.regions]
         fixed_labels = None
         if rule.labels is not None:
-            fixed_labels = _Labels.index(np.broadcast_to(rule.labels, (chunk, rule.n_atoms)), atoms.cells)
+            fixed_labels = _Labels.index(np.broadcast_to(rule.labels, (chunk, atoms.cells.size)), atoms.cells)
         for batch in batches:
             _score_batch(
                 rule,

@@ -5,6 +5,8 @@ closed form on assignment atoms. This module scores one replication of one
 (design, mechanism) point step by step on cells instead: replay, exposure
 features, simulated outcomes, then each risk component from the outcome
 panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
+``allocating_draw_atoms`` writes each design's atom map out with fresh arrays
+per replay; the tests compare the kernel's draws with it bit for bit.
 
 ``reference_synthetic_panel`` builds a synthetic panel the way the library
 once did, from one string label per unit coded with ``np.unique``, and
@@ -247,9 +249,46 @@ def draw_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, n
     """
     uniforms, level_draws = np.empty((1, rule.n_uniform)), np.empty((1, rule.n_level_draws), dtype=np.int64)
     _draw_uniforms(rule, rng, uniforms[0], level_draws[0])
-    z, labels = np.empty((1, rule.n_atoms)), np.full((1, rule.n_atoms), -1, dtype=np.int64)
+    z, labels = np.empty((1, rule.source.size)), np.full((1, rule.source.size), -1, dtype=np.int64)
     _assign_atoms(rule, uniforms, level_draws, z, labels)
     return z[0], labels[0]
+
+
+def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
+    """Each rule written with fresh arrays per replay, returning int8 treatment per atom and ``mixed``'s labels.
+
+    The kernel makes a replay's generator calls with ``_draw_uniforms`` into
+    buffers sized once per design, then maps a chunk of replays at once with
+    ``_assign_atoms``; together they must make these generator calls, in this
+    order, and draw these bits. Group and block counts come from the panel.
+    """
+    n, p = panel.n_units, design.treat_prob
+    labels = None
+    if design.kind == "user":
+        z = rng.random(n) < p
+    elif design.kind in ("cluster", "budget_split"):
+        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
+        z = (rng.random(codes.max() + 1) < p)[codes]
+    elif design.kind == "switchback":
+        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
+        draws = rng.random((panel.n_regions, n_blocks)) < p
+        z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
+    elif design.kind == "two_stage":
+        codes = panel.cluster_codes
+        levels = np.asarray(design.saturation_levels, dtype=float)
+        level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
+        z = rng.random(n) < levels[level_idx][codes]
+    else:
+        codes = panel.cluster_codes
+        n_clusters = codes.max() + 1
+        whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
+        cluster_draws = rng.random(n_clusters) < p
+        unit_draws = rng.random(n) < p
+        z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
+        labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
+    if design.all_treated:
+        return np.ones(z.size, dtype=np.int8), labels
+    return z.astype(np.int8), labels
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ lines. Tolerances are fixed here, not configurable.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from xdesign import (
     robust_select,
     weight_winner_search,
 )
-from xdesign.cli import main, run_sweep
+from xdesign.cli import run_sweep
 from xdesign.config import RunConfig, load_config
 from xdesign.diagnostics import (
     catalog_approximation_check,
@@ -177,13 +179,21 @@ class TestAcceptance:
             ),
             encoding="utf-8",
         )
+        # OpenBLAS and OpenMP read their thread counts when numpy loads, so
+        # each cap runs select in a fresh process.
+        run = "import sys; from xdesign.cli import main; sys.exit(main(sys.argv[1:]))"
         snapshots = []
         for threads in ("1", "4"):
-            os.environ["XDESIGN_THREADS"] = threads
-            try:
-                assert main(["select", "--config", str(config_path)]) == 0
-            finally:
-                os.environ.pop("XDESIGN_THREADS", None)
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))),
+            )
+            subprocess.run(
+                [sys.executable, "-c", run, "select", "--config", str(config_path)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
             snapshots.append(
                 {
                     name: (tmp_path / "out" / name).read_bytes()
@@ -191,7 +201,7 @@ class TestAcceptance:
                 }
             )
         assert snapshots[0] == snapshots[1]
-        report("determinism (thread caps 1 vs 4, byte-identical artifacts)")
+        report("determinism (BLAS/OpenMP thread caps 1 vs 4, byte-identical artifacts)")
 
     def test_dominance_audit(self):
         rng = np.random.default_rng(23)

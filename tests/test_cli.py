@@ -509,8 +509,12 @@ class TestConfigValidation:
             ("select", ("sweep", "locality"), "street", "sweep.locality must be one of"),
             ("simulate", ("weights", "alpha"), 2, "weights.alpha must lie in (0, 1)"),
             ("simulate", ("catalog",), [{"kind": "user", "treat_prob": 1.5}], "catalog[0].treat_prob must lie in (0, 1)"),
+            ("sweep", ("shortlist_fraction",), -1, "shortlist_fraction must be >= 0"),
+            ("select", ("diagnostics", "checks"), ["bogus"], "diagnostics.checks has unknown diagnostic 'bogus'"),
+            ("sweep", ("diagnostics", "checks"), [], "diagnostics.checks must be non-empty"),
         ],
-        ids=["sweep-bad-grid", "select-bad-sweep", "simulate-bad-weights", "simulate-bad-catalog"],
+        ids=["sweep-bad-grid", "select-bad-sweep", "simulate-bad-weights", "simulate-bad-catalog",
+             "sweep-negative-shortlist_fraction", "select-unknown-diagnostic", "sweep-no-diagnostics"],
     )
     def test_every_section_is_checked_by_every_command(self, tmp_path, capsys, command, path, value, message):
         # A section that a command does not read is still checked when the

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdesign import (
     ConfigurationError,
@@ -17,7 +19,7 @@ from xdesign import (
 from xdesign.config import RunConfig
 from xdesign.designs import KINDS, _AtomRule, _assign_atoms, _draw_uniforms
 
-from reference import AssignmentTable, draw_atoms, replay
+from reference import AssignmentTable, allocating_draw_atoms, draw_atoms, replay
 
 
 @pytest.fixture(scope="module")
@@ -99,41 +101,41 @@ class TestReplayRules:
         assert len(np.unique(all_unit.labels)) == panel.n_units
 
 
-def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
-    """Each rule written with fresh arrays per replay, returning int8 treatment and ``mixed``'s labels.
+def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
+    """Draw as the kernel does and compare every slot with ``allocating_draw_atoms``, bit for bit.
 
-    The kernel makes a replay's generator calls with ``_draw_uniforms`` into
-    buffers sized once per design, then maps a chunk of replays at once with
-    ``_assign_atoms``; together they must make these generator calls, in this
-    order, and draw these bits.
+    The kernel's way: chunks of slots whose draws come from two generators,
+    interleaved, into buffers that hold the previous chunk; the last chunk is
+    short. Each slot makes its generator calls, then the whole chunk is
+    mapped at once. The atom count comes from the panel, not from the rule.
     """
-    n, p = panel.n_units, design.treat_prob
-    labels = None
-    if design.kind == "user":
-        z = rng.random(n) < p
-    elif design.kind in ("cluster", "budget_split"):
-        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
-        z = (rng.random(codes.max() + 1) < p)[codes]
-    elif design.kind == "switchback":
-        n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
-        draws = rng.random((panel.n_regions, n_blocks)) < p
-        z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
-    elif design.kind == "two_stage":
-        codes = panel.cluster_codes
-        levels = np.asarray(design.saturation_levels, dtype=float)
-        level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
-        z = rng.random(n) < levels[level_idx][codes]
-    else:
-        codes = panel.cluster_codes
-        n_clusters = codes.max() + 1
-        whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
-        cluster_draws = rng.random(n_clusters) < p
-        unit_draws = rng.random(n) < p
-        z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
-        labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
-    if design.all_treated:
-        return np.ones(z.size, dtype=np.int8), labels
-    return z.astype(np.int8), labels
+    rule = _AtomRule.build(design, panel)
+    n_atoms = panel.n_regions * panel.n_periods if design.kind == "switchback" else panel.n_units
+    assert rule.source.shape == (n_atoms,)
+    assert 0 <= rule.source.min() and rule.source.max() < rule.n_uniform
+    chunk, slot_stream = 3, [0, 1, 1, 0, 0, 1, 0]
+    uniforms = np.full((chunk, rule.n_uniform), np.nan)
+    level_draws = np.full((chunk, rule.n_level_draws), -1, dtype=np.int64)
+    z, labels = np.full((chunk, n_atoms), np.nan), np.full((chunk, n_atoms), -1, dtype=np.int64)
+    ours = [np.random.default_rng(seed) for seed in (3, 8)]
+    theirs = [np.random.default_rng(seed) for seed in (3, 8)]
+    for start in range(0, len(slot_stream), chunk):
+        streams = slot_stream[start : start + chunk]
+        n_slots = len(streams)
+        for i, s in enumerate(streams):
+            _draw_uniforms(rule, ours[s], uniforms[i], level_draws[i])
+        _assign_atoms(rule, uniforms[:n_slots], level_draws[:n_slots], z[:n_slots], labels[:n_slots])
+        for i, s in enumerate(streams):
+            expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])
+            assert np.array_equal(z[i], expected_z)
+            if design.kind == "mixed":
+                assert np.array_equal(labels[i], expected_labels)
+            else:
+                assert expected_labels is None
+                assert np.all(labels[i] == -1)
+        for mine, reference in zip(ours, theirs):
+            assert mine.bit_generator.state == reference.bit_generator.state
+    assert n_slots < chunk
 
 
 class TestAtoms:
@@ -144,37 +146,33 @@ class TestAtoms:
     @pytest.mark.parametrize("all_treated", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
     def test_draws_match_the_allocating_rule_bit_for_bit(self, panel, kind, all_treated, block_length):
-        # The kernel's way: chunks of slots whose draws come from two
-        # generators, interleaved, into buffers that hold the previous chunk;
-        # the last chunk is short. Each slot makes its generator calls, then
-        # the whole chunk is mapped at once.
         design = DesignSpec(
             kind=kind, all_treated=all_treated, block_length=block_length, saturation_levels=(0.1, 0.5, 0.9)
         )
-        rule = _AtomRule.build(design, panel)
-        chunk, slot_stream = 3, [0, 1, 1, 0, 0, 1, 0]
-        uniforms = np.full((chunk, rule.n_uniform), np.nan)
-        level_draws = np.full((chunk, rule.n_level_draws), -1, dtype=np.int64)
-        z, labels = np.full((chunk, rule.n_atoms), np.nan), np.full((chunk, rule.n_atoms), -1, dtype=np.int64)
-        ours = [np.random.default_rng(seed) for seed in (3, 8)]
-        theirs = [np.random.default_rng(seed) for seed in (3, 8)]
-        for start in range(0, len(slot_stream), chunk):
-            streams = slot_stream[start : start + chunk]
-            n_slots = len(streams)
-            for i, s in enumerate(streams):
-                _draw_uniforms(rule, ours[s], uniforms[i], level_draws[i])
-            _assign_atoms(rule, uniforms[:n_slots], level_draws[:n_slots], z[:n_slots], labels[:n_slots])
-            for i, s in enumerate(streams):
-                expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])
-                assert np.array_equal(z[i], expected_z)
-                if kind == "mixed":
-                    assert np.array_equal(labels[i], expected_labels)
-                else:
-                    assert expected_labels is None
-                    assert np.all(labels[i] == -1)
-            for mine, reference in zip(ours, theirs):
-                assert mine.bit_generator.state == reference.bit_generator.state
-        assert n_slots < chunk
+        assert_chunked_draws_match(design, panel)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        all_treated=st.booleans(),
+        block_length=st.integers(1, 12),
+        mixture_prob=st.sampled_from((0.0, 0.5, 1.0)),
+        shape=st.tuples(st.integers(2, 12), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9)),
+        panel_seed=st.integers(0, 2**16),
+    )
+    def test_draws_match_the_allocating_rule_on_random_panels(
+        self, kind, all_treated, block_length, mixture_prob, shape, panel_seed
+    ):
+        # Small clusters, one to four regions, and blocks that may outlast the panel.
+        n_units, n_clusters, n_budget, n_regions, n_periods = shape
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(n_units, n_clusters, n_budget, n_regions, n_periods), seed=panel_seed
+        )
+        design = DesignSpec(
+            kind=kind, all_treated=all_treated, block_length=block_length, mixture_prob=mixture_prob,
+            saturation_levels=(0.1, 0.5, 0.9),
+        )
+        assert_chunked_draws_match(design, panel)
 
     def test_one_uniform_call_draws_what_three_calls_draw(self, panel):
         # mixed draws its whole-cluster coins, cluster draws and unit draws
