@@ -59,7 +59,7 @@ class _Emitter:
 
     def write_json(self, name: str, payload: dict) -> Path:
         p = self.path(name)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
         return p
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> Path:
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        formats = tuple(f for f in args.format.split(",") if f) if args.format else None
+        formats = tuple(f for f in args.format.split(",") if f) if args.format is not None else None
         config = config.with_overrides(seed=args.seed, reps=args.reps, out=args.out, formats=formats)
         if args.command == "select":
             report = run_select(config)

@@ -154,11 +154,16 @@ class RunConfig:
                 raise ConfigurationError(f"diagnostics.checks has unknown diagnostic {name!r}")
         if self.shortlist_fraction < 0:
             raise ConfigurationError("shortlist_fraction must be >= 0")
+        if not self.formats:
+            raise ConfigurationError("formats must be non-empty")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise ConfigurationError(f"unknown format {fmt!r}")
-        if self.data.get("epsilon_mode", "fraction") not in ("fraction", "stderr"):
+        if self.epsilon_mode not in ("fraction", "stderr"):
             raise ConfigurationError("epsilon_mode must be 'fraction' or 'stderr'")
+        # One replication has no spread, so its standard errors would read 0.
+        if self.epsilon_mode == "stderr" and self.reps < 2:
+            raise ConfigurationError("epsilon_mode 'stderr' needs reps >= 2")
         object.__setattr__(self, "_built", {
             "panel": self._panel_source(),
             "grid": self._grid(),

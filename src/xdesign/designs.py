@@ -84,7 +84,8 @@ class _AtomRule:
     The atoms are (region, period) pairs if ``regions`` is set, else units.
     ``source`` indexes the one uniform of a replay that each atom reads, and
     ``labels`` is each atom's int64 assignment-unit label, or None for
-    ``mixed``, whose labels are drawn. ``codes`` maps each unit to the
+    ``mixed``, whose labels are drawn; every label lies below ``n_labels``,
+    ``n_groups + n_units`` for ``mixed``. ``codes`` maps each unit to the
     cluster or budget group that the rule draws for, ``n_groups`` counts
     those groups and ``levels`` are the saturation levels. A replay draws
     ``n_level_draws`` level indices (one per group for ``two_stage``, else
@@ -95,6 +96,7 @@ class _AtomRule:
     regions: bool
     source: np.ndarray
     labels: np.ndarray | None
+    n_labels: int
     codes: np.ndarray
     n_groups: int
     levels: np.ndarray
@@ -122,6 +124,7 @@ class _AtomRule:
             regions=design.kind == "switchback",
             source=source,
             labels=labels,
+            n_labels=n_groups + panel.n_units if labels is None else int(labels.max()) + 1,
             codes=codes,
             n_groups=n_groups,
             levels=np.asarray(design.saturation_levels, dtype=float),
@@ -163,16 +166,17 @@ def _assign_atoms(
     ``all_treated`` keeps the kind's draws and labels and treats every atom.
     """
     design = rule.design
-    threshold = rule.levels[level_draws][:, rule.codes] if rule.n_level_draws else design.treat_prob
+    # np.take along axis 1 gathers the same values as fancy indexing, faster.
+    threshold = np.take(rule.levels[level_draws], rule.codes, axis=1) if rule.n_level_draws else design.treat_prob
+    drawn = np.take(uniforms, rule.source, axis=1)
     if design.kind == "mixed":
         # A whole-cluster unit reads its cluster's uniform, n_groups past the
         # coins, and takes its cluster as its label; any other is its own.
-        whole_cluster = uniforms[:, rule.codes] < design.mixture_prob
-        source = np.where(whole_cluster, rule.n_groups + rule.codes, rule.source)
-        np.less(np.take_along_axis(uniforms, source, axis=1), threshold, out=z)
-        np.subtract(source, rule.n_groups, out=labels)
-    else:
-        np.less(uniforms[:, rule.source], threshold, out=z)
+        whole_cluster = np.take(uniforms, rule.codes, axis=1) < design.mixture_prob
+        np.copyto(drawn, np.take(uniforms, rule.n_groups + rule.codes, axis=1), where=whole_cluster)
+        np.subtract(rule.source, rule.n_groups, out=labels)
+        np.copyto(labels, rule.codes, where=whole_cluster)
+    np.less(drawn, threshold, out=z)
     if design.all_treated:
         z.fill(1)
 

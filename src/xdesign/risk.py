@@ -38,16 +38,19 @@ span the batch's groups and whose arrays stay within ``_CHUNK_BYTES``, then
 has all its uniforms mapped to per-atom treatment at once and is reduced to
 each slot's sufficient statistics:
 
-- the per-arm sums of its atom features, which give the arm and overall
-  means behind geometry, contamination, mismatch and the bias;
+- the treated and overall sums of its atom features, which give the arm and
+  overall means behind geometry, contamination, mismatch and the bias;
 - its noise mean, which a single-arm replay's bias needs;
 - the (features, features) ddof=1 covariance ``C`` of its occupied labels'
   feature means. A point whose outcome map is ``o`` has label means
   ``o . (feature means)``, so their variance is ``o' C o``.
 
-Every slot's and every point's channels follow once per batch from these
-statistics. No (points, labels) array is built, and no slot's arithmetic
-depends on the chunk it falls in, so the chunk size never changes a score.
+Both come from dense (slot, label) sums over a label axis of fixed width per
+design. Where every atom is its own predecessor the lag row is the direct one,
+copied rather than reduced. Every slot's and every point's channels follow
+once per batch from these statistics. No (points, labels) array is built, and
+no slot's arithmetic depends on the chunk it falls in, so the chunk size never
+changes a score.
 """
 
 from __future__ import annotations
@@ -132,18 +135,18 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
 # Feature rows of one replication, each a per-atom sum over the atom's cells.
 # The graph shares of the draw group's localities follow from _BUDGET on; the
 # budget locality's graph share is the budget share itself, so it has no row
-# of its own.
-_BASE, _DIRECT, _LAG, _BUDGET = range(4)
+# of its own. The lag row comes first, so that a layout whose lag sums equal
+# its direct ones reduces the contiguous rest.
+_LAG, _BASE, _DIRECT, _BUDGET = range(4)
 
 # Bytes of one chunk's per-slot arrays. Atoms-sized: the features, the
-# treatment, the drawn labels and the label keys, and per occupied label (a
-# slot has at most one per atom) the feature means and one feature's pair
-# products. Then one replay's uniforms and level indices, as many as the
-# catalog's hungriest rule draws. A slot of select's 200x8 panel (five
-# features) takes 30.5 KB, 1.7 KB of them draws, so a chunk holds 17 slots;
-# one of the sweep's 2000x40 panel takes 305 KB, so a chunk holds one.
-# Larger chunks trade peak RSS for speed: four times this budget runs select
-# about 12% faster, with 2.3 MB more peak RSS (38.6 -> 40.9 MB).
+# treatment, the drawn labels and the label keys. Labels-sized, over the
+# widest design's label axis: the per-feature label sums, the label sizes and
+# the occupancy mask. Then one replay's uniforms and level indices, as many
+# as the catalog's hungriest rule draws. A slot of select's 200x8 panel (five
+# features, 205 labels for mixed) takes 25.4 KB, 1.7 KB of them draws, so a
+# chunk holds 20 slots; one of the sweep's 2000x40 panel (2050 labels) takes
+# 254 KB, so a chunk holds two.
 _CHUNK_BYTES = 2**19
 
 
@@ -155,18 +158,19 @@ class _Atoms:
     ``regions`` is set (see :func:`xdesign.designs._assign_atoms`). ``cells`` is each
     atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
     the atom of the period before (itself in the first period), so the lag
-    sum is ``m * z[prev]``. ``shares`` maps each grouping to what its
-    per-atom share sums need: for units, the units in group order, each
-    group's first position in it, ``n_periods`` over each group's size and
-    the unit codes; for (region, period) atoms, the (regions, regions) matrix
-    ``M[r, s]`` of the share sum that a treated region ``s`` adds to region
-    ``r`` in one period.
+    sum is ``m * z[prev]``, or None when every atom is its own (units, or one
+    period), whose lag sums are the direct ones. ``shares`` maps each
+    grouping to what its per-atom share sums need: for units, the units in
+    group order, each group's first position in it, ``n_periods`` over each
+    group's size and the unit codes; for (region, period) atoms, the
+    (regions, regions) matrix ``M[r, s]`` of the share sum that a treated
+    region ``s`` adds to region ``r`` in one period.
     """
 
     regions: bool
     cells: np.ndarray
     baseline: np.ndarray
-    prev: np.ndarray
+    prev: np.ndarray | None
     shares: dict
 
     @classmethod
@@ -177,7 +181,8 @@ class _Atoms:
             n_regions = panel.n_regions
             per_region = np.bincount(panel.region_codes, minlength=n_regions)
             cells = np.repeat(per_region.astype(float), n_periods)
-            prev = (np.arange(n_regions)[:, None] * n_periods + np.maximum(np.arange(n_periods) - 1, 0)).ravel()
+            atom = np.arange(cells.size)
+            prev = atom - (atom % n_periods > 0) if n_periods > 1 else None
             cell_atom = (panel.region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
             baseline = np.bincount(cell_atom, weights=panel.baseline.ravel(), minlength=cells.size)
             for grouping in LOCALITIES:
@@ -192,7 +197,7 @@ class _Atoms:
                 shares[grouping] = (overlap[:, :, None] * seen[:, None, :]).sum(axis=0)
         else:
             cells = np.full(n_units, float(n_periods))
-            prev = np.arange(n_units)
+            prev = None
             baseline = panel.baseline.sum(axis=1)
             for grouping in LOCALITIES:
                 codes = panel.group_codes(grouping)
@@ -219,7 +224,7 @@ class _Atoms:
         else:
             order, starts, scale, codes = self.shares[grouping]
             # Sums of 0/1 values are exact integers in any order.
-            treated = np.add.reduceat(z[:, order], starts, axis=1)
+            treated = np.add.reduceat(np.take(z, order, axis=1), starts, axis=1)
             # Every code is a valid group; "clip" only spares take a buffered copy of out.
             np.take(treated * scale, codes, axis=1, out=out, mode="clip")
 
@@ -316,49 +321,25 @@ def _project(maps: Iterable[np.ndarray], values: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class _Labels:
-    """The assignment-unit labels of a chunk of slots, indexed for per-slot label means.
+def _label_index(labels: np.ndarray, cells: np.ndarray, n_labels: int) -> tuple[np.ndarray | None, ...]:
+    """Keys and per-label statistics of a (slots, atoms) stack of labels below ``n_labels``.
 
-    ``key`` is each (slot, atom) label offset by its slot, ``occupied`` the
-    keys that hold cells, in slot order, and ``sizes`` their cell counts.
-    Slot ``i`` has ``per_slot[i]`` occupied labels, from ``first[i]`` on.
+    Returns (slots, ...) arrays: each atom's key, its label plus ``n_labels``
+    times its slot; each label's cell count plus 1 if it holds none; a 0/1
+    mask of the labels that hold cells, or None if all do; and each slot's
+    count of such labels. Atom ``a`` holds ``cells[a]`` cells.
     """
-
-    key: np.ndarray
-    occupied: np.ndarray
-    sizes: np.ndarray
-    per_slot: np.ndarray
-    first: np.ndarray
-
-    @classmethod
-    def index(cls, labels: np.ndarray, cells: np.ndarray) -> "_Labels":
-        """Index a (slots, atoms) stack of labels, whose atoms hold ``cells`` cells each."""
-        n_slots = labels.shape[0]
-        n_labels = int(labels.max()) + 1
-        key = (labels + (np.arange(n_slots) * n_labels)[:, None]).ravel()
-        counts = np.bincount(key, weights=np.tile(cells, n_slots), minlength=n_slots * n_labels)
-        occupied = np.flatnonzero(counts)
-        per_slot = np.bincount(occupied // n_labels, minlength=n_slots)
-        return cls(key, occupied, counts[occupied], per_slot, np.cumsum(per_slot) - per_slot)
-
-    def prefix(self, n_slots: int) -> "_Labels":
-        """The index of the first ``n_slots`` slots."""
-        if n_slots == self.per_slot.size:
-            return self
-        n_occupied = int(self.per_slot[:n_slots].sum())
-        return _Labels(
-            self.key[: self.key.size // self.per_slot.size * n_slots],
-            self.occupied[:n_occupied],
-            self.sizes[:n_occupied],
-            self.per_slot[:n_slots],
-            self.first[:n_slots],
-        )
+    n_slots = labels.shape[0]
+    key = labels + (np.arange(n_slots) * n_labels)[:, None]
+    sizes = np.bincount(key.ravel(), weights=np.tile(cells, n_slots), minlength=n_slots * n_labels)
+    occupied = (sizes > 0).astype(float).reshape(n_slots, n_labels)
+    divisor = sizes.reshape(n_slots, n_labels) + (1.0 - occupied)
+    return key, divisor, None if occupied.all() else occupied, occupied.sum(axis=1)
 
 
 def _score_batch(
     rule: _AtomRule,
-    fixed_labels: _Labels | None,
+    fixed_labels: tuple[np.ndarray | None, ...] | None,
     batch: _Batch,
     atoms: _Atoms,
     panel: Panel,
@@ -375,6 +356,7 @@ def _score_batch(
     features: np.ndarray,
     treated: np.ndarray,
     labels: np.ndarray,
+    label_sums: np.ndarray,
     uniforms: np.ndarray,
     level_draws: np.ndarray,
 ) -> None:
@@ -388,42 +370,46 @@ def _score_batch(
     chunk's draws to per-atom treatment in ``treated`` and, for ``mixed``,
     labels in ``labels``. These are flat buffers that hold (chunk,
     n_level_draws), (chunk, n_uniform), (features, chunk, atoms), (chunk,
-    atoms) and (chunk, atoms). Labels that do not depend on the draws come
-    indexed for ``chunk`` slots in ``fixed_labels``, and a short last chunk
-    takes a prefix of them.
+    atoms) and (chunk, atoms); ``label_sums`` holds (features, chunk,
+    ``rule.n_labels``). Labels that do not depend on the draws come indexed
+    for ``chunk`` slots in ``fixed_labels`` (see :func:`_label_index`), and a
+    short last chunk takes a prefix of them.
 
     Each chunk of slots, which may span groups, is reduced to every slot's
-    sufficient statistics: the (2, features) per-arm sums of its per-atom
-    features, its noise mean and the (features, features) ddof=1 covariance
-    ``C`` of its occupied labels' feature means. Every point's seven channels
-    then follow once for the whole batch through each slot's group maps; its
-    variance is ``o' C o`` for the point's outcome map ``o``. No slot's
-    arithmetic depends on the chunk it falls in.
+    sufficient statistics: the per-feature treated and overall sums of its
+    per-atom features, its noise mean and the (features, features) ddof=1
+    covariance ``C`` of its occupied labels' feature means. Every point's
+    seven channels then follow once for the whole batch through each slot's
+    group maps; its variance is ``o' C o`` for the point's outcome map ``o``.
+    No slot's arithmetic depends on the chunk it falls in.
     """
     n_features = _BUDGET + len(batch.localities)
-    n_atoms = atoms.cells.size
+    # The rows that the chunk loop fills and reduces: all, or all but the lag.
+    first = _BASE if atoms.prev is None else _LAG
+    n_atoms, n_labels = atoms.cells.size, rule.n_labels
     n_cells = panel.n_units * panel.n_periods
     slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
     slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
     n_total = slot_group.size
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
+    normals = [rng.standard_normal for rng in streams]
     # An atom's noise sums m cells of sd noise_sd: one normal of sd sqrt(m) * noise_sd.
     noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
+    # Per-feature treated and overall sums of every slot's atoms.
     arm_sums = np.empty((2, n_features, n_total))
     noise_mean = np.empty(n_total)
-    # Each slot's covariance is symmetric: keep its upper triangle, row by
-    # row, as pairs; pair_of numbers both (f, g) and (g, f).
-    upper = np.triu_indices(n_features)
-    pair_of = np.empty((n_features, n_features), dtype=np.intp)
-    pair_of[upper] = pair_of.T[upper] = np.arange(upper[0].size)
-    pairs = np.empty((upper[0].size, n_total))
+    # Each slot's covariance times its degrees of freedom, upper triangle first.
+    cov = np.empty((n_features, n_features, n_total))
+    dof = np.empty(n_total)
+
     def views(n_slots: int) -> tuple[np.ndarray, ...]:
         """The buffers' leading parts, shaped for ``n_slots`` slots."""
         return (
             features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms),
             treated[: n_slots * n_atoms].reshape(n_slots, n_atoms),
             labels[: n_slots * n_atoms].reshape(n_slots, n_atoms),
+            label_sums[: n_features * n_slots * n_labels].reshape(n_features, n_slots, n_labels),
             uniforms[: n_slots * rule.n_uniform].reshape(n_slots, rule.n_uniform),
             level_draws[: n_slots * rule.n_level_draws].reshape(n_slots, rule.n_level_draws),
         )
@@ -432,13 +418,12 @@ def _score_batch(
     for start in range(0, n_total, chunk):
         stop = min(start + chunk, n_total)
         n_slots = stop - start
-        block, z, drawn_labels, drawn_uniforms, drawn_levels = full if n_slots == chunk else views(n_slots)
+        block, z, drawn_labels, sums, drawn_uniforms, drawn_levels = full if n_slots == chunk else views(n_slots)
         rows = zip(slot_group[start:stop].tolist(), drawn_uniforms, drawn_levels, block[_BASE])
         for g, uniform_row, level_row, noise_row in rows:
-            rng = streams[g]
-            _draw_uniforms(rule, rng, uniform_row, level_row)
+            _draw_uniforms(rule, streams[g], uniform_row, level_row)
             # Drawn even when noise_sd is 0, so that no later draw depends on the calibration.
-            rng.standard_normal(out=noise_row)
+            normals[g](out=noise_row)
         _assign_atoms(rule, drawn_uniforms, drawn_levels, z, drawn_labels)
 
         # A zero noise_sd scales every normal to +-0, which leaves the baseline exact.
@@ -446,54 +431,65 @@ def _score_batch(
         noise_mean[start:stop] = block[_BASE].sum(axis=1) / n_cells
         block[_BASE] += atoms.baseline
         np.multiply(z, atoms.cells, out=block[_DIRECT])
-        np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
+        if atoms.prev is not None:
+            np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
         for row, grouping in enumerate(batch.localities, _BUDGET):
             atoms.share_sums(grouping, z, out=block[row])
 
-        # Label means from one bincount per feature over slot-offset label
-        # keys; each label adds its atoms in atom order whatever its offset.
-        index = _Labels.index(drawn_labels, atoms.cells) if fixed_labels is None else fixed_labels.prefix(n_slots)
-        if index.per_slot.min() < 2:
+        index = fixed_labels or _label_index(drawn_labels, atoms.cells, n_labels)
+        key, divisor, occupied, count = (a if a is None else a[:n_slots] for a in index)
+        if count.min() < 2:
             raise PlanningError(f"design {rule.design.name!r}: variance needs at least 2 assignment units")
-        label_means = np.empty((n_features, index.occupied.size))
-        for f, values in enumerate(block.reshape(n_features, -1)):
-            label_means[f] = np.bincount(index.key, weights=values)[index.occupied]
-        label_means /= index.sizes
-        # Centre each slot's label means, then sum each feature pair's
-        # products per slot: the upper triangle of every slot's covariance.
-        slot_means = np.add.reduceat(label_means, index.first, axis=1) / index.per_slot
-        label_means -= np.repeat(slot_means, index.per_slot, axis=1)
-        for f in range(n_features):
-            row = pair_of[f, f]
-            pairs[row : row + n_features - f, start:stop] = np.add.reduceat(
-                label_means[f] * label_means[f:], index.first, axis=1
-            )
-        pairs[:, start:stop] /= index.per_slot - 1
+        # Per-(slot, label) sums from one bincount per feature; each label
+        # adds its atoms in atom order whatever its slot.
+        key = key.ravel()
+        for f in range(first, n_features):
+            sums[f] = np.bincount(key, weights=block[f].ravel(), minlength=sums[f].size).reshape(sums[f].shape)
+        live = sums[first:]
+        # Treated sums over each slot's atoms; einsum without optimize never
+        # calls BLAS, so no thread count can reach a score. Overall sums add
+        # each slot's labels.
+        np.einsum("fsa,sa->fs", block[first:], z, out=arm_sums[0, first:, start:stop])
+        live.sum(axis=-1, out=arm_sums[1, first:, start:stop])
+        # Label means, centred per slot over its occupied labels; an
+        # unoccupied label's zero sum stays out of every mean and product.
+        live /= divisor
+        live -= (live.sum(axis=-1) / count)[..., None]
+        if occupied is not None:
+            live *= occupied
+        for f in range(first, n_features):
+            np.einsum("sl,gsl->gs", sums[f], sums[f:], out=cov[f, f:, start:stop])
+        dof[start:stop] = count - 1
 
-        # Arm sums over each slot's atoms. einsum without optimize never
-        # calls BLAS, so no thread count can reach a score.
-        np.einsum("fsa,sa->fs", block, z, out=arm_sums[0, :, start:stop])
-        np.einsum("fsa,sa->fs", block, 1.0 - z, out=arm_sums[1, :, start:stop])
+    # Mirror each covariance's upper triangle, then give a skipped lag row the direct row's statistics.
+    for f in range(first, n_features):
+        cov[f + 1 :, f] = cov[f, f + 1 :]
+    if first != _LAG:
+        arm_sums[:, _LAG] = arm_sums[:, _DIRECT]
+        cov[_LAG] = cov[_DIRECT]
+        cov[:, _LAG] = cov[:, _DIRECT]
+    cov /= dof
 
     # Every slot's maps and output indices.
     outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
     switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
 
-    cov = pairs[pair_of]
     # o' C o, summed in feature order. Rounding can take it just below the
     # zero that a constant outcome has, which the variance cannot be.
     v = _project(outcome, [_project(outcome, row) for row in cov])
     np.maximum(v, 0.0, out=v)
 
-    treated_sums, control_sums = arm_sums
+    treated_sums, totals = arm_sums
     n_treated = treated_sums[_DIRECT]
     n_control = n_cells - n_treated
+    # Exact where the arm is empty, whatever the rounding of the two sums.
+    control_sums = np.where(n_control > 0, totals - treated_sums, 0.0)
     # A switch is a treated cell whose lag is 0 or a control cell whose lag
     # is 1 (the first period's lag is the cell itself). Sums of 0/1 products
     # are exact integers, so the rate equals the per-cell count.
     n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
     switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
-    means = (treated_sums + control_sums) / n_cells
+    means = totals / n_cells
     launch_gap = 1.0 - means
     control = control_sums / np.maximum(n_control, 1.0)
     # A single-arm replay estimates the realized launch effect against baseline.
@@ -551,13 +547,15 @@ def score_groups(
     n_atoms = max(atoms.cells.size for atoms in layouts.values())
     n_uniform = max(rule.n_uniform for rule in rules)
     n_level_draws = max(rule.n_level_draws for rule in rules)
+    n_labels = max(rule.n_labels for rule in rules)
     most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
-    slot_bytes = ((3 * n_features + 3) * n_atoms + n_uniform + n_level_draws) * 8
+    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * n_labels + n_uniform + n_level_draws) * 8
     chunk = max(1, min(most_slots, _CHUNK_BYTES // slot_bytes))
     buffers = dict(
         features=np.empty(n_features * chunk * n_atoms),
         treated=np.empty(chunk * n_atoms),
         labels=np.empty(chunk * n_atoms, dtype=np.int64),
+        label_sums=np.empty(n_features * chunk * n_labels),
         uniforms=np.empty(chunk * n_uniform),
         level_draws=np.empty(chunk * n_level_draws, dtype=np.int64),
     )
@@ -566,25 +564,12 @@ def score_groups(
         atoms = layouts[rule.regions]
         fixed_labels = None
         if rule.labels is not None:
-            fixed_labels = _Labels.index(np.broadcast_to(rule.labels, (chunk, atoms.cells.size)), atoms.cells)
+            labels = np.broadcast_to(rule.labels, (chunk, atoms.cells.size))
+            fixed_labels = _label_index(labels, atoms.cells, rule.n_labels)
         for batch in batches:
-            _score_batch(
-                rule,
-                fixed_labels,
-                batch,
-                atoms,
-                panel,
-                calib,
-                out[d],
-                chunk=chunk,
-                reps=reps,
-                master_seed=master_seed,
-                design_index=d,
-                n_eff=n_eff,
-                stress=stress,
-                quantile_sum=quantile_sum,
-                **buffers,
-            )
+            _score_batch(rule, fixed_labels, batch, atoms, panel, calib, out[d], chunk=chunk, reps=reps,
+                         master_seed=master_seed, design_index=d, n_eff=n_eff, stress=stress,
+                         quantile_sum=quantile_sum, **buffers)
     return out
 
 

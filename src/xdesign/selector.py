@@ -130,6 +130,8 @@ def robust_select(
         eps = float(surface.weights.as_vector() @ surface.se.max(axis=(0, 1)))
     else:
         eps = shortlist_fraction * float(q[selected])
+    if not np.isfinite(eps):
+        raise ConfigurationError(f"epsilon_t is not finite (shortlist_fraction={shortlist_fraction:g})")
 
     cutoff = float(q[selected]) + 2.0 * eps
     members = [d for d in range(len(q)) if q[d] <= cutoff]

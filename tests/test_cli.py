@@ -115,6 +115,21 @@ class TestSelectCommand:
         assert (out2 / "decision.json").exists()
         assert not (out2 / "surface.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra, flags, message",
+        [
+            ({}, ["--format", ""], "formats must be non-empty"),
+            ({}, ["--format", ","], "formats must be non-empty"),
+            ({"epsilon_mode": "stderr"}, ["--reps", "1"], "epsilon_mode 'stderr' needs reps >= 2"),
+        ],
+        ids=["format-empty", "format-only-commas", "stderr-epsilon-one-rep"],
+    )
+    def test_flag_override_is_checked_like_the_config(self, tmp_path, capsys, extra, flags, message):
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **extra))
+        assert main(["select", "--config", str(cfg), *flags]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_csv_panel_is_single_line_error(self, tmp_path, capsys):
         data = {"panel": {"csv": {"path": str(tmp_path / "nope.csv")}}, "out": str(tmp_path / "out")}
         cfg = write_config(tmp_path, data)
@@ -447,6 +462,9 @@ class TestConfigValidation:
             (("sweep", "gamma_grid"), [float("inf")], "sweep.gamma_grid[0] must be a finite number"),
             (("grid", "graph_spill"), [], "grid.graph_spill must be non-empty"),
             (("sweep", "gamma"), [0.0, 1.0], "unknown sweep key 'gamma'"),
+            (("formats",), [], "formats must be non-empty"),
+            ((), {"epsilon_mode": "stderr", "reps": 1}, "epsilon_mode 'stderr' needs reps >= 2"),
+            (("shortlist_fraction",), 1e308, "epsilon_t is not finite (shortlist_fraction=1e+308)"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
              "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
@@ -454,14 +472,16 @@ class TestConfigValidation:
              "transport_count-zero", "catalog-empty", "sweep-reps-zero", "shortlist_fraction-nan",
              "tolerance-infinity", "tolerance-nan", "tolerance-negative", "noise_sd-infinity", "graph_spill-nan",
              "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity", "graph_spill-empty",
-             "sweep-unknown-key"],
+             "sweep-unknown-key", "formats-empty", "stderr-epsilon-one-rep", "shortlist_fraction-overflows"],
     )
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
-        data = small_select_config(tmp_path / "out")
+        # An empty path sets several top-level keys at once.
+        data = small_select_config(tmp_path / "out", **({} if path else value))
         section = data
         for key in path[:-1]:
             section = section.setdefault(key, {})
-        section[path[-1]] = value
+        if path:
+            section[path[-1]] = value
         cfg = write_config(tmp_path, data)
         assert main(["select", "--config", str(cfg)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()

@@ -515,17 +515,19 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 def slot_bytes(panel: Panel, n_localities: int) -> int:
     """Chunk bytes per slot of a catalog with every kind, over unit atoms.
 
-    The panel has more units than region-periods. A slot holds the features
-    of ``n_localities`` localities, the treatment, the drawn labels and the
-    label keys, and per label the feature means and one feature row's pair
-    products; then one replay's uniforms and level draws, as many as the kind
-    that draws the most takes.
+    The panel has more units than region-periods. Per atom, a slot holds the
+    features of ``n_localities`` localities, the treatment, the drawn labels
+    and the label keys. Per label of the widest kind's label axis (``mixed``'s
+    groups and units), it holds each feature's label sum, the label's size
+    and its occupancy. Then one replay's uniforms and level draws, as many as
+    the kind that draws the most takes.
     """
     assert panel.n_units >= panel.n_regions * panel.n_periods
     n_features = risk._BUDGET + n_localities
     rules = [_AtomRule.build(DesignSpec(kind=kind), panel) for kind in KINDS]
     draws = max(rule.n_uniform for rule in rules) + max(rule.n_level_draws for rule in rules)
-    return ((3 * n_features + 3) * panel.n_units + draws) * 8
+    n_labels = max(rule.n_labels for rule in rules)
+    return ((n_features + 3) * panel.n_units + (n_features + 2) * n_labels + draws) * 8
 
 
 def record_chunks(monkeypatch) -> list[int]:
@@ -601,6 +603,52 @@ class TestDrawGroups:
             assert set(chunks) == {min(slots, largest)}
         assert np.array_equal(scores[1], scores[every])
         assert np.array_equal(scores[7], scores[every])
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(
+            st.integers(9, 30), st.integers(2, 12), st.integers(2, 4), st.integers(2, 3), st.sampled_from((1, 3))
+        ),
+        mixture_prob=st.sampled_from((0.0, 0.1, 0.9, 1.0)),
+        panel_seed=st.integers(0, 2**16),
+        master_seed=st.integers(0, 2**16),
+    )
+    def test_dense_label_sums_match_reference_in_any_chunk(self, shape, mixture_prob, panel_seed, master_seed):
+        # Each slot's label sums run over a fixed label axis, n_groups +
+        # n_units wide for mixed, whose drawn labels leave many of it
+        # unoccupied (all clusters' at mixture_prob 0, all units' at 1). One
+        # period makes every region atom its own predecessor, so the kernel
+        # folds the lag row into the direct one. Chunks of 1 and 7 slots and
+        # of all a batch's slots give the same bits, and those match the
+        # per-point pipeline.
+        groups = [(theta,) for theta in MIXED_GRID] + REFERENCE_GROUPS
+        n_units, n_clusters, n_budget, n_regions, n_periods = shape
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(n_units, n_clusters, n_budget, n_regions, n_periods), seed=panel_seed
+        )
+        calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=0.3)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        catalog = [DesignSpec(kind=kind) for kind in KINDS] + [
+            DesignSpec(kind="mixed", mixture_prob=mixture_prob, name="mixed-drawn"),
+            DesignSpec(kind="switchback", block_length=2, name="switchback-2"),
+        ]
+        reps = 3
+        every = len(groups) * reps
+        scores = {}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            chunks = record_chunks(monkeypatch)
+            for slots in (1, 7, every):
+                monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
+                scores[slots] = score_groups(panel, catalog, groups, calib, weights, reps=reps, master_seed=master_seed)
+        assert {1, 7} <= set(chunks)
+        assert np.array_equal(scores[1], scores[every])
+        assert np.array_equal(scores[7], scores[every])
+        for d, design in enumerate(catalog):
+            expected = np.concatenate([
+                hand_rows(design, group, panel, calib, weights, group_stream(master_seed, d, g), reps)
+                for g, group in enumerate(groups)
+            ])
+            assert_matches_reference(scores[every][d], expected)
 
     def test_chunks_across_groups_match_reference(self, setup, monkeypatch):
         # Chunks of 7 slots span grid points; each cell still matches the

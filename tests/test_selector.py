@@ -153,6 +153,15 @@ class TestRobustSelect:
         loose = robust_select(surface, epsilon_t=0.5)
         assert loose.shortlist == (0, 1)
 
+    def test_non_finite_epsilon_rejected(self):
+        # A large finite fraction overflows the budget, which no artifact may carry.
+        surface = RiskSurface(
+            raw=np.zeros((2, 1, 6)), normalized=np.zeros((2, 1, 6)),
+            risks=np.array([[2.0], [3.0]]), weights=W, scale=np.ones(6),
+        )
+        with pytest.raises(ConfigurationError, match="shortlist_fraction"):
+            robust_select(surface, shortlist_fraction=1e308)
+
     def test_stderr_epsilon_mode(self):
         # Four replications per cell; only geometry varies, as level +/- c with
         # c = se * sqrt(3), so its replication standard error is exactly se.
