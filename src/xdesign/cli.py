@@ -62,11 +62,6 @@ class _Emitter:
         p.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
         return p
 
-    def write_csv(self, name: str, header: list[str], rows: list[list]) -> Path:
-        """Write rows of values, floats as ``repr`` and everything else as ``str``."""
-        cells = ([repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows)
-        return self.write_rows(name, header, cells)
-
     def write_rows(self, name: str, header: list[str], rows: Iterable[Sequence[str]]) -> Path:
         """Write rows of formatted cells."""
         p = self.path(name)
@@ -111,16 +106,19 @@ def run_select(config: RunConfig) -> dict:
                 + [f"norm_{name}" for name in COMPONENT_NAMES]
                 + ["risk"]
             )
-            rows = []
-            for d in range(surface.n_designs):
-                for k in range(surface.n_grid):
-                    rows.append(
-                        [names[d], d, k, *(getattr(grid[k], name) for name in _THETA_FIELDS)]
-                        + [float(x) for x in surface.raw[d, k]]
-                        + [float(x) for x in surface.normalized[d, k]]
-                        + [float(surface.risks[d, k])]
-                    )
-            surface_path = emitter.write_csv("surface.csv", header, rows)
+            # One column of formatted cells each, in (design, grid point)
+            # order. A grid value is a float or int from the config, and str
+            # of a float is its repr.
+            n_designs, n_grid = surface.n_designs, surface.n_grid
+            values = (*surface.raw.transpose(2, 0, 1), *surface.normalized.transpose(2, 0, 1), surface.risks)
+            columns = [
+                [name for name in names for _ in range(n_grid)],
+                [str(d) for d in range(n_designs) for _ in range(n_grid)],
+                list(map(str, range(n_grid))) * n_designs,
+                *([str(getattr(theta, name)) for theta in grid] * n_designs for name in _THETA_FIELDS),
+                *(map(repr, column.ravel().tolist()) for column in values),
+            ]
+            surface_path = emitter.write_rows("surface.csv", header, zip(*columns))
 
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -177,15 +175,15 @@ def run_sweep(config: RunConfig) -> dict:
     with _emission(config.out_dir) as emitter:
         if "csv" in config.formats:
             header = ["gamma", "graph_spill", "budget_spill", "carryover"] + list(result.design_names) + ["winner"]
-            rows = []
-            for i, gamma in enumerate(result.gammas):
-                theta = result.thetas[i]
-                rows.append(
-                    [gamma, theta.graph_spill, theta.budget_spill, theta.carryover]
-                    + [float(x) for x in result.risks[i]]
-                    + [result.design_names[result.winners[i]]]
-                )
-            emitter.write_csv("sweep.csv", header, rows)
+            # One column of formatted cells each, one row per gamma; the
+            # sweep's gammas and intensities are floats.
+            columns = [
+                map(repr, result.gammas),
+                *([repr(getattr(theta, name)) for theta in result.thetas] for name in header[1:4]),
+                *(map(repr, column.tolist()) for column in result.risks.T),
+                [result.design_names[w] for w in result.winners],
+            ]
+            emitter.write_rows("sweep.csv", header, zip(*columns))
         if "json" in config.formats:
             emitter.write_json("sweep.json", report)
         if "svg" in config.formats:
@@ -383,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         raise XDesignError(f"unknown command {args.command!r}")  # pragma: no cover
     except (XDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

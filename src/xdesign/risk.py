@@ -31,12 +31,13 @@ Each (design, draw group) has one generator, seeded from
 ``(master_seed, design index, group index)``, and its replications take
 their draws from it in order: the replay's uniforms (after ``two_stage``'s
 level indices), then one standard normal per atom. Draw groups with the same
-localities and number of points form one batch, and a design's replications
-over a batch are slots (group, rep). Only the generator calls run one slot at
-a time, each into a row of the chunk's buffers. A chunk of slots, which may
-span the batch's groups and whose arrays stay within ``_CHUNK_BYTES``, then
-has all its uniforms mapped to per-atom treatment at once and is reduced to
-each slot's sufficient statistics:
+localities form one batch, whatever their numbers of points, and a design's
+replications over a batch are slots (group, rep). Only the generator calls
+run one slot at a time, each into a row of the chunk's buffers, which each
+(design, batch) sizes for itself. A chunk of slots, which may span the
+batch's groups and whose arrays stay within ``_CHUNK_BYTES``, then has all
+its uniforms mapped to per-atom treatment at once and is reduced to each
+slot's sufficient statistics:
 
 - the treated and overall sums of its atom features, which give the arm and
   overall means behind geometry, contamination, mismatch and the bias;
@@ -47,8 +48,8 @@ each slot's sufficient statistics:
 
 Both come from dense (slot, label) sums over a label axis of fixed width per
 design. Where every atom is its own predecessor the lag row is the direct one,
-copied rather than reduced. Every slot's and every point's channels follow
-once per batch from these statistics. No (points, labels) array is built, and
+copied rather than reduced. Every point's channels follow once per batch from
+the statistics of its group's slots. No (points, labels) array is built, and
 no slot's arithmetic depends on the chunk it falls in, so the chunk size never
 changes a score.
 """
@@ -139,14 +140,16 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
 # its direct ones reduces the contiguous rest.
 _LAG, _BASE, _DIRECT, _BUDGET = range(4)
 
-# Bytes of one chunk's per-slot arrays. Atoms-sized: the features, the
-# treatment, the drawn labels and the label keys. Labels-sized, over the
-# widest design's label axis: the per-feature label sums, the label sizes and
-# the occupancy mask. Then one replay's uniforms and level indices, as many
-# as the catalog's hungriest rule draws. A slot of select's 200x8 panel (five
-# features, 205 labels for mixed) takes 25.4 KB, 1.7 KB of them draws, so a
-# chunk holds 20 slots; one of the sweep's 2000x40 panel (2050 labels) takes
-# 254 KB, so a chunk holds two.
+# Bytes of one chunk's per-slot arrays, sized for each (design, batch).
+# Atoms-sized: the features, the treatment, the drawn labels and the label
+# keys. Labels-sized, over the design's label axis but at least atoms-wide,
+# as each chunk's label keys, gathers and bincount weights are: the
+# per-feature label sums, the label sizes and the occupancy mask. Then one
+# replay's uniforms and level indices. A slot of select's 200x8 panel over
+# unit atoms (five features, 205 labels for mixed) takes 25.4 KB, so a chunk
+# holds 20 slots; over its 24 switchback atoms a slot takes 3 KB, so a chunk
+# holds 170. One of the sweep's 2000x40 panel (2050 labels) takes 254 KB, so
+# a chunk holds two.
 _CHUNK_BYTES = 2**19
 
 
@@ -231,36 +234,38 @@ class _Atoms:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Draw groups of one layout: the same localities and number of points.
+    """Draw groups of one layout: the same localities.
 
     Every channel of a point is linear in per-feature means of a replication:
-    each map sends those means to one channel, with one column per (point,
-    group). The groups' replications share chunks.
+    each map sends those means to one channel, with one column per point.
+    The groups' replications share chunks.
     """
 
     seed_index: np.ndarray  # (groups,)
-    points: np.ndarray  # (groups, points) output index of each point
+    group: np.ndarray  # (points,) position of each point's draw group in seed_index
+    points: np.ndarray  # (points,) output index of each point
     localities: tuple[str, ...]  # graph-share column of each, from _BUDGET on
     outcome: np.ndarray  # feature means -> mean outcome
-    gap: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score, then mismatch before stress
+    geometry: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score
+    mismatch: np.ndarray  # mean gaps to launch -> mismatch before stress
     contamination: np.ndarray  # control-arm means -> contamination before switching and stress
-    switching: np.ndarray  # (points, groups) weight of the treatment switch rate in contamination
-    target: np.ndarray  # (points, groups) launch effects
+    switching: np.ndarray  # (points,) weight of the treatment switch rate in contamination
+    target: np.ndarray  # (points,) launch effects
 
 
 def _batches(groups: Sequence[Sequence[MechanismPoint]], calib: CalibrationScales) -> list[_Batch]:
-    """The draw groups by layout, in first-seen order; group ``g`` has seed index ``g``."""
+    """The draw groups by localities, in first-seen order; group ``g`` has seed index ``g``."""
     groups = [tuple(points) for points in groups]
     if not all(groups):
         raise ConfigurationError("draw groups must be non-empty")
     starts = np.cumsum([0] + [len(points) for points in groups])
-    layouts: dict[tuple[tuple[str, ...], int], list[int]] = {}
+    layouts: dict[tuple[str, ...], list[int]] = {}
     for g, points in enumerate(groups):
         localities = ("budget",) + tuple(dict.fromkeys(p.locality for p in points if p.locality != "budget"))
-        layouts.setdefault((localities, len(points)), []).append(g)
+        layouts.setdefault(localities, []).append(g)
     return [
         _batch(localities, np.array(members), [groups[g] for g in members], starts, calib)
-        for (localities, _), members in layouts.items()
+        for localities, members in layouts.items()
     ]
 
 
@@ -271,32 +276,33 @@ def _batch(
     starts: np.ndarray,
     calib: CalibrationScales,
 ) -> _Batch:
-    """The stacked channel maps of ``groups``, whose first points have output index ``starts[seed_index]``."""
-    n_points = len(groups[0])
-    shape = (_BUDGET + len(localities), n_points, len(groups))
+    """The channel maps of the points of ``groups``, whose first points have output index ``starts[seed_index]``."""
+    points = [p for group in groups for p in group]
+    shape = (_BUDGET + len(localities), len(points))
     outcome, geometry, mismatch, contam = (np.zeros(shape) for _ in range(4))
-    switching, target = np.zeros(shape[1:]), np.zeros(shape[1:])
-    for j, points in enumerate(groups):
-        for k, p in enumerate(points):
-            s = outcome_strengths(p, calib)
-            cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
-            # add.at, because a budget-locality point has its graph share in the budget column.
-            np.add.at(outcome[:, k, j], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
-            scale = 1.0 + p.intensity_sum
-            np.add.at(geometry[:, k, j], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
-                                                p.graph_spill / scale))
-            np.add.at(mismatch[:, k, j], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
-            total = p.intensity_sum
-            if total > 0:
-                np.add.at(contam[:, k, j], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
-                switching[k, j] = p.carryover / total
-            target[k, j] = launch_effect(p, calib)
+    switching, target = np.zeros(len(points)), np.zeros(len(points))
+    for k, p in enumerate(points):
+        s = outcome_strengths(p, calib)
+        cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
+        # add.at, because a budget-locality point has its graph share in the budget column.
+        np.add.at(outcome[:, k], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
+        scale = 1.0 + p.intensity_sum
+        np.add.at(geometry[:, k], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
+                                         p.graph_spill / scale))
+        np.add.at(mismatch[:, k], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
+        total = p.intensity_sum
+        if total > 0:
+            np.add.at(contam[:, k], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
+            switching[k] = p.carryover / total
+        target[k] = launch_effect(p, calib)
     return _Batch(
         seed_index=seed_index,
-        points=starts[seed_index, None] + np.arange(n_points),
+        group=np.repeat(np.arange(len(groups)), [len(group) for group in groups]),
+        points=np.concatenate([np.arange(starts[g], starts[g + 1]) for g in seed_index.tolist()]),
         localities=localities,
         outcome=outcome,
-        gap=np.concatenate([geometry, mismatch], axis=1),
+        geometry=geometry,
+        mismatch=mismatch,
         contamination=contam,
         switching=switching,
         target=target,
@@ -339,26 +345,18 @@ def _label_index(labels: np.ndarray, cells: np.ndarray, n_labels: int) -> tuple[
 
 def _score_batch(
     rule: _AtomRule,
-    fixed_labels: tuple[np.ndarray | None, ...] | None,
     batch: _Batch,
     atoms: _Atoms,
     panel: Panel,
     calib: CalibrationScales,
     out: np.ndarray,
     *,
-    chunk: int,
     reps: int,
     master_seed: int,
     design_index: int,
     n_eff: int,
     stress: float,
     quantile_sum: float,
-    features: np.ndarray,
-    treated: np.ndarray,
-    labels: np.ndarray,
-    label_sums: np.ndarray,
-    uniforms: np.ndarray,
-    level_draws: np.ndarray,
 ) -> None:
     """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
@@ -368,19 +366,17 @@ def _score_batch(
     uniforms go into rows of ``level_draws`` and ``uniforms``, then one
     standard normal per atom into ``features``. One call then maps the
     chunk's draws to per-atom treatment in ``treated`` and, for ``mixed``,
-    labels in ``labels``. These are flat buffers that hold (chunk,
-    n_level_draws), (chunk, n_uniform), (features, chunk, atoms), (chunk,
-    atoms) and (chunk, atoms); ``label_sums`` holds (features, chunk,
-    ``rule.n_labels``). Labels that do not depend on the draws come indexed
-    for ``chunk`` slots in ``fixed_labels`` (see :func:`_label_index`), and a
-    short last chunk takes a prefix of them.
+    labels in ``labels``. These buffers hold one chunk of slots, sized for
+    this design and batch (see ``_CHUNK_BYTES``), and a short last chunk
+    takes their first slots. Labels that do not depend on the draws are
+    indexed once for a whole chunk (see :func:`_label_index`).
 
     Each chunk of slots, which may span groups, is reduced to every slot's
     sufficient statistics: the per-feature treated and overall sums of its
     per-atom features, its noise mean and the (features, features) ddof=1
     covariance ``C`` of its occupied labels' feature means. Every point's
-    seven channels then follow once for the whole batch through each slot's
-    group maps; its variance is ``o' C o`` for the point's outcome map ``o``.
+    seven channels then follow once for the whole batch from its group's
+    slots; its variance is ``o' C o`` for the point's outcome map ``o``.
     No slot's arithmetic depends on the chunk it falls in.
     """
     n_features = _BUDGET + len(batch.localities)
@@ -388,9 +384,8 @@ def _score_batch(
     first = _BASE if atoms.prev is None else _LAG
     n_atoms, n_labels = atoms.cells.size, rule.n_labels
     n_cells = panel.n_units * panel.n_periods
+    n_total = batch.seed_index.size * reps
     slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
-    slot_rep = np.tile(np.arange(reps), batch.seed_index.size)
-    n_total = slot_group.size
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
     normals = [rng.standard_normal for rng in streams]
@@ -403,22 +398,25 @@ def _score_batch(
     cov = np.empty((n_features, n_features, n_total))
     dof = np.empty(n_total)
 
-    def views(n_slots: int) -> tuple[np.ndarray, ...]:
-        """The buffers' leading parts, shaped for ``n_slots`` slots."""
-        return (
-            features[: n_features * n_slots * n_atoms].reshape(n_features, n_slots, n_atoms),
-            treated[: n_slots * n_atoms].reshape(n_slots, n_atoms),
-            labels[: n_slots * n_atoms].reshape(n_slots, n_atoms),
-            label_sums[: n_features * n_slots * n_labels].reshape(n_features, n_slots, n_labels),
-            uniforms[: n_slots * rule.n_uniform].reshape(n_slots, rule.n_uniform),
-            level_draws[: n_slots * rule.n_level_draws].reshape(n_slots, rule.n_level_draws),
-        )
+    # One chunk's buffers, for as many slots as _CHUNK_BYTES holds of this design and batch.
+    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * max(n_labels, n_atoms)
+                  + rule.n_uniform + rule.n_level_draws) * 8
+    chunk = max(1, min(n_total, _CHUNK_BYTES // slot_bytes))
+    features = np.empty((n_features, chunk, n_atoms))
+    treated = np.empty((chunk, n_atoms))
+    labels = np.empty((chunk, n_atoms), dtype=np.int64)
+    label_sums = np.empty((n_features, chunk, n_labels))
+    uniforms = np.empty((chunk, rule.n_uniform))
+    level_draws = np.empty((chunk, rule.n_level_draws), dtype=np.int64)
+    fixed_labels = None
+    if rule.labels is not None:
+        fixed_labels = _label_index(np.broadcast_to(rule.labels, labels.shape), atoms.cells, n_labels)
 
-    full = views(chunk)
     for start in range(0, n_total, chunk):
         stop = min(start + chunk, n_total)
         n_slots = stop - start
-        block, z, drawn_labels, sums, drawn_uniforms, drawn_levels = full if n_slots == chunk else views(n_slots)
+        block, z, sums = features[:, :n_slots], treated[:n_slots], label_sums[:, :n_slots]
+        drawn_labels, drawn_uniforms, drawn_levels = labels[:n_slots], uniforms[:n_slots], level_draws[:n_slots]
         rows = zip(slot_group[start:stop].tolist(), drawn_uniforms, drawn_levels, block[_BASE])
         for g, uniform_row, level_row, noise_row in rows:
             _draw_uniforms(rule, streams[g], uniform_row, level_row)
@@ -470,9 +468,10 @@ def _score_batch(
         cov[:, _LAG] = cov[:, _DIRECT]
     cov /= dof
 
-    # Every slot's maps and output indices.
-    outcome, gap, contamination = (maps[:, :, slot_group] for maps in (batch.outcome, batch.gap, batch.contamination))
-    switching, target, points = batch.switching[:, slot_group], batch.target[:, slot_group], batch.points[slot_group].T
+    # The statistics of each point's replications, (points, reps) per feature.
+    slots = batch.group[:, None] * reps + np.arange(reps)
+    arm_sums, noise_mean, cov = arm_sums[..., slots], noise_mean[slots], cov[..., slots]
+    outcome = batch.outcome[..., None]
 
     # o' C o, summed in feature order. Rounding can take it just below the
     # zero that a constant outcome has, which the variance cannot be.
@@ -497,17 +496,16 @@ def _score_batch(
     two_arm = (n_treated > 0) & (n_control > 0)
     contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
     estimate = _project(outcome, contrast)
-    geometry, mismatch = np.split(_project(gap, launch_gap), 2)
 
     scores = np.empty(estimate.shape + (N_CHANNELS,))
-    scores[..., 0] = geometry
+    scores[..., 0] = _project(batch.geometry[..., None], launch_gap)
     scores[..., 1] = v
     scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
-    scores[..., 3] = _project(contamination, control) + switching * switch_rate + stress
+    scores[..., 3] = _project(batch.contamination[..., None], control) + batch.switching[:, None] * switch_rate + stress
     scores[..., 4] = rule.design.op_cost_level
-    scores[..., 5] = mismatch + stress
-    scores[..., 6] = estimate - target
-    out[points, slot_rep] = scores
+    scores[..., 5] = _project(batch.mismatch[..., None], launch_gap) + stress
+    scores[..., 6] = estimate - batch.target[:, None]
+    out[batch.points] = scores
 
 
 def score_groups(
@@ -541,35 +539,12 @@ def score_groups(
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     rules = [_AtomRule.build(design, panel) for design in catalog]
     layouts = {regions: _Atoms.build(panel, regions) for regions in {rule.regions for rule in rules}}
-    # Buffers for one chunk of slots, reused by every design and batch; see
-    # _CHUNK_BYTES for what a slot holds.
-    n_features = _BUDGET + max((len(batch.localities) for batch in batches), default=1)
-    n_atoms = max(atoms.cells.size for atoms in layouts.values())
-    n_uniform = max(rule.n_uniform for rule in rules)
-    n_level_draws = max(rule.n_level_draws for rule in rules)
-    n_labels = max(rule.n_labels for rule in rules)
-    most_slots = max((batch.seed_index.size for batch in batches), default=1) * reps
-    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * n_labels + n_uniform + n_level_draws) * 8
-    chunk = max(1, min(most_slots, _CHUNK_BYTES // slot_bytes))
-    buffers = dict(
-        features=np.empty(n_features * chunk * n_atoms),
-        treated=np.empty(chunk * n_atoms),
-        labels=np.empty(chunk * n_atoms, dtype=np.int64),
-        label_sums=np.empty(n_features * chunk * n_labels),
-        uniforms=np.empty(chunk * n_uniform),
-        level_draws=np.empty(chunk * n_level_draws, dtype=np.int64),
-    )
     for d, (design, rule) in enumerate(zip(catalog, rules)):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        atoms = layouts[rule.regions]
-        fixed_labels = None
-        if rule.labels is not None:
-            labels = np.broadcast_to(rule.labels, (chunk, atoms.cells.size))
-            fixed_labels = _label_index(labels, atoms.cells, rule.n_labels)
         for batch in batches:
-            _score_batch(rule, fixed_labels, batch, atoms, panel, calib, out[d], chunk=chunk, reps=reps,
+            _score_batch(rule, batch, layouts[rule.regions], panel, calib, out[d], reps=reps,
                          master_seed=master_seed, design_index=d, n_eff=n_eff, stress=stress,
-                         quantile_sum=quantile_sum, **buffers)
+                         quantile_sum=quantile_sum)
     return out
 
 

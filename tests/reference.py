@@ -13,7 +13,10 @@ once did, from one string label per unit coded with ``np.unique``, and
 ``reference_ingest_log_csv`` parses a CSV log one row at a time; the tests
 compare ``generate_synthetic_panel`` and ``ingest_log_csv`` with them.
 ``reference_panel_csv`` writes a panel one Python row per cell, as
-``xdesign simulate`` once did; the tests compare its bytes with the command's.
+``xdesign simulate`` once did, and ``reference_surface_csv`` and
+``reference_sweep_csv`` write one row per design and grid point or per gamma,
+as ``select`` and ``sweep`` once did; the tests compare their bytes with the
+commands'.
 """
 
 from __future__ import annotations
@@ -70,6 +73,42 @@ def reference_panel_csv(panel: Panel) -> str:
                 row.append(float(panel.propensities[i, t]))
             lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _row_csv(header: list[str], rows: list[list]) -> str:
+    """CSV text of rows of values, floats as ``repr`` and everything else as ``str``."""
+    lines = [",".join(header)]
+    lines += (",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_surface_csv(surface, grid, names: list[str]) -> str:
+    """The text of ``select``'s surface.csv, built from one list of values per (design, grid point)."""
+    fields = ("graph_spill", "budget_spill", "carryover", "locality")
+    components = ("geometry", "variance", "mde", "contamination", "op_cost", "mismatch")
+    header = (["design", "design_index", "theta_index", *fields] + [f"raw_{name}" for name in components]
+              + [f"norm_{name}" for name in components] + ["risk"])
+    rows = [
+        [names[d], d, k, *(getattr(grid[k], name) for name in fields)]
+        + [float(x) for x in surface.raw[d, k]]
+        + [float(x) for x in surface.normalized[d, k]]
+        + [float(surface.risks[d, k])]
+        for d in range(surface.n_designs)
+        for k in range(surface.n_grid)
+    ]
+    return _row_csv(header, rows)
+
+
+def reference_sweep_csv(result) -> str:
+    """The text of ``sweep``'s sweep.csv, built from one list of values per gamma."""
+    header = ["gamma", "graph_spill", "budget_spill", "carryover", *result.design_names, "winner"]
+    rows = [
+        [gamma, theta.graph_spill, theta.budget_spill, theta.carryover]
+        + [float(x) for x in risks]
+        + [result.design_names[winner]]
+        for gamma, theta, risks, winner in zip(result.gammas, result.thetas, result.risks, result.winners)
+    ]
+    return _row_csv(header, rows)
 
 
 def reference_synthetic_panel(cfg: SyntheticPanelConfig, seed=0) -> Panel:
@@ -258,9 +297,10 @@ def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
     """Each rule written with fresh arrays per replay, returning int8 treatment per atom and ``mixed``'s labels.
 
     The kernel makes a replay's generator calls with ``_draw_uniforms`` into
-    buffers sized once per design, then maps a chunk of replays at once with
-    ``_assign_atoms``; together they must make these generator calls, in this
-    order, and draw these bits. Group and block counts come from the panel.
+    buffers sized for each design and batch of draw groups, then maps a chunk
+    of replays at once with ``_assign_atoms``; together they must make these
+    generator calls, in this order, and draw these bits. Group and block
+    counts come from the panel.
     """
     n, p = panel.n_units, design.treat_prob
     labels = None

@@ -16,11 +16,13 @@ from jsonschema import Draft202012Validator
 
 from xdesign import ConfigurationError, DesignSpec, SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
 from xdesign import cli
-from xdesign.cli import _emission, main, run_select, run_simulate
+from xdesign.cli import _emission, main, run_select, run_simulate, run_sweep
 from xdesign.config import RunConfig, config_digest, load_config
-from xdesign.diagnostics import SweepConfig
+from xdesign.diagnostics import SweepConfig, regime_sweep
+from xdesign.risk import score_grid
+from xdesign.selector import risk_surface
 
-from reference import reference_panel_csv
+from reference import reference_panel_csv, reference_surface_csv, reference_sweep_csv
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "xdesign" / "schemas"
 
@@ -399,6 +401,34 @@ class TestSimulateCommand:
         assert ingested.propensities is None and built.propensities is None
 
 
+class TestCsvArtifacts:
+    def test_surface_and_sweep_csv_match_the_row_writer_byte_for_byte(self, tmp_path):
+        # select and sweep write their CSVs a column at a time; the bytes are
+        # those of one row list per line, floats formatted with repr and the
+        # rest with str. The shipped configs, then a grid given as integers,
+        # which stay integers in the grid points.
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        small = small_select_config(tmp_path, grid={"graph_spill": [0, 0.3], "budget_spill": [0.5],
+                                                   "carryover": [0, 1], "localities": ["budget", "region"]})
+        for data in (load_config(configs / "select_demo.json").data, small):
+            config = RunConfig({**data, "out": str(tmp_path / "select")})
+            run_select(config)
+            panel, grid, weights = config.build_panel(), config.build_grid(), config.build_weights()
+            scores = score_grid(panel, config.build_catalog(), grid, config.build_calibration(panel), weights,
+                                reps=config.reps, master_seed=config.seed)
+            expected = reference_surface_csv(risk_surface(scores, weights), grid,
+                                             [d.name for d in config.build_catalog()])
+            assert (tmp_path / "select" / "surface.csv").read_bytes() == expected.encode("utf-8")
+
+        config = load_config(configs / "sweep_demo.json")
+        config = RunConfig({**config.data, "out": str(tmp_path / "sweep")})
+        run_sweep(config)
+        panel = config.build_panel()
+        result = regime_sweep(config.build_sweep(), panel, config.build_calibration(panel), config.build_catalog(),
+                              config.build_weights())
+        assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == reference_sweep_csv(result).encode("utf-8")
+
+
 class TestEmissionCleanup:
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         with pytest.raises(RuntimeError):
@@ -505,9 +535,14 @@ class TestConfigValidation:
             ("select", ("catalog",), [{"treat_prob": 0.5}], "catalog[0] needs a 'kind'"),
             ("select", ("panel", "synthetic", "baseline_sd"), -1.0, "panel.synthetic.baseline_sd must be >= 0"),
             ("select", ("calibration", "noise_sd"), -1.0, "calibration.noise_sd must be >= 0"),
+            # Arrays of petabytes, which numpy refuses at once, end as one line too.
+            ("select", ("reps",), 10**12, "out of memory: Unable to allocate 2.39 PiB"),
+            ("sweep", ("reps",), 10**12, "out of memory: Unable to allocate 3.28 PiB"),
+            ("select", ("panel", "synthetic", "n_units"), 10**15, "out of memory: Unable to allocate 7.11 PiB"),
         ],
         ids=["weights", "weights-unnamed-field", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
-             "catalog-saturation_levels", "catalog-kind", "panel-synthetic", "calibration"],
+             "catalog-saturation_levels", "catalog-kind", "panel-synthetic", "calibration",
+             "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory"],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, command, path, value, message):
         data = small_select_config(tmp_path / "out")

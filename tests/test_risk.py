@@ -40,7 +40,7 @@ from xdesign import (
     score_grid,
 )
 from xdesign import designs, diagnostics, risk, selector
-from xdesign.designs import KINDS, _AtomRule
+from xdesign.designs import KINDS
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
 from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, score_groups
 
@@ -512,35 +512,46 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 )
 
 
-def slot_bytes(panel: Panel, n_localities: int) -> int:
-    """Chunk bytes per slot of a catalog with every kind, over unit atoms.
+def user_slot_bytes(panel: Panel, n_localities: int) -> int:
+    """Chunk bytes per slot of a ``user`` design over a batch of ``n_localities`` localities.
 
-    The panel has more units than region-periods. Per atom, a slot holds the
-    features of ``n_localities`` localities, the treatment, the drawn labels
-    and the label keys. Per label of the widest kind's label axis (``mixed``'s
-    groups and units), it holds each feature's label sum, the label's size
-    and its occupancy. Then one replay's uniforms and level draws, as many as
-    the kind that draws the most takes.
+    Its atoms and labels are the units, and it draws one uniform per unit. So
+    per unit a slot holds the features, the treatment, the drawn labels and
+    the label keys, each feature's label sum, the label's size and its
+    occupancy, and the uniform.
     """
-    assert panel.n_units >= panel.n_regions * panel.n_periods
     n_features = risk._BUDGET + n_localities
-    rules = [_AtomRule.build(DesignSpec(kind=kind), panel) for kind in KINDS]
-    draws = max(rule.n_uniform for rule in rules) + max(rule.n_level_draws for rule in rules)
-    n_labels = max(rule.n_labels for rule in rules)
-    return ((n_features + 3) * panel.n_units + (n_features + 2) * n_labels + draws) * 8
+    return ((n_features + 3) + (n_features + 2) + 1) * panel.n_units * 8
 
 
-def record_chunks(monkeypatch) -> list[int]:
-    """The ``chunk`` of every ``_score_batch`` call, in call order."""
-    chunks = []
-    score_batch = risk._score_batch
+def record_chunks(monkeypatch) -> list[list[int]]:
+    """The chunk sizes of every ``_score_batch`` call, in call order.
 
-    def recording(*args, **kwargs):
-        chunks.append(kwargs["chunk"])
+    A chunk's size is the number of replays whose draws one ``_assign_atoms``
+    call maps.
+    """
+    calls = []
+    score_batch, assign_atoms = risk._score_batch, risk._assign_atoms
+
+    def recording_batch(*args, **kwargs):
+        calls.append([])
         return score_batch(*args, **kwargs)
 
-    monkeypatch.setattr(risk, "_score_batch", recording)
-    return chunks
+    def recording_assign(rule, uniforms, *args):
+        calls[-1].append(uniforms.shape[0])
+        return assign_atoms(rule, uniforms, *args)
+
+    monkeypatch.setattr(risk, "_score_batch", recording_batch)
+    monkeypatch.setattr(risk, "_assign_atoms", recording_assign)
+    return calls
+
+
+def assert_chunked(calls: list[list[int]], n_designs: int, groups, calib: CalibrationScales, reps: int) -> None:
+    """Each design's call over each batch covers the batch's slots in equal chunks but a shorter last one."""
+    slots = [batch.seed_index.size * reps for batch in risk._batches(groups, calib)]
+    assert [sum(sizes) for sizes in calls] == slots * n_designs
+    for sizes in calls:
+        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
 
 
 class TestDrawGroups:
@@ -582,25 +593,33 @@ class TestDrawGroups:
     @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
     def test_chunk_size_does_not_change_scores(self, setup, monkeypatch, noise_sd):
         # The kernel scores the replications of draw groups of one layout in
-        # shared chunks of slots. Chunks of 1 and 7 slots and of all a batch's
-        # slots must give the same bits: all six kinds, single-point groups
-        # of every locality (budget ones have one feature fewer), so that a
-        # chunk spans groups and a group's replications straddle chunks, plus
-        # the reference groups, one of them with mixed localities.
+        # shared chunks of slots, sized per design and batch. Chunks of 1
+        # slot, of 7 slots for user and of all a batch's slots must give the
+        # same bits: all six kinds, single-point groups of every locality
+        # (budget ones have one feature fewer), so that a chunk spans groups,
+        # a group's replications straddle chunks and the last chunk is short,
+        # plus the reference groups, one of them with mixed localities.
         panel, _, weights = setup
         calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=noise_sd)
         groups = [(theta,) for theta in MIXED_GRID] + REFERENCE_GROUPS
         reps = 3
+        # Groups of any size share a batch when their localities match.
+        batches = risk._batches(groups, calib)
+        assert len(batches) == len({frozenset(("budget", *(p.locality for p in group))) for group in groups})
         scores = {}
         every = len(groups) * reps
-        # A chunk never holds more than the largest batch's slots.
-        largest = max(batch.seed_index.size for batch in risk._batches(groups, calib)) * reps
-        chunks = record_chunks(monkeypatch)
-        for slots in (1, 7, every):
-            chunks.clear()
-            monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
+        calls = record_chunks(monkeypatch)
+        for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, 3)), (every, 2**62)):
+            calls.clear()
+            monkeypatch.setattr(risk, "_CHUNK_BYTES", chunk_bytes)
             scores[slots] = score_groups(panel, REFERENCE_CATALOG, groups, calib, weights, reps=reps, master_seed=6)
-            assert set(chunks) == {min(slots, largest)}
+            assert_chunked(calls, len(REFERENCE_CATALOG), groups, calib, reps)
+            if slots == 1:
+                assert all(sizes == [1] * len(sizes) for sizes in calls)
+            elif slots == 7:
+                assert any(sizes[0] > reps and sizes[-1] < sizes[0] for sizes in calls)
+            else:
+                assert all(len(sizes) == 1 for sizes in calls)
         assert np.array_equal(scores[1], scores[every])
         assert np.array_equal(scores[7], scores[every])
 
@@ -618,9 +637,9 @@ class TestDrawGroups:
         # n_units wide for mixed, whose drawn labels leave many of it
         # unoccupied (all clusters' at mixture_prob 0, all units' at 1). One
         # period makes every region atom its own predecessor, so the kernel
-        # folds the lag row into the direct one. Chunks of 1 and 7 slots and
-        # of all a batch's slots give the same bits, and those match the
-        # per-point pipeline.
+        # folds the lag row into the direct one. Chunks of 1 slot, of 7 slots
+        # for user and of all a batch's slots give the same bits, and those
+        # match the per-point pipeline.
         groups = [(theta,) for theta in MIXED_GRID] + REFERENCE_GROUPS
         n_units, n_clusters, n_budget, n_regions, n_periods = shape
         panel = generate_synthetic_panel(
@@ -636,11 +655,11 @@ class TestDrawGroups:
         every = len(groups) * reps
         scores = {}
         with pytest.MonkeyPatch.context() as monkeypatch:
-            chunks = record_chunks(monkeypatch)
-            for slots in (1, 7, every):
-                monkeypatch.setattr(risk, "_CHUNK_BYTES", slots * slot_bytes(panel, 3))
+            calls = record_chunks(monkeypatch)
+            for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, 3)), (every, 2**62)):
+                monkeypatch.setattr(risk, "_CHUNK_BYTES", chunk_bytes)
                 scores[slots] = score_groups(panel, catalog, groups, calib, weights, reps=reps, master_seed=master_seed)
-        assert {1, 7} <= set(chunks)
+        assert {1, 7} <= {size for sizes in calls for size in sizes}
         assert np.array_equal(scores[1], scores[every])
         assert np.array_equal(scores[7], scores[every])
         for d, design in enumerate(catalog):
@@ -654,11 +673,12 @@ class TestDrawGroups:
         # Chunks of 7 slots span grid points; each cell still matches the
         # per-point pipeline under its own seeds.
         panel, calib, weights = setup
-        chunks = record_chunks(monkeypatch)
-        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * slot_bytes(panel, 2))
+        calls = record_chunks(monkeypatch)
+        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * user_slot_bytes(panel, 2))
         catalog = [DesignSpec(kind=kind) for kind in KINDS]
         per_rep = score_grid(panel, catalog, MIXED_GRID, calib, weights, reps=3, master_seed=9)
-        assert set(chunks) == {7}
+        assert_chunked(calls, len(catalog), [(theta,) for theta in MIXED_GRID], calib, 3)
+        assert [7, 5] in calls
         for d, design in enumerate(catalog):
             for k, theta in enumerate(MIXED_GRID):
                 rng = group_stream(9, d, k)
