@@ -33,10 +33,9 @@ def main() -> None:
     result = regime_sweep(sweep, panel, calib, catalog, weights)
 
     print("\n  gamma  graph  budget  carry   winner")
-    for i, gamma in enumerate(result.gammas):
-        theta = result.thetas[i]
+    for gamma, theta, w in zip(result.gammas, result.thetas, result.winners):
         print(f"  {gamma:5.2f}  {theta.graph_spill:5.2f}  {theta.budget_spill:6.2f}"
-              f"  {theta.carryover:5.2f}   {result.winner_names[i]}")
+              f"  {theta.carryover:5.2f}   {result.design_names[w]}")
 
     print("\ndistinct winners across the sweep:", " -> ".join(result.distinct_winners))
     print("user randomization is cheapest when interference is weak; cluster")

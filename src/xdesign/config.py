@@ -3,8 +3,9 @@
 The config names the panel source (synthetic spec or CSV path), calibration
 overrides, the ambiguity grid, catalog overrides, planning weights, replication
 count, and the master seed. Command-line flags may override only seed, reps,
-output directory, and formats. Every key and the type of its value are checked
-when the config is built; a bad one raises an error that names its field.
+output directory, formats and the diagnostics to run. Every key and the type
+of its value are checked when the config is built; a bad one raises an error
+that names its field.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _SCHEMA = {
     "shortlist_fraction": float,
     "epsilon_mode": str,
     "sweep": _fields(SweepConfig),
-    "diagnostics": {"tolerance": float, "checks": [str], "transport_count": int, "seed": int},
+    "diagnostics": {"checks": [str], "seed": int},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
@@ -134,7 +135,7 @@ class RunConfig:
             raise ConfigurationError("reps must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.diagnostics_options.get("seed", 0) < 0:
+        if self.diagnostics_seed < 0:
             raise ConfigurationError("diagnostics.seed must be >= 0")
         # An absent catalog means the default one; an empty one is a mistake.
         if "catalog" in self.data and not self.data["catalog"]:
@@ -142,14 +143,9 @@ class RunConfig:
         for key, values in self.data.get("grid", {}).items():
             if not values:
                 raise ConfigurationError(f"grid.{key} must be non-empty")
-        if self.diagnostics_options.get("transport_count", 1) < 1:
-            raise ConfigurationError("diagnostics.transport_count must be >= 1")
-        if self.diagnostics_options.get("tolerance", 0.0) < 0:
-            raise ConfigurationError("diagnostics.tolerance must be >= 0")
-        checks = self.diagnostics_options.get("checks", DIAGNOSTIC_NAMES)
-        if not checks:
+        if not self.checks:
             raise ConfigurationError("diagnostics.checks must be non-empty")
-        for name in checks:
+        for name in self.checks:
             if name not in DIAGNOSTIC_NAMES:
                 raise ConfigurationError(f"diagnostics.checks has unknown diagnostic {name!r}")
         if self.shortlist_fraction < 0:
@@ -199,8 +195,14 @@ class RunConfig:
         return self.data.get("epsilon_mode", "fraction")
 
     @property
-    def diagnostics_options(self) -> dict:
-        return self.data.get("diagnostics", {})
+    def checks(self) -> tuple[str, ...]:
+        """The diagnostics that ``diagnose`` runs."""
+        return tuple(self.data.get("diagnostics", {}).get("checks", DIAGNOSTIC_NAMES))
+
+    @property
+    def diagnostics_seed(self) -> int:
+        """The diagnostics' seed; it defaults to the run's."""
+        return self.data.get("diagnostics", {}).get("seed", self.seed)
 
     def with_overrides(
         self,
@@ -208,12 +210,13 @@ class RunConfig:
         reps: int | None = None,
         out: str | None = None,
         formats: tuple[str, ...] | None = None,
+        checks: tuple[str, ...] | None = None,
     ) -> "RunConfig":
         """A copy with the given values replaced.
 
         ``seed`` and ``reps`` also replace the keys of the same name that the
         ``sweep`` and ``diagnostics`` sections set, so a flag reaches every
-        command.
+        command; ``checks`` replaces ``diagnostics.checks``.
         """
         data = dict(self.data)
         for key, value in (("seed", seed), ("reps", reps)):
@@ -226,6 +229,8 @@ class RunConfig:
             data["out"] = out
         if formats is not None:
             data["formats"] = list(formats)
+        if checks is not None:
+            data["diagnostics"] = {**data.get("diagnostics", {}), "checks": list(checks)}
         return RunConfig(data)
 
     def _panel_source(self) -> SyntheticPanelConfig | tuple[str, CsvSchema]:
@@ -312,9 +317,14 @@ def load_config(path: str | Path | None) -> RunConfig:
 def config_digest(config: RunConfig) -> str:
     """Stable digest of the configuration that affects the computation.
 
-    The output directory and formats are left out, so one run written to two
-    places, or in two formats, has one digest.
+    The output directory, the formats and the diagnostics to run are left
+    out: they choose which artifacts are written, not what any one holds. So
+    one run written to two places, in two formats, or one check run alone or
+    with others, has one digest.
     """
     computed = {k: v for k, v in config.data.items() if k not in _OUTPUT_KEYS}
+    diagnostics = {k: v for k, v in computed.pop("diagnostics", {}).items() if k != "checks"}
+    if diagnostics:
+        computed["diagnostics"] = diagnostics
     canonical = json.dumps(computed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -202,10 +202,8 @@ def effective_units(
         n = panel.n_budget_groups
     elif design.kind == "switchback":
         n = panel.n_regions * int(periods_per_week * t_weeks // design.block_length)
-    elif design.kind == "mixed":
+    else:  # mixed
         n = int(design.mixture_prob * panel.n_clusters + (1.0 - design.mixture_prob) * panel.n_units)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown design kind {design.kind!r}")
     if n < 2:
         raise PlanningError(f"insufficient assignment units for design {design.name!r} (n={n})")
     return n

@@ -52,24 +52,18 @@ DIAGNOSTIC_NAMES = ("transport", "minimax", "catalog", "mde", "oracle", "dominan
 
 @dataclass(frozen=True)
 class TransportScenario:
-    """One bias-vs-bound case: a baseline sample, a shift, and a response class."""
+    """One bias-vs-bound case: a Beta(*params) sample of size n, its shift, and a slope bound."""
 
-    family: str = "beta"  # "beta" | "point"
-    params: tuple[float, ...] = (2.0, 5.0)
+    params: tuple[float, float] = (2.0, 5.0)
     shift: float = 0.3
     lipschitz: float = 1.0
     n: int = 400
-    response: str = "piecewise_linear"  # "piecewise_linear" | "linear"
 
     def __post_init__(self) -> None:
         if self.lipschitz <= 0:
             raise ConfigurationError("lipschitz must be > 0")
         if self.n < 1:
             raise ConfigurationError("sample size must be >= 1")
-        if self.family not in ("beta", "point"):
-            raise ConfigurationError(f"unknown sample family {self.family!r}")
-        if self.response not in ("piecewise_linear", "linear"):
-            raise ConfigurationError(f"unknown response family {self.response!r}")
 
 
 def wasserstein1_1d(p, q) -> float:
@@ -87,20 +81,10 @@ def wasserstein1_1d(p, q) -> float:
     return float(np.abs(np.sort(p) - np.sort(q)).mean())
 
 
-def _draw_baseline(scenario: TransportScenario, rng: np.random.Generator) -> np.ndarray:
-    if scenario.family == "beta":
-        a, b = scenario.params
-        return rng.beta(a, b, scenario.n)
-    (x0,) = scenario.params
-    return np.full(scenario.n, float(x0))
-
-
 def _make_response(
     scenario: TransportScenario, lo: float, hi: float, rng: np.random.Generator
 ) -> Callable[[np.ndarray], np.ndarray]:
     L = scenario.lipschitz
-    if scenario.response == "linear":
-        return lambda x: L * x
     # Piecewise-linear with slopes clipped to [-L, L]: Lipschitz by construction.
     n_knots = 9
     xs = np.linspace(lo - 1e-9, hi + 1e-9, n_knots)
@@ -116,12 +100,10 @@ def default_transport_scenarios(count: int = TRANSPORT_COUNT, seed: int = 2024) 
     for _ in range(count):
         out.append(
             TransportScenario(
-                family="beta",
                 params=(float(rng.uniform(0.6, 5.0)), float(rng.uniform(0.6, 5.0))),
                 shift=float(rng.uniform(-1.0, 1.0)),
                 lipschitz=float(rng.uniform(0.25, 4.0)),
                 n=400,
-                response="piecewise_linear",
             )
         )
     return out
@@ -132,20 +114,19 @@ def transport_bound_check(
 ) -> dict:
     """Verify |mean r(P) - mean r(Q)| <= L * W1(P, Q) per scenario.
 
-    Q is P shifted by the scenario's shift; r is drawn from the scenario's
-    Lipschitz response family.
+    P is the scenario's Beta sample and Q its shift; r is a random
+    piecewise-linear response with slopes in [-L, L].
     """
     cases = []
     for i, sc in enumerate(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        p = _draw_baseline(sc, rng)
+        p = rng.beta(*sc.params, sc.n)
         q = p + sc.shift
         r = _make_response(sc, float(min(p.min(), q.min())), float(max(p.max(), q.max())), rng)
         bias = abs(float(r(p).mean()) - float(r(q).mean()))
         bound = sc.lipschitz * wasserstein1_1d(p, q)
         cases.append(
             {
-                "family": sc.family,
                 "shift": sc.shift,
                 "lipschitz": sc.lipschitz,
                 "bias": bias,
@@ -225,18 +206,17 @@ def catalog_approximation_check(
     surface: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
     catalog_sizes: Sequence[int],
-    dense_points: int = 100_000,
     tolerance: float = TOLERANCE,
 ) -> dict:
     """Compare uniform-grid catalog gaps with the Lipschitz-net bound.
 
-    The global minimum is approximated by a dense scan; a size-k uniform grid
-    is a net of radius 1 / (2 (k - 1)), so the observed gap must stay below
-    lipschitz * radius.
+    The global minimum is approximated by a 100 000-point scan; a size-k
+    uniform grid is a net of radius 1 / (2 (k - 1)), so the observed gap must
+    stay below lipschitz * radius.
     """
     if any(k < 2 for k in catalog_sizes):
         raise ConfigurationError("catalog sizes must be >= 2")
-    dense = np.linspace(0.0, 1.0, dense_points)
+    dense = np.linspace(0.0, 1.0, 100_000)
     global_min = float(surface(dense).min())
     cases = []
     for k in catalog_sizes:
@@ -315,10 +295,11 @@ def default_sweep_mapping(gamma: float) -> tuple[float, float, float]:
     """Piecewise schedule from a scalar intensity to the three channel intensities.
 
     Ordered so that graph spillover ramps first, budget spillover peaks
-    mid-sweep and recedes, and carryover dominates the top of the range.
+    mid-sweep and recedes to 0 at gamma 1.2, where it stays, and carryover
+    dominates the top of the range.
     """
     g = 0.3 * _clamp01(3.0 * gamma - 0.5)
-    b = 0.5 * _clamp01(2.0 * gamma - 0.4) * (1.0 - max(0.0, 2.0 * gamma - 1.4))
+    b = 0.5 * _clamp01(2.0 * gamma - 0.4) * _clamp01(1.0 - max(0.0, 2.0 * gamma - 1.4))
     lam = 0.2 * _clamp01(2.0 * gamma - 1.0)
     return g, b, lam
 
@@ -358,16 +339,8 @@ class SweepResult:
     winners: tuple[int, ...]
 
     @property
-    def winner_names(self) -> tuple[str, ...]:
-        return tuple(self.design_names[w] for w in self.winners)
-
-    @property
     def distinct_winners(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for name in self.winner_names:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.design_names[w] for w in self.winners))
 
 
 def regime_sweep(

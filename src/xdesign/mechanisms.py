@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .panel import CalibrationScales
+from .panel import LOCALITIES, CalibrationScales
 
 __all__ = [
     "LOCALITIES",
@@ -25,8 +25,6 @@ __all__ = [
     "outcome_strengths",
     "launch_effect",
 ]
-
-LOCALITIES = ("cluster", "budget", "region")
 
 # Grid maxima used to rescale intensities into outcome units; the audit grid
 # tops out at these values per channel.

@@ -46,7 +46,9 @@ def code_labels(labels: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)), names
 
 
-_GROUPINGS = ("cluster", "budget", "region")
+# The unit groupings a panel stores; each is also a mechanism locality, the
+# grouping that defines exposure neighborhoods.
+LOCALITIES = ("cluster", "budget", "region")
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class Panel:
             raise ConfigurationError("panel needs at least 1 period")
         if len(set(self.unit_ids)) != n:
             raise ConfigurationError("unit_id values must be unique")
-        for grouping in _GROUPINGS:
+        for grouping in LOCALITIES:
             codes = np.asarray(getattr(self, f"{grouping}_codes"))
             names = tuple(getattr(self, f"{grouping}_names"))
             if codes.shape != (n,) or not np.issubdtype(codes.dtype, np.integer):
@@ -147,7 +149,7 @@ class Panel:
 
     def group_codes(self, which: str) -> np.ndarray:
         """Integer group codes per unit for ``which`` in {cluster, budget, region}."""
-        if which not in _GROUPINGS:
+        if which not in LOCALITIES:
             raise ConfigurationError(f"unknown grouping {which!r}")
         return getattr(self, f"{which}_codes")
 
@@ -301,7 +303,7 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     for required in (schema.unit_id, schema.period, schema.outcome):
         if required not in col:
             raise IngestionError(f"missing required column {required!r}")
-    groupings = [g for g in _GROUPINGS if getattr(schema, f"{g}_id") in col]
+    groupings = [g for g in LOCALITIES if getattr(schema, f"{g}_id") in col]
     has_propensity = schema.propensity in col
 
     units, periods = _Coder(), _Coder()
@@ -427,7 +429,7 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
         return table.reshape(n, n_periods)
 
     grouping_fields = {}
-    for g in _GROUPINGS:
+    for g in LOCALITIES:
         codes, names = groups_of_units.get(g, (np.zeros(n, dtype=np.int64), ("all",)))
         grouping_fields.update({f"{g}_codes": codes, f"{g}_names": names})
     return Panel(
@@ -490,6 +492,8 @@ def calibrate_scales(
             raise CalibrationError(
                 "panel outcome standard deviation is 0; supply explicit scale overrides"
             )
+        if not math.isfinite(sigma):
+            raise CalibrationError("panel outcome standard deviation is not finite; rescale the outcomes")
     return CalibrationScales(
         direct_effect=0.1 * sigma if direct_effect is None else float(direct_effect),
         spill_scale=0.5 * sigma if spill_scale is None else float(spill_scale),

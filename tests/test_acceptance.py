@@ -68,9 +68,7 @@ class TestAcceptance:
     def test_catalog_approximation(self):
         for seed in range(20):
             surface, lipschitz = random_smooth_surface(seed)
-            result = catalog_approximation_check(
-                surface, lipschitz, (5, 10, 20, 40), dense_points=100_000, tolerance=1e-9
-            )
+            result = catalog_approximation_check(surface, lipschitz, (5, 10, 20, 40), tolerance=1e-9)
             for case in result["cases"]:
                 assert case["gap"] <= case["bound"] + 1e-9, (seed, case)
         report("catalog approximation (20 surfaces x 4 sizes)")

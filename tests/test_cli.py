@@ -253,6 +253,15 @@ class TestSweepCommand:
         assert len(csv_lines) == 4
         assert (out / "sweep.svg").exists()
 
+    def test_gamma_past_the_budget_recession_runs(self, tmp_path, capsys):
+        # Above gamma 1.2 the budget channel stays at 0 instead of going negative.
+        data = small_select_config(tmp_path / "out")
+        data["sweep"] = {"gamma_grid": [0.0, 1.5], "reps": 2}
+        assert main(["sweep", "--config", str(write_config(tmp_path, data))]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        assert rows[2].split(",")[:4] == ["1.5", "0.3", "0.0", "0.2"]
+
     def test_sweep_section_defaults(self):
         # Without a sweep section the sweep takes the run's reps and seed and
         # the SweepConfig defaults; a section overrides key by key.
@@ -278,8 +287,7 @@ class TestSweepCommand:
 
 class TestDiagnoseCommand:
     def test_fast_subset_passes(self, tmp_path):
-        data = {"out": str(tmp_path / "out"), "diagnostics": {"transport_count": 10}}
-        cfg = write_config(tmp_path, data)
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
         assert main(["diagnose", "--config", str(cfg), "--checks", "transport,minimax,catalog,dominance"]) == 0
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         validate("diagnostics.schema.json", report)
@@ -291,14 +299,14 @@ class TestDiagnoseCommand:
     def test_seed_flag_reaches_the_diagnostics_section(self, tmp_path):
         checks = "transport,catalog,dominance"
         for name, flags, section_seed in (("flag", ["--seed", "3"], 0), ("config", [], 3)):
-            data = {"out": str(tmp_path / name), "diagnostics": {"seed": section_seed, "transport_count": 10}}
+            data = {"out": str(tmp_path / name), "diagnostics": {"seed": section_seed}}
             cfg = write_config(tmp_path, data)
             assert main(["diagnose", "--config", str(cfg), "--checks", checks, *flags]) == 0
         flag, config = (json.loads((tmp_path / name / "diagnostics.json").read_text()) for name in ("flag", "config"))
         assert flag["checks"] == config["checks"]
 
     def test_forced_failure_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        # A config rejects a negative tolerance, so the check itself gets one.
+        # The config sets no tolerance, so the check itself gets an impossible one.
         check = cli.minimax_tightness_check
         monkeypatch.setattr(cli, "minimax_tightness_check", lambda *args, **kw: check(*args, **{**kw, "tolerance": -1.0}))
         cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
@@ -307,15 +315,24 @@ class TestDiagnoseCommand:
         assert not report["passed"]
         assert "FAIL" in capsys.readouterr().out
 
+    @staticmethod
+    def rejected_like_the_config(tmp_path, capsys, flag: str, checks: list[str], message: str) -> None:
+        # The flag sets diagnostics.checks, so it gets that key's message.
+        for args, data in (
+            (["--checks", flag], {}),
+            ([], {"diagnostics": {"checks": checks}}),
+        ):
+            cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), **data})
+            assert main(["diagnose", "--config", str(cfg), *args]) == 1
+            assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+            assert not (tmp_path / "out").exists()
+
     def test_empty_selection_errors(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
-        assert main(["diagnose", "--config", str(cfg), "--checks", ""]) == 1
-        assert "no diagnostics selected" in capsys.readouterr().err
+        self.rejected_like_the_config(tmp_path, capsys, "", [], "diagnostics.checks must be non-empty")
 
     def test_unknown_check_errors(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
-        assert main(["diagnose", "--config", str(cfg), "--checks", "transport,warp"]) == 1
-        assert "warp" in capsys.readouterr().err
+        self.rejected_like_the_config(tmp_path, capsys, "transport,warp", ["transport", "warp"],
+                                      "diagnostics.checks has unknown diagnostic 'warp'")
 
     def test_mde_check_writes_heat_table(self, tmp_path):
         data = small_select_config(tmp_path / "out")
@@ -325,7 +342,6 @@ class TestDiagnoseCommand:
 
     def test_all_checks_on_defaults_exit_zero(self, tmp_path):
         data = small_select_config(tmp_path / "out")
-        data["diagnostics"] = {"transport_count": 25}
         cfg = write_config(tmp_path, data)
         assert main(["diagnose", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
@@ -452,6 +468,8 @@ class TestConfigDigest:
         b = RunConfig(small_select_config(tmp_path / "two", formats=["json"]))
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(a.with_overrides(reps=4))
+        # Which diagnostics run chooses reports, not what any one holds.
+        assert config_digest(a) == config_digest(a.with_overrides(checks=("minimax",)))
 
     def test_shipped_demo_configs_load(self):
         root = Path(__file__).resolve().parents[1]
@@ -478,13 +496,13 @@ class TestConfigValidation:
             (("catalog",), [{"kind": "user", "op_cost": {"effort": 0.1}}], "catalog[0] key 'op_cost'"),
             (("sweep", "seed"), -1, "sweep.seed"),
             (("diagnostics", "seed"), -1, "diagnostics.seed"),
-            (("diagnostics", "transport_count"), 0, "transport_count"),
+            (("diagnostics", "transport_count"), 0, "unknown diagnostics key 'transport_count'"),
             (("catalog",), [], "catalog must be non-empty"),
             (("sweep", "reps"), 0, "sweep.reps must be >= 1"),
             (("shortlist_fraction",), float("nan"), "shortlist_fraction must be a finite number"),
-            (("diagnostics", "tolerance"), float("inf"), "diagnostics.tolerance must be a finite number"),
-            (("diagnostics", "tolerance"), float("nan"), "diagnostics.tolerance must be a finite number"),
-            (("diagnostics", "tolerance"), -1e-9, "diagnostics.tolerance must be >= 0"),
+            (("diagnostics", "tolerance"), float("inf"), "unknown diagnostics key 'tolerance'"),
+            (("diagnostics", "tolerance"), float("nan"), "unknown diagnostics key 'tolerance'"),
+            (("diagnostics", "tolerance"), -1e-9, "unknown diagnostics key 'tolerance'"),
             (("calibration", "noise_sd"), float("inf"), "calibration.noise_sd must be a finite number"),
             (("grid", "graph_spill"), [0.0, float("nan")], "grid.graph_spill[1] must be a finite number"),
             (("catalog",), [{"kind": "user", "treat_prob": float("nan")}], "catalog[0].treat_prob must be a finite"),
@@ -495,6 +513,10 @@ class TestConfigValidation:
             (("formats",), [], "formats must be non-empty"),
             ((), {"epsilon_mode": "stderr", "reps": 1}, "epsilon_mode 'stderr' needs reps >= 2"),
             (("shortlist_fraction",), 1e308, "epsilon_t is not finite (shortlist_fraction=1e+308)"),
+            # Huge magnitudes end as one line, with no numpy warnings before it.
+            (("calibration",), {"direct_effect": 1e308, "spill_scale": 1e308}, "component scores must be finite"),
+            (("panel", "synthetic", "baseline_sd"), 1e200,
+             "calibration: panel outcome standard deviation is not finite"),
         ],
         ids=["reps-string", "reps-float", "seed-float", "n_units-string", "graph_spill-scalar",
              "treat_prob-string", "alpha-beta-negative-mde", "budget_frac-removed",
@@ -502,8 +524,11 @@ class TestConfigValidation:
              "transport_count-zero", "catalog-empty", "sweep-reps-zero", "shortlist_fraction-nan",
              "tolerance-infinity", "tolerance-nan", "tolerance-negative", "noise_sd-infinity", "graph_spill-nan",
              "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity", "graph_spill-empty",
-             "sweep-unknown-key", "formats-empty", "stderr-epsilon-one-rep", "shortlist_fraction-overflows"],
+             "sweep-unknown-key", "formats-empty", "stderr-epsilon-one-rep", "shortlist_fraction-overflows",
+             "calibration-huge", "baseline_sd-huge"],
     )
+    # Outside pytest, which captures warnings, each would print lines of its own.
+    @pytest.mark.filterwarnings("error")
     def test_mistyped_value_is_one_line_error(self, tmp_path, capsys, path, value, field):
         # An empty path sets several top-level keys at once.
         data = small_select_config(tmp_path / "out", **({} if path else value))
@@ -519,6 +544,15 @@ class TestConfigValidation:
         assert lines[0].startswith("error:")
         assert field in lines[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_weights_run_without_warnings(self, tmp_path, capsys):
+        # Huge weights are valid: their sum overflows in the weights check,
+        # which still holds, and no numpy warning is printed.
+        weights = {"geometry": 1e308, "variance": 1e308, "t_weeks": 2, "periods_per_week": 3}
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out", weights=weights))
+        assert main(["select", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "command, path, value, message",

@@ -39,23 +39,15 @@ class TestTransportBound:
         assert report["passed"]
         assert report["cases"][0]["bias"] <= 1e-9
 
-    def test_point_mass_linear_response_is_tight(self):
-        sc = TransportScenario(family="point", params=(0.4,), shift=0.3, lipschitz=2.0, response="linear")
-        report = transport_bound_check([sc], seed=0)
-        case = report["cases"][0]
-        assert case["bias"] == pytest.approx(0.6, abs=1e-12)
-        assert case["bound"] == pytest.approx(0.6, abs=1e-12)
-        assert case["pass"]
-
     def test_hundred_beta_scenarios_pass(self):
         report = transport_bound_check(default_transport_scenarios(100, seed=7), seed=3)
         assert report["passed"]
         assert len(report["cases"]) == 100
 
     def test_forced_negative_tolerance_can_fail(self):
-        # Tightness harness: an impossible tolerance must be reported as failure.
-        sc = TransportScenario(family="point", params=(0.4,), shift=0.3, lipschitz=2.0, response="linear")
-        report = transport_bound_check([sc], seed=0, tolerance=-1e-6)
+        # Tightness harness: an impossible tolerance must be reported as
+        # failure. A zero shift has bias and bound both 0.
+        report = transport_bound_check([TransportScenario(shift=0.0)], seed=0, tolerance=-1e-6)
         assert not report["passed"]
 
 
@@ -174,6 +166,12 @@ class TestSweepMapping:
         g1, b1, l1 = default_sweep_mapping(1.0)
         assert l1 == pytest.approx(0.2)
         assert b1 < max(default_sweep_mapping(0.7)[1], b_mid)
+
+    @pytest.mark.parametrize("gamma", [1.2, 1.5, 10.0])
+    def test_budget_channel_stays_at_zero_above_its_recession(self, gamma):
+        theta = SweepConfig().theta(gamma)
+        assert theta.budget_spill == 0.0
+        assert (theta.graph_spill, theta.carryover) == pytest.approx((0.3, 0.2))
 
     def test_strictly_increasing_grid_required(self):
         with pytest.raises(ConfigurationError):
