@@ -1,8 +1,11 @@
 """Command-line entry points: select | sweep | diagnose | simulate.
 
-Every run is driven by one JSON config (see :mod:`xdesign.config`); flags only
-override seed, replication count, output directory, formats and the
-diagnostics to run, and are checked like the config keys they set. Scoring runs
+Every run is driven by one JSON config (see :mod:`xdesign.config`). Every
+command takes ``--config`` and ``--out``; it takes ``--seed``, ``--reps``,
+``--format`` or ``--checks`` only if it reads the config key that the flag
+overrides (``seed``, ``reps``, ``formats`` or ``diagnostics``), as
+:data:`xdesign.config.READS` lists. A flag is checked like the config key it
+sets, and a usage error prints one ``error:`` line and exits 2. Scoring runs
 in one thread, and artifacts are deterministic for identical (config, seed).
 The ``XDESIGN_THREADS`` environment variable is not read: any value is ignored.
 """
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_digest, load_config
+from .config import READS, RunConfig, config_digest, load_config
 from .diagnostics import (
     DIAGNOSTIC_NAMES,
     catalog_approximation_check,
@@ -123,7 +126,7 @@ def run_select(config: RunConfig) -> dict:
 
         report = {
             "schema_version": SCHEMA_VERSION,
-            "config_digest": config_digest(config),
+            "config_digest": config_digest(config, "select"),
             "decision": {
                 "selected": names[decision.selected],
                 "q": {name: decision.q[i] for i, name in enumerate(names)},
@@ -166,7 +169,7 @@ def run_sweep(config: RunConfig) -> dict:
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config_digest": config_digest(config),
+        "config_digest": config_digest(config, "sweep"),
         "gammas": list(result.gammas),
         "design_names": list(result.design_names),
         "risks": [[float(x) for x in row] for row in result.risks],
@@ -267,7 +270,7 @@ def run_diagnose(config: RunConfig) -> dict:
         passed = all(c["passed"] for c in checks)
         report = {
             "schema_version": SCHEMA_VERSION,
-            "config_digest": config_digest(config),
+            "config_digest": config_digest(config, "diagnose"),
             "passed": passed,
             "checks": checks,
         }
@@ -305,11 +308,37 @@ def run_simulate(config: RunConfig) -> dict:
     }
 
 
+def _split(flag: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated flag."""
+    return tuple(item for item in flag.split(",") if item)
+
+
+# Each flag, in --help order, with the config key it overrides; a command
+# takes a flag without a key always, and one with a key only if it reads it.
+_FLAGS = (
+    (None, "--config", {"help": "path to a JSON run config"}),
+    ("seed", "--seed", {"type": int, "help": "override the master seed"}),
+    ("reps", "--reps", {"type": int, "help": "override the replication count"}),
+    (None, "--out", {"help": "override the output directory"}),
+    ("formats", "--format", {"type": _split, "help": "comma-separated artifact formats (json,csv,svg)"}),
+    ("diagnostics", "--checks", {"type": _split, "help": "comma-separated subset of: " + ",".join(DIAGNOSTIC_NAMES)}),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one ``error:`` line, without the usage, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xdesign",
         description="Robust randomization-design selection under uncertain interference.",
     )
+    # A flag that a command does not take reads as not given.
+    parser.set_defaults(**{flag[2:]: None for _, flag, _ in _FLAGS})
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("select", "evaluate the catalog over the ambiguity grid and pick the robust design"),
@@ -318,25 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simulate", "generate and dump the configured panel"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=str, default=None, help="path to a JSON run config")
-        cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-        cmd.add_argument("--reps", type=int, default=None, help="override the replication count")
-        cmd.add_argument("--out", type=str, default=None, help="override the output directory")
-        cmd.add_argument(
-            "--format", type=str, default=None,
-            help="comma-separated artifact formats (json,csv,svg)",
-        )
-        if name == "diagnose":
-            cmd.add_argument(
-                "--checks", type=str, default=None,
-                help="comma-separated subset of: " + ",".join(DIAGNOSTIC_NAMES),
-            )
+        for key, flag, options in _FLAGS:
+            if key is None or key in READS[name]:
+                cmd.add_argument(flag, **options)
     return parser
-
-
-def _split(flag: str | None) -> tuple[str, ...] | None:
-    """The non-empty items of a comma-separated flag; None if it is not given."""
-    return None if flag is None else tuple(item for item in flag.split(",") if item)
 
 
 # Overflow and invalid results are checked downstream, where the error names
@@ -346,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config).with_overrides(
-            seed=args.seed, reps=args.reps, out=args.out,
-            formats=_split(args.format), checks=_split(getattr(args, "checks", None)),
+            seed=args.seed, reps=args.reps, out=args.out, formats=args.format, checks=args.checks,
         )
         if args.command == "select":
             report = run_select(config)
@@ -374,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{summary['n_regions']} regions)"
             )
             return 0
-        raise XDesignError(f"unknown command {args.command!r}")  # pragma: no cover
     except (XDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

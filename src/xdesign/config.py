@@ -2,10 +2,11 @@
 
 The config names the panel source (synthetic spec or CSV path), calibration
 overrides, the ambiguity grid, catalog overrides, planning weights, replication
-count, and the master seed. Command-line flags may override only seed, reps,
-output directory, formats and the diagnostics to run. Every key and the type
-of its value are checked when the config is built; a bad one raises an error
-that names its field.
+count, and the master seed. Every key and the type of its value are checked
+when the config is built, whichever command runs; a bad one raises an error
+that names its field. :data:`READS` says which top-level keys each command
+reads: it decides which keys a command's flags may override and which keys
+its config digest covers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .mechanisms import AmbiguityGrid, default_grid
 from .panel import CalibrationScales, CsvSchema, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel, ingest_log_csv
 from .risk import PlanningWeights
 
-__all__ = ["RunConfig", "load_config", "config_digest"]
+__all__ = ["READS", "RunConfig", "load_config", "config_digest"]
 
 _FORMATS = ("json", "csv", "svg")
 
@@ -65,8 +66,15 @@ _SCHEMA = {
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
-# Keys that only say where and how to write the artifacts, not what they hold.
-_OUTPUT_KEYS = ("out", "formats")
+# The top-level keys that each command reads, besides ``out``, which every
+# command reads.
+READS = {
+    "select": ("panel", "calibration", "grid", "catalog", "weights", "reps", "seed", "shortlist_fraction",
+               "epsilon_mode", "formats"),
+    "sweep": ("panel", "calibration", "catalog", "weights", "sweep", "reps", "seed", "formats"),
+    "diagnose": ("panel", "catalog", "weights", "seed", "diagnostics", "formats"),
+    "simulate": ("panel", "seed"),
+}
 
 
 def _is_type(value: Any, kind: type) -> bool:
@@ -150,6 +158,9 @@ class RunConfig:
                 raise ConfigurationError(f"diagnostics.checks has unknown diagnostic {name!r}")
         if self.shortlist_fraction < 0:
             raise ConfigurationError("shortlist_fraction must be >= 0")
+        # An empty path would write the artifacts into the working directory.
+        if not self.data.get("out", "out"):
+            raise ConfigurationError("out must be non-empty")
         if not self.formats:
             raise ConfigurationError("formats must be non-empty")
         for fmt in self.formats:
@@ -214,9 +225,10 @@ class RunConfig:
     ) -> "RunConfig":
         """A copy with the given values replaced.
 
-        ``seed`` and ``reps`` also replace the keys of the same name that the
-        ``sweep`` and ``diagnostics`` sections set, so a flag reaches every
-        command; ``checks`` replaces ``diagnostics.checks``.
+        ``seed`` also replaces the ``seed`` that the ``sweep`` and
+        ``diagnostics`` sections set, and ``reps`` the ``reps`` that the
+        ``sweep`` section sets, so a flag reaches every command that reads
+        it; ``checks`` replaces ``diagnostics.checks``.
         """
         data = dict(self.data)
         for key, value in (("seed", seed), ("reps", reps)):
@@ -314,15 +326,16 @@ def load_config(path: str | Path | None) -> RunConfig:
     return RunConfig(data)
 
 
-def config_digest(config: RunConfig) -> str:
-    """Stable digest of the configuration that affects the computation.
+def config_digest(config: RunConfig, command: str) -> str:
+    """Stable digest of the configuration that affects ``command``'s computation.
 
-    The output directory, the formats and the diagnostics to run are left
-    out: they choose which artifacts are written, not what any one holds. So
-    one run written to two places, in two formats, or one check run alone or
-    with others, has one digest.
+    It covers the keys that ``command`` reads (:data:`READS`), less the
+    formats and the diagnostics to run, and never the output directory: those
+    choose which artifacts are written, not what any one holds. So one run
+    written to two places, in two formats, or one check run alone or with
+    others, has one digest, and a key the command does not read changes none.
     """
-    computed = {k: v for k, v in config.data.items() if k not in _OUTPUT_KEYS}
+    computed = {k: v for k, v in config.data.items() if k in READS[command] and k != "formats"}
     diagnostics = {k: v for k, v in computed.pop("diagnostics", {}).items() if k != "checks"}
     if diagnostics:
         computed["diagnostics"] = diagnostics

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,14 @@ def write_config(tmp_path: Path, data: dict) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def run_cli(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI on ``argv`` in a fresh process, with ``env`` added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = "import sys; from xdesign.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True, text=True, timeout=300)
 
 
 def validate(schema_name: str, payload: dict) -> None:
@@ -123,8 +132,9 @@ class TestSelectCommand:
             ({}, ["--format", ""], "formats must be non-empty"),
             ({}, ["--format", ","], "formats must be non-empty"),
             ({"epsilon_mode": "stderr"}, ["--reps", "1"], "epsilon_mode 'stderr' needs reps >= 2"),
+            ({}, ["--out", ""], "out must be non-empty"),
         ],
-        ids=["format-empty", "format-only-commas", "stderr-epsilon-one-rep"],
+        ids=["format-empty", "format-only-commas", "stderr-epsilon-one-rep", "out-empty"],
     )
     def test_flag_override_is_checked_like_the_config(self, tmp_path, capsys, extra, flags, message):
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **extra))
@@ -220,20 +230,10 @@ class TestSelectCommand:
         # OpenBLAS and OpenMP read their thread counts when numpy loads, so each
         # count runs in a fresh process.
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        run = "import sys; from xdesign.cli import main; sys.exit(main(sys.argv[1:]))"
         snapshots = []
         for threads in ("1", "2"):
-            env = dict(
-                os.environ,
-                OPENBLAS_NUM_THREADS=threads,
-                OMP_NUM_THREADS=threads,
-                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-            )
-            subprocess.run(
-                [sys.executable, "-c", run, "select", "--config", str(cfg)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            result = run_cli(["select", "--config", str(cfg)], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            result.check_returncode()
             snapshots.append({name: (tmp_path / "out" / name).read_bytes() for name in ("decision.json", "surface.csv")})
         assert snapshots[0] == snapshots[1]
 
@@ -459,17 +459,45 @@ class TestConfigDigest:
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = RunConfig(small_select_config(tmp_path))
         b = RunConfig(small_select_config(tmp_path))
-        assert config_digest(a) == config_digest(b)
+        assert config_digest(a, "select") == config_digest(b, "select")
         c = a.with_overrides(seed=99)
-        assert config_digest(a) != config_digest(c)
+        assert config_digest(a, "select") != config_digest(c, "select")
 
     def test_digest_ignores_output_location_and_formats(self, tmp_path):
         a = RunConfig(small_select_config(tmp_path / "one"))
         b = RunConfig(small_select_config(tmp_path / "two", formats=["json"]))
-        assert config_digest(a) == config_digest(b)
-        assert config_digest(a) != config_digest(a.with_overrides(reps=4))
+        assert config_digest(a, "select") == config_digest(b, "select")
+        assert config_digest(a, "select") != config_digest(a.with_overrides(reps=4), "select")
         # Which diagnostics run chooses reports, not what any one holds.
-        assert config_digest(a) == config_digest(a.with_overrides(checks=("minimax",)))
+        assert config_digest(a, "select") == config_digest(a.with_overrides(checks=("minimax",)), "select")
+
+    @pytest.mark.parametrize(
+        "command, unread",
+        [
+            ("select", {"sweep": {"gamma_grid": [0.0, 0.5], "reps": 2}, "diagnostics": {"seed": 3}}),
+            ("sweep", {"grid": {"graph_spill": [0.1]}, "shortlist_fraction": 0.3, "epsilon_mode": "stderr"}),
+            ("diagnose", {"reps": 4, "calibration": {"direct_effect": 2.0}, "grid": {"carryover": [0.5]}}),
+        ],
+    )
+    def test_digest_covers_only_the_keys_the_command_reads(self, tmp_path, command, unread):
+        data = small_select_config(tmp_path)
+        a = RunConfig(data)
+        assert config_digest(RunConfig({**data, **unread}), command) == config_digest(a, command)
+        assert config_digest(a.with_overrides(seed=99), command) != config_digest(a, command)
+        panel = {"synthetic": {**data["panel"]["synthetic"], "n_units": 90}}
+        assert config_digest(RunConfig({**data, "panel": panel}), command) != config_digest(a, command)
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("select", "6c09d62726d8471cf9d6511e3f553411a538d063ac7d7e7bbde31d014328f156"),
+            ("sweep", "f3042047f3d3712a08a865835727447e0ef7a1e6d16b5e86cc5796db7d6226aa"),
+        ],
+    )
+    def test_shipped_configs_keep_their_digests(self, command, digest):
+        # Each shipped config holds only keys that its own command reads.
+        root = Path(__file__).resolve().parents[1]
+        assert config_digest(load_config(root / "configs" / f"{command}_demo.json"), command) == digest
 
     def test_shipped_demo_configs_load(self):
         root = Path(__file__).resolve().parents[1]
@@ -478,6 +506,44 @@ class TestConfigDigest:
             cfg.build_catalog()
             cfg.build_weights()
             cfg.build_grid()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("select", {"--config", "--seed", "--reps", "--out", "--format"}),
+            ("sweep", {"--config", "--seed", "--reps", "--out", "--format"}),
+            ("diagnose", {"--config", "--seed", "--out", "--format", "--checks"}),
+            ("simulate", {"--config", "--seed", "--out"}),
+        ],
+    )
+    def test_help_lists_the_flags_of_the_keys_the_command_reads(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == flags | {"--help"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--reps", "3"],
+            ["simulate", "--reps", "1"],
+            ["simulate", "--format", "json"],
+            ["select", "--reps", "x"],
+            ["select", "--bogus", "1"],
+        ],
+        ids=["diagnose-reps", "simulate-reps", "simulate-format", "select-reps-not-int", "select-unknown-flag"],
+    )
+    def test_usage_error_is_one_line_and_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        result = run_cli([*argv, "--out", str(out)])
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
 
 class TestConfigValidation:
@@ -511,6 +577,7 @@ class TestConfigValidation:
             (("grid", "graph_spill"), [], "grid.graph_spill must be non-empty"),
             (("sweep", "gamma"), [0.0, 1.0], "unknown sweep key 'gamma'"),
             (("formats",), [], "formats must be non-empty"),
+            (("out",), "", "out must be non-empty"),
             ((), {"epsilon_mode": "stderr", "reps": 1}, "epsilon_mode 'stderr' needs reps >= 2"),
             (("shortlist_fraction",), 1e308, "epsilon_t is not finite (shortlist_fraction=1e+308)"),
             # Huge magnitudes end as one line, with no numpy warnings before it.
@@ -524,7 +591,7 @@ class TestConfigValidation:
              "transport_count-zero", "catalog-empty", "sweep-reps-zero", "shortlist_fraction-nan",
              "tolerance-infinity", "tolerance-nan", "tolerance-negative", "noise_sd-infinity", "graph_spill-nan",
              "treat_prob-nan", "alpha-negative-infinity", "gamma_grid-infinity", "graph_spill-empty",
-             "sweep-unknown-key", "formats-empty", "stderr-epsilon-one-rep", "shortlist_fraction-overflows",
+             "sweep-unknown-key", "formats-empty", "out-empty", "stderr-epsilon-one-rep", "shortlist_fraction-overflows",
              "calibration-huge", "baseline_sd-huge"],
     )
     # Outside pytest, which captures warnings, each would print lines of its own.
