@@ -16,14 +16,7 @@ from .errors import (
     PlanningError,
     XDesignError,
 )
-from .mechanisms import (
-    AmbiguityGrid,
-    MechanismPoint,
-    OutcomeStrengths,
-    default_grid,
-    launch_effect,
-    outcome_strengths,
-)
+from .mechanisms import AmbiguityGrid, MechanismPoint, default_grid
 from .panel import (
     CalibrationScales,
     CsvSchema,
@@ -56,7 +49,6 @@ __all__ = [
     "DesignSpec",
     "IngestionError",
     "MechanismPoint",
-    "OutcomeStrengths",
     "Panel",
     "PlanningError",
     "PlanningWeights",
@@ -73,9 +65,7 @@ __all__ = [
     "ess_share",
     "generate_synthetic_panel",
     "ingest_log_csv",
-    "launch_effect",
     "mde",
-    "outcome_strengths",
     "risk_surface",
     "robust_select",
     "score_grid",

@@ -37,7 +37,7 @@ from .diagnostics import (
     transport_bound_check,
 )
 from .errors import XDesignError
-from .mechanisms import MechanismPoint
+from .mechanisms import LOCALITIES, MechanismPoint
 from .risk import COMPONENT_NAMES, score_grid
 from .selector import risk_surface, robust_select
 from .svg import write_bar_chart, write_heat_table, write_line_chart, write_scatter
@@ -46,6 +46,17 @@ SCHEMA_VERSION = 1
 _THETA_FIELDS = tuple(f.name for f in fields(MechanismPoint))
 
 __all__ = ["main", "run_select", "run_sweep", "run_diagnose", "run_simulate"]
+
+
+def _csv_cell(name: str) -> str:
+    """A name as a CSV cell, quoted as ``csv.QUOTE_MINIMAL`` quotes it.
+
+    A name that holds a comma, a quote or a line break is wrapped in quotes,
+    its own quotes doubled; any other name is its cell as it is.
+    """
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
 
 
 class _Emitter:
@@ -67,7 +78,7 @@ class _Emitter:
         return p
 
     def write_rows(self, name: str, header: list[str], rows: Iterable[Sequence[str]]) -> Path:
-        """Write rows of formatted cells."""
+        """Write rows of formatted cells, names already quoted by :func:`_csv_cell`."""
         p = self.path(name)
         p.write_text("\n".join(map(",".join, itertools.chain([header], rows))) + "\n", encoding="utf-8")
         return p
@@ -116,7 +127,7 @@ def run_select(config: RunConfig) -> dict:
             n_designs, n_grid = surface.n_designs, surface.n_grid
             values = (*surface.raw.transpose(2, 0, 1), *surface.normalized.transpose(2, 0, 1), surface.risks)
             columns = [
-                [name for name in names for _ in range(n_grid)],
+                [cell for cell in map(_csv_cell, names) for _ in range(n_grid)],
                 [str(d) for d in range(n_designs) for _ in range(n_grid)],
                 list(map(str, range(n_grid))) * n_designs,
                 *([str(getattr(theta, name)) for theta in grid] * n_designs for name in _THETA_FIELDS),
@@ -178,14 +189,15 @@ def run_sweep(config: RunConfig) -> dict:
     }
     with _emission(config.out_dir) as emitter:
         if "csv" in config.formats:
-            header = ["gamma", "graph_spill", "budget_spill", "carryover"] + list(result.design_names) + ["winner"]
+            cells = list(map(_csv_cell, result.design_names))
+            header = ["gamma", "graph_spill", "budget_spill", "carryover"] + cells + ["winner"]
             # One column of formatted cells each, one row per gamma; the
             # sweep's gammas and intensities are floats.
             columns = [
                 map(repr, result.gammas),
                 *([repr(getattr(theta, name)) for theta in result.thetas] for name in header[1:4]),
                 *(map(repr, column.tolist()) for column in result.risks.T),
-                [result.design_names[w] for w in result.winners],
+                [cells[w] for w in result.winners],
             ]
             emitter.write_rows("sweep.csv", header, zip(*columns))
         if "json" in config.formats:
@@ -285,12 +297,18 @@ def run_simulate(config: RunConfig) -> dict:
     header = ["unit_id", "period", "outcome", "cluster_id", "budget_id", "region_id"]
     if panel.propensities is not None:
         header.append("propensity")
+
+    def unit_cells(grouping: str) -> list[str]:
+        """Each unit's group name as a cell, each distinct name quoted once."""
+        cells = [_csv_cell(name) for name in getattr(panel, f"{grouping}_names")]
+        return [cells[code] for code in panel.group_codes(grouping).tolist()]
+
     # One column of formatted cells each, in unit-major row order; the three
     # group names of a unit share one column.
     n_periods = panel.n_periods
-    groups = map(",".join, zip(panel.cluster_ids, panel.budget_ids, panel.region_ids))
+    groups = map(",".join, zip(*map(unit_cells, LOCALITIES)))
     columns = [
-        [unit for unit in panel.unit_ids for _ in range(n_periods)],
+        [unit for unit in map(_csv_cell, panel.unit_ids) for _ in range(n_periods)],
         list(map(str, range(1, n_periods + 1))) * panel.n_units,
         map(repr, panel.baseline.ravel().tolist()),
         [group for group in groups for _ in range(n_periods)],

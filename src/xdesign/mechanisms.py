@@ -2,8 +2,8 @@
 
 Each grid point carries three unit-free intensities (graph spillover, budget
 spillover, temporal carryover) plus a locality label naming the grouping that
-defines exposure neighborhoods. The intensities are mapped to outcome-scale
-strengths through the panel's calibration scales.
+defines exposure neighborhoods. What a point does to outcomes, through the
+panel's calibration scales, is the scoring kernel's: see :mod:`xdesign.risk`.
 """
 
 from __future__ import annotations
@@ -14,23 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .panel import LOCALITIES, CalibrationScales
+from .panel import LOCALITIES
 
 __all__ = [
     "LOCALITIES",
     "MechanismPoint",
     "AmbiguityGrid",
-    "OutcomeStrengths",
     "default_grid",
-    "outcome_strengths",
-    "launch_effect",
 ]
-
-# Grid maxima used to rescale intensities into outcome units; the audit grid
-# tops out at these values per channel.
-_GRAPH_REF = 0.3
-_BUDGET_REF = 0.5
-_CARRY_REF = 0.2
 
 
 @dataclass(frozen=True, order=True)
@@ -49,10 +40,6 @@ class MechanismPoint:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.locality not in LOCALITIES:
             raise ConfigurationError(f"locality must be one of {LOCALITIES}, got {self.locality!r}")
-
-    @property
-    def intensity_sum(self) -> float:
-        return self.graph_spill + self.budget_spill + self.carryover
 
 
 @dataclass(frozen=True)
@@ -98,34 +85,3 @@ def default_grid() -> AmbiguityGrid:
     """The full 3x3x3x3 audit grid (81 points) over the default stress values."""
     return AmbiguityGrid.from_axes()
 
-
-@dataclass(frozen=True)
-class OutcomeStrengths:
-    """Outcome-scale interference strengths for one mechanism point."""
-
-    graph: float
-    budget: float
-    carry: float
-
-    @property
-    def total(self) -> float:
-        return self.graph + self.budget + self.carry
-
-
-def outcome_strengths(theta: MechanismPoint, calib: CalibrationScales) -> OutcomeStrengths:
-    """Map grid intensities to outcome units.
-
-    Each channel scales linearly from zero at intensity 0 to its calibrated
-    outcome scale at the top of the audit grid (0.3 / 0.5 / 0.2 per channel).
-    """
-    return OutcomeStrengths(
-        graph=calib.spill_scale * calib.graph_frac * theta.graph_spill / _GRAPH_REF,
-        budget=calib.spill_scale * (1.0 - calib.graph_frac) * theta.budget_spill / _BUDGET_REF,
-        carry=calib.carry_scale * theta.carryover / _CARRY_REF,
-    )
-
-
-def launch_effect(theta: MechanismPoint, calib: CalibrationScales) -> float:
-    """Full-launch effect: direct effect plus all interference strengths at exposure 1."""
-    s = outcome_strengths(theta, calib)
-    return calib.direct_effect + s.total

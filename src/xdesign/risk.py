@@ -17,6 +17,13 @@ regime sweep scores all its intensities as one group. ``score_groups`` is the
 one scoring path, and it runs serially in one thread. The tests check it,
 point by point, against a per-point reference pipeline to 1e-12.
 
+``_batch`` alone holds the interference model. From arrays of the points'
+intensities it builds their outcome strengths, each linear from 0 to its
+calibrated scale at the audit grid's top (0.3 / 0.5 / 0.2), with
+``graph_frac`` of the spillover scale on the graph channel and the rest on
+the budget one; their launch effects, the direct effect plus the three
+strengths; and their geometry, contamination, switching and mismatch weights.
+
 Every assignment treats the cells of an atom alike: a unit over all its
 periods, or a (region, period) pair for switchbacks. The kernel needs only
 per-label, per-arm and overall sums of the exposure features, so it works on
@@ -64,7 +71,7 @@ import numpy as np
 
 from .designs import DesignSpec, _AtomRule, _assign_atoms, _draw_uniforms, effective_units
 from .errors import ConfigurationError, PlanningError
-from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint, launch_effect, outcome_strengths
+from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, ess_share
 
 __all__ = [
@@ -116,21 +123,17 @@ class PlanningWeights:
         return np.array([getattr(self, name) for name in COMPONENT_NAMES])
 
 
-def _quantile_sum(alpha: float, beta: float) -> float:
-    z = NormalDist().inv_cdf
-    return z(1.0 - alpha / 2.0) + z(1.0 - beta)
-
-
-def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
-    """Planning minimum detectable effect for a two-arm comparison.
+def mde(v: float | np.ndarray, n_units: int, weights: PlanningWeights) -> float | np.ndarray:
+    """Planning minimum detectable effect for a two-arm comparison, elementwise in ``v``.
 
     (z_{1-alpha/2} + z_{1-beta}) * sqrt(2 v / N) with standard-normal quantiles.
     """
-    if v < 0:
+    if np.any(v < 0):
         raise ConfigurationError("variance must be >= 0")
     if n_units < 2:
         raise PlanningError("mde needs at least 2 assignment units")
-    return _quantile_sum(weights.alpha, weights.beta) * float(np.sqrt(2.0 * v / n_units))
+    z = NormalDist().inv_cdf
+    return (z(1.0 - weights.alpha / 2.0) + z(1.0 - weights.beta)) * np.sqrt(2.0 * v / n_units)
 
 
 # Feature rows of one replication, each a per-atom sum over the atom's cells.
@@ -139,6 +142,10 @@ def mde(v: float, n_units: int, weights: PlanningWeights) -> float:
 # of its own. The lag row comes first, so that a layout whose lag sums equal
 # its direct ones reduces the contiguous rest.
 _LAG, _BASE, _DIRECT, _BUDGET = range(4)
+
+# Intensities at the top of the audit grid, where each channel's outcome
+# strength reaches its calibrated scale.
+_GRAPH_TOP, _BUDGET_TOP, _CARRY_TOP = 0.3, 0.5, 0.2
 
 # Bytes of one chunk's per-slot arrays, sized for each (design, batch).
 # Atoms-sized: the features, the treatment, the drawn labels and the label
@@ -278,34 +285,36 @@ def _batch(
 ) -> _Batch:
     """The channel maps of the points of ``groups``, whose first points have output index ``starts[seed_index]``."""
     points = [p for group in groups for p in group]
-    shape = (_BUDGET + len(localities), len(points))
-    outcome, geometry, mismatch, contam = (np.zeros(shape) for _ in range(4))
-    switching, target = np.zeros(len(points)), np.zeros(len(points))
-    for k, p in enumerate(points):
-        s = outcome_strengths(p, calib)
-        cols = [_BASE, _DIRECT, _LAG, _BUDGET, _BUDGET + localities.index(p.locality)]
-        # add.at, because a budget-locality point has its graph share in the budget column.
-        np.add.at(outcome[:, k], cols, (1.0, calib.direct_effect, s.carry, s.budget, s.graph))
-        scale = 1.0 + p.intensity_sum
-        np.add.at(geometry[:, k], cols, (0.0, 1.0 / scale, p.carryover / scale, p.budget_spill / scale,
-                                         p.graph_spill / scale))
-        np.add.at(mismatch[:, k], cols, (0.0, 0.25, 0.25, 0.25, 0.25))
-        total = p.intensity_sum
-        if total > 0:
-            np.add.at(contam[:, k], cols, (0.0, 0.0, 0.0, p.budget_spill / total, p.graph_spill / total))
-            switching[k] = p.carryover / total
-        target[k] = launch_effect(p, calib)
+    graph, budget, carry = np.array([(p.graph_spill, p.budget_spill, p.carryover) for p in points]).T
+    column = _BUDGET + np.array([localities.index(p.locality) for p in points])
+    index = np.arange(len(points))
+    total = graph + budget + carry
+
+    def channel_map(lag, base, direct, budget_share, graph_share) -> np.ndarray:
+        values = np.zeros((_BUDGET + len(localities), len(points)))
+        for row, value in ((_LAG, lag), (_BASE, base), (_DIRECT, direct), (_BUDGET, budget_share)):
+            values[row] += value
+        # A budget-locality point's graph share is the budget share, so its column adds both.
+        values[column, index] += graph_share
+        return values
+
+    s_graph = calib.spill_scale * calib.graph_frac * graph / _GRAPH_TOP
+    s_budget = calib.spill_scale * (1.0 - calib.graph_frac) * budget / _BUDGET_TOP
+    s_carry = calib.carry_scale * carry / _CARRY_TOP
+    scale = 1.0 + total
+    # Zero intensity leaves contamination to the stress alone: every weight is 0 / inf.
+    weight = np.where(total > 0, total, np.inf)
     return _Batch(
         seed_index=seed_index,
         group=np.repeat(np.arange(len(groups)), [len(group) for group in groups]),
         points=np.concatenate([np.arange(starts[g], starts[g + 1]) for g in seed_index.tolist()]),
         localities=localities,
-        outcome=outcome,
-        geometry=geometry,
-        mismatch=mismatch,
-        contamination=contam,
-        switching=switching,
-        target=target,
+        outcome=channel_map(s_carry, 1.0, calib.direct_effect, s_budget, s_graph),
+        geometry=channel_map(carry / scale, 0.0, 1.0 / scale, budget / scale, graph / scale),
+        mismatch=channel_map(0.25, 0.0, 0.25, 0.25, 0.25),
+        contamination=channel_map(0.0, 0.0, 0.0, budget / weight, graph / weight),
+        switching=carry / weight,
+        target=calib.direct_effect + ((s_graph + s_budget) + s_carry),
     )
 
 
@@ -354,9 +363,7 @@ def _score_batch(
     reps: int,
     master_seed: int,
     design_index: int,
-    n_eff: int,
     stress: float,
-    quantile_sum: float,
 ) -> None:
     """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
 
@@ -375,9 +382,10 @@ def _score_batch(
     sufficient statistics: the per-feature treated and overall sums of its
     per-atom features, its noise mean and the (features, features) ddof=1
     covariance ``C`` of its occupied labels' feature means. Every point's
-    seven channels then follow once for the whole batch from its group's
-    slots; its variance is ``o' C o`` for the point's outcome map ``o``.
-    No slot's arithmetic depends on the chunk it falls in.
+    channels but the mde, which :func:`score_groups` fills from the variance,
+    then follow once for the whole batch from its group's slots; its
+    variance is ``o' C o`` for the point's outcome map ``o``. No slot's
+    arithmetic depends on the chunk it falls in.
     """
     n_features = _BUDGET + len(batch.localities)
     # The rows that the chunk loop fills and reduces: all, or all but the lag.
@@ -500,7 +508,6 @@ def _score_batch(
     scores = np.empty(estimate.shape + (N_CHANNELS,))
     scores[..., 0] = _project(batch.geometry[..., None], launch_gap)
     scores[..., 1] = v
-    scores[..., 2] = quantile_sum * np.sqrt(2.0 * v / n_eff)
     scores[..., 3] = _project(batch.contamination[..., None], control) + batch.switching[:, None] * switch_rate + stress
     scores[..., 4] = rule.design.op_cost_level
     scores[..., 5] = _project(batch.mismatch[..., None], launch_gap) + stress
@@ -535,7 +542,6 @@ def score_groups(
         raise ConfigurationError("master_seed must be >= 0")
     batches = _batches(groups, calib)
     stress = _support_stress(panel)
-    quantile_sum = _quantile_sum(weights.alpha, weights.beta)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     rules = [_AtomRule.build(design, panel) for design in catalog]
     layouts = {regions: _Atoms.build(panel, regions) for regions in {rule.regions for rule in rules}}
@@ -543,8 +549,8 @@ def score_groups(
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
         for batch in batches:
             _score_batch(rule, batch, layouts[rule.regions], panel, calib, out[d], reps=reps,
-                         master_seed=master_seed, design_index=d, n_eff=n_eff, stress=stress,
-                         quantile_sum=quantile_sum)
+                         master_seed=master_seed, design_index=d, stress=stress)
+        out[d, ..., 2] = mde(out[d, ..., 1], n_eff, weights)
     return out
 
 

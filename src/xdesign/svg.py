@@ -1,7 +1,8 @@
 """Dependency-free SVG emission: line charts, bar charts, scatters, heat tables.
 
 Deliberately minimal: fixed canvas, numeric formatting stable across runs so
-artifacts are byte-identical for identical inputs.
+artifacts are byte-identical for identical inputs. Titles, axis labels and
+names are text content with ``&``, ``<`` and ``>`` escaped.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data: its ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -37,12 +43,12 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
             f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica, Arial, sans-serif">',
             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-            f'<text x="{_WIDTH / 2}" y="24" font-size="16" text-anchor="middle">{title}</text>',
+            f'<text x="{_WIDTH / 2}" y="24" font-size="16" text-anchor="middle">{_escape(title)}</text>',
             f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2}" y="{_HEIGHT - 12}" '
-            f'font-size="12" text-anchor="middle">{x_label}</text>',
+            f'font-size="12" text-anchor="middle">{_escape(x_label)}</text>',
             f'<text x="18" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2}" font-size="12" '
             f'text-anchor="middle" transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2})">'
-            f"{y_label}</text>",
+            f"{_escape(y_label)}</text>",
         ]
 
     def axes(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_ticks: bool = True) -> None:
@@ -76,7 +82,7 @@ class _Canvas:
             y = _MARGIN_T + 16 * i
             self.parts.append(
                 f'<rect x="{_WIDTH - _MARGIN_R + 12}" y="{y}" width="10" height="10" fill="{color}"/>'
-                f'<text x="{_WIDTH - _MARGIN_R + 26}" y="{y + 9}" font-size="11">{label}</text>'
+                f'<text x="{_WIDTH - _MARGIN_R + 26}" y="{y + 9}" font-size="11">{_escape(label)}</text>'
             )
 
     def write(self, path: Path | str) -> None:
@@ -143,7 +149,7 @@ def write_bar_chart(
             f'<rect x="{_fmt(cx - bar_w / 2)}" y="{_fmt(min(py, base))}" width="{_fmt(bar_w)}" '
             f'height="{_fmt(abs(base - py))}" fill="{color}"/>'
             f'<text x="{_fmt(cx)}" y="{_HEIGHT - _MARGIN_B + 14}" font-size="10" '
-            f'text-anchor="middle">{label}</text>'
+            f'text-anchor="middle">{_escape(label)}</text>'
             f'<text x="{_fmt(cx)}" y="{_fmt(min(py, base) - 4)}" font-size="10" '
             f'text-anchor="middle">{_fmt(value)}</text>'
         )
@@ -194,13 +200,13 @@ def write_heat_table(
     for j, label in enumerate(col_labels):
         canvas.parts.append(
             f'<text x="{_fmt(_MARGIN_L + (j + 0.5) * cell_w)}" y="{_MARGIN_T + 12}" '
-            f'font-size="11" text-anchor="middle">{label}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(label)}</text>'
         )
     for i, row_label in enumerate(row_labels):
         y = _MARGIN_T + 20 + i * cell_h
         canvas.parts.append(
             f'<text x="{_MARGIN_L - 6}" y="{_fmt(y + cell_h / 2 + 4)}" font-size="11" '
-            f'text-anchor="end">{row_label}</text>'
+            f'text-anchor="end">{_escape(row_label)}</text>'
         )
         for j, value in enumerate(values[i]):
             frac = (value - lo) / span

@@ -5,6 +5,9 @@ closed form on assignment atoms. This module scores one replication of one
 (design, mechanism) point step by step on cells instead: replay, exposure
 features, simulated outcomes, then each risk component from the outcome
 panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
+It writes the interference model out itself, the strengths and the launch
+effect of ``outcome_strengths`` and ``launch_effect`` included, so that the
+comparison checks the kernel's model rather than sharing it.
 ``allocating_draw_atoms`` writes each design's atom map out with fresh arrays
 per replay; the tests compare the kernel's draws with it bit for bit.
 
@@ -42,9 +45,7 @@ from xdesign import (
     code_labels,
     effective_units,
     ess_share,
-    launch_effect,
     mde,
-    outcome_strengths,
 )
 from xdesign.designs import _AtomRule, _assign_atoms, _draw_uniforms
 
@@ -64,21 +65,28 @@ def reference_panel_csv(panel: Panel) -> str:
     header = ["unit_id", "period", "outcome", "cluster_id", "budget_id", "region_id"]
     if panel.propensities is not None:
         header.append("propensity")
-    lines = [",".join(header)]
+    rows = []
     groups = zip(panel.cluster_ids, panel.budget_ids, panel.region_ids)
     for i, (unit, (cluster, budget, region)) in enumerate(zip(panel.unit_ids, groups)):
         for t in range(panel.n_periods):
             row = [unit, t + 1, float(panel.baseline[i, t]), cluster, budget, region]
             if panel.propensities is not None:
                 row.append(float(panel.propensities[i, t]))
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+            rows.append(row)
+    return _row_csv(header, rows)
 
 
 def _row_csv(header: list[str], rows: list[list]) -> str:
-    """CSV text of rows of values, floats as ``repr`` and everything else as ``str``."""
-    lines = [",".join(header)]
-    lines += (",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows)
+    """CSV text of rows of values, floats as ``repr`` and everything else as ``str``.
+
+    Each row is one line as ``csv.writer`` writes it, which quotes a cell
+    holding a comma, a quote or a line break; lines end in ``\\n``.
+    """
+    lines = []
+    for row in [header, *rows]:
+        line = io.StringIO()
+        csv.writer(line).writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
+        lines.append(line.getvalue().removesuffix("\r\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -405,6 +413,35 @@ def geometry_score(exposure: ExposurePanel, theta: MechanismPoint) -> float:
     return float(gap.mean() / (1.0 + g + b + lam))
 
 
+@dataclass(frozen=True)
+class Strengths:
+    """Outcome-scale interference strengths of one mechanism point."""
+
+    graph: float
+    budget: float
+    carry: float
+
+
+def outcome_strengths(theta: MechanismPoint, calib: CalibrationScales) -> Strengths:
+    """Each channel's strength: its share of the calibrated scale times its intensity over the grid's top.
+
+    The audit grid tops out at graph 0.3, budget 0.5 and carryover 0.2.
+    ``graph_frac`` of the spillover scale goes to the graph channel, the rest
+    to the budget channel.
+    """
+    return Strengths(
+        graph=calib.spill_scale * calib.graph_frac * theta.graph_spill / 0.3,
+        budget=calib.spill_scale * (1.0 - calib.graph_frac) * theta.budget_spill / 0.5,
+        carry=calib.carry_scale * theta.carryover / 0.2,
+    )
+
+
+def launch_effect(theta: MechanismPoint, calib: CalibrationScales) -> float:
+    """The effect of treating every cell: the direct effect plus every channel at full exposure."""
+    s = outcome_strengths(theta, calib)
+    return calib.direct_effect + s.graph + s.budget + s.carry
+
+
 def simulate_outcomes(
     panel: Panel,
     exposure: ExposurePanel,
@@ -470,7 +507,7 @@ def contamination(
     the stress alone when intensities are all zero or no control cells exist.
     """
     stress = (1.0 - ess) if ess is not None else 0.0
-    total = theta.intensity_sum
+    total = theta.graph_spill + theta.budget_spill + theta.carryover
     control = assignment.z == 0
     if total == 0.0 or not control.any():
         return stress

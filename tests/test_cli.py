@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line surface and its artifacts."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from xdesign.diagnostics import SweepConfig, regime_sweep
 from xdesign.risk import score_grid
 from xdesign.selector import risk_surface
 
-from reference import reference_panel_csv, reference_surface_csv, reference_sweep_csv
+from reference import labelled_panel, reference_panel_csv, reference_surface_csv, reference_sweep_csv
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "xdesign" / "schemas"
 
@@ -416,6 +418,26 @@ class TestSimulateCommand:
         assert ingested.baseline.tobytes() == built.baseline.tobytes()
         assert ingested.propensities is None and built.propensities is None
 
+    def test_names_with_csv_specials_round_trip(self, tmp_path):
+        # Unit and group names that hold commas, quotes and line breaks are
+        # quoted in panel.csv, which ingests back to the same panel.
+        names = ['u,1', 'u"2"', "u\r\n3", "u4"]
+        built = labelled_panel(names, ['c,"x"', 'c,"x"', "c\ny", "c\ny"], ["b,1", "b,1", "b,1", 'b"'],
+                               ["r", "r", "r", "r"], 2, np.arange(8.0).reshape(4, 2))
+        source = tmp_path / "source.csv"
+        source.write_bytes(reference_panel_csv(built).encode("utf-8"))
+        config = RunConfig({"panel": {"csv": {"path": str(source)}}, "out": str(tmp_path / "out")})
+        run_simulate(config)
+        written = (tmp_path / "out" / "panel.csv").read_bytes()
+        assert written == source.read_bytes()
+        with open(tmp_path / "out" / "panel.csv", encoding="utf-8", newline="") as handle:
+            assert {len(row) for row in csv.reader(handle)} == {6}
+            handle.seek(0)
+            ingested = ingest_log_csv(handle)
+        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "cluster_names", "budget_names"):
+            assert getattr(ingested, name) == getattr(built, name), name
+        assert ingested.baseline.tobytes() == built.baseline.tobytes()
+
 
 class TestCsvArtifacts:
     def test_surface_and_sweep_csv_match_the_row_writer_byte_for_byte(self, tmp_path):
@@ -443,6 +465,30 @@ class TestCsvArtifacts:
         result = regime_sweep(config.build_sweep(), panel, config.build_calibration(panel), config.build_catalog(),
                               config.build_weights())
         assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == reference_sweep_csv(result).encode("utf-8")
+
+    def test_names_with_csv_and_xml_specials(self, tmp_path):
+        # Design names that hold commas, quotes and line breaks are quoted in
+        # surface.csv and sweep.csv, whose rows then all have the header's
+        # width, and names that hold &, < and > leave both SVGs well-formed.
+        names = ['user, "p=0.5"', "cluster<A&B>", "switch\r\nback"]
+        catalog = [{"kind": kind, "name": name} for kind, name in zip(("user", "cluster", "switchback"), names)]
+        data = small_select_config(tmp_path / "out", catalog=catalog, reps=2,
+                                   sweep={"gamma_grid": [0.0, 0.5], "reps": 2})
+        config = RunConfig(data)
+        run_select(config)
+        report = run_sweep(config)
+        out = tmp_path / "out"
+        for name, name_column in (("surface.csv", "design"), ("sweep.csv", "winner")):
+            with open(out / name, encoding="utf-8", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert {len(row) for row in rows} == {len(header)}, name
+            assert {row[header.index(name_column)] for row in rows} <= set(names), name
+        assert header[4:-1] == names
+        assert report["design_names"] == names
+        for name in ("ranking.svg", "sweep.svg"):
+            text = (out / name).read_text(encoding="utf-8")
+            minidom.parseString(text)
+            assert "cluster&lt;A&amp;B&gt;" in text
 
 
 class TestEmissionCleanup:

@@ -1,18 +1,27 @@
-"""Tests for the ambiguity grid and the intensity-to-outcome calibration map."""
+"""Tests for the ambiguity grid and the kernel's intensity-to-outcome calibration map."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from xdesign import (
-    AmbiguityGrid,
-    CalibrationScales,
-    ConfigurationError,
-    MechanismPoint,
-    default_grid,
-    launch_effect,
-    outcome_strengths,
-)
+from xdesign import AmbiguityGrid, CalibrationScales, ConfigurationError, MechanismPoint, default_grid, risk
 
 CAL = CalibrationScales(direct_effect=0.2, spill_scale=1.0, carry_scale=1.0)
+
+
+def outcome_strengths(theta: MechanismPoint, calib: CalibrationScales) -> SimpleNamespace:
+    """The strengths in the kernel's outcome map of ``theta``, a cluster-locality point.
+
+    Its graph share is the feature row after the budget share's.
+    """
+    assert theta.locality == "cluster"
+    outcome = risk._batches([(theta,)], calib)[0].outcome[:, 0]
+    return SimpleNamespace(graph=outcome[risk._BUDGET + 1], budget=outcome[risk._BUDGET], carry=outcome[risk._LAG])
+
+
+def launch_effect(theta: MechanismPoint, calib: CalibrationScales) -> float:
+    """The kernel's launch effect of ``theta``."""
+    return risk._batches([(theta,)], calib)[0].target[0]
 
 
 class TestDefaultGrid:

@@ -33,9 +33,7 @@ from xdesign import (
     default_grid,
     ess_share,
     generate_synthetic_panel,
-    launch_effect,
     mde,
-    outcome_strengths,
     risk_surface,
     score_grid,
 )
@@ -56,6 +54,8 @@ from reference import (
     hand_row,
     hand_rows,
     labelled_panel,
+    launch_effect,
+    outcome_strengths,
     simulate_outcomes,
     variance_component,
 )
@@ -239,6 +239,16 @@ class TestMde:
             mde(1.0, 1, PlanningWeights())
         with pytest.raises(ConfigurationError):
             mde(-1.0, 8, PlanningWeights())
+        with pytest.raises(ConfigurationError):
+            mde(np.array([1.0, -1e-300]), 8, PlanningWeights())
+
+    def test_array_is_elementwise(self):
+        # The kernel fills its mde channel from the variance channel in one call.
+        w = PlanningWeights()
+        v = np.array([[0.0, 1.0], [2.5, 1e-3]])
+        got = mde(v, 8, w)
+        assert got.shape == v.shape
+        assert got.tolist() == [[mde(float(x), 8, w) for x in row] for row in v]
 
 
 class TestContamination:
@@ -412,7 +422,7 @@ class TestComponentScores:
         realized_gap = abs(float((y - panel.baseline).mean()) - launch_effect(theta, calib))
         strengths = outcome_strengths(theta, calib)
         lipschitz = strengths.budget / theta.budget_spill  # slope per scaled coordinate
-        scaled_distance = geometry_score(expo, theta) * (1 + theta.intensity_sum)
+        scaled_distance = geometry_score(expo, theta) * (1 + theta.graph_spill + theta.budget_spill + theta.carryover)
         assert realized_gap <= lipschitz * scaled_distance + 1e-12
 
     def test_op_cost_independent_of_mechanism(self, setup):
@@ -586,6 +596,24 @@ class TestDrawGroups:
         for d, design in enumerate(REFERENCE_CATALOG):
             expected = np.concatenate([
                 hand_rows(design, group, panel, calib, weights, group_stream(master_seed, d, g), reps)
+                for g, group in enumerate(REFERENCE_GROUPS)
+            ])
+            assert_matches_reference(per_rep[d], expected)
+
+    @pytest.mark.parametrize("graph_frac", [0.2, 0.9])
+    def test_uneven_spillover_split_matches_per_point_pipeline(self, setup, graph_frac):
+        # graph_frac splits the spillover scale between the graph and budget
+        # channels. Off its even default, with spill_scale unlike carry_scale
+        # and points whose graph and budget intensities differ, every channel
+        # of every point, the bias included, matches the per-point pipeline,
+        # which writes the strengths out on its own.
+        panel, _, weights = setup
+        calib = CalibrationScales(0.7, 0.4, 0.3, graph_frac=graph_frac, noise_sd=0.2)
+        reps = 2
+        per_rep = score_groups(panel, REFERENCE_CATALOG, REFERENCE_GROUPS, calib, weights, reps=reps, master_seed=3)
+        for d, design in enumerate(REFERENCE_CATALOG):
+            expected = np.concatenate([
+                hand_rows(design, group, panel, calib, weights, group_stream(3, d, g), reps)
                 for g, group in enumerate(REFERENCE_GROUPS)
             ])
             assert_matches_reference(per_rep[d], expected)
