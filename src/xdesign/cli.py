@@ -300,7 +300,7 @@ def run_simulate(config: RunConfig) -> dict:
 
     def unit_cells(grouping: str) -> list[str]:
         """Each unit's group name as a cell, each distinct name quoted once."""
-        cells = [_csv_cell(name) for name in getattr(panel, f"{grouping}_names")]
+        cells = [_csv_cell(name) for name in panel.groups[grouping][1]]
         return [cells[code] for code in panel.group_codes(grouping).tolist()]
 
     # One column of formatted cells each, in unit-major row order; the three

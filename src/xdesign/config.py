@@ -104,6 +104,9 @@ def _validate(where: str, value: Any, spec: Any) -> None:
     # Python's json reads NaN and Infinity, which no field means.
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    # No file name holds a NUL, and no field needs one.
+    elif isinstance(value, str) and "\0" in value:
+        raise ConfigurationError(f"{where} must not hold a NUL character")
 
 
 def _in_section(where: str, spec: dict, build, /, **values):

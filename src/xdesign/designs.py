@@ -9,6 +9,7 @@ not a measurement.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 KINDS: tuple[str, ...] = ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed")
+
+# What XML 1.0 text cannot hold, escaped or not: C0 controls but tab, LF and CR,
+# surrogates, U+FFFE and U+FFFF. A design name labels the SVGs, so it holds none.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 # Pre-registered operational-cost levels per design kind: user randomization is
@@ -70,6 +75,8 @@ class DesignSpec:
             raise ConfigurationError("mixture_prob must lie in [0, 1]")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+        if bad := _NOT_XML.search(self.name):
+            raise ConfigurationError(f"name must not hold the character U+{ord(bad.group()):04X}")
 
 
 # Every assignment rule treats the cells of an atom alike. An atom is a unit
@@ -105,7 +112,7 @@ class _AtomRule:
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
-        codes = panel.budget_codes if design.kind == "budget_split" else panel.cluster_codes
+        codes = panel.group_codes("budget" if design.kind == "budget_split" else "cluster")
         n_groups = int(codes.max()) + 1
         units = np.arange(panel.n_units, dtype=np.int64)
         source, labels = units, codes

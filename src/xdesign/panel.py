@@ -59,19 +59,15 @@ class Panel:
     (periods are 1-based externally, contiguous). ``propensities`` has the same
     shape when present; all values must lie in (0, 1].
 
-    Each grouping is stored as one integer code per unit and the sorted,
-    distinct group names, each naming at least one unit: unit ``i`` is in
-    cluster ``cluster_names[cluster_codes[i]]``. :func:`code_labels` makes
-    both from per-unit labels.
+    ``groups`` maps each grouping in :data:`LOCALITIES` to ``(codes, names)``:
+    one int64 code per unit and the sorted, distinct group names, each naming
+    at least one unit. Unit ``i`` is in cluster ``names[codes[i]]`` of
+    ``groups["cluster"]``; :func:`code_labels` makes the pair from per-unit
+    labels.
     """
 
     unit_ids: tuple[str, ...]
-    cluster_codes: np.ndarray
-    cluster_names: tuple[str, ...]
-    budget_codes: np.ndarray
-    budget_names: tuple[str, ...]
-    region_codes: np.ndarray
-    region_names: tuple[str, ...]
+    groups: dict[str, tuple[np.ndarray, tuple[str, ...]]]
     n_periods: int
     baseline: np.ndarray
     propensities: np.ndarray | None = None
@@ -84,9 +80,12 @@ class Panel:
             raise ConfigurationError("panel needs at least 1 period")
         if len(set(self.unit_ids)) != n:
             raise ConfigurationError("unit_id values must be unique")
+        if set(self.groups) != set(LOCALITIES):
+            raise ConfigurationError(f"groups must hold exactly the groupings {', '.join(LOCALITIES)}")
+        groups = {}
         for grouping in LOCALITIES:
-            codes = np.asarray(getattr(self, f"{grouping}_codes"))
-            names = tuple(getattr(self, f"{grouping}_names"))
+            codes, names = self.groups[grouping]
+            codes, names = np.asarray(codes), tuple(names)
             if codes.shape != (n,) or not np.issubdtype(codes.dtype, np.integer):
                 raise ConfigurationError(f"{grouping}_codes must hold one integer per unit")
             codes = codes.astype(np.int64, copy=False)
@@ -96,8 +95,8 @@ class Panel:
                 raise ConfigurationError(f"{grouping}_names must be sorted and distinct")
             if codes.min() < 0 or codes.max() >= len(names) or not np.bincount(codes, minlength=len(names)).all():
                 raise ConfigurationError(f"{grouping}_codes must use each of the {len(names)} names")
-            object.__setattr__(self, f"{grouping}_codes", codes)
-            object.__setattr__(self, f"{grouping}_names", names)
+            groups[grouping] = codes, names
+        object.__setattr__(self, "groups", groups)
         baseline = np.asarray(self.baseline, dtype=float)
         if baseline.shape != (n, self.n_periods):
             raise ConfigurationError(
@@ -120,38 +119,19 @@ class Panel:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.cluster_names)
+        return len(self.groups["cluster"][1])
 
     @property
     def n_budget_groups(self) -> int:
-        return len(self.budget_names)
+        return len(self.groups["budget"][1])
 
     @property
     def n_regions(self) -> int:
-        return len(self.region_names)
-
-    @property
-    def cluster_ids(self) -> tuple[str, ...]:
-        """Each unit's cluster name, derived from the codes on every read."""
-        return self._labels("cluster")
-
-    @property
-    def budget_ids(self) -> tuple[str, ...]:
-        return self._labels("budget")
-
-    @property
-    def region_ids(self) -> tuple[str, ...]:
-        return self._labels("region")
-
-    def _labels(self, grouping: str) -> tuple[str, ...]:
-        names = getattr(self, f"{grouping}_names")
-        return tuple(names[c] for c in getattr(self, f"{grouping}_codes").tolist())
+        return len(self.groups["region"][1])
 
     def group_codes(self, which: str) -> np.ndarray:
         """Integer group codes per unit for ``which`` in {cluster, budget, region}."""
-        if which not in LOCALITIES:
-            raise ConfigurationError(f"unknown grouping {which!r}")
-        return getattr(self, f"{which}_codes")
+        return self.groups[which][0]
 
 
 @dataclass(frozen=True)
@@ -197,18 +177,12 @@ def generate_synthetic_panel(cfg: SyntheticPanelConfig, seed: int | np.random.Se
         group_codes, names = code_labels([f"{prefix}{g:03d}" for g in range(min(cfg.n_units, n_groups))])
         return group_codes[assign], names
 
-    cluster_codes, cluster_names = deal(cfg.n_clusters, "c")
-    budget_codes, budget_names = deal(cfg.n_budget_groups, "b")
-    region_codes, region_names = deal(cfg.n_regions, "r")
+    # Dealt in LOCALITIES order, which fixes the draws; names start with the grouping's initial.
+    groups = {g: deal(n, g[0]) for g, n in zip(LOCALITIES, (cfg.n_clusters, cfg.n_budget_groups, cfg.n_regions))}
     baseline = rng.normal(cfg.baseline_mean, cfg.baseline_sd, size=(cfg.n_units, cfg.n_periods))
     return Panel(
         unit_ids=tuple(map("u{:05d}".format, range(cfg.n_units))),
-        cluster_codes=cluster_codes,
-        cluster_names=cluster_names,
-        budget_codes=budget_codes,
-        budget_names=budget_names,
-        region_codes=region_codes,
-        region_names=region_names,
+        groups=groups,
         n_periods=cfg.n_periods,
         baseline=baseline,
     )
@@ -303,7 +277,7 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
     for required in (schema.unit_id, schema.period, schema.outcome):
         if required not in col:
             raise IngestionError(f"missing required column {required!r}")
-    groupings = [g for g in LOCALITIES if getattr(schema, f"{g}_id") in col]
+    groupings = {g: c for g, c in zip(LOCALITIES, (schema.cluster_id, schema.budget_id, schema.region_id)) if c in col}
     has_propensity = schema.propensity in col
 
     units, periods = _Coder(), _Coder()
@@ -364,7 +338,7 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
         if has_propensity:
             chunks["propensity"].append(propensity)
         for g in groupings:
-            chunks[g].append(groups[g](column(getattr(schema, f"{g}_id"))))
+            chunks[g].append(groups[g](column(groupings[g])))
 
     width = len(header)
     block: list[list[str]] = []
@@ -428,16 +402,12 @@ def ingest_log_csv(stream: Iterable[str] | io.TextIOBase | str, schema: CsvSchem
         table[cells] = values
         return table.reshape(n, n_periods)
 
-    grouping_fields = {}
-    for g in LOCALITIES:
-        codes, names = groups_of_units.get(g, (np.zeros(n, dtype=np.int64), ("all",)))
-        grouping_fields.update({f"{g}_codes": codes, f"{g}_names": names})
     return Panel(
         unit_ids=tuple(unit_order),
+        groups={g: groups_of_units.get(g, (np.zeros(n, dtype=np.int64), ("all",))) for g in LOCALITIES},
         n_periods=n_periods,
         baseline=cell_table(np.concatenate(chunks["outcome"])),
         propensities=cell_table(np.concatenate(chunks["propensity"])) if has_propensity else None,
-        **grouping_fields,
     )
 
 

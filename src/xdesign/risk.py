@@ -188,12 +188,12 @@ class _Atoms:
         n_units, n_periods = panel.n_units, panel.n_periods
         shares = {}
         if regions:
-            n_regions = panel.n_regions
-            per_region = np.bincount(panel.region_codes, minlength=n_regions)
+            n_regions, region_codes = panel.n_regions, panel.group_codes("region")
+            per_region = np.bincount(region_codes, minlength=n_regions)
             cells = np.repeat(per_region.astype(float), n_periods)
             atom = np.arange(cells.size)
             prev = atom - (atom % n_periods > 0) if n_periods > 1 else None
-            cell_atom = (panel.region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+            cell_atom = (region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
             baseline = np.bincount(cell_atom, weights=panel.baseline.ravel(), minlength=cells.size)
             for grouping in LOCALITIES:
                 codes = panel.group_codes(grouping)
@@ -201,7 +201,7 @@ class _Atoms:
                 # Units per (group, region); a treated region s gives each
                 # group the share overlap[g, s] / size[g], which each of
                 # region r's overlap[g, r] units sees.
-                overlap = np.bincount(codes * n_regions + panel.region_codes, minlength=n_groups * n_regions)
+                overlap = np.bincount(codes * n_regions + region_codes, minlength=n_groups * n_regions)
                 overlap = overlap.reshape(n_groups, n_regions).astype(float)
                 seen = overlap / overlap.sum(axis=1, keepdims=True)
                 shares[grouping] = (overlap[:, :, None] * seen[:, None, :]).sum(axis=0)

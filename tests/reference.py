@@ -6,7 +6,8 @@ closed form on assignment atoms. This module scores one replication of one
 features, simulated outcomes, then each risk component from the outcome
 panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
 It writes the interference model out itself, the strengths and the launch
-effect of ``outcome_strengths`` and ``launch_effect`` included, so that the
+effect of ``outcome_strengths`` and ``launch_effect`` included, and the
+planning MDE ``(z(1 - alpha/2) + z(1 - beta)) * sqrt(2 v / n)``, so that the
 comparison checks the kernel's model rather than sharing it.
 ``allocating_draw_atoms`` writes each design's atom map out with fresh arrays
 per replay; the tests compare the kernel's draws with it bit for bit.
@@ -29,6 +30,7 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -45,19 +47,22 @@ from xdesign import (
     code_labels,
     effective_units,
     ess_share,
-    mde,
 )
 from xdesign.designs import _AtomRule, _assign_atoms, _draw_uniforms
 
 
 def labelled_panel(unit_ids, cluster_ids, budget_ids, region_ids, n_periods, baseline, propensities=None) -> Panel:
     """A panel whose groupings are given as one string label per unit."""
-    groups = {}
-    for grouping, labels in (("cluster", cluster_ids), ("budget", budget_ids), ("region", region_ids)):
-        groups[f"{grouping}_codes"], groups[f"{grouping}_names"] = code_labels(labels)
+    groups = {"cluster": code_labels(cluster_ids), "budget": code_labels(budget_ids), "region": code_labels(region_ids)}
     return Panel(
-        unit_ids=tuple(unit_ids), n_periods=n_periods, baseline=baseline, propensities=propensities, **groups
+        unit_ids=tuple(unit_ids), groups=groups, n_periods=n_periods, baseline=baseline, propensities=propensities
     )
+
+
+def group_labels(panel: Panel, grouping: str) -> tuple[str, ...]:
+    """Each unit's group name in ``grouping``, one string per unit."""
+    codes, names = panel.groups[grouping]
+    return tuple(names[c] for c in codes.tolist())
 
 
 def reference_panel_csv(panel: Panel) -> str:
@@ -66,7 +71,7 @@ def reference_panel_csv(panel: Panel) -> str:
     if panel.propensities is not None:
         header.append("propensity")
     rows = []
-    groups = zip(panel.cluster_ids, panel.budget_ids, panel.region_ids)
+    groups = zip(*(group_labels(panel, g) for g in ("cluster", "budget", "region")))
     for i, (unit, (cluster, budget, region)) in enumerate(zip(panel.unit_ids, groups)):
         for t in range(panel.n_periods):
             row = [unit, t + 1, float(panel.baseline[i, t]), cluster, budget, region]
@@ -131,18 +136,13 @@ def reference_synthetic_panel(cfg: SyntheticPanelConfig, seed=0) -> Panel:
         names, inverse = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
         return inverse.reshape(-1).astype(np.int64), tuple(str(x) for x in names)
 
-    cluster_codes, cluster_names = deal(cfg.n_clusters, "c")
-    budget_codes, budget_names = deal(cfg.n_budget_groups, "b")
-    region_codes, region_names = deal(cfg.n_regions, "r")
+    cluster = deal(cfg.n_clusters, "c")
+    budget = deal(cfg.n_budget_groups, "b")
+    region = deal(cfg.n_regions, "r")
     baseline = rng.normal(cfg.baseline_mean, cfg.baseline_sd, size=(cfg.n_units, cfg.n_periods))
     return Panel(
         unit_ids=tuple(f"u{i:05d}" for i in range(cfg.n_units)),
-        cluster_codes=cluster_codes,
-        cluster_names=cluster_names,
-        budget_codes=budget_codes,
-        budget_names=budget_names,
-        region_codes=region_codes,
-        region_names=region_names,
+        groups={"cluster": cluster, "budget": budget, "region": region},
         n_periods=cfg.n_periods,
         baseline=baseline,
     )
@@ -315,19 +315,19 @@ def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
     if design.kind == "user":
         z = rng.random(n) < p
     elif design.kind in ("cluster", "budget_split"):
-        codes = panel.cluster_codes if design.kind == "cluster" else panel.budget_codes
+        codes = panel.group_codes("cluster" if design.kind == "cluster" else "budget")
         z = (rng.random(codes.max() + 1) < p)[codes]
     elif design.kind == "switchback":
         n_blocks = (panel.n_periods + design.block_length - 1) // design.block_length
         draws = rng.random((panel.n_regions, n_blocks)) < p
         z = draws[:, np.arange(panel.n_periods) // design.block_length].ravel()
     elif design.kind == "two_stage":
-        codes = panel.cluster_codes
+        codes = panel.group_codes("cluster")
         levels = np.asarray(design.saturation_levels, dtype=float)
         level_idx = rng.integers(0, len(levels), size=codes.max() + 1)
         z = rng.random(n) < levels[level_idx][codes]
     else:
-        codes = panel.cluster_codes
+        codes = panel.group_codes("cluster")
         n_clusters = codes.max() + 1
         whole_cluster = (rng.random(n_clusters) < design.mixture_prob)[codes]
         cluster_draws = rng.random(n_clusters) < p
@@ -388,7 +388,7 @@ def exposure_features(assignment: AssignmentTable, panel: Panel, theta: Mechanis
     z = assignment.z
     if z.shape != (panel.n_units, panel.n_periods):
         raise ConfigurationError("assignment table does not cover the panel")
-    budget_share = _group_share(z, panel.budget_codes)
+    budget_share = _group_share(z, panel.group_codes("budget"))
     graph_share = _group_share(z, panel.group_codes(theta.locality))
     lag = np.empty_like(z)
     lag[:, 0] = z[:, 0]
@@ -550,7 +550,7 @@ def atom_of_cell(design, panel: Panel) -> np.ndarray:
     region-major order for switchbacks.
     """
     if design.kind == "switchback":
-        return panel.region_codes[:, None] * panel.n_periods + np.arange(panel.n_periods)
+        return panel.group_codes("region")[:, None] * panel.n_periods + np.arange(panel.n_periods)
     return np.broadcast_to(np.arange(panel.n_units)[:, None], (panel.n_units, panel.n_periods))
 
 
@@ -583,6 +583,8 @@ def hand_row(design, theta, panel, calib, weights, rng) -> np.ndarray:
     y = simulate_outcomes(panel, expo, theta, dataclasses.replace(calib, noise_sd=0.0)) + noise
     v = variance_component(y, table)
     n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
+    z = NormalDist().inv_cdf
+    mde = (z(1.0 - weights.alpha / 2.0) + z(1.0 - weights.beta)) * math.sqrt(2.0 * v / n_eff)
     ess = ess_share(panel.propensities) if panel.propensities is not None else None
     treated = table.z == 1
     if treated.all() or not treated.any():
@@ -592,7 +594,7 @@ def hand_row(design, theta, panel, calib, weights, rng) -> np.ndarray:
     return np.array([
         geometry_score(expo, theta),
         v,
-        mde(v, n_eff, weights),
+        mde,
         contamination(expo, table, theta, ess),
         design.op_cost_level,
         estimand_mismatch(expo, ess),

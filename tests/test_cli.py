@@ -22,10 +22,11 @@ from xdesign import cli
 from xdesign.cli import _emission, main, run_select, run_simulate, run_sweep
 from xdesign.config import RunConfig, config_digest, load_config
 from xdesign.diagnostics import SweepConfig, regime_sweep
+from xdesign.panel import LOCALITIES
 from xdesign.risk import score_grid
 from xdesign.selector import risk_surface
 
-from reference import labelled_panel, reference_panel_csv, reference_surface_csv, reference_sweep_csv
+from reference import group_labels, labelled_panel, reference_panel_csv, reference_surface_csv, reference_sweep_csv
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "xdesign" / "schemas"
 
@@ -409,11 +410,11 @@ class TestSimulateCommand:
             run_simulate(RunConfig({"panel": {"synthetic": shape}, "seed": seed, "out": out}))
             with open(Path(out) / "panel.csv", encoding="utf-8", newline="") as handle:
                 ingested = ingest_log_csv(handle)
-        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "n_periods",
-                     "cluster_names", "budget_names", "region_names"):
-            assert getattr(ingested, name) == getattr(built, name), name
-        for name in ("cluster_codes", "budget_codes", "region_codes"):
-            assert getattr(ingested, name).tolist() == getattr(built, name).tolist(), name
+        assert ingested.unit_ids == built.unit_ids and ingested.n_periods == built.n_periods
+        for grouping in LOCALITIES:
+            assert group_labels(ingested, grouping) == group_labels(built, grouping), grouping
+            (codes, names), (built_codes, built_names) = ingested.groups[grouping], built.groups[grouping]
+            assert names == built_names and codes.tolist() == built_codes.tolist(), grouping
         assert ingested.baseline.dtype == built.baseline.dtype == np.float64
         assert ingested.baseline.tobytes() == built.baseline.tobytes()
         assert ingested.propensities is None and built.propensities is None
@@ -434,8 +435,10 @@ class TestSimulateCommand:
             assert {len(row) for row in csv.reader(handle)} == {6}
             handle.seek(0)
             ingested = ingest_log_csv(handle)
-        for name in ("unit_ids", "cluster_ids", "budget_ids", "region_ids", "cluster_names", "budget_names"):
-            assert getattr(ingested, name) == getattr(built, name), name
+        assert ingested.unit_ids == built.unit_ids
+        for grouping in LOCALITIES:
+            assert group_labels(ingested, grouping) == group_labels(built, grouping), grouping
+            assert ingested.groups[grouping][1] == built.groups[grouping][1], grouping
         assert ingested.baseline.tobytes() == built.baseline.tobytes()
 
 
@@ -732,6 +735,26 @@ class TestConfigValidation:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("catalog", [{"kind": "user", "name": "a\u0001b"}], "catalog[0].name must not hold the character U+0001"),
+            ("catalog", [{"kind": "user", "name": "a\ud800b"}], "catalog[0].name must not hold the character U+D800"),
+            ("out", "a\u0000b", "out must not hold a NUL character"),
+            ("panel", {"csv": {"path": "x\u0000y.csv"}}, "panel.csv.path must not hold a NUL character"),
+        ],
+        ids=["name-control-character", "name-lone-surrogate", "out-nul", "csv-path-nul"],
+    )
+    def test_string_no_artifact_or_path_can_hold_is_one_line_error(self, tmp_path, capsys, key, value, message):
+        # A control character in a design name would make the SVGs malformed
+        # and a lone surrogate is not UTF-8; no file name holds a NUL.
+        if key == "out":
+            value = str(tmp_path / value)
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **{key: value}))
+        assert main(["select", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_csv_panel_source_is_checked_at_load(self, tmp_path):
         with pytest.raises(ConfigurationError, match="^csv panel source needs a 'path'$"):

@@ -54,20 +54,20 @@ class TestReplayRules:
     def test_cluster_units_share_assignment(self, panel):
         table = replay(DesignSpec(kind="cluster"), panel, seed=2)
         for code in range(panel.n_clusters):
-            members = panel.cluster_codes == code
+            members = panel.group_codes("cluster") == code
             assert len(np.unique(table.z[members])) == 1
 
     def test_budget_split_groups_share_assignment(self, panel):
         table = replay(DesignSpec(kind="budget_split"), panel, seed=3)
         for code in range(panel.n_budget_groups):
-            members = panel.budget_codes == code
+            members = panel.group_codes("budget") == code
             assert len(np.unique(table.z[members])) == 1
 
     def test_switchback_constant_within_region_block(self, panel):
         design = DesignSpec(kind="switchback", block_length=4)
         table = replay(design, panel, seed=4)
         for region in range(panel.n_regions):
-            members = panel.region_codes == region
+            members = panel.group_codes("region") == region
             for block_start in range(0, panel.n_periods, 4):
                 block = table.z[members, block_start : block_start + 4]
                 assert len(np.unique(block)) == 1
@@ -88,14 +88,14 @@ class TestReplayRules:
         table = replay(design, panel, seed=7)
         # Degenerate levels make within-cluster shares exactly 0 or 1.
         for code in range(panel.n_clusters):
-            share = table.z[panel.cluster_codes == code].mean()
+            share = table.z[panel.group_codes("cluster") == code].mean()
             assert share in (0.0, 1.0)
 
     def test_mixed_branches(self, panel):
         # mixture_prob 1 behaves like cluster assignment, 0 like user assignment.
         all_cluster = replay(DesignSpec(kind="mixed", mixture_prob=1.0), panel, seed=8)
         for code in range(panel.n_clusters):
-            members = panel.cluster_codes == code
+            members = panel.group_codes("cluster") == code
             assert len(np.unique(all_cluster.z[members])) == 1
         all_unit = replay(DesignSpec(kind="mixed", mixture_prob=0.0), panel, seed=8)
         assert len(np.unique(all_unit.labels)) == panel.n_units
@@ -197,7 +197,7 @@ class TestAtoms:
         units = np.arange(panel.n_units)[:, None]
         periods = np.arange(panel.n_periods)
         if kind == "switchback":
-            atom_of_cell = panel.region_codes[:, None] * panel.n_periods + periods
+            atom_of_cell = panel.group_codes("region")[:, None] * panel.n_periods + periods
         else:
             atom_of_cell = np.broadcast_to(units, (panel.n_units, panel.n_periods))
         rule = _AtomRule.build(design, panel)
@@ -220,7 +220,7 @@ class TestAtoms:
             for cells in (table.z, table.labels):
                 if kind == "switchback":
                     for region in range(panel.n_regions):
-                        members = cells[panel.region_codes == region]
+                        members = cells[panel.group_codes("region") == region]
                         assert np.all(members == members[:1])
                 else:
                     assert np.all(cells == cells[:, :1])
@@ -330,6 +330,18 @@ class TestDefaultCatalog:
             DesignSpec(kind="user", op_cost_level=1.5)
         with pytest.raises(ConfigurationError, match="op_cost_level"):
             DesignSpec(kind="user", op_cost_level=-0.1)
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff",
+                                      "\ufffe", "\uffff"], ids=lambda char: f"U+{ord(char):04X}")
+    def test_name_xml_cannot_hold_rejected(self, char):
+        with pytest.raises(ConfigurationError, match=f"^name must not hold the character U\\+{ord(char):04X}$"):
+            DesignSpec(kind="user", name=f"a{char}b")
+
+    def test_name_with_csv_and_markup_specials_accepted(self):
+        # XML escapes these, CSV quotes them, and tab, LF, CR, DEL and
+        # characters past U+FFFF are XML 1.0 text.
+        for name in ('a,b', 'a"b', "a<b", "a&b", "a\nb", "a\r\nb", "a\tb", "a\x7fb", "a\U0001F600b"):
+            assert DesignSpec(kind="user", name=name).name == name
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_op_cost_default_per_kind(self, kind):

@@ -24,24 +24,25 @@ from xdesign import (
 )
 
 from xdesign import panel as panel_module
+from xdesign.panel import LOCALITIES
 
-from reference import labelled_panel, reference_ingest_log_csv, reference_synthetic_panel
+from reference import group_labels, labelled_panel, reference_ingest_log_csv, reference_synthetic_panel
 
 
 def check_panel_invariants(panel: Panel) -> None:
     assert len(set(panel.unit_ids)) == panel.n_units >= 2
     assert panel.n_periods >= 1
     assert panel.baseline.shape == (panel.n_units, panel.n_periods)
-    assert all(panel.cluster_ids) and all(panel.budget_ids) and all(panel.region_ids)
+    assert all(all(group_labels(panel, grouping)) for grouping in LOCALITIES)
     if panel.propensities is not None:
         assert np.all((panel.propensities > 0) & (panel.propensities <= 1))
 
 
 def assert_same_panel(a: Panel, b: Panel) -> None:
     assert a.unit_ids == b.unit_ids
-    for grouping in ("cluster", "budget", "region"):
-        assert getattr(a, f"{grouping}_names") == getattr(b, f"{grouping}_names"), grouping
-        codes_a, codes_b = getattr(a, f"{grouping}_codes"), getattr(b, f"{grouping}_codes")
+    for grouping in LOCALITIES:
+        (codes_a, names_a), (codes_b, names_b) = a.groups[grouping], b.groups[grouping]
+        assert names_a == names_b, grouping
         assert codes_a.dtype == codes_b.dtype == np.int64 and np.array_equal(codes_a, codes_b), grouping
     assert a.n_periods == b.n_periods
     assert a.baseline.dtype == b.baseline.dtype == np.float64
@@ -64,12 +65,13 @@ class TestGroupCodes:
     def test_label_views_are_derived_from_the_codes(self):
         panel = labelled_panel(("u0", "u1", "u2"), ("c2", "c10", "c2"), ("b",) * 3, ("r1", "r0", "r0"),
                                n_periods=1, baseline=np.zeros((3, 1)))
-        assert panel.cluster_names == ("c10", "c2")
-        assert panel.cluster_codes.tolist() == [1, 0, 1]
-        assert panel.cluster_ids == ("c2", "c10", "c2")
-        assert panel.region_ids == ("r1", "r0", "r0")
+        codes, names = panel.groups["cluster"]
+        assert names == ("c10", "c2")
+        assert codes.tolist() == [1, 0, 1]
+        assert group_labels(panel, "cluster") == ("c2", "c10", "c2")
+        assert group_labels(panel, "region") == ("r1", "r0", "r0")
         with pytest.raises(AttributeError):
-            panel.cluster_ids = ("c0",) * 3
+            panel.groups = {}
 
     @pytest.mark.parametrize(
         "codes, names, message",
@@ -87,10 +89,17 @@ class TestGroupCodes:
     )
     def test_malformed_grouping_rejected(self, codes, names, message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            Panel(unit_ids=("u0", "u1"), cluster_codes=np.asarray(codes), cluster_names=names,
-                  budget_codes=np.zeros(2, dtype=np.int64), budget_names=("b",),
-                  region_codes=np.zeros(2, dtype=np.int64), region_names=("r",),
+            Panel(unit_ids=("u0", "u1"),
+                  groups={"cluster": (np.asarray(codes), names), "budget": (np.zeros(2, dtype=np.int64), ("b",)),
+                          "region": (np.zeros(2, dtype=np.int64), ("r",))},
                   n_periods=1, baseline=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("names", [("cluster", "budget"), ("cluster", "budget", "region", "market")],
+                             ids=["missing", "extra"])
+    def test_groupings_other_than_the_three_rejected(self, names):
+        one = (np.zeros(2, dtype=np.int64), ("g",))
+        with pytest.raises(ConfigurationError, match="^groups must hold exactly the groupings cluster, budget, region$"):
+            Panel(unit_ids=("u0", "u1"), groups=dict.fromkeys(names, one), n_periods=1, baseline=np.zeros((2, 1)))
 
 
 class TestSyntheticPanel:
@@ -117,9 +126,10 @@ class TestSyntheticPanel:
 
     def test_names_sort_as_strings_and_empty_groups_get_none(self):
         panel = generate_synthetic_panel(SyntheticPanelConfig(n_units=1100, n_clusters=1100, n_periods=1), seed=0)
-        assert panel.cluster_names.index("c1000") < panel.cluster_names.index("c101")
+        names = panel.groups["cluster"][1]
+        assert names.index("c1000") < names.index("c101")
         panel = generate_synthetic_panel(SyntheticPanelConfig(n_units=5, n_clusters=9, n_periods=1), seed=0)
-        assert panel.cluster_names == ("c000", "c001", "c002", "c003", "c004")
+        assert panel.groups["cluster"][1] == ("c000", "c001", "c002", "c003", "c004")
 
 
     def test_zero_sd_means_constant_baseline(self):
@@ -132,13 +142,13 @@ class TestSyntheticPanel:
         a = generate_synthetic_panel(cfg, seed=9)
         b = generate_synthetic_panel(cfg, seed=9)
         assert a.unit_ids == b.unit_ids
-        assert a.cluster_ids == b.cluster_ids
+        assert group_labels(a, "cluster") == group_labels(b, "cluster")
         assert np.array_equal(a.baseline, b.baseline)
 
     def test_round_robin_balances_clusters(self):
         cfg = SyntheticPanelConfig(n_units=100, n_clusters=10, n_periods=2)
         panel = generate_synthetic_panel(cfg, seed=3)
-        counts = np.bincount(panel.cluster_codes)
+        counts = np.bincount(panel.group_codes("cluster"))
         assert counts.size == 10
         assert np.all(counts == 10)
 
@@ -293,7 +303,8 @@ class TestIngestLogCsv:
         text = "unit_id,period,outcome,cluster_id\nz,2,1,c2\na,2,2,c10\nz,1,3, c2\na,1,4,c10\n"
         panel = ingest_log_csv(io.StringIO(text))
         assert panel.unit_ids == ("z", "a")
-        assert panel.cluster_names == ("c10", "c2") and panel.cluster_codes.tolist() == [1, 0]
+        codes, names = panel.groups["cluster"]
+        assert names == ("c10", "c2") and codes.tolist() == [1, 0]
         assert panel.baseline.tolist() == [[3.0, 1.0], [4.0, 2.0]]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
