@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -104,9 +105,15 @@ def _validate(where: str, value: Any, spec: Any) -> None:
     # Python's json reads NaN and Infinity, which no field means.
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-    # No file name holds a NUL, and no field needs one.
-    elif isinstance(value, str) and "\0" in value:
-        raise ConfigurationError(f"{where} must not hold a NUL character")
+    # No file name holds a NUL or a character that the file system encoding
+    # cannot encode, such as a lone surrogate, and no field needs one.
+    elif isinstance(value, str):
+        if "\0" in value:
+            raise ConfigurationError(f"{where} must not hold a NUL character")
+        try:
+            os.fsencode(value)
+        except UnicodeEncodeError as exc:
+            raise ConfigurationError(f"{where} must not hold the character U+{ord(value[exc.start]):04X}") from None
 
 
 def _in_section(where: str, spec: dict, build, /, **values):

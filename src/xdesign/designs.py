@@ -109,6 +109,7 @@ class _AtomRule:
     levels: np.ndarray
     n_level_draws: int
     n_uniform: int
+    marginal: float  # π, each atom's treatment probability: treat_prob, the mean level, or 1 if all_treated
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
@@ -126,6 +127,8 @@ class _AtomRule:
             source = labels = (np.arange(panel.n_regions)[:, None] * n_blocks + blocks).ravel()
         elif design.kind == "mixed":
             source, labels = 2 * n_groups + units, None
+        two_stage = design.kind == "two_stage"
+        levels = np.asarray(design.saturation_levels, dtype=float)
         return cls(
             design=design,
             regions=design.kind == "switchback",
@@ -134,29 +137,31 @@ class _AtomRule:
             n_labels=n_groups + panel.n_units if labels is None else int(labels.max()) + 1,
             codes=codes,
             n_groups=n_groups,
-            levels=np.asarray(design.saturation_levels, dtype=float),
-            n_level_draws=n_groups if design.kind == "two_stage" else 0,
+            levels=levels,
+            n_level_draws=n_groups if two_stage else 0,
             n_uniform=int(source.max()) + 1,
+            marginal=1.0 if design.all_treated else float(levels.mean()) if two_stage else design.treat_prob,
         )
 
 
 def _draw_uniforms(rule: _AtomRule, rng: np.random.Generator, uniforms: np.ndarray, level_draws: np.ndarray) -> None:
-    """Make one replay's generator calls: its level indices into ``level_draws``, then its uniforms.
+    """Fill each row of the ``uniforms`` and ``level_draws`` stacks with one replay's draws from ``rng``, in order.
 
-    ``uniforms`` is a C-contiguous float row of ``n_uniform`` and
-    ``level_draws`` an int64 row of ``n_level_draws``, which only
-    ``two_stage`` fills with each group's saturation-level index. The uniforms
-    are, in draw order, one per unit (``user``, ``two_stage``), per group
+    A replay's uniforms are one per unit (``user``, ``two_stage``), per group
     (``cluster``, ``budget_split``) or per region-block in region-major order
     (``switchback``); ``mixed`` takes one per group for the whole-cluster
-    coin, one per group for the cluster draw and one per unit. Its one call
-    draws the same doubles as three calls of those sizes, since each double
-    takes one 64-bit output of the bit generator. No draw depends on the
-    interference mechanism, so one replay serves every grid point.
+    coin, one per group for the cluster draw and one per unit. Each double
+    takes one 64-bit output of the bit generator, so one call fills the whole
+    C-contiguous stack with the doubles of one call per replay. Only
+    ``two_stage`` draws row by row: each replay's level indices, one per
+    group, come before its uniforms. No draw depends on the mechanism.
     """
-    if rule.n_level_draws:
-        level_draws[:] = rng.integers(0, rule.levels.size, size=rule.n_level_draws)
-    rng.random(out=uniforms)
+    if not rule.n_level_draws:
+        rng.random(out=uniforms)
+        return
+    for uniform_row, level_row in zip(uniforms, level_draws):
+        level_row[:] = rng.integers(0, rule.levels.size, size=rule.n_level_draws)
+        rng.random(out=uniform_row)
 
 
 def _assign_atoms(
@@ -165,7 +170,7 @@ def _assign_atoms(
     """Map a stack of replays' draws to 0/1 treatment per atom in ``z``, and ``mixed``'s labels in ``labels``.
 
     ``uniforms`` and ``level_draws`` are (slots, n_uniform) and (slots,
-    n_level_draws) stacks of :func:`_draw_uniforms` rows; ``z`` and
+    n_level_draws) stacks that :func:`_draw_uniforms` filled; ``z`` and
     ``labels`` are (slots, atoms), and ``labels`` is left alone for every
     kind but ``mixed``. An atom is treated when the uniform at its source
     falls below ``treat_prob``, or below its group's drawn saturation level

@@ -15,7 +15,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +47,13 @@ def code_labels(labels: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)), names
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through; ``array`` itself stays as it is."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 # The unit groupings a panel stores; each is also a mechanism locality, the
 # grouping that defines exposure neighborhoods.
 LOCALITIES = ("cluster", "budget", "region")
@@ -64,10 +72,13 @@ class Panel:
     at least one unit. Unit ``i`` is in cluster ``names[codes[i]]`` of
     ``groups["cluster"]``; :func:`code_labels` makes the pair from per-unit
     labels.
+
+    A panel is frozen all the way down: ``groups`` is a read-only mapping and
+    every array it holds is a read-only view, checked once at construction.
     """
 
     unit_ids: tuple[str, ...]
-    groups: dict[str, tuple[np.ndarray, tuple[str, ...]]]
+    groups: Mapping[str, tuple[np.ndarray, tuple[str, ...]]]
     n_periods: int
     baseline: np.ndarray
     propensities: np.ndarray | None = None
@@ -95,8 +106,8 @@ class Panel:
                 raise ConfigurationError(f"{grouping}_names must be sorted and distinct")
             if codes.min() < 0 or codes.max() >= len(names) or not np.bincount(codes, minlength=len(names)).all():
                 raise ConfigurationError(f"{grouping}_codes must use each of the {len(names)} names")
-            groups[grouping] = codes, names
-        object.__setattr__(self, "groups", groups)
+            groups[grouping] = _read_only(codes), names
+        object.__setattr__(self, "groups", MappingProxyType(groups))
         baseline = np.asarray(self.baseline, dtype=float)
         if baseline.shape != (n, self.n_periods):
             raise ConfigurationError(
@@ -104,14 +115,14 @@ class Panel:
             )
         if not np.all(np.isfinite(baseline)):
             raise ConfigurationError("baseline outcomes must be finite")
-        object.__setattr__(self, "baseline", baseline)
+        object.__setattr__(self, "baseline", _read_only(baseline))
         if self.propensities is not None:
             prop = np.asarray(self.propensities, dtype=float)
             if prop.shape != baseline.shape:
                 raise ConfigurationError("propensities shape must match baseline")
             if not np.all((prop > 0.0) & (prop <= 1.0)):
                 raise ConfigurationError("propensities must lie in (0, 1]")
-            object.__setattr__(self, "propensities", prop)
+            object.__setattr__(self, "propensities", _read_only(prop))
 
     @property
     def n_units(self) -> int:

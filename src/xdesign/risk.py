@@ -1,64 +1,57 @@
 """The scoring kernel: the six raw planning-risk components of every design.
 
-For each design and seeded replication the kernel replays the assignment rule
-and draws the outcome noise, then scores geometry, assignment-unit variance,
-planning MDE, contamination, operational cost and estimand mismatch in closed
-form. Scores stay per replication in one float array whose last axis holds the
-six components in ``COMPONENT_NAMES`` order followed by the difference-in-means
-bias; the selector reduces it over replications.
+For each design and seeded replication the kernel replays the assignment rule,
+then scores geometry, assignment-unit variance, planning MDE, contamination,
+operational cost and estimand mismatch in closed form. Scores stay per
+replication in one float array whose last axis holds the six components in
+``COMPONENT_NAMES`` order followed by the difference-in-means bias; the
+selector reduces it over replications.
+
+The assignment is the only draw; the kernel scores the rest by its exact
+expectation given the assignment. Cell noise of sd ``noise_sd`` adds
+``noise_sd**2 / m_l`` to the variance of the mean of a label of ``m_l`` cells
+and nothing to any mean, so the variance is the noise-free one plus
+``noise_sd**2 * mean_l(1 / m_l)`` and the bias is the noise-free contrast.
+Geometry and mismatch average the pooled gaps ``1 - mean`` of the direct,
+lag and share features with weights summing to 1, and every feature mean is
+π in expectation, where π is the probability that the design treats an atom
+(``_AtomRule.marginal``). So geometry is ``1 - π`` and mismatch ``1 - π``
+plus the support stress, constants of the design like its operational cost.
 
 Mechanism points are scored in draw groups: the points of one group share the
-replay and the noise of each replication. Outcomes are linear in the channel
-strengths and exposures depend on the mechanism only through its locality, so
-a few sufficient statistics of one replication give every point of its group
-in closed form. ``score_grid`` makes each audit-grid point a group of its own,
-so grid points never share draws; ``score_groups`` takes any grouping, and the
-regime sweep scores all its intensities as one group. ``score_groups`` is the
-one scoring path, and it runs serially in one thread. The tests check it,
-point by point, against a per-point reference pipeline to 1e-12.
+replay of each replication. Outcomes are linear in the channel strengths and
+exposures depend on the mechanism only through its locality, so a few
+sufficient statistics of one replication give every point of its group in
+closed form. ``score_grid`` makes each audit-grid point a group of its own, so
+grid points never share draws; the regime sweep scores all its intensities as
+one group. ``score_groups``, the one scoring path, runs serially in one
+thread; the tests check it, point by point, against a per-point reference
+pipeline to 1e-12.
 
-``_batch`` alone holds the interference model. From arrays of the points'
-intensities it builds their outcome strengths, each linear from 0 to its
-calibrated scale at the audit grid's top (0.3 / 0.5 / 0.2), with
-``graph_frac`` of the spillover scale on the graph channel and the rest on
-the budget one; their launch effects, the direct effect plus the three
-strengths; and their geometry, contamination, switching and mismatch weights.
+``_batch`` alone holds the interference model: from the points' intensities
+it builds their outcome strengths, each linear from 0 to its calibrated scale
+at the audit grid's top (0.3 / 0.5 / 0.2), with ``graph_frac`` of the
+spillover scale on the graph channel; their launch effects, the direct effect
+plus the three strengths; and their contamination and switching weights.
 
 Every assignment treats the cells of an atom alike: a unit over all its
-periods, or a (region, period) pair for switchbacks. The kernel needs only
-per-label, per-arm and overall sums of the exposure features, so it works on
-per-atom sums: the baseline and noise summed over the atom's cells, ``m * z``
-for direct treatment and ``m * z[prev]`` for the lag (``m`` is the atom's cell
-count), and the group shares from fixed per-grouping maps. The noise of an
-atom is one normal with standard deviation ``sqrt(m) * noise_sd``, which has
-the distribution of the sum of its ``m`` cells' independent noise. No array
-the size of the panel's cells is built per replication.
+periods, or a (region, period) pair for switchbacks. So the kernel works on
+per-atom sums over the atom's ``m`` cells: the baseline, ``m * z`` for direct
+treatment, ``m * z[prev]`` for the lag, and the group shares.
 
-Each (design, draw group) has one generator, seeded from
-``(master_seed, design index, group index)``, and its replications take
-their draws from it in order: the replay's uniforms (after ``two_stage``'s
-level indices), then one standard normal per atom. Draw groups with the same
-localities form one batch, whatever their numbers of points, and a design's
-replications over a batch are slots (group, rep). Only the generator calls
-run one slot at a time, each into a row of the chunk's buffers, which each
-(design, batch) sizes for itself. A chunk of slots, which may span the
-batch's groups and whose arrays stay within ``_CHUNK_BYTES``, then has all
-its uniforms mapped to per-atom treatment at once and is reduced to each
-slot's sufficient statistics:
-
-- the treated and overall sums of its atom features, which give the arm and
-  overall means behind geometry, contamination, mismatch and the bias;
-- its noise mean, which a single-arm replay's bias needs;
-- the (features, features) ddof=1 covariance ``C`` of its occupied labels'
-  feature means. A point whose outcome map is ``o`` has label means
-  ``o . (feature means)``, so their variance is ``o' C o``.
-
-Both come from dense (slot, label) sums over a label axis of fixed width per
-design. Where every atom is its own predecessor the lag row is the direct one,
-copied rather than reduced. Every point's channels follow once per batch from
-the statistics of its group's slots. No (points, labels) array is built, and
-no slot's arithmetic depends on the chunk it falls in, so the chunk size never
-changes a score.
+Each (design, draw group) has one generator, seeded from ``(master_seed,
+design index, group index)``, and its replications take their replays from it
+in order. Draw groups with the same localities form one batch, and a design's
+replications over a batch are slots (group, rep). A chunk of slots, which may
+span groups and whose arrays stay within ``_CHUNK_BYTES``, has all its
+uniforms mapped to per-atom treatment at once and is reduced to each slot's
+sufficient statistics: the treated and overall sums of its features; the
+(features, features) ddof=1 covariance ``C`` of its occupied labels' feature
+means, so that a point whose outcome map is ``o`` has the label-mean
+variance ``o' C o``; and the mean of ``1 / m_l`` over those labels. Every
+point's channels follow once per batch from the statistics of its group's
+slots. No (points, labels) array is built, and no slot's arithmetic depends
+on the chunk it falls in, so the chunk size never changes a score.
 """
 
 from __future__ import annotations
@@ -84,7 +77,8 @@ __all__ = [
 COMPONENT_NAMES = ("geometry", "variance", "mde", "contamination", "op_cost", "mismatch")
 # Channels of a per-replication score row: the components, then the bias.
 N_CHANNELS = len(COMPONENT_NAMES) + 1
-OP_COST = COMPONENT_NAMES.index("op_cost")
+# The components that are constants of the design, the same in every replication.
+CONSTANT = tuple(COMPONENT_NAMES.index(name) for name in ("geometry", "op_cost", "mismatch"))
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,9 @@ class PlanningWeights:
             raise ConfigurationError("component weights must be >= 0")
         if vec.sum() <= 0:
             raise ConfigurationError("at least one component weight must be > 0")
+        # Every normalized component lies in [-1, 1], so a finite sum bounds every cell's risk.
+        if not np.isfinite(vec.sum()):
+            raise ConfigurationError("component weights must have a finite sum")
         for name in ("alpha", "beta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1)")
@@ -147,16 +144,13 @@ _LAG, _BASE, _DIRECT, _BUDGET = range(4)
 # strength reaches its calibrated scale.
 _GRAPH_TOP, _BUDGET_TOP, _CARRY_TOP = 0.3, 0.5, 0.2
 
-# Bytes of one chunk's per-slot arrays, sized for each (design, batch).
-# Atoms-sized: the features, the treatment, the drawn labels and the label
-# keys. Labels-sized, over the design's label axis but at least atoms-wide,
-# as each chunk's label keys, gathers and bincount weights are: the
-# per-feature label sums, the label sizes and the occupancy mask. Then one
-# replay's uniforms and level indices. A slot of select's 200x8 panel over
-# unit atoms (five features, 205 labels for mixed) takes 25.4 KB, so a chunk
-# holds 20 slots; over its 24 switchback atoms a slot takes 3 KB, so a chunk
-# holds 170. One of the sweep's 2000x40 panel (2050 labels) takes 254 KB, so
-# a chunk holds two.
+# Bytes of one chunk's per-slot arrays, sized for each (design, batch): the
+# atoms-sized features, treatment, drawn labels and label keys; the per-feature
+# label sums, label sizes and occupancy mask, over the label axis but at least
+# atoms-wide as the label keys and gathers are; one replay's uniforms and level
+# indices. A slot of select's 200x8 panel takes 25.4 KB over unit atoms (20 per
+# chunk) and 3 KB over its 24 switchback atoms (170 per chunk); one of the
+# sweep's 2000x40 panel takes 254 KB (two per chunk).
 _CHUNK_BYTES = 2**19
 
 
@@ -253,8 +247,6 @@ class _Batch:
     points: np.ndarray  # (points,) output index of each point
     localities: tuple[str, ...]  # graph-share column of each, from _BUDGET on
     outcome: np.ndarray  # feature means -> mean outcome
-    geometry: np.ndarray  # mean gaps to launch (1 - mean) -> geometry score
-    mismatch: np.ndarray  # mean gaps to launch -> mismatch before stress
     contamination: np.ndarray  # control-arm means -> contamination before switching and stress
     switching: np.ndarray  # (points,) weight of the treatment switch rate in contamination
     target: np.ndarray  # (points,) launch effects
@@ -301,7 +293,6 @@ def _batch(
     s_graph = calib.spill_scale * calib.graph_frac * graph / _GRAPH_TOP
     s_budget = calib.spill_scale * (1.0 - calib.graph_frac) * budget / _BUDGET_TOP
     s_carry = calib.carry_scale * carry / _CARRY_TOP
-    scale = 1.0 + total
     # Zero intensity leaves contamination to the stress alone: every weight is 0 / inf.
     weight = np.where(total > 0, total, np.inf)
     return _Batch(
@@ -310,8 +301,6 @@ def _batch(
         points=np.concatenate([np.arange(starts[g], starts[g + 1]) for g in seed_index.tolist()]),
         localities=localities,
         outcome=channel_map(s_carry, 1.0, calib.direct_effect, s_budget, s_graph),
-        geometry=channel_map(carry / scale, 0.0, 1.0 / scale, budget / scale, graph / scale),
-        mismatch=channel_map(0.25, 0.0, 0.25, 0.25, 0.25),
         contamination=channel_map(0.0, 0.0, 0.0, budget / weight, graph / weight),
         switching=carry / weight,
         target=calib.direct_effect + ((s_graph + s_budget) + s_carry),
@@ -341,15 +330,18 @@ def _label_index(labels: np.ndarray, cells: np.ndarray, n_labels: int) -> tuple[
 
     Returns (slots, ...) arrays: each atom's key, its label plus ``n_labels``
     times its slot; each label's cell count plus 1 if it holds none; a 0/1
-    mask of the labels that hold cells, or None if all do; and each slot's
-    count of such labels. Atom ``a`` holds ``cells[a]`` cells.
+    mask of the labels that hold cells, or None if all do; each slot's count
+    of such labels; and each slot's mean over them of one over their cell
+    counts. Atom ``a`` holds ``cells[a]`` cells.
     """
     n_slots = labels.shape[0]
     key = labels + (np.arange(n_slots) * n_labels)[:, None]
     sizes = np.bincount(key.ravel(), weights=np.tile(cells, n_slots), minlength=n_slots * n_labels)
     occupied = (sizes > 0).astype(float).reshape(n_slots, n_labels)
     divisor = sizes.reshape(n_slots, n_labels) + (1.0 - occupied)
-    return key, divisor, None if occupied.all() else occupied, occupied.sum(axis=1)
+    count = occupied.sum(axis=1)
+    inverse_size = (occupied / divisor).sum(axis=1) / count
+    return key, divisor, None if occupied.all() else occupied, count, inverse_size
 
 
 def _score_batch(
@@ -365,27 +357,15 @@ def _score_batch(
     design_index: int,
     stress: float,
 ) -> None:
-    """Write the scores of one design over one batch into ``out`` (points, reps, N_CHANNELS).
+    """Write the scores of one design over one batch, but the mde, into ``out`` (points, reps, N_CHANNELS).
 
-    The batch's replications are slots (group, rep) in group-major order, and
-    each group's slots draw from the group's own generator in rep order. The
-    per-slot loop makes only generator calls: the replay's level indices and
-    uniforms go into rows of ``level_draws`` and ``uniforms``, then one
-    standard normal per atom into ``features``. One call then maps the
-    chunk's draws to per-atom treatment in ``treated`` and, for ``mixed``,
-    labels in ``labels``. These buffers hold one chunk of slots, sized for
-    this design and batch (see ``_CHUNK_BYTES``), and a short last chunk
-    takes their first slots. Labels that do not depend on the draws are
-    indexed once for a whole chunk (see :func:`_label_index`).
-
-    Each chunk of slots, which may span groups, is reduced to every slot's
-    sufficient statistics: the per-feature treated and overall sums of its
-    per-atom features, its noise mean and the (features, features) ddof=1
-    covariance ``C`` of its occupied labels' feature means. Every point's
-    channels but the mde, which :func:`score_groups` fills from the variance,
-    then follow once for the whole batch from its group's slots; its
-    variance is ``o' C o`` for the point's outcome map ``o``. No slot's
-    arithmetic depends on the chunk it falls in.
+    The batch's slots (group, rep) run in group-major order, each group's from
+    its own generator. In each chunk, every run of one group's slots fills its
+    rows of ``uniforms`` and ``level_draws`` with one :func:`_draw_uniforms`
+    call, and one call maps the chunk's draws to per-atom treatment and, for
+    ``mixed``, labels. The buffers hold one chunk, sized for this design and
+    batch; a short last chunk takes their first slots. The baseline row and
+    labels that do not depend on the draws are set up once.
     """
     n_features = _BUDGET + len(batch.localities)
     # The rows that the chunk loop fills and reduces: all, or all but the lag.
@@ -393,24 +373,21 @@ def _score_batch(
     n_atoms, n_labels = atoms.cells.size, rule.n_labels
     n_cells = panel.n_units * panel.n_periods
     n_total = batch.seed_index.size * reps
-    slot_group = np.repeat(np.arange(batch.seed_index.size), reps)
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
-    normals = [rng.standard_normal for rng in streams]
-    # An atom's noise sums m cells of sd noise_sd: one normal of sd sqrt(m) * noise_sd.
-    noise_scale = np.sqrt(atoms.cells) * calib.noise_sd
     # Per-feature treated and overall sums of every slot's atoms.
     arm_sums = np.empty((2, n_features, n_total))
-    noise_mean = np.empty(n_total)
     # Each slot's covariance times its degrees of freedom, upper triangle first.
     cov = np.empty((n_features, n_features, n_total))
     dof = np.empty(n_total)
+    inverse_size = np.empty(n_total)
 
     # One chunk's buffers, for as many slots as _CHUNK_BYTES holds of this design and batch.
     slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * max(n_labels, n_atoms)
                   + rule.n_uniform + rule.n_level_draws) * 8
     chunk = max(1, min(n_total, _CHUNK_BYTES // slot_bytes))
     features = np.empty((n_features, chunk, n_atoms))
+    features[_BASE] = atoms.baseline
     treated = np.empty((chunk, n_atoms))
     labels = np.empty((chunk, n_atoms), dtype=np.int64)
     label_sums = np.empty((n_features, chunk, n_labels))
@@ -425,17 +402,11 @@ def _score_batch(
         n_slots = stop - start
         block, z, sums = features[:, :n_slots], treated[:n_slots], label_sums[:, :n_slots]
         drawn_labels, drawn_uniforms, drawn_levels = labels[:n_slots], uniforms[:n_slots], level_draws[:n_slots]
-        rows = zip(slot_group[start:stop].tolist(), drawn_uniforms, drawn_levels, block[_BASE])
-        for g, uniform_row, level_row, noise_row in rows:
-            _draw_uniforms(rule, streams[g], uniform_row, level_row)
-            # Drawn even when noise_sd is 0, so that no later draw depends on the calibration.
-            normals[g](out=noise_row)
+        for g in range(start // reps, (stop - 1) // reps + 1):
+            lo, hi = max(start, g * reps) - start, min(stop, (g + 1) * reps) - start
+            _draw_uniforms(rule, streams[g], drawn_uniforms[lo:hi], drawn_levels[lo:hi])
         _assign_atoms(rule, drawn_uniforms, drawn_levels, z, drawn_labels)
 
-        # A zero noise_sd scales every normal to +-0, which leaves the baseline exact.
-        block[_BASE] *= noise_scale
-        noise_mean[start:stop] = block[_BASE].sum(axis=1) / n_cells
-        block[_BASE] += atoms.baseline
         np.multiply(z, atoms.cells, out=block[_DIRECT])
         if atoms.prev is not None:
             np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
@@ -443,7 +414,8 @@ def _score_batch(
             atoms.share_sums(grouping, z, out=block[row])
 
         index = fixed_labels or _label_index(drawn_labels, atoms.cells, n_labels)
-        key, divisor, occupied, count = (a if a is None else a[:n_slots] for a in index)
+        key, divisor, occupied, count, inverse = (a if a is None else a[:n_slots] for a in index)
+        inverse_size[start:stop] = inverse
         if count.min() < 2:
             raise PlanningError(f"design {rule.design.name!r}: variance needs at least 2 assignment units")
         # Per-(slot, label) sums from one bincount per feature; each label
@@ -478,13 +450,15 @@ def _score_batch(
 
     # The statistics of each point's replications, (points, reps) per feature.
     slots = batch.group[:, None] * reps + np.arange(reps)
-    arm_sums, noise_mean, cov = arm_sums[..., slots], noise_mean[slots], cov[..., slots]
+    arm_sums, cov, inverse_size = arm_sums[..., slots], cov[..., slots], inverse_size[slots]
     outcome = batch.outcome[..., None]
 
     # o' C o, summed in feature order. Rounding can take it just below the
-    # zero that a constant outcome has, which the variance cannot be.
+    # zero that a constant outcome has, which the variance cannot be. The
+    # noise adds noise_sd**2 / m_l to the variance of label l's mean.
     v = _project(outcome, [_project(outcome, row) for row in cov])
     np.maximum(v, 0.0, out=v)
+    v += calib.noise_sd**2 * inverse_size
 
     treated_sums, totals = arm_sums
     n_treated = treated_sums[_DIRECT]
@@ -496,21 +470,21 @@ def _score_batch(
     # are exact integers, so the rate equals the per-cell count.
     n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
     switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
-    means = totals / n_cells
-    launch_gap = 1.0 - means
     control = control_sums / np.maximum(n_control, 1.0)
-    # A single-arm replay estimates the realized launch effect against baseline.
-    means[_BASE] = noise_mean
+    # A single-arm replay estimates the launch effect against baseline: the
+    # mean shift of every feature but the baseline.
+    shift = totals / n_cells
+    shift[_BASE] = 0.0
     two_arm = (n_treated > 0) & (n_control > 0)
-    contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, means)
+    contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, shift)
     estimate = _project(outcome, contrast)
 
     scores = np.empty(estimate.shape + (N_CHANNELS,))
-    scores[..., 0] = _project(batch.geometry[..., None], launch_gap)
+    scores[..., 0] = 1.0 - rule.marginal
     scores[..., 1] = v
     scores[..., 3] = _project(batch.contamination[..., None], control) + batch.switching[:, None] * switch_rate + stress
     scores[..., 4] = rule.design.op_cost_level
-    scores[..., 5] = _project(batch.mismatch[..., None], launch_gap) + stress
+    scores[..., 5] = 1.0 - rule.marginal + stress
     scores[..., 6] = estimate - batch.target[:, None]
     out[batch.points] = scores
 
@@ -529,10 +503,9 @@ def score_groups(
     A draw group is a sequence of mechanism points (duplicates allowed) that
     share their draws. Design ``d`` over group ``g`` draws from one generator,
     ``default_rng(SeedSequence((master_seed, d, g)))``: replication ``r``
-    takes the ``r``-th replay and atom noise from it, once for all the
-    group's points. Points are numbered in group order, across groups.
-    Scoring runs serially in one thread; the first ``k`` replications are
-    identical for any ``reps >= k``.
+    takes the ``r``-th replay from it, once for all the group's points. Points
+    are numbered in group order, across groups. Scoring runs serially in one
+    thread; the first ``k`` replications are identical for any ``reps >= k``.
     """
     if not catalog:
         raise ConfigurationError("catalog must be non-empty")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .risk import N_CHANNELS, OP_COST, PlanningWeights
+from .risk import CONSTANT, N_CHANNELS, PlanningWeights
 
 __all__ = [
     "RiskSurface",
@@ -55,9 +55,10 @@ def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
     ``per_rep`` is the (n_designs, n_grid, reps, N_CHANNELS) array from
     :func:`xdesign.risk.score_grid`. Each component is averaged over
     replications, with standard error std(ddof=1) / sqrt(reps) (zero for a
-    single replication). The pre-registered op cost is the same in every
-    replication, so it is read from the first one and its standard error is
-    exactly zero. The bias channel does not enter the risk.
+    single replication). Geometry, the op cost and mismatch are the same in
+    every replication, so they are read from the first one and their
+    standard errors are exactly zero. The bias channel does not enter the
+    risk.
     """
     per_rep = np.asarray(per_rep, dtype=float)
     if per_rep.ndim != 4 or per_rep.shape[3] != N_CHANNELS or per_rep.size == 0:
@@ -67,11 +68,11 @@ def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
     components = per_rep[..., : N_CHANNELS - 1]
     reps = per_rep.shape[2]
     raw = components.mean(axis=2)
-    raw[..., OP_COST] = per_rep[:, :, 0, OP_COST]
+    raw[..., CONSTANT] = per_rep[:, :, 0, CONSTANT]
     if not np.all(np.isfinite(raw)):
         raise ConfigurationError("component scores must be finite")
     se = components.std(axis=2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
-    se[..., OP_COST] = 0.0
+    se[..., CONSTANT] = 0.0
     scale, safe = _component_scale(raw)
     normalized = raw / safe
     return RiskSurface(

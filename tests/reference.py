@@ -3,12 +3,15 @@
 ``xdesign.risk.score_groups`` scores every mechanism point of a draw group in
 closed form on assignment atoms. This module scores one replication of one
 (design, mechanism) point step by step on cells instead: replay, exposure
-features, simulated outcomes, then each risk component from the outcome
+features, noise-free outcomes, then each risk component from the outcome
 panel. The tests compare the kernel with ``hand_row`` to 1e-12 relative.
 It writes the interference model out itself, the strengths and the launch
-effect of ``outcome_strengths`` and ``launch_effect`` included, and the
-planning MDE ``(z(1 - alpha/2) + z(1 - beta)) * sqrt(2 v / n)``, so that the
-comparison checks the kernel's model rather than sharing it.
+effect of ``outcome_strengths`` and ``launch_effect`` included, the planning
+MDE ``(z(1 - alpha/2) + z(1 - beta)) * sqrt(2 v / n)``, and the expectations
+that the kernel scores in place of draws: the noise's share of the variance
+(``noise_variance``) and geometry and mismatch at ``1 - π``
+(``launch_share``). So the comparison checks the kernel's model rather than
+sharing it, and the tests check those expectations against draws.
 ``allocating_draw_atoms`` writes each design's atom map out with fresh arrays
 per replay; the tests compare the kernel's draws with it bit for bit.
 
@@ -295,7 +298,7 @@ def draw_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, n
     the map from uniforms to atoms.
     """
     uniforms, level_draws = np.empty((1, rule.n_uniform)), np.empty((1, rule.n_level_draws), dtype=np.int64)
-    _draw_uniforms(rule, rng, uniforms[0], level_draws[0])
+    _draw_uniforms(rule, rng, uniforms, level_draws)
     z, labels = np.empty((1, rule.source.size)), np.full((1, rule.source.size), -1, dtype=np.int64)
     _assign_atoms(rule, uniforms, level_draws, z, labels)
     return z[0], labels[0]
@@ -304,10 +307,10 @@ def draw_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, n
 def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
     """Each rule written with fresh arrays per replay, returning int8 treatment per atom and ``mixed``'s labels.
 
-    The kernel makes a replay's generator calls with ``_draw_uniforms`` into
-    buffers sized for each design and batch of draw groups, then maps a chunk
-    of replays at once with ``_assign_atoms``; together they must make these
-    generator calls, in this order, and draw these bits. Group and block
+    The kernel makes the generator calls of a run of replays from one stream
+    with ``_draw_uniforms`` into buffers sized for each design and batch of
+    draw groups, then maps a chunk of replays at once with ``_assign_atoms``;
+    together they must draw these bits, in this order. Group and block
     counts come from the panel.
     """
     n, p = panel.n_units, design.treat_prob
@@ -554,50 +557,62 @@ def atom_of_cell(design, panel: Panel) -> np.ndarray:
     return np.broadcast_to(np.arange(panel.n_units)[:, None], (panel.n_units, panel.n_periods))
 
 
-def draw_replication(design, panel: Panel, calib: CalibrationScales, rng: np.random.Generator):
-    """One replication's draws from ``rng``: the replay, then the (n_units, n_periods) outcome noise.
+def launch_share(design: DesignSpec) -> float:
+    """π, the probability that a replay treats any one cell, which is every feature's expected mean.
 
-    The noise takes one standard normal per atom. An atom of ``m`` cells gets
-    ``sqrt(m) * noise_sd`` times its normal, spread evenly over its cells,
-    so that its noise sum has the distribution of ``m`` independent cell
-    draws of sd ``noise_sd``. The normals are drawn even when ``noise_sd`` is 0.
+    Each design treats a cell with probability ``treat_prob``, or, for
+    ``two_stage``, with its cluster's saturation level, drawn uniformly from
+    ``saturation_levels``; ``all_treated`` treats every cell.
     """
-    table = replay(design, panel, seed=rng)
-    atom = atom_of_cell(design, panel)
-    n_atoms = panel.n_regions * panel.n_periods if design.kind == "switchback" else panel.n_units
-    m = np.bincount(atom.ravel(), minlength=n_atoms)
-    normals = rng.standard_normal(n_atoms)
-    noise = (np.sqrt(m) * calib.noise_sd * normals)[atom] / m[atom]
-    return table, noise
+    if design.all_treated:
+        return 1.0
+    if design.kind == "two_stage":
+        return sum(design.saturation_levels) / len(design.saturation_levels)
+    return design.treat_prob
+
+
+def noise_variance(table: AssignmentTable, calib: CalibrationScales) -> float:
+    """The outcome noise's expected share of the variance of the label means.
+
+    Each cell's noise is independent with sd ``noise_sd``, so label ``l`` of
+    ``m_l`` cells has a mean whose noise has variance ``noise_sd**2 / m_l``,
+    and the ddof=1 variance of independent label means averages those.
+    """
+    _, counts = np.unique(table.labels, return_counts=True)
+    return calib.noise_sd**2 * float(np.mean(1.0 / counts))
 
 
 def hand_row(design, theta, panel, calib, weights, rng) -> np.ndarray:
     """One replication run step by step through the per-point pipeline.
 
     The slow reference for the closed-form scoring kernel: it draws the
-    replication from ``rng``, builds the exposure panel and simulates
-    outcomes for this one mechanism point.
+    replay from ``rng``, builds the exposure panel and the noise-free
+    outcomes for this one mechanism point, and adds the noise's expected
+    share to the variance. Geometry and mismatch take their expectation
+    ``1 - π``.
     """
-    table, noise = draw_replication(design, panel, calib, rng)
+    table = replay(design, panel, seed=rng)
     expo = exposure_features(table, panel, theta)
-    y = simulate_outcomes(panel, expo, theta, dataclasses.replace(calib, noise_sd=0.0)) + noise
-    v = variance_component(y, table)
+    y = simulate_outcomes(panel, expo, theta, dataclasses.replace(calib, noise_sd=0.0))
+    v = variance_component(y, table) + noise_variance(table, calib)
     n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
     z = NormalDist().inv_cdf
     mde = (z(1.0 - weights.alpha / 2.0) + z(1.0 - weights.beta)) * math.sqrt(2.0 * v / n_eff)
     ess = ess_share(panel.propensities) if panel.propensities is not None else None
+    stress = 1.0 - ess if ess is not None else 0.0
     treated = table.z == 1
     if treated.all() or not treated.any():
         estimate = float((y - panel.baseline).mean())
     else:
         estimate = float(y[treated].mean() - y[~treated].mean())
+    gap = 1.0 - launch_share(design)
     return np.array([
-        geometry_score(expo, theta),
+        gap,
         v,
         mde,
         contamination(expo, table, theta, ess),
         design.op_cost_level,
-        estimand_mismatch(expo, ess),
+        gap + stress,
         estimate - launch_effect(theta, calib),
     ])
 

@@ -663,9 +663,9 @@ class TestConfigValidation:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_weights_run_without_warnings(self, tmp_path, capsys):
-        # Huge weights are valid: their sum overflows in the weights check,
-        # which still holds, and no numpy warning is printed.
-        weights = {"geometry": 1e308, "variance": 1e308, "t_weeks": 2, "periods_per_week": 3}
+        # Huge weights are valid while their sum is finite, which bounds every
+        # cell's risk, and no numpy warning is printed.
+        weights = {"geometry": 1e307, "variance": 1e307, "t_weeks": 2, "periods_per_week": 3}
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out", weights=weights))
         assert main(["select", "--config", str(cfg)]) == 0
         assert capsys.readouterr().err == ""
@@ -675,6 +675,11 @@ class TestConfigValidation:
         [
             ("select", ("weights", "alpha"), 2, "weights.alpha must lie in (0, 1)"),
             ("select", ("weights", "mde"), -1.0, "weights: component weights must be >= 0"),
+            # Each normalized component lies in [-1, 1], so a finite sum of weights rules out overflow.
+            ("select", ("weights",), {"geometry": 1e308, "variance": 1e308},
+             "weights: component weights must have a finite sum"),
+            ("select", ("weights",), {"geometry": 1e308, "mismatch": 1e308},
+             "weights: component weights must have a finite sum"),
             ("sweep", ("sweep", "locality"), "street", "sweep.locality must be one of"),
             ("sweep", ("sweep", "gamma_grid"), [0.5, 0.1], "sweep.gamma_grid must be strictly increasing"),
             ("select", ("grid", "graph_spill"), [-0.1], "grid.graph_spill must be finite and >= 0"),
@@ -690,7 +695,8 @@ class TestConfigValidation:
             ("sweep", ("reps",), 10**12, "out of memory: Unable to allocate 3.28 PiB"),
             ("select", ("panel", "synthetic", "n_units"), 10**15, "out of memory: Unable to allocate 7.11 PiB"),
         ],
-        ids=["weights", "weights-unnamed-field", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
+        ids=["weights", "weights-unnamed-field", "weights-geometry-variance-sum-overflows",
+             "weights-geometry-mismatch-sum-overflows", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
              "catalog-saturation_levels", "catalog-kind", "panel-synthetic", "calibration",
              "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory"],
     )
@@ -743,12 +749,16 @@ class TestConfigValidation:
             ("catalog", [{"kind": "user", "name": "a\ud800b"}], "catalog[0].name must not hold the character U+D800"),
             ("out", "a\u0000b", "out must not hold a NUL character"),
             ("panel", {"csv": {"path": "x\u0000y.csv"}}, "panel.csv.path must not hold a NUL character"),
+            ("out", "a\ud800b", "out must not hold the character U+D800"),
+            ("panel", {"csv": {"path": "x\udbffy.csv"}}, "panel.csv.path must not hold the character U+DBFF"),
         ],
-        ids=["name-control-character", "name-lone-surrogate", "out-nul", "csv-path-nul"],
+        ids=["name-control-character", "name-lone-surrogate", "out-nul", "csv-path-nul", "out-lone-surrogate",
+             "csv-path-lone-surrogate"],
     )
     def test_string_no_artifact_or_path_can_hold_is_one_line_error(self, tmp_path, capsys, key, value, message):
         # A control character in a design name would make the SVGs malformed
-        # and a lone surrogate is not UTF-8; no file name holds a NUL.
+        # and a lone surrogate is not UTF-8; no file name holds a NUL or a
+        # character that the file system encoding cannot encode.
         if key == "out":
             value = str(tmp_path / value)
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **{key: value}))

@@ -1,6 +1,7 @@
 """Tests for the design catalog, replay rules, and effective assignment-unit counts."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
 
     The kernel's way: chunks of slots whose draws come from two generators,
     interleaved, into buffers that hold the previous chunk; the last chunk is
-    short. Each slot makes its generator calls, then the whole chunk is
-    mapped at once. The atom count comes from the panel, not from the rule.
+    short. Each run of consecutive slots on one generator makes its generator
+    calls at once, then the whole chunk is mapped at once. The atom count
+    comes from the panel, not from the rule.
     """
     rule = _AtomRule.build(design, panel)
     n_atoms = panel.n_regions * panel.n_periods if design.kind == "switchback" else panel.n_units
@@ -122,8 +124,11 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
     for start in range(0, len(slot_stream), chunk):
         streams = slot_stream[start : start + chunk]
         n_slots = len(streams)
-        for i, s in enumerate(streams):
-            _draw_uniforms(rule, ours[s], uniforms[i], level_draws[i])
+        lo = 0
+        for s, run in itertools.groupby(streams):
+            hi = lo + len(list(run))
+            _draw_uniforms(rule, ours[s], uniforms[lo:hi], level_draws[lo:hi])
+            lo = hi
         _assign_atoms(rule, uniforms[:n_slots], level_draws[:n_slots], z[:n_slots], labels[:n_slots])
         for i, s in enumerate(streams):
             expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])

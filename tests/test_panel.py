@@ -94,6 +94,25 @@ class TestGroupCodes:
                           "region": (np.zeros(2, dtype=np.int64), ("r",))},
                   n_periods=1, baseline=np.zeros((2, 1)))
 
+    def test_panel_is_frozen_all_the_way_down(self):
+        # Construction checks the groupings and arrays once, so nothing may
+        # change them afterwards: not the groupings table, not a code array,
+        # not the baseline or propensities. The caller's arrays stay writeable.
+        codes, baseline = np.array([0, 1, 0]), np.zeros((3, 2))
+        panel = Panel(unit_ids=("u0", "u1", "u2"),
+                      groups={"cluster": (codes, ("a", "b")), "budget": (np.zeros(3, dtype=np.int64), ("b",)),
+                              "region": (np.zeros(3, dtype=np.int64), ("r",))},
+                      n_periods=2, baseline=baseline, propensities=np.ones((3, 2)))
+        with pytest.raises(TypeError):
+            panel.groups["cluster"] = (np.zeros(3, dtype=np.int64), ("a",))
+        with pytest.raises(TypeError):
+            del panel.groups["region"]
+        for array in (panel.group_codes("cluster"), panel.group_codes("budget"), panel.baseline, panel.propensities):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 99
+        assert panel.group_codes("cluster").tolist() == [0, 1, 0]
+        assert codes.flags.writeable and baseline.flags.writeable
+
     @pytest.mark.parametrize("names", [("cluster", "budget"), ("cluster", "budget", "region", "market")],
                              ids=["missing", "extra"])
     def test_groupings_other_than_the_three_rejected(self, names):

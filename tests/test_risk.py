@@ -40,13 +40,12 @@ from xdesign import (
 from xdesign import designs, diagnostics, risk, selector
 from xdesign.designs import KINDS
 from xdesign.diagnostics import default_sweep_mapping, mde_grid
-from xdesign.risk import COMPONENT_NAMES, N_CHANNELS, OP_COST, score_groups
+from xdesign.risk import COMPONENT_NAMES, CONSTANT, N_CHANNELS, score_groups
 
 from reference import (
     AssignmentTable,
     ExposurePanel,
     contamination,
-    draw_replication,
     estimand_mismatch,
     exposure_features,
     geometry_score,
@@ -55,12 +54,15 @@ from reference import (
     hand_rows,
     labelled_panel,
     launch_effect,
+    launch_share,
+    noise_variance,
     outcome_strengths,
+    replay,
     simulate_outcomes,
     variance_component,
 )
 
-GEOMETRY, VARIANCE, MDE, CONTAMINATION, _, MISMATCH = range(len(COMPONENT_NAMES))
+GEOMETRY, VARIANCE, MDE, CONTAMINATION, OP_COST, MISMATCH = range(len(COMPONENT_NAMES))
 BIAS = N_CHANNELS - 1
 
 
@@ -449,7 +451,7 @@ SMALL_GRID = AmbiguityGrid.from_axes(
 class TestScoreGrid:
     def test_cells_follow_the_seed_schedule(self, setup):
         # Cell (d, k, r) is replication r of design d at grid point k: the
-        # r-th replay and noise draw of the stream seeded (master_seed, d, k).
+        # r-th replay of the stream seeded (master_seed, d, k).
         panel, calib, weights = setup
         per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=3, master_seed=4)
         assert per_rep.shape == (len(SMALL_CATALOG), len(SMALL_GRID), 3, N_CHANNELS)
@@ -473,22 +475,23 @@ class TestScoreGrid:
     @pytest.mark.parametrize("reps", [1, 12])
     def test_risk_surface_reduces_each_pair(self, setup, reps):
         # The 4-D reduction must equal, bit for bit, the mean and
-        # std(ddof=1) / sqrt(reps) of each pair's contiguous (reps, 5) block of
-        # replicated components, with the op cost taken as is and its standard
-        # error exactly zero.
+        # std(ddof=1) / sqrt(reps) of each pair's contiguous (reps, 3) block of
+        # replicated components, with geometry, the op cost and mismatch
+        # taken as is and their standard errors exactly zero.
         panel, calib, weights = setup
         per_rep = score_grid(panel, SMALL_CATALOG, SMALL_GRID, calib, weights, reps=reps, master_seed=8)
         surface = risk_surface(per_rep, weights)
         scale = np.where(surface.scale > 0, surface.scale, 1.0)
-        replicated = [c for c in range(BIAS) if c != OP_COST]
+        replicated = [c for c in range(BIAS) if c not in CONSTANT]
         for d, design in enumerate(SMALL_CATALOG):
             for k in range(len(SMALL_GRID)):
                 pair = np.ascontiguousarray(per_rep[d, k][:, replicated])
-                means = np.insert(pair.mean(axis=0), OP_COST, design.op_cost_level)
-                assert np.array_equal(surface.raw[d, k], means)
+                assert np.array_equal(surface.raw[d, k, replicated], pair.mean(axis=0))
+                assert np.array_equal(surface.raw[d, k, CONSTANT], per_rep[d, k, 0, CONSTANT])
+                assert surface.raw[d, k, OP_COST] == design.op_cost_level
                 ses = pair.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros(len(replicated))
-                assert np.array_equal(surface.se[d, k], np.insert(ses, OP_COST, 0.0) / scale)
-                assert surface.se[d, k, OP_COST] == 0.0
+                assert np.array_equal(surface.se[d, k, replicated], ses / scale[replicated])
+                assert np.all(surface.se[d, k, CONSTANT] == 0.0)
 
 
 # Every design kind, an all-treated replay of a one-arm and a cluster design,
@@ -811,6 +814,85 @@ class TestVarianceIsNonNegative:
             assert_matches_reference(row, hand_row(design, theta, panel, calib, weights, rng))
 
 
+# Designs whose π is not the default 0.5: skewed saturation levels (mean 0.4),
+# other treatment probabilities, and an all-treated two_stage.
+SKEWED_CATALOG = [
+    DesignSpec(kind="two_stage", saturation_levels=(0.1, 0.2, 0.9), name="two_stage-skewed"),
+    DesignSpec(kind="user", treat_prob=0.3),
+    DesignSpec(kind="mixed", treat_prob=0.7),
+    DesignSpec(kind="switchback", treat_prob=0.2, block_length=2),
+    DesignSpec(kind="two_stage", all_treated=True, name="two_stage-all"),
+]
+
+
+class TestClosedForms:
+    # The kernel draws only the assignment. It scores the outcome noise by
+    # its expected share of the variance, and geometry and mismatch by their
+    # expectation 1 - π. These tests check those expectations against draws,
+    # and the kernel against the reference where π is not 0.5.
+
+    @pytest.mark.parametrize("kind", ["user", "two_stage", "mixed", "switchback"])
+    def test_noise_share_is_the_mean_of_drawn_noisy_variances(self, setup, kind):
+        # For one fixed assignment, the variance of label means of outcomes
+        # with independent cell noise, averaged over many noise draws, is the
+        # noise-free variance plus noise_sd**2 * mean_l(1 / m_l). Without the
+        # noise term it is not.
+        panel, _, _ = setup
+        calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=1.0)
+        theta = MechanismPoint(0.3, 0.5, 0.2)
+        table = replay(DesignSpec(kind=kind), panel, seed=17)
+        expo = exposure_features(table, panel, theta)
+        noise_free = variance_component(simulate_outcomes(panel, expo, theta, dataclasses.replace(calib, noise_sd=0.0)),
+                                        table)
+        closed = noise_free + noise_variance(table, calib)
+        drawn = np.array([
+            variance_component(simulate_outcomes(panel, expo, theta, calib, seed=s), table) for s in range(2000)
+        ])
+        se = drawn.std(ddof=1) / math.sqrt(drawn.size)
+        assert abs(drawn.mean() - closed) <= 4.0 * se
+        assert abs(drawn.mean() - noise_free) > 4.0 * se
+
+    @pytest.mark.parametrize("design", [DesignSpec(kind=kind) for kind in KINDS] + SKEWED_CATALOG[:1],
+                             ids=list(KINDS) + ["two_stage-skewed"])
+    def test_drawn_pooled_gaps_average_to_one_minus_pi(self, setup, design):
+        # Geometry and mismatch average the pooled gaps to launch of the
+        # direct, lag and share features, with weights that sum to 1. Over
+        # replays each averages to 1 - π; skewed levels put π at 0.4, away
+        # from treat_prob.
+        panel, _, _ = setup
+        theta = MechanismPoint(0.3, 0.5, 0.2, "region")
+        rng = np.random.default_rng(23)
+        gaps = np.empty((400, 2))
+        for r in range(len(gaps)):
+            expo = exposure_features(replay(design, panel, seed=rng), panel, theta)
+            gaps[r] = geometry_score(expo, theta), estimand_mismatch(expo)
+        mean, se = gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / math.sqrt(len(gaps))
+        assert np.all(np.abs(mean - (1.0 - launch_share(design))) <= 4.0 * se), (mean, se)
+        if design.name == "two_stage-skewed":
+            # treat_prob would put the expectation at 0.5, which the draws rule out.
+            assert np.all(np.abs(mean - (1.0 - design.treat_prob)) > 4.0 * se), (mean, se)
+
+    def test_kernel_matches_reference_away_from_half(self, setup):
+        # Geometry, mismatch and the all-treated constants follow π, which
+        # for two_stage is the mean saturation level, not treat_prob.
+        panel, calib, weights = setup
+        rng = np.random.default_rng(4)
+        panel = dataclasses.replace(panel, propensities=rng.uniform(0.2, 1.0, panel.baseline.shape))
+        reps = 3
+        per_rep = score_groups(panel, SKEWED_CATALOG, REFERENCE_GROUPS, calib, weights, reps=reps, master_seed=12)
+        for d, design in enumerate(SKEWED_CATALOG):
+            expected = np.concatenate([
+                hand_rows(design, group, panel, calib, weights, group_stream(12, d, g), reps)
+                for g, group in enumerate(REFERENCE_GROUPS)
+            ])
+            assert_matches_reference(per_rep[d], expected)
+        stress = 1.0 - ess_share(panel.propensities)
+        assert np.allclose(per_rep[0, ..., GEOMETRY], 0.6)
+        assert np.allclose(per_rep[0, ..., MISMATCH], 0.6 + stress)
+        assert np.all(per_rep[-1, ..., GEOMETRY] == 0.0)
+        assert np.all(per_rep[-1, ..., MISMATCH] == stress)
+
+
 class TestTransportIdentity:
     @pytest.mark.parametrize("panel_seed", [0, 1, 2])
     def test_two_arm_bias_is_minus_the_transport_term(self, panel_seed):
@@ -837,7 +919,7 @@ class TestTransportIdentity:
                 s = outcome_strengths(theta, calib)
                 rng = group_stream(panel_seed, d, k)
                 for r in range(reps):
-                    table, _ = draw_replication(design, panel, calib, rng)
+                    table = replay(design, panel, seed=rng)
                     treated = table.z == 1
                     if treated.all() or not treated.any():
                         continue

@@ -163,18 +163,19 @@ class TestRobustSelect:
             robust_select(surface, shortlist_fraction=1e308)
 
     def test_stderr_epsilon_mode(self):
-        # Four replications per cell; only geometry varies, as level +/- c with
-        # c = se * sqrt(3), so its replication standard error is exactly se.
+        # Four replications per cell; only the variance varies, as level +/- c
+        # with c = se * sqrt(3), so its replication standard error is exactly
+        # se. Geometry, op cost and mismatch are read as constants.
         per_rep = np.zeros((2, 1, 4, 7))
         for d, (level, se) in enumerate(((1.0, 0.1), (2.0, 0.3))):
             per_rep[d, 0, :, :6] = level
-            per_rep[d, 0, :, 0] += se * np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
+            per_rep[d, 0, :, 1] += se * np.sqrt(3.0) * np.array([-1.0, -1.0, 1.0, 1.0])
         surface = risk_surface(per_rep, W)
-        assert surface.se[:, 0, 0] == pytest.approx([0.05, 0.15])
-        assert np.all(surface.se[:, :, 1:] == 0.0)
+        assert surface.se[:, 0, 1] == pytest.approx([0.05, 0.15])
+        assert np.all(np.delete(surface.se, 1, axis=2) == 0.0)
         decision = robust_select(surface, epsilon_mode="stderr")
-        # max normalized geometry se = 0.3 / 2 = 0.15, weighted by w_g = 1.
-        assert decision.epsilon_t == pytest.approx(0.15)
+        # max normalized variance se = 0.3 / 2 = 0.15, weighted by w_v.
+        assert decision.epsilon_t == pytest.approx(0.15 * W.variance)
 
 
 class TestDominanceAudit:
