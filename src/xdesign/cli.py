@@ -43,6 +43,8 @@ from .selector import risk_surface, robust_select
 from .svg import write_bar_chart, write_heat_table, write_line_chart, write_scatter
 
 SCHEMA_VERSION = 1
+# How numpy refuses a size too big to represent, where a merely huge one raises MemoryError.
+_TOO_BIG = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded", "array is too big")
 _THETA_FIELDS = tuple(f.name for f in fields(MechanismPoint))
 
 __all__ = ["main", "run_select", "run_sweep", "run_diagnose", "run_simulate"]
@@ -408,7 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except (XDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -53,7 +53,6 @@ class DesignSpec:
     saturation_levels: tuple[float, ...] = (0.25, 0.75)
     mixture_prob: float = 0.5
     op_cost_level: float | None = None  # None takes the kind's preset
-    all_treated: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -89,14 +88,13 @@ class _AtomRule:
     """One design's assignment rule on one panel, with the constants its draws need.
 
     The atoms are (region, period) pairs if ``regions`` is set, else units.
-    ``source`` indexes the one uniform of a replay that each atom reads, and
-    ``labels`` is each atom's int64 assignment-unit label, or None for
-    ``mixed``, whose labels are drawn; every label lies below ``n_labels``,
-    ``n_groups + n_units`` for ``mixed``. ``codes`` maps each unit to the
-    cluster or budget group that the rule draws for, ``n_groups`` counts
-    those groups and ``levels`` are the saturation levels. A replay draws
-    ``n_level_draws`` level indices (one per group for ``two_stage``, else
-    none), then ``n_uniform`` uniforms; see :func:`_draw_uniforms`.
+    A replay is one row of ``n_draws`` doubles; see :func:`_draw_uniforms`.
+    ``source`` indexes the draw of the row that each atom compares with its
+    threshold, and ``labels`` is each atom's int64 assignment-unit label, or
+    None for ``mixed``, whose labels are drawn; every label lies below
+    ``n_labels``, ``n_groups + n_units`` for ``mixed``. ``codes`` maps each
+    unit to the cluster or budget group that the rule draws for, ``n_groups``
+    counts those groups and ``levels`` are the saturation levels.
     """
 
     design: DesignSpec
@@ -107,9 +105,8 @@ class _AtomRule:
     codes: np.ndarray
     n_groups: int
     levels: np.ndarray
-    n_level_draws: int
-    n_uniform: int
-    marginal: float  # π, each atom's treatment probability: treat_prob, the mean level, or 1 if all_treated
+    n_draws: int
+    marginal: float  # π, each atom's treatment probability: treat_prob, or the mean level for two_stage
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
@@ -122,13 +119,15 @@ class _AtomRule:
         elif design.kind in ("cluster", "budget_split"):
             source = codes
         elif design.kind == "switchback":
-            n_blocks = (panel.n_periods - 1) // design.block_length + 1
-            blocks = np.arange(panel.n_periods) // design.block_length
+            # A block that outlasts the panel is one block, whatever its length.
+            length = min(design.block_length, panel.n_periods)
+            n_blocks = (panel.n_periods - 1) // length + 1
+            blocks = np.arange(panel.n_periods) // length
             source = labels = (np.arange(panel.n_regions)[:, None] * n_blocks + blocks).ravel()
+        elif design.kind == "two_stage":
+            source = n_groups + units
         elif design.kind == "mixed":
             source, labels = 2 * n_groups + units, None
-        two_stage = design.kind == "two_stage"
-        levels = np.asarray(design.saturation_levels, dtype=float)
         return cls(
             design=design,
             regions=design.kind == "switchback",
@@ -137,60 +136,56 @@ class _AtomRule:
             n_labels=n_groups + panel.n_units if labels is None else int(labels.max()) + 1,
             codes=codes,
             n_groups=n_groups,
-            levels=levels,
-            n_level_draws=n_groups if two_stage else 0,
-            n_uniform=int(source.max()) + 1,
-            marginal=1.0 if design.all_treated else float(levels.mean()) if two_stage else design.treat_prob,
+            levels=np.asarray(design.saturation_levels, dtype=float),
+            n_draws=int(source.max()) + 1,
+            marginal=float(np.mean(design.saturation_levels)) if design.kind == "two_stage" else design.treat_prob,
         )
 
 
-def _draw_uniforms(rule: _AtomRule, rng: np.random.Generator, uniforms: np.ndarray, level_draws: np.ndarray) -> None:
-    """Fill each row of the ``uniforms`` and ``level_draws`` stacks with one replay's draws from ``rng``, in order.
+def _draw_uniforms(rule: _AtomRule, rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Fill each row of the ``draws`` stack with one replay's draws from ``rng``, in order.
 
-    A replay's uniforms are one per unit (``user``, ``two_stage``), per group
-    (``cluster``, ``budget_split``) or per region-block in region-major order
+    A replay's uniforms are one per unit (``user``), per group (``cluster``,
+    ``budget_split``) or per region-block in region-major order
     (``switchback``); ``mixed`` takes one per group for the whole-cluster
     coin, one per group for the cluster draw and one per unit. Each double
     takes one 64-bit output of the bit generator, so one call fills the whole
     C-contiguous stack with the doubles of one call per replay. Only
-    ``two_stage`` draws row by row: each replay's level indices, one per
-    group, come before its uniforms. No draw depends on the mechanism.
+    ``two_stage`` draws row by row: a row starts with each cluster's
+    saturation level, drawn uniformly from ``levels`` by one ``integers``
+    call, and one uniform per unit follows. No draw depends on the mechanism.
     """
-    if not rule.n_level_draws:
-        rng.random(out=uniforms)
+    if rule.design.kind != "two_stage":
+        rng.random(out=draws)
         return
-    for uniform_row, level_row in zip(uniforms, level_draws):
-        level_row[:] = rng.integers(0, rule.levels.size, size=rule.n_level_draws)
-        rng.random(out=uniform_row)
+    for row in draws:
+        # Every drawn index is valid; "clip" only spares take a buffered copy of out.
+        np.take(rule.levels, rng.integers(0, rule.levels.size, rule.n_groups), out=row[: rule.n_groups], mode="clip")
+        rng.random(out=row[rule.n_groups :])
 
 
-def _assign_atoms(
-    rule: _AtomRule, uniforms: np.ndarray, level_draws: np.ndarray, z: np.ndarray, labels: np.ndarray
-) -> None:
+def _assign_atoms(rule: _AtomRule, draws: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
     """Map a stack of replays' draws to 0/1 treatment per atom in ``z``, and ``mixed``'s labels in ``labels``.
 
-    ``uniforms`` and ``level_draws`` are (slots, n_uniform) and (slots,
-    n_level_draws) stacks that :func:`_draw_uniforms` filled; ``z`` and
-    ``labels`` are (slots, atoms), and ``labels`` is left alone for every
-    kind but ``mixed``. An atom is treated when the uniform at its source
-    falls below ``treat_prob``, or below its group's drawn saturation level
-    for ``two_stage``. A slot's treatment depends only on its own rows.
-    ``all_treated`` keeps the kind's draws and labels and treats every atom.
+    ``draws`` is a (slots, n_draws) stack that :func:`_draw_uniforms` filled;
+    ``z`` and ``labels`` are (slots, atoms), and ``labels`` is left alone for
+    every kind but ``mixed``. An atom is treated when the draw at its source
+    falls below its threshold: ``treat_prob``, or for ``two_stage`` its
+    cluster's drawn saturation level at the start of the row. A slot's
+    treatment depends only on its own row.
     """
     design = rule.design
     # np.take along axis 1 gathers the same values as fancy indexing, faster.
-    threshold = np.take(rule.levels[level_draws], rule.codes, axis=1) if rule.n_level_draws else design.treat_prob
-    drawn = np.take(uniforms, rule.source, axis=1)
+    threshold = np.take(draws, rule.codes, axis=1) if design.kind == "two_stage" else design.treat_prob
+    drawn = np.take(draws, rule.source, axis=1)
     if design.kind == "mixed":
         # A whole-cluster unit reads its cluster's uniform, n_groups past the
         # coins, and takes its cluster as its label; any other is its own.
-        whole_cluster = np.take(uniforms, rule.codes, axis=1) < design.mixture_prob
-        np.copyto(drawn, np.take(uniforms, rule.n_groups + rule.codes, axis=1), where=whole_cluster)
+        whole_cluster = np.take(draws, rule.codes, axis=1) < design.mixture_prob
+        np.copyto(drawn, np.take(draws, rule.n_groups + rule.codes, axis=1), where=whole_cluster)
         np.subtract(rule.source, rule.n_groups, out=labels)
         np.copyto(labels, rule.codes, where=whole_cluster)
     np.less(drawn, threshold, out=z)
-    if design.all_treated:
-        z.fill(1)
 
 
 def effective_units(

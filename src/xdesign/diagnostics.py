@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .designs import DesignSpec, default_catalog, effective_units
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PlanningError
 from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
 from .risk import COMPONENT_NAMES, PlanningWeights, mde, score_grid, score_groups
@@ -279,6 +279,8 @@ def mde_grid(
         for t_weeks in durations:
             n_eff = effective_units(design, panel, int(t_weeks), weights.periods_per_week)
             cells[int(t_weeks)] = mde(v, n_eff, weights)
+        if not np.isfinite([v, *cells.values()]).all():
+            raise PlanningError(f"design {design.name!r}: variance or MDE is not finite (variance={v!r})")
         rows.append({"design": design.name, "variance": v, "mde": cells})
     return {"check": "mde_grid", "durations": [int(d) for d in durations], "rows": rows, "passed": True}
 

@@ -44,7 +44,7 @@ design index, group index)``, and its replications take their replays from it
 in order. Draw groups with the same localities form one batch, and a design's
 replications over a batch are slots (group, rep). A chunk of slots, which may
 span groups and whose arrays stay within ``_CHUNK_BYTES``, has all its
-uniforms mapped to per-atom treatment at once and is reduced to each slot's
+draws mapped to per-atom treatment at once and is reduced to each slot's
 sufficient statistics: the treated and overall sums of its features; the
 (features, features) ddof=1 covariance ``C`` of its occupied labels' feature
 means, so that a point whose outcome map is ``o`` has the label-mean
@@ -105,9 +105,12 @@ class PlanningWeights:
         # Every normalized component lies in [-1, 1], so a finite sum bounds every cell's risk.
         if not np.isfinite(vec.sum()):
             raise ConfigurationError("component weights must have a finite sum")
-        for name in ("alpha", "beta"):
+        for name, level in (("alpha", 1.0 - self.alpha / 2.0), ("beta", 1.0 - self.beta)):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1)")
+            # A tiny alpha or beta rounds its level to 1, whose normal quantile is infinite.
+            if level >= 1.0:
+                raise ConfigurationError(f"{name} is too small for a finite normal quantile ({getattr(self, name)!r})")
         # z_{1-alpha/2} + z_{1-beta} > 0 exactly when 1 - alpha/2 > beta.
         if self.alpha / 2.0 + self.beta >= 1.0:
             raise ConfigurationError(
@@ -147,10 +150,10 @@ _GRAPH_TOP, _BUDGET_TOP, _CARRY_TOP = 0.3, 0.5, 0.2
 # Bytes of one chunk's per-slot arrays, sized for each (design, batch): the
 # atoms-sized features, treatment, drawn labels and label keys; the per-feature
 # label sums, label sizes and occupancy mask, over the label axis but at least
-# atoms-wide as the label keys and gathers are; one replay's uniforms and level
-# indices. A slot of select's 200x8 panel takes 25.4 KB over unit atoms (20 per
-# chunk) and 3 KB over its 24 switchback atoms (170 per chunk); one of the
-# sweep's 2000x40 panel takes 254 KB (two per chunk).
+# atoms-wide as the label keys and gathers are; one replay's row of draws. A
+# slot of select's 200x8 panel takes 25.4 KB over unit atoms (20 per chunk)
+# and 3 KB over its 24 switchback atoms (170 per chunk); one of the sweep's
+# 2000x40 panel takes 254 KB (two per chunk).
 _CHUNK_BYTES = 2**19
 
 
@@ -361,11 +364,11 @@ def _score_batch(
 
     The batch's slots (group, rep) run in group-major order, each group's from
     its own generator. In each chunk, every run of one group's slots fills its
-    rows of ``uniforms`` and ``level_draws`` with one :func:`_draw_uniforms`
-    call, and one call maps the chunk's draws to per-atom treatment and, for
-    ``mixed``, labels. The buffers hold one chunk, sized for this design and
-    batch; a short last chunk takes their first slots. The baseline row and
-    labels that do not depend on the draws are set up once.
+    rows of ``draws`` with one :func:`_draw_uniforms` call, and one call maps
+    the chunk's draws to per-atom treatment and, for ``mixed``, labels. The
+    buffers hold one chunk, sized for this design and batch; a short last
+    chunk takes their first slots. The baseline row and labels that do not
+    depend on the draws are set up once.
     """
     n_features = _BUDGET + len(batch.localities)
     # The rows that the chunk loop fills and reduces: all, or all but the lag.
@@ -377,22 +380,20 @@ def _score_batch(
                for g in batch.seed_index.tolist()]
     # Per-feature treated and overall sums of every slot's atoms.
     arm_sums = np.empty((2, n_features, n_total))
-    # Each slot's covariance times its degrees of freedom, upper triangle first.
+    # Each slot's covariance times its degrees of freedom.
     cov = np.empty((n_features, n_features, n_total))
     dof = np.empty(n_total)
     inverse_size = np.empty(n_total)
 
     # One chunk's buffers, for as many slots as _CHUNK_BYTES holds of this design and batch.
-    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * max(n_labels, n_atoms)
-                  + rule.n_uniform + rule.n_level_draws) * 8
+    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * max(n_labels, n_atoms) + rule.n_draws) * 8
     chunk = max(1, min(n_total, _CHUNK_BYTES // slot_bytes))
     features = np.empty((n_features, chunk, n_atoms))
     features[_BASE] = atoms.baseline
     treated = np.empty((chunk, n_atoms))
     labels = np.empty((chunk, n_atoms), dtype=np.int64)
     label_sums = np.empty((n_features, chunk, n_labels))
-    uniforms = np.empty((chunk, rule.n_uniform))
-    level_draws = np.empty((chunk, rule.n_level_draws), dtype=np.int64)
+    draws = np.empty((chunk, rule.n_draws))
     fixed_labels = None
     if rule.labels is not None:
         fixed_labels = _label_index(np.broadcast_to(rule.labels, labels.shape), atoms.cells, n_labels)
@@ -401,11 +402,11 @@ def _score_batch(
         stop = min(start + chunk, n_total)
         n_slots = stop - start
         block, z, sums = features[:, :n_slots], treated[:n_slots], label_sums[:, :n_slots]
-        drawn_labels, drawn_uniforms, drawn_levels = labels[:n_slots], uniforms[:n_slots], level_draws[:n_slots]
+        drawn_labels, drawn = labels[:n_slots], draws[:n_slots]
         for g in range(start // reps, (stop - 1) // reps + 1):
             lo, hi = max(start, g * reps) - start, min(stop, (g + 1) * reps) - start
-            _draw_uniforms(rule, streams[g], drawn_uniforms[lo:hi], drawn_levels[lo:hi])
-        _assign_atoms(rule, drawn_uniforms, drawn_levels, z, drawn_labels)
+            _draw_uniforms(rule, streams[g], drawn[lo:hi])
+        _assign_atoms(rule, drawn, z, drawn_labels)
 
         np.multiply(z, atoms.cells, out=block[_DIRECT])
         if atoms.prev is not None:
@@ -435,13 +436,10 @@ def _score_batch(
         live -= (live.sum(axis=-1) / count)[..., None]
         if occupied is not None:
             live *= occupied
-        for f in range(first, n_features):
-            np.einsum("sl,gsl->gs", sums[f], sums[f:], out=cov[f, f:, start:stop])
+        np.einsum("fsl,gsl->fgs", live, live, out=cov[first:, first:, start:stop])
         dof[start:stop] = count - 1
 
-    # Mirror each covariance's upper triangle, then give a skipped lag row the direct row's statistics.
-    for f in range(first, n_features):
-        cov[f + 1 :, f] = cov[f, f + 1 :]
+    # A skipped lag row takes the direct row's statistics.
     if first != _LAG:
         arm_sums[:, _LAG] = arm_sums[:, _DIRECT]
         cov[_LAG] = cov[_DIRECT]
@@ -458,7 +456,7 @@ def _score_batch(
     # noise adds noise_sd**2 / m_l to the variance of label l's mean.
     v = _project(outcome, [_project(outcome, row) for row in cov])
     np.maximum(v, 0.0, out=v)
-    v += calib.noise_sd**2 * inverse_size
+    v += np.square(calib.noise_sd) * inverse_size
 
     treated_sums, totals = arm_sums
     n_treated = treated_sums[_DIRECT]

@@ -13,7 +13,8 @@ that the kernel scores in place of draws: the noise's share of the variance
 (``launch_share``). So the comparison checks the kernel's model rather than
 sharing it, and the tests check those expectations against draws.
 ``allocating_draw_atoms`` writes each design's atom map out with fresh arrays
-per replay; the tests compare the kernel's draws with it bit for bit.
+per replay; the tests compare the kernel's draws with it bit for bit, and
+``replay`` draws through it, so the reference never shares the kernel's draws.
 
 ``reference_synthetic_panel`` builds a synthetic panel the way the library
 once did, from one string label per unit coded with ``np.unique``, and
@@ -51,7 +52,7 @@ from xdesign import (
     effective_units,
     ess_share,
 )
-from xdesign.designs import _AtomRule, _assign_atoms, _draw_uniforms
+from xdesign.designs import _AtomRule
 
 
 def labelled_panel(unit_ids, cluster_ids, budget_ids, region_ids, n_periods, baseline, propensities=None) -> Panel:
@@ -281,27 +282,14 @@ def replay(
     """The cell view of one replay: every cell of an atom gets the atom's treatment and label.
 
     ``seed`` goes through ``np.random.default_rng``, so a ``Generator`` is
-    used as is and draws from its current state, which it advances.
+    used as is and draws from its current state, which it advances. The
+    atoms come from ``allocating_draw_atoms``, not from the kernel's draws.
     """
-    rule = _AtomRule.build(design, panel)
-    z, labels = draw_atoms(rule, np.random.default_rng(seed))
-    if rule.labels is not None:
-        labels = rule.labels
+    z, labels = allocating_draw_atoms(design, panel, np.random.default_rng(seed))
+    if labels is None:
+        labels = _AtomRule.build(design, panel).labels
     atoms = atom_of_cell(design, panel)
     return AssignmentTable(z[atoms], labels[atoms])
-
-
-def draw_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One replay's (n_atoms,) treatment and drawn labels (-1 for every kind but ``mixed``).
-
-    The kernel's two halves on a one-slot stack: the generator calls, then
-    the map from uniforms to atoms.
-    """
-    uniforms, level_draws = np.empty((1, rule.n_uniform)), np.empty((1, rule.n_level_draws), dtype=np.int64)
-    _draw_uniforms(rule, rng, uniforms, level_draws)
-    z, labels = np.empty((1, rule.source.size)), np.full((1, rule.source.size), -1, dtype=np.int64)
-    _assign_atoms(rule, uniforms, level_draws, z, labels)
-    return z[0], labels[0]
 
 
 def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
@@ -337,8 +325,6 @@ def allocating_draw_atoms(design: DesignSpec, panel, rng: np.random.Generator):
         unit_draws = rng.random(n) < p
         z = np.where(whole_cluster, cluster_draws[codes], unit_draws)
         labels = np.where(whole_cluster, codes, n_clusters + np.arange(n, dtype=np.int64))
-    if design.all_treated:
-        return np.ones(z.size, dtype=np.int8), labels
     return z.astype(np.int8), labels
 
 
@@ -562,10 +548,8 @@ def launch_share(design: DesignSpec) -> float:
 
     Each design treats a cell with probability ``treat_prob``, or, for
     ``two_stage``, with its cluster's saturation level, drawn uniformly from
-    ``saturation_levels``; ``all_treated`` treats every cell.
+    ``saturation_levels``.
     """
-    if design.all_treated:
-        return 1.0
     if design.kind == "two_stage":
         return sum(design.saturation_levels) / len(design.saturation_levels)
     return design.treat_prob

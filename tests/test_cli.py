@@ -343,6 +343,22 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", str(cfg), "--checks", "mde"]) == 0
         assert (tmp_path / "out" / "mde.svg").exists()
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            # The panel loads, but label means of baselines near 1e300 have no finite variance.
+            ("panel", {"synthetic": {"baseline_mean": 1e300}},
+             "design 'user': variance or MDE is not finite (variance=inf)"),
+            ("weights", {"alpha": 1e-300}, "weights.alpha is too small for a finite normal quantile (1e-300)"),
+        ],
+        ids=["baseline_mean-huge", "alpha-tiny"],
+    )
+    def test_mde_check_without_a_finite_mde_writes_nothing(self, tmp_path, capsys, section, values, message):
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), section: values})
+        assert main(["diagnose", "--config", str(cfg), "--checks", "mde"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_all_checks_on_defaults_exit_zero(self, tmp_path):
         data = small_select_config(tmp_path / "out")
         cfg = write_config(tmp_path, data)
@@ -694,11 +710,29 @@ class TestConfigValidation:
             ("select", ("reps",), 10**12, "out of memory: Unable to allocate 2.39 PiB"),
             ("sweep", ("reps",), 10**12, "out of memory: Unable to allocate 3.28 PiB"),
             ("select", ("panel", "synthetic", "n_units"), 10**15, "out of memory: Unable to allocate 7.11 PiB"),
+            # Sizes numpy cannot represent at all end in the same line.
+            ("select", ("reps",), 2**70, "out of memory: Maximum allowed dimension exceeded"),
+            ("select", ("reps",), 2**62, "out of memory: array is too big"),
+            ("sweep", ("reps",), 2**62, "out of memory: array is too big"),
+            ("select", ("panel", "synthetic", "n_units"), 2**70, "out of memory: Maximum allowed size exceeded"),
+            ("select", ("panel", "synthetic", "n_periods"), 2**62, "out of memory: array is too big"),
+            # A block longer than the panel is one block, however long.
+            ("select", ("catalog",), [{"kind": "switchback", "block_length": 2**70}],
+             "insufficient assignment units for design 'switchback' (n=0)"),
+            # 1 - alpha/2 and 1 - beta round to 1, whose normal quantile is infinite.
+            ("select", ("weights", "alpha"), 1e-300, "weights.alpha is too small for a finite normal quantile"),
+            ("sweep", ("weights", "beta"), 1e-300, "weights.beta is too small for a finite normal quantile"),
+            # numpy squares the noise sd to inf, which the selector rejects.
+            ("select", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
+            ("sweep", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
         ],
         ids=["weights", "weights-unnamed-field", "weights-geometry-variance-sum-overflows",
              "weights-geometry-mismatch-sum-overflows", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
              "catalog-saturation_levels", "catalog-kind", "panel-synthetic", "calibration",
-             "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory"],
+             "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory",
+             "reps-beyond-any-dimension", "select-reps-beyond-any-size", "sweep-reps-beyond-any-size",
+             "n_units-beyond-any-size", "n_periods-beyond-any-size", "block_length-beyond-int64",
+             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge"],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, command, path, value, message):
         data = small_select_config(tmp_path / "out")
@@ -777,7 +811,7 @@ class TestConfigValidation:
     def test_every_design_and_sweep_field_is_a_config_key(self):
         design = DesignSpec(
             kind="switchback", treat_prob=0.3, block_length=2, saturation_levels=(0.1, 0.9),
-            mixture_prob=0.2, op_cost_level=0.6, all_treated=True, name="sb2",
+            mixture_prob=0.2, op_cost_level=0.6, name="sb2",
         )
         sweep = SweepConfig(gamma_grid=(0.0, 0.5), locality="region", reps=2, seed=3)
 

@@ -1,6 +1,5 @@
 """Tests for the design catalog, replay rules, and effective assignment-unit counts."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -20,7 +19,7 @@ from xdesign import (
 from xdesign.config import RunConfig
 from xdesign.designs import KINDS, _AtomRule, _assign_atoms, _draw_uniforms
 
-from reference import AssignmentTable, allocating_draw_atoms, draw_atoms, replay
+from reference import AssignmentTable, allocating_draw_atoms, replay
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +30,33 @@ def panel():
     return generate_synthetic_panel(cfg, seed=5)
 
 
+# The second setting of each replay test: treat_prob 0.5, or 0.2 when skewed.
+SKEWED_PROB = {False: 0.5, True: 0.2}
+
+
+def kernel_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replay's atoms as the kernel draws them: (n_atoms,) treatment and ``mixed``'s labels, else -1."""
+    draws = np.empty((1, rule.n_draws))
+    _draw_uniforms(rule, rng, draws)
+    z, labels = np.empty((1, rule.source.size)), np.full((1, rule.source.size), -1, dtype=np.int64)
+    _assign_atoms(rule, draws, z, labels)
+    return z[0], labels[0]
+
+
 class TestReplayRules:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_all_treated_flag(self, panel, kind):
-        design = DesignSpec(kind=kind, block_length=3, all_treated=True)
-        table = replay(design, panel, seed=0)
-        assert np.all(table.z == 1)
-        drawn = replay(dataclasses.replace(design, all_treated=False), panel, seed=0)
-        assert np.array_equal(table.labels, drawn.labels)
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_one_saturation_level_treats_no_atom_or_every_atom(self, panel, level):
+        # The ordinary rule reaches a single-arm replay with no override: a
+        # two_stage design whose one level is 1 treats every atom (π = 1),
+        # one whose level is 0 treats none (π = 0). Labels stay the clusters.
+        design = DesignSpec(kind="two_stage", saturation_levels=(level,))
+        assert _AtomRule.build(design, panel).marginal == level
+        for seed in range(3):
+            table = replay(design, panel, seed=seed)
+            assert np.all(table.z == level)
+            assert np.array_equal(table.labels, np.repeat(panel.group_codes("cluster")[:, None], panel.n_periods, 1))
+        # The kernel draws the same atoms.
+        assert_chunked_draws_match(design, panel)
 
     def test_same_seed_identical(self, panel):
         for kind in ("user", "cluster", "switchback", "budget_split", "two_stage", "mixed"):
@@ -114,10 +132,9 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
     rule = _AtomRule.build(design, panel)
     n_atoms = panel.n_regions * panel.n_periods if design.kind == "switchback" else panel.n_units
     assert rule.source.shape == (n_atoms,)
-    assert 0 <= rule.source.min() and rule.source.max() < rule.n_uniform
+    assert 0 <= rule.source.min() and rule.source.max() < rule.n_draws
     chunk, slot_stream = 3, [0, 1, 1, 0, 0, 1, 0]
-    uniforms = np.full((chunk, rule.n_uniform), np.nan)
-    level_draws = np.full((chunk, rule.n_level_draws), -1, dtype=np.int64)
+    draws = np.full((chunk, rule.n_draws), np.nan)
     z, labels = np.full((chunk, n_atoms), np.nan), np.full((chunk, n_atoms), -1, dtype=np.int64)
     ours = [np.random.default_rng(seed) for seed in (3, 8)]
     theirs = [np.random.default_rng(seed) for seed in (3, 8)]
@@ -127,9 +144,9 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
         lo = 0
         for s, run in itertools.groupby(streams):
             hi = lo + len(list(run))
-            _draw_uniforms(rule, ours[s], uniforms[lo:hi], level_draws[lo:hi])
+            _draw_uniforms(rule, ours[s], draws[lo:hi])
             lo = hi
-        _assign_atoms(rule, uniforms[:n_slots], level_draws[:n_slots], z[:n_slots], labels[:n_slots])
+        _assign_atoms(rule, draws[:n_slots], z[:n_slots], labels[:n_slots])
         for i, s in enumerate(streams):
             expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])
             assert np.array_equal(z[i], expected_z)
@@ -148,25 +165,25 @@ class TestAtoms:
     # (region, period) pair in region-major order for switchbacks.
 
     @pytest.mark.parametrize("block_length", [1, 3])
-    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("skewed", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_draws_match_the_allocating_rule_bit_for_bit(self, panel, kind, all_treated, block_length):
+    def test_draws_match_the_allocating_rule_bit_for_bit(self, panel, kind, skewed, block_length):
         design = DesignSpec(
-            kind=kind, all_treated=all_treated, block_length=block_length, saturation_levels=(0.1, 0.5, 0.9)
+            kind=kind, treat_prob=SKEWED_PROB[skewed], block_length=block_length, saturation_levels=(0.1, 0.5, 0.9)
         )
         assert_chunked_draws_match(design, panel)
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        all_treated=st.booleans(),
+        treat_prob=st.sampled_from((0.5, 0.2)),
         block_length=st.integers(1, 12),
         mixture_prob=st.sampled_from((0.0, 0.5, 1.0)),
         shape=st.tuples(st.integers(2, 12), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9)),
         panel_seed=st.integers(0, 2**16),
     )
     def test_draws_match_the_allocating_rule_on_random_panels(
-        self, kind, all_treated, block_length, mixture_prob, shape, panel_seed
+        self, kind, treat_prob, block_length, mixture_prob, shape, panel_seed
     ):
         # Small clusters, one to four regions, and blocks that may outlast the panel.
         n_units, n_clusters, n_budget, n_regions, n_periods = shape
@@ -174,7 +191,7 @@ class TestAtoms:
             SyntheticPanelConfig(n_units, n_clusters, n_budget, n_regions, n_periods), seed=panel_seed
         )
         design = DesignSpec(
-            kind=kind, all_treated=all_treated, block_length=block_length, mixture_prob=mixture_prob,
+            kind=kind, treat_prob=treat_prob, block_length=block_length, mixture_prob=mixture_prob,
             saturation_levels=(0.1, 0.5, 0.9),
         )
         assert_chunked_draws_match(design, panel)
@@ -185,8 +202,8 @@ class TestAtoms:
         # sizes G, G and n draw the same doubles and leave the same state.
         rule = _AtomRule.build(DesignSpec(kind="mixed"), panel)
         n_groups, n_units = rule.n_groups, panel.n_units
-        assert rule.n_uniform == 2 * n_groups + n_units
-        row = np.empty((2, rule.n_uniform))[1]
+        assert rule.n_draws == 2 * n_groups + n_units
+        row = np.empty((2, rule.n_draws))[1]
         for seed in range(3):
             one, three = np.random.default_rng(seed), np.random.default_rng(seed)
             one.random(out=row)
@@ -195,10 +212,12 @@ class TestAtoms:
             assert one.bit_generator.state == three.bit_generator.state
 
     @pytest.mark.parametrize("block_length", [1, 3])
-    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("skewed", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_replay_is_the_cell_view_of_its_atoms(self, panel, kind, all_treated, block_length):
-        design = DesignSpec(kind=kind, all_treated=all_treated, block_length=block_length)
+    def test_replay_is_the_cell_view_of_its_atoms(self, panel, kind, skewed, block_length):
+        # The reference replay draws on its own; spread over cells, its
+        # atoms are the kernel's.
+        design = DesignSpec(kind=kind, treat_prob=SKEWED_PROB[skewed], block_length=block_length)
         units = np.arange(panel.n_units)[:, None]
         periods = np.arange(panel.n_periods)
         if kind == "switchback":
@@ -209,17 +228,17 @@ class TestAtoms:
         assert (rule.labels is None) == (kind == "mixed")
         for seed in range(5):
             table = replay(design, panel, seed=seed)
-            z, labels = draw_atoms(rule, np.random.default_rng(seed))
+            z, labels = kernel_atoms(rule, np.random.default_rng(seed))
             if rule.labels is not None:
                 labels = rule.labels
             assert np.array_equal(table.z, z[atom_of_cell])
             assert np.array_equal(table.labels, labels[atom_of_cell])
 
     @pytest.mark.parametrize("block_length", [1, 3])
-    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("skewed", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_replay_is_constant_on_each_atom(self, panel, kind, all_treated, block_length):
-        design = DesignSpec(kind=kind, all_treated=all_treated, block_length=block_length)
+    def test_replay_is_constant_on_each_atom(self, panel, kind, skewed, block_length):
+        design = DesignSpec(kind=kind, treat_prob=SKEWED_PROB[skewed], block_length=block_length)
         for seed in range(5):
             table = replay(design, panel, seed=seed)
             for cells in (table.z, table.labels):
@@ -232,12 +251,12 @@ class TestAtoms:
 
 
 class TestAssignmentTable:
-    @pytest.mark.parametrize("all_treated", [False, True])
+    @pytest.mark.parametrize("skewed", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_replay_tables_pass_validation(self, panel, kind, all_treated):
-        # The reference replay spreads the kernel's atom draws over cells; the
-        # table it builds must hold the cell view's dtypes and shape.
-        table = replay(DesignSpec(kind=kind, block_length=3, all_treated=all_treated), panel, seed=4)
+    def test_replay_tables_pass_validation(self, panel, kind, skewed):
+        # The reference replay spreads its atom draws over cells; the table
+        # it builds must hold the cell view's dtypes and shape.
+        table = replay(DesignSpec(kind=kind, block_length=3, treat_prob=SKEWED_PROB[skewed]), panel, seed=4)
         assert table.z.dtype == np.int8 and table.labels.dtype == np.int64
         assert table.z.shape == table.labels.shape == (panel.n_units, panel.n_periods)
         checked = AssignmentTable(z=table.z, labels=table.labels)

@@ -128,7 +128,10 @@ class TestMdeGrid:
         # replay is the one the seed (seed, d) drew before mde_grid went
         # through the kernel: trailing zero seed words do not change a draw.
         weights = PlanningWeights(t_weeks=2, periods_per_week=4)
-        catalog = default_catalog() + [DesignSpec(kind="switchback", block_length=3, all_treated=True)]
+        catalog = default_catalog() + [
+            DesignSpec(kind="switchback", block_length=3),
+            DesignSpec(kind="two_stage", saturation_levels=(1.0,), name="launch"),
+        ]
         report = mde_grid(catalog, small_panel, weights, durations=(1,), seed=seed)
         for d_idx, (design, row) in enumerate(zip(catalog, report["rows"])):
             table = replay(design, small_panel, seed=group_stream(seed, d_idx, 0))

@@ -293,7 +293,7 @@ class TestContamination:
         t = manual_table(z)
         assert contamination(expo, t, theta) == pytest.approx(1.0, abs=1e-12)
 
-    def test_all_treated_with_ess_stress_only(self):
+    def test_full_launch_with_ess_stress_only(self):
         panel = tiny_panel(2, 1)
         theta = MechanismPoint(0.3, 0.5, 0.2)
         t = manual_table([[1], [1]])
@@ -378,9 +378,10 @@ class TestComponentScores:
         expected = hand_row(design, theta, panel, calib, weights, group_stream(11, 0, 0))
         assert_matches_reference(got[0], expected)
 
-    def test_all_treated_zero_geometry(self, setup):
+    def test_full_launch_zero_geometry(self, setup):
+        # One saturation level of 1 treats every atom, so π = 1.
         panel, calib, weights = setup
-        design = DesignSpec(kind="user", all_treated=True)
+        design = DesignSpec(kind="two_stage", saturation_levels=(1.0,))
         theta = MechanismPoint(0, 0, 0)
         calib0 = CalibrationScales(calib.direct_effect, calib.spill_scale, calib.carry_scale, noise_sd=0.0)
         got = score_grid(panel, [design], AmbiguityGrid((theta,)), calib0, weights, reps=2, master_seed=1)[0, 0]
@@ -400,9 +401,9 @@ class TestComponentScores:
         for r in range(4):
             assert_matches_reference(rows[r], hand_row(design, theta, panel, calib, weights, rng))
 
-    def test_all_treated_bias_vanishes_with_noise(self, setup):
+    def test_full_launch_bias_vanishes_with_noise(self, setup):
         panel, _, weights = setup
-        design = DesignSpec(kind="user", all_treated=True)
+        design = DesignSpec(kind="two_stage", saturation_levels=(1.0,))
         theta = MechanismPoint(0.3, 0.5, 0.2)
         for noise_sd in (0.4, 0.04):
             calib = CalibrationScales(0.5, 0.4, 0.3, noise_sd=noise_sd)
@@ -494,11 +495,11 @@ class TestScoreGrid:
                 assert np.all(surface.se[d, k, CONSTANT] == 0.0)
 
 
-# Every design kind, an all-treated replay of a one-arm and a cluster design,
-# and a two-period switchback block.
+# Every design kind, single-arm replays that treat every atom and none, and a
+# two-period switchback block.
 REFERENCE_CATALOG = [DesignSpec(kind=kind) for kind in KINDS] + [
-    DesignSpec(kind="user", all_treated=True),
-    DesignSpec(kind="cluster", all_treated=True),
+    DesignSpec(kind="two_stage", saturation_levels=(1.0,), name="launch"),
+    DesignSpec(kind="two_stage", saturation_levels=(0.0,), name="dark"),
     DesignSpec(kind="switchback", block_length=2),
 ]
 REFERENCE_GROUPS = [
@@ -785,7 +786,7 @@ class TestVarianceIsNonNegative:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         kind=st.sampled_from(KINDS),
-        all_treated=st.booleans(),
+        treat_prob=st.sampled_from((0.5, 0.2)),
         carryover=st.sampled_from((0.05, 0.2)),
         carry_scale=st.sampled_from((0.3, 1.7)),
         offset=st.sampled_from((0.0, 1e-12, -1e-9, 1e-6)),
@@ -795,7 +796,7 @@ class TestVarianceIsNonNegative:
         master_seed=st.integers(0, 2**16),
     )
     def test_near_cancelling_calibrations(
-        self, kind, all_treated, carryover, carry_scale, offset, baseline_sd, noise_sd, graph_spill, master_seed
+        self, kind, treat_prob, carryover, carry_scale, offset, baseline_sd, noise_sd, graph_spill, master_seed
     ):
         panel = generate_synthetic_panel(
             SyntheticPanelConfig(24, 4, 3, 2, 5, baseline_mean=10.3, baseline_sd=baseline_sd), seed=master_seed
@@ -804,7 +805,7 @@ class TestVarianceIsNonNegative:
         carry = outcome_strengths(theta, CalibrationScales(0.0, 0.5, carry_scale)).carry
         calib = CalibrationScales(-carry * (1.0 + offset), 0.5, carry_scale, noise_sd=noise_sd)
         weights = PlanningWeights(t_weeks=2, periods_per_week=3)
-        design = DesignSpec(kind=kind, all_treated=all_treated)
+        design = DesignSpec(kind=kind, treat_prob=treat_prob)
         rows = score_grid(panel, [design], AmbiguityGrid((theta,)), calib, weights, reps=2, master_seed=master_seed)
         rows = rows[0, 0]
         assert np.all(rows[:, VARIANCE] >= 0.0)
@@ -815,13 +816,13 @@ class TestVarianceIsNonNegative:
 
 
 # Designs whose π is not the default 0.5: skewed saturation levels (mean 0.4),
-# other treatment probabilities, and an all-treated two_stage.
+# other treatment probabilities, and a two_stage whose one level treats every atom.
 SKEWED_CATALOG = [
     DesignSpec(kind="two_stage", saturation_levels=(0.1, 0.2, 0.9), name="two_stage-skewed"),
     DesignSpec(kind="user", treat_prob=0.3),
     DesignSpec(kind="mixed", treat_prob=0.7),
     DesignSpec(kind="switchback", treat_prob=0.2, block_length=2),
-    DesignSpec(kind="two_stage", all_treated=True, name="two_stage-all"),
+    DesignSpec(kind="two_stage", saturation_levels=(1.0,), name="two_stage-all"),
 ]
 
 
@@ -873,7 +874,7 @@ class TestClosedForms:
             assert np.all(np.abs(mean - (1.0 - design.treat_prob)) > 4.0 * se), (mean, se)
 
     def test_kernel_matches_reference_away_from_half(self, setup):
-        # Geometry, mismatch and the all-treated constants follow π, which
+        # Geometry, mismatch and the full-launch constants follow π, which
         # for two_stage is the mean saturation level, not treat_prob.
         panel, calib, weights = setup
         rng = np.random.default_rng(4)
