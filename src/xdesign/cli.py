@@ -16,8 +16,9 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .diagnostics import (
     regime_sweep,
     transport_bound_check,
 )
-from .errors import XDesignError
+from .errors import ConfigurationError, XDesignError
 from .mechanisms import LOCALITIES, MechanismPoint
 from .risk import COMPONENT_NAMES, score_grid
 from .selector import risk_surface, robust_select
@@ -61,45 +62,60 @@ def _csv_cell(name: str) -> str:
     return name
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of formatted cells, names already quoted by :func:`_csv_cell`."""
+    path.write_text("\n".join(map(",".join, itertools.chain([header], rows))) + "\n", encoding="utf-8")
+
+
 class _Emitter:
-    """Tracks written artifacts so a failed run leaves no partial outputs."""
+    """The one writer of a run's output directory.
 
-    def __init__(self, out_dir: Path) -> None:
-        self.out_dir = out_dir
-        self.written: list[Path] = []
+    A run hands over every artifact it may write; the emitter keeps those
+    whose format the config lists (every one, for a command that does not
+    read ``formats``) and writes them all in one step, once the run has
+    computed them. If a write fails, it removes the files it wrote and the
+    directories it made, so a run leaves either all its outputs or none.
+    """
 
-    def path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
+    def __init__(self, config: RunConfig, command: str) -> None:
+        self.out_dir = config.out_dir
+        self.formats = config.formats if "formats" in READS[command] else None
+        self.artifacts: dict[str, tuple[Callable[..., None], tuple, dict]] = {}
 
-    def write_json(self, name: str, payload: dict) -> Path:
-        p = self.path(name)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
-        return p
+    def add(self, name: str, write: Callable[..., None], *args, **kwargs) -> bool:
+        """Take artifact ``name`` if its format is listed, and return whether it was taken.
 
-    def write_rows(self, name: str, header: list[str], rows: Iterable[Sequence[str]]) -> Path:
-        """Write rows of formatted cells, names already quoted by :func:`_csv_cell`."""
-        p = self.path(name)
-        p.write_text("\n".join(map(",".join, itertools.chain([header], rows))) + "\n", encoding="utf-8")
-        return p
+        :meth:`write` writes it as ``write(path, *args, **kwargs)``.
+        """
+        if self.formats is not None and Path(name).suffix[1:] not in self.formats:
+            return False
+        self.artifacts[name] = write, args, kwargs
+        return True
 
-    def cleanup(self) -> None:
-        for p in self.written:
-            with contextlib.suppress(OSError):
-                p.unlink(missing_ok=True)
-
-
-@contextlib.contextmanager
-def _emission(out_dir: Path):
-    """Yield an emitter; remove everything it wrote if the run fails."""
-    emitter = _Emitter(out_dir)
-    try:
-        yield emitter
-    except BaseException:
-        emitter.cleanup()
-        raise
+    def write(self) -> None:
+        missing = [d for d in (self.out_dir, *self.out_dir.parents) if not os.path.exists(d)]
+        written: list[Path] = []
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            for name, (write, args, kwargs) in self.artifacts.items():
+                path = self.out_dir / name
+                written.append(path)
+                write(path, *args, **kwargs)
+        except BaseException as exc:
+            for path in written:
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
+            # Innermost first, so that each directory is empty when its turn comes.
+            for directory in missing:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+            if isinstance(exc, OSError):
+                raise ConfigurationError(f"cannot write out {self.out_dir}: {exc.strerror or exc}") from None
+            raise
 
 
 def run_select(config: RunConfig) -> dict:
@@ -114,61 +130,54 @@ def run_select(config: RunConfig) -> dict:
     decision = robust_select(surface, config.shortlist_fraction, epsilon_mode=config.epsilon_mode)
 
     names = [d.name for d in catalog]
-    with _emission(config.out_dir) as emitter:
-        surface_path = None
-        if "csv" in config.formats:
-            header = (
-                ["design", "design_index", "theta_index", *_THETA_FIELDS]
-                + [f"raw_{name}" for name in COMPONENT_NAMES]
-                + [f"norm_{name}" for name in COMPONENT_NAMES]
-                + ["risk"]
-            )
-            # One column of formatted cells each, in (design, grid point)
-            # order. A grid value is a float or int from the config, and str
-            # of a float is its repr.
-            n_designs, n_grid = surface.n_designs, surface.n_grid
-            values = (*surface.raw.transpose(2, 0, 1), *surface.normalized.transpose(2, 0, 1), surface.risks)
-            columns = [
-                [cell for cell in map(_csv_cell, names) for _ in range(n_grid)],
-                [str(d) for d in range(n_designs) for _ in range(n_grid)],
-                list(map(str, range(n_grid))) * n_designs,
-                *([str(getattr(theta, name)) for theta in grid] * n_designs for name in _THETA_FIELDS),
-                *(map(repr, column.ravel().tolist()) for column in values),
-            ]
-            surface_path = emitter.write_rows("surface.csv", header, zip(*columns))
+    emitter = _Emitter(config, "select")
+    header = (
+        ["design", "design_index", "theta_index", *_THETA_FIELDS]
+        + [f"raw_{name}" for name in COMPONENT_NAMES]
+        + [f"norm_{name}" for name in COMPONENT_NAMES]
+        + ["risk"]
+    )
+    # One column of formatted cells each, in (design, grid point) order. A
+    # grid value is a float or int from the config, and str of a float is its
+    # repr.
+    n_designs, n_grid = surface.n_designs, surface.n_grid
+    values = (*surface.raw.transpose(2, 0, 1), *surface.normalized.transpose(2, 0, 1), surface.risks)
+    columns = [
+        [cell for cell in map(_csv_cell, names) for _ in range(n_grid)],
+        [str(d) for d in range(n_designs) for _ in range(n_grid)],
+        list(map(str, range(n_grid))) * n_designs,
+        *([str(getattr(theta, name)) for theta in grid] * n_designs for name in _THETA_FIELDS),
+        *(map(repr, column.ravel().tolist()) for column in values),
+    ]
+    surface_taken = emitter.add("surface.csv", _write_rows, header, zip(*columns))
 
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "config_digest": config_digest(config, "select"),
-            "decision": {
-                "selected": names[decision.selected],
-                "q": {name: decision.q[i] for i, name in enumerate(names)},
-                "epsilon_t": decision.epsilon_t,
-                "shortlist": [names[i] for i in decision.shortlist],
-                "margin": decision.separation_margin,
-                "worst_theta": {name: asdict(grid[decision.worst_theta[i]]) for i, name in enumerate(names)},
-                # Normalized component breakdown at each design's worst grid point.
-                "components": {
-                    name: {
-                        comp: float(surface.normalized[i, decision.worst_theta[i], j])
-                        for j, comp in enumerate(COMPONENT_NAMES)
-                    }
-                    for i, name in enumerate(names)
-                },
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "config_digest": config_digest(config, "select"),
+        "decision": {
+            "selected": names[decision.selected],
+            "q": {name: decision.q[i] for i, name in enumerate(names)},
+            "epsilon_t": decision.epsilon_t,
+            "shortlist": [names[i] for i in decision.shortlist],
+            "margin": decision.separation_margin,
+            "worst_theta": {name: asdict(grid[decision.worst_theta[i]]) for i, name in enumerate(names)},
+            # Normalized component breakdown at each design's worst grid point.
+            "components": {
+                name: {
+                    comp: float(surface.normalized[i, decision.worst_theta[i], j])
+                    for j, comp in enumerate(COMPONENT_NAMES)
+                }
+                for i, name in enumerate(names)
             },
-            "surface_path": surface_path.name if surface_path else None,
-        }
-        if "json" in config.formats:
-            emitter.write_json("decision.json", report)
-        if "svg" in config.formats:
-            write_bar_chart(
-                emitter.path("ranking.svg"),
-                names,
-                list(decision.q),
-                "Worst-case planning risk by design",
-                y_label="robust risk",
-                highlight=decision.selected,
-            )
+        },
+        "surface_path": "surface.csv" if surface_taken else None,
+    }
+    emitter.add("decision.json", _write_json, report)
+    emitter.add(
+        "ranking.svg", write_bar_chart, names, list(decision.q), "Worst-case planning risk by design",
+        y_label="robust risk", highlight=decision.selected,
+    )
+    emitter.write()
     return report
 
 
@@ -189,32 +198,30 @@ def run_sweep(config: RunConfig) -> dict:
         "winners": [result.design_names[w] for w in result.winners],
         "distinct_winners": list(result.distinct_winners),
     }
-    with _emission(config.out_dir) as emitter:
-        if "csv" in config.formats:
-            cells = list(map(_csv_cell, result.design_names))
-            header = ["gamma", "graph_spill", "budget_spill", "carryover"] + cells + ["winner"]
-            # One column of formatted cells each, one row per gamma; the
-            # sweep's gammas and intensities are floats.
-            columns = [
-                map(repr, result.gammas),
-                *([repr(getattr(theta, name)) for theta in result.thetas] for name in header[1:4]),
-                *(map(repr, column.tolist()) for column in result.risks.T),
-                [cells[w] for w in result.winners],
-            ]
-            emitter.write_rows("sweep.csv", header, zip(*columns))
-        if "json" in config.formats:
-            emitter.write_json("sweep.json", report)
-        if "svg" in config.formats:
-            envelope = [float(result.risks[i].min()) for i in range(len(result.gammas))]
-            write_line_chart(
-                emitter.path("sweep.svg"),
-                list(result.gammas),
-                [(name, [float(r) for r in result.risks[:, d]]) for d, name in enumerate(result.design_names)],
-                "Planning risk across the mechanism sweep",
-                x_label="mechanism intensity",
-                y_label="normalized risk",
-                envelope=envelope,
-            )
+    emitter = _Emitter(config, "sweep")
+    cells = list(map(_csv_cell, result.design_names))
+    header = ["gamma", "graph_spill", "budget_spill", "carryover"] + cells + ["winner"]
+    # One column of formatted cells each, one row per gamma; the sweep's
+    # gammas and intensities are floats.
+    columns = [
+        map(repr, result.gammas),
+        *([repr(getattr(theta, name)) for theta in result.thetas] for name in header[1:4]),
+        *(map(repr, column.tolist()) for column in result.risks.T),
+        [cells[w] for w in result.winners],
+    ]
+    emitter.add("sweep.csv", _write_rows, header, zip(*columns))
+    emitter.add("sweep.json", _write_json, report)
+    emitter.add(
+        "sweep.svg",
+        write_line_chart,
+        list(result.gammas),
+        [(name, [float(r) for r in result.risks[:, d]]) for d, name in enumerate(result.design_names)],
+        "Planning risk across the mechanism sweep",
+        x_label="mechanism intensity",
+        y_label="normalized risk",
+        envelope=[float(row.min()) for row in result.risks],
+    )
+    emitter.write()
     return report
 
 
@@ -222,74 +229,64 @@ def run_diagnose(config: RunConfig) -> dict:
     """Run the configured theorem-level checks; any failure is a non-zero exit."""
     which = config.checks
     seed = config.diagnostics_seed
-    checks: list[dict] = []
+    emitter = _Emitter(config, "diagnose")
+    # Each check's report, in the order the checks run.
+    checks: dict[str, dict] = {}
+    if "transport" in which:
+        report = checks["transport"] = transport_bound_check(default_transport_scenarios(seed=seed + 1), seed=seed)
+        emitter.add(
+            "transport.svg",
+            write_scatter,
+            [(c["bound"], c["bias"]) for c in report["cases"]],
+            "Exposure-response bias vs transport bound",
+            x_label="L * W1 bound",
+            y_label="observed bias",
+        )
+    if "minimax" in which:
+        checks["minimax"] = minimax_tightness_check((0.5, 1.0, 2.0), (0.1, 0.3, 0.6))
+    if "catalog" in which:
+        surface, lipschitz = random_smooth_surface(seed)
+        report = checks["catalog"] = catalog_approximation_check(surface, lipschitz, (5, 10, 20, 40))
+        emitter.add(
+            "catalog.svg",
+            write_line_chart,
+            [c["size"] for c in report["cases"]],
+            [
+                ("observed gap", [c["gap"] for c in report["cases"]]),
+                ("net bound", [c["bound"] for c in report["cases"]]),
+            ],
+            "Catalog approximation gap vs net bound",
+            x_label="catalog size",
+            y_label="risk gap",
+        )
+    if "mde" in which:
+        durations = (1, 2, 4, 8)
+        report = checks["mde"] = mde_grid(
+            config.build_catalog(), config.build_panel(), config.build_weights(), durations, seed=seed
+        )
+        emitter.add(
+            "mde.svg",
+            write_heat_table,
+            [row["design"] for row in report["rows"]],
+            [f"{d}w" for d in durations],
+            [[row["mde"][d] for d in durations] for row in report["rows"]],
+            "Planning MDE by design and duration",
+        )
+    if "oracle" in which:
+        checks["oracle"] = oracle_comparison(seed=seed)
+    if "dominance" in which:
+        checks["dominance"] = dominance_check(seed=seed)
 
-    with _emission(config.out_dir) as emitter:
-
-        def record(name: str, check_report: dict) -> None:
-            checks.append(check_report)
-            if "json" in config.formats:
-                emitter.write_json(f"{name}.json", check_report)
-
-        if "transport" in which:
-            report = transport_bound_check(default_transport_scenarios(seed=seed + 1), seed=seed)
-            record("transport", report)
-            if "svg" in config.formats:
-                write_scatter(
-                    emitter.path("transport.svg"),
-                    [(c["bound"], c["bias"]) for c in report["cases"]],
-                    "Exposure-response bias vs transport bound",
-                    x_label="L * W1 bound",
-                    y_label="observed bias",
-                )
-        if "minimax" in which:
-            record("minimax", minimax_tightness_check((0.5, 1.0, 2.0), (0.1, 0.3, 0.6)))
-        if "catalog" in which:
-            surface, lipschitz = random_smooth_surface(seed)
-            report = catalog_approximation_check(surface, lipschitz, (5, 10, 20, 40))
-            record("catalog", report)
-            if "svg" in config.formats:
-                sizes = [c["size"] for c in report["cases"]]
-                write_line_chart(
-                    emitter.path("catalog.svg"),
-                    sizes,
-                    [
-                        ("observed gap", [c["gap"] for c in report["cases"]]),
-                        ("net bound", [c["bound"] for c in report["cases"]]),
-                    ],
-                    "Catalog approximation gap vs net bound",
-                    x_label="catalog size",
-                    y_label="risk gap",
-                )
-        if "mde" in which:
-            panel = config.build_panel()
-            weights = config.build_weights()
-            catalog = config.build_catalog()
-            durations = (1, 2, 4, 8)
-            report = mde_grid(catalog, panel, weights, durations, seed=seed)
-            record("mde", report)
-            if "svg" in config.formats:
-                write_heat_table(
-                    emitter.path("mde.svg"),
-                    [row["design"] for row in report["rows"]],
-                    [f"{d}w" for d in durations],
-                    [[row["mde"][d] for d in durations] for row in report["rows"]],
-                    "Planning MDE by design and duration",
-                )
-        if "oracle" in which:
-            record("oracle", oracle_comparison(seed=seed))
-        if "dominance" in which:
-            record("dominance", dominance_check(seed=seed))
-
-        passed = all(c["passed"] for c in checks)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "config_digest": config_digest(config, "diagnose"),
-            "passed": passed,
-            "checks": checks,
-        }
-        if "json" in config.formats:
-            emitter.write_json("diagnostics.json", report)
+    for name, check in checks.items():
+        emitter.add(f"{name}.json", _write_json, check)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "config_digest": config_digest(config, "diagnose"),
+        "passed": all(c["passed"] for c in checks.values()),
+        "checks": list(checks.values()),
+    }
+    emitter.add("diagnostics.json", _write_json, report)
+    emitter.write()
     return report
 
 
@@ -317,8 +314,9 @@ def run_simulate(config: RunConfig) -> dict:
     ]
     if panel.propensities is not None:
         columns.append(map(repr, panel.propensities.ravel().tolist()))
-    with _emission(config.out_dir) as emitter:
-        emitter.write_rows("panel.csv", header, zip(*columns))
+    emitter = _Emitter(config, "simulate")
+    emitter.add("panel.csv", _write_rows, header, zip(*columns))
+    emitter.write()
     return {
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .designs import DesignSpec, default_catalog, effective_units
 from .errors import ConfigurationError, PlanningError
-from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
+from .mechanisms import BUDGET_TOP, CARRY_TOP, GRAPH_TOP, LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, SyntheticPanelConfig, calibrate_scales, generate_synthetic_panel
 from .risk import COMPONENT_NAMES, PlanningWeights, mde, score_grid, score_groups
 from .selector import dominance_audit, risk_surface, robust_select, weight_winner_search
@@ -300,9 +300,9 @@ def default_sweep_mapping(gamma: float) -> tuple[float, float, float]:
     mid-sweep and recedes to 0 at gamma 1.2, where it stays, and carryover
     dominates the top of the range.
     """
-    g = 0.3 * _clamp01(3.0 * gamma - 0.5)
-    b = 0.5 * _clamp01(2.0 * gamma - 0.4) * _clamp01(1.0 - max(0.0, 2.0 * gamma - 1.4))
-    lam = 0.2 * _clamp01(2.0 * gamma - 1.0)
+    g = GRAPH_TOP * _clamp01(3.0 * gamma - 0.5)
+    b = BUDGET_TOP * _clamp01(2.0 * gamma - 0.4) * _clamp01(1.0 - max(0.0, 2.0 * gamma - 1.4))
+    lam = CARRY_TOP * _clamp01(2.0 * gamma - 1.0)
     return g, b, lam
 
 
@@ -402,7 +402,7 @@ def oracle_comparison(low_reps: int = 45, high_reps: int = 260, seed: int = 0) -
     )
     calib = calibrate_scales(panel, direct_effect=1.0)
     grid = AmbiguityGrid.from_axes(
-        graph_spill=(0.0, 0.3), budget_spill=(0.0, 0.5), carryover=(0.0, 0.2), localities=("cluster",)
+        graph_spill=(0.0, GRAPH_TOP), budget_spill=(0.0, BUDGET_TOP), carryover=(0.0, CARRY_TOP), localities=("cluster",)
     )
     weights = PlanningWeights(t_weeks=2, periods_per_week=4)
     catalog = default_catalog()

@@ -23,6 +23,11 @@ __all__ = [
     "default_grid",
 ]
 
+# The top of the audit grid: the graph spillover, budget spillover and
+# carryover intensities at which each channel's outcome strength reaches its
+# calibrated scale.
+GRAPH_TOP, BUDGET_TOP, CARRY_TOP = 0.3, 0.5, 0.2
+
 
 @dataclass(frozen=True, order=True)
 class MechanismPoint:
@@ -66,9 +71,9 @@ class AmbiguityGrid:
     @classmethod
     def from_axes(
         cls,
-        graph_spill: tuple[float, ...] = (0.0, 0.1, 0.3),
-        budget_spill: tuple[float, ...] = (0.0, 0.2, 0.5),
-        carryover: tuple[float, ...] = (0.0, 0.05, 0.2),
+        graph_spill: tuple[float, ...] = (0.0, 0.1, GRAPH_TOP),
+        budget_spill: tuple[float, ...] = (0.0, 0.2, BUDGET_TOP),
+        carryover: tuple[float, ...] = (0.0, 0.05, CARRY_TOP),
         localities: tuple[str, ...] = LOCALITIES,
     ) -> "AmbiguityGrid":
         """Cross product of the per-coordinate lists, ordered lexicographically."""

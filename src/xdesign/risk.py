@@ -30,9 +30,10 @@ pipeline to 1e-12.
 
 ``_batch`` alone holds the interference model: from the points' intensities
 it builds their outcome strengths, each linear from 0 to its calibrated scale
-at the audit grid's top (0.3 / 0.5 / 0.2), with ``graph_frac`` of the
-spillover scale on the graph channel; their launch effects, the direct effect
-plus the three strengths; and their contamination and switching weights.
+at the audit grid's top (``mechanisms.GRAPH_TOP``, ``BUDGET_TOP`` and
+``CARRY_TOP``), with ``graph_frac`` of the spillover scale on the graph
+channel; their launch effects, the direct effect plus the three strengths; and
+their contamination and switching weights.
 
 Every assignment treats the cells of an atom alike: a unit over all its
 periods, or a (region, period) pair for switchbacks. So the kernel works on
@@ -64,7 +65,7 @@ import numpy as np
 
 from .designs import DesignSpec, _AtomRule, _assign_atoms, _draw_uniforms, effective_units
 from .errors import ConfigurationError, PlanningError
-from .mechanisms import LOCALITIES, AmbiguityGrid, MechanismPoint
+from .mechanisms import BUDGET_TOP, CARRY_TOP, GRAPH_TOP, LOCALITIES, AmbiguityGrid, MechanismPoint
 from .panel import CalibrationScales, Panel, ess_share
 
 __all__ = [
@@ -142,10 +143,6 @@ def mde(v: float | np.ndarray, n_units: int, weights: PlanningWeights) -> float 
 # of its own. The lag row comes first, so that a layout whose lag sums equal
 # its direct ones reduces the contiguous rest.
 _LAG, _BASE, _DIRECT, _BUDGET = range(4)
-
-# Intensities at the top of the audit grid, where each channel's outcome
-# strength reaches its calibrated scale.
-_GRAPH_TOP, _BUDGET_TOP, _CARRY_TOP = 0.3, 0.5, 0.2
 
 # Bytes of one chunk's per-slot arrays, sized for each (design, batch): the
 # atoms-sized features, treatment, drawn labels and label keys; the per-feature
@@ -293,9 +290,9 @@ def _batch(
         values[column, index] += graph_share
         return values
 
-    s_graph = calib.spill_scale * calib.graph_frac * graph / _GRAPH_TOP
-    s_budget = calib.spill_scale * (1.0 - calib.graph_frac) * budget / _BUDGET_TOP
-    s_carry = calib.carry_scale * carry / _CARRY_TOP
+    s_graph = calib.spill_scale * calib.graph_frac * graph / GRAPH_TOP
+    s_budget = calib.spill_scale * (1.0 - calib.graph_frac) * budget / BUDGET_TOP
+    s_carry = calib.carry_scale * carry / CARRY_TOP
     # Zero intensity leaves contamination to the stress alone: every weight is 0 / inf.
     weight = np.where(total > 0, total, np.inf)
     return _Batch(

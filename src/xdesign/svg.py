@@ -52,6 +52,8 @@ class _Canvas:
         ]
 
     def axes(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_ticks: bool = True) -> None:
+        """Draw the axes over these ranges, which :meth:`to_xy` then maps from."""
+        self.ranges = x_lo, x_hi, y_lo, y_hi
         x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
         y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
         self.parts.append(
@@ -71,10 +73,15 @@ class _Canvas:
                 f'<text x="{x0 - 6}" y="{_fmt(py + 3)}" font-size="10" text-anchor="end">{_fmt(yv)}</text>'
             )
 
-    def to_xy(self, x: float, y: float, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> tuple[float, float]:
+    def to_xy(self, x: float, y: float) -> tuple[float, float]:
+        x_lo, x_hi, y_lo, y_hi = self.ranges
         px = _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - _MARGIN_R - _MARGIN_L)
         py = (_HEIGHT - _MARGIN_B) - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - _MARGIN_B - _MARGIN_T)
         return px, py
+
+    def polyline(self, xs: Sequence[float], ys: Sequence[float], style: str) -> None:
+        points = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(self.to_xy, xs, ys))
+        self.parts.append(f'<polyline fill="none" {style} points="{points}"/>')
 
     def legend(self, labels: Sequence[str]) -> None:
         for i, label in enumerate(labels):
@@ -103,25 +110,12 @@ def write_line_chart(
     all_y = [y for _, ys in series for y in ys]
     if envelope is not None:
         all_y.extend(envelope)
-    x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span(all_y)
     canvas = _Canvas(title, x_label, y_label)
-    canvas.axes(x_lo, x_hi, y_lo, y_hi)
+    canvas.axes(*_span(xs), *_span(all_y))
     for i, (label, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{_fmt(px)},{_fmt(py)}"
-            for px, py in (canvas.to_xy(x, y, x_lo, x_hi, y_lo, y_hi) for x, y in zip(xs, ys))
-        )
-        canvas.parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
+        canvas.polyline(xs, ys, f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.6"')
     if envelope is not None:
-        points = " ".join(
-            f"{_fmt(px)},{_fmt(py)}"
-            for px, py in (canvas.to_xy(x, y, x_lo, x_hi, y_lo, y_hi) for x, y in zip(xs, envelope))
-        )
-        canvas.parts.append(
-            f'<polyline fill="none" stroke="black" stroke-width="2.2" stroke-dasharray="6,4" points="{points}"/>'
-        )
+        canvas.polyline(xs, envelope, 'stroke="black" stroke-width="2.2" stroke-dasharray="6,4"')
     canvas.legend([label for label, _ in series] + (["envelope"] if envelope is not None else []))
     canvas.write(path)
 
@@ -142,8 +136,8 @@ def write_bar_chart(
     bar_w = plot_w / len(labels) * 0.7
     for i, (label, value) in enumerate(zip(labels, values)):
         cx = _MARGIN_L + (i + 0.5) / len(labels) * plot_w
-        _, py = canvas.to_xy(0, value, 0, 1, y_lo, y_hi * 1.05)
-        _, base = canvas.to_xy(0, 0.0, 0, 1, y_lo, y_hi * 1.05)
+        _, py = canvas.to_xy(0, value)
+        _, base = canvas.to_xy(0, 0.0)
         color = "#d62728" if i == highlight else "#1f77b4"
         canvas.parts.append(
             f'<rect x="{_fmt(cx - bar_w / 2)}" y="{_fmt(min(py, base))}" width="{_fmt(bar_w)}" '
@@ -171,14 +165,14 @@ def write_scatter(
     lo_p, hi_p = _span([lo, hi])
     canvas = _Canvas(title, x_label, y_label)
     canvas.axes(lo_p, hi_p, lo_p, hi_p)
-    x0, y0 = canvas.to_xy(lo_p, lo_p, lo_p, hi_p, lo_p, hi_p)
-    x1, y1 = canvas.to_xy(hi_p, hi_p, lo_p, hi_p, lo_p, hi_p)
+    x0, y0 = canvas.to_xy(lo_p, lo_p)
+    x1, y1 = canvas.to_xy(hi_p, hi_p)
     canvas.parts.append(
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
         f'stroke="#888888" stroke-dasharray="4,4"/>'
     )
     for x, y in points:
-        px, py = canvas.to_xy(x, y, lo_p, hi_p, lo_p, hi_p)
+        px, py = canvas.to_xy(x, y)
         canvas.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#1f77b4" fill-opacity="0.7"/>')
     canvas.write(path)
 

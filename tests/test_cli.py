@@ -19,7 +19,7 @@ from jsonschema import Draft202012Validator
 
 from xdesign import ConfigurationError, DesignSpec, SyntheticPanelConfig, generate_synthetic_panel, ingest_log_csv
 from xdesign import cli
-from xdesign.cli import _emission, main, run_select, run_simulate, run_sweep
+from xdesign.cli import _Emitter, _write_json, main, run_select, run_simulate, run_sweep
 from xdesign.config import RunConfig, config_digest, load_config
 from xdesign.diagnostics import SweepConfig, regime_sweep
 from xdesign.panel import LOCALITIES
@@ -126,8 +126,8 @@ class TestSelectCommand:
         cfg = write_config(tmp_path, data)
         out2 = tmp_path / "alt"
         assert main(["select", "--config", str(cfg), "--out", str(out2), "--reps", "2", "--format", "json"]) == 0
-        assert (out2 / "decision.json").exists()
-        assert not (out2 / "surface.csv").exists()
+        assert os.listdir(out2) == ["decision.json"]
+        assert json.loads((out2 / "decision.json").read_text())["surface_path"] is None
 
     @pytest.mark.parametrize(
         "extra, flags, message",
@@ -153,7 +153,7 @@ class TestSelectCommand:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "panel.csv.path" in err and "nope.csv" in err
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_single_line_error(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
@@ -192,7 +192,7 @@ class TestSelectCommand:
         cfg = write_config(tmp_path, {"panel": {"csv": {"path": str(path)}}, "out": str(tmp_path / "out")})
         assert main(["select", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [message.format(path=path)]
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_single_assignment_unit_is_one_line_error(self, tmp_path, capsys):
         # One region and one period leave the switchback a single assignment
@@ -203,7 +203,7 @@ class TestSelectCommand:
         assert main(["select", "--config", str(cfg)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == ["error: design 'switchback': variance needs at least 2 assignment units"]
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = small_select_config(tmp_path / "out")
@@ -344,18 +344,21 @@ class TestDiagnoseCommand:
         assert (tmp_path / "out" / "mde.svg").exists()
 
     @pytest.mark.parametrize(
-        "section, values, message",
+        "checks, section, values, message",
         [
             # The panel loads, but label means of baselines near 1e300 have no finite variance.
-            ("panel", {"synthetic": {"baseline_mean": 1e300}},
+            ("mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
              "design 'user': variance or MDE is not finite (variance=inf)"),
-            ("weights", {"alpha": 1e-300}, "weights.alpha is too small for a finite normal quantile (1e-300)"),
+            ("mde", "weights", {"alpha": 1e-300}, "weights.alpha is too small for a finite normal quantile (1e-300)"),
+            # A check that passed before the failing one writes nothing either.
+            ("transport,mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
+             "design 'user': variance or MDE is not finite (variance=inf)"),
         ],
-        ids=["baseline_mean-huge", "alpha-tiny"],
+        ids=["baseline_mean-huge", "alpha-tiny", "baseline_mean-huge-after-transport"],
     )
-    def test_mde_check_without_a_finite_mde_writes_nothing(self, tmp_path, capsys, section, values, message):
+    def test_mde_check_without_a_finite_mde_writes_nothing(self, tmp_path, capsys, checks, section, values, message):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), section: values})
-        assert main(["diagnose", "--config", str(cfg), "--checks", "mde"]) == 1
+        assert main(["diagnose", "--config", str(cfg), "--checks", checks]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
@@ -373,7 +376,8 @@ class TestDiagnoseCommand:
 
 class TestSimulateCommand:
     def test_panel_dump_round_trips(self, tmp_path, capsys):
-        data = small_select_config(tmp_path / "out")
+        # simulate does not read formats, so it writes panel.csv whatever they list.
+        data = small_select_config(tmp_path / "out", formats=["svg"])
         cfg = write_config(tmp_path, data)
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "panel: 80 units x 6 periods" in capsys.readouterr().out
@@ -511,13 +515,34 @@ class TestCsvArtifacts:
 
 
 class TestEmissionCleanup:
+    @staticmethod
+    def write_then_fail(out: Path, error: BaseException) -> _Emitter:
+        """An emitter whose second write fails after its first one succeeded."""
+
+        def failing_write(path: Path) -> None:
+            path.write_text("partial", encoding="utf-8")
+            raise error
+
+        emitter = _Emitter(RunConfig({"out": str(out), "formats": ["json", "csv"]}), "select")
+        assert emitter.add("first.json", _write_json, {"ok": True})
+        assert emitter.add("second.csv", failing_write)
+        return emitter
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with _emission(tmp_path / "out") as emitter:
-                emitter.write_json("first.json", {"ok": True})
-                assert (tmp_path / "out" / "first.json").exists()
-                raise RuntimeError("boom")
-        assert not (tmp_path / "out" / "first.json").exists()
+        # Both files go, and so do the directories the writer made, but not
+        # the one that was there.
+        out = tmp_path / "made" / "out"
+        emitter = self.write_then_fail(out, OSError(28, "No space left on device"))
+        message = f"cannot write out {out}: No space left on device"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            emitter.write()
+        assert os.listdir(tmp_path) == []
+
+    def test_other_write_errors_are_raised_as_they_are(self, tmp_path):
+        emitter = self.write_then_fail(tmp_path / "out", RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="^boom$"):
+            emitter.write()
+        assert os.listdir(tmp_path) == []
 
 
 class TestConfigDigest:
@@ -725,6 +750,9 @@ class TestConfigValidation:
             # numpy squares the noise sd to inf, which the selector rejects.
             ("select", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
             ("sweep", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
+            # An output directory that is a regular file, or lies under one, cannot be made.
+            ("select", ("out",), "afile", "cannot write out afile: File exists"),
+            ("sweep", ("out",), "afile/x", "cannot write out afile/x: Not a directory"),
         ],
         ids=["weights", "weights-unnamed-field", "weights-geometry-variance-sum-overflows",
              "weights-geometry-mismatch-sum-overflows", "sweep-locality", "sweep-gamma_grid", "grid", "catalog",
@@ -732,9 +760,12 @@ class TestConfigValidation:
              "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory",
              "reps-beyond-any-dimension", "select-reps-beyond-any-size", "sweep-reps-beyond-any-size",
              "n_units-beyond-any-size", "n_periods-beyond-any-size", "block_length-beyond-int64",
-             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge"],
+             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge", "out-a-file",
+             "out-under-a-file"],
     )
-    def test_rejected_value_names_its_section(self, tmp_path, capsys, command, path, value, message):
+    def test_rejected_value_names_its_section(self, tmp_path, capsys, monkeypatch, command, path, value, message):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("", encoding="utf-8")
         data = small_select_config(tmp_path / "out")
         section = data
         for key in path[:-1]:
@@ -745,7 +776,8 @@ class TestConfigValidation:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {message}")
-        assert not (tmp_path / "out").exists()
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
+        assert Path("afile").read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize(
         "command, path, value, message",
