@@ -1,12 +1,13 @@
 """Command-line entry points: select | sweep | diagnose | simulate.
 
 Every run is driven by one JSON config (see :mod:`xdesign.config`). Every
-command takes ``--config`` and ``--out``; it takes ``--seed``, ``--reps``,
-``--format`` or ``--checks`` only if it reads the config key that the flag
-overrides (``seed``, ``reps``, ``formats`` or ``diagnostics``), as
-:data:`xdesign.config.READS` lists. A flag is checked like the config key it
-sets, and a usage error prints one ``error:`` line and exits 2. Scoring runs
-in one thread, and artifacts are deterministic for identical (config, seed).
+command takes ``--config`` and ``--out``; it takes ``--seed``, ``--reps`` or
+``--checks`` only if it reads the config key that the flag overrides
+(``seed``, ``reps`` or ``diagnostics``), as :data:`xdesign.config.READS`
+lists. A flag is checked like the config key it sets, and a usage error
+prints one ``error:`` line and exits 2. Each command writes every artifact it
+builds. Scoring runs in one thread, and artifacts are deterministic for
+identical (config, seed).
 The ``XDESIGN_THREADS`` environment variable is not read: any value is ignored.
 """
 
@@ -74,27 +75,19 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) ->
 class _Emitter:
     """The one writer of a run's output directory.
 
-    A run hands over every artifact it may write; the emitter keeps those
-    whose format the config lists (every one, for a command that does not
-    read ``formats``) and writes them all in one step, once the run has
-    computed them. If a write fails, it removes the files it wrote and the
-    directories it made, so a run leaves either all its outputs or none.
+    A run hands over every artifact it writes, and the emitter writes them
+    all in one step, once the run has computed them. If a write fails, it
+    removes the files it wrote and the directories it made, so a run leaves
+    either all its outputs or none.
     """
 
-    def __init__(self, config: RunConfig, command: str) -> None:
-        self.out_dir = config.out_dir
-        self.formats = config.formats if "formats" in READS[command] else None
+    def __init__(self, out_dir: Path) -> None:
+        self.out_dir = out_dir
         self.artifacts: dict[str, tuple[Callable[..., None], tuple, dict]] = {}
 
-    def add(self, name: str, write: Callable[..., None], *args, **kwargs) -> bool:
-        """Take artifact ``name`` if its format is listed, and return whether it was taken.
-
-        :meth:`write` writes it as ``write(path, *args, **kwargs)``.
-        """
-        if self.formats is not None and Path(name).suffix[1:] not in self.formats:
-            return False
+    def add(self, name: str, write: Callable[..., None], *args, **kwargs) -> None:
+        """Take artifact ``name``, which :meth:`write` writes as ``write(path, *args, **kwargs)``."""
         self.artifacts[name] = write, args, kwargs
-        return True
 
     def write(self) -> None:
         missing = [d for d in (self.out_dir, *self.out_dir.parents) if not os.path.exists(d)]
@@ -130,7 +123,7 @@ def run_select(config: RunConfig) -> dict:
     decision = robust_select(surface, config.shortlist_fraction, epsilon_mode=config.epsilon_mode)
 
     names = [d.name for d in catalog]
-    emitter = _Emitter(config, "select")
+    emitter = _Emitter(config.out_dir)
     header = (
         ["design", "design_index", "theta_index", *_THETA_FIELDS]
         + [f"raw_{name}" for name in COMPONENT_NAMES]
@@ -149,7 +142,7 @@ def run_select(config: RunConfig) -> dict:
         *([str(getattr(theta, name)) for theta in grid] * n_designs for name in _THETA_FIELDS),
         *(map(repr, column.ravel().tolist()) for column in values),
     ]
-    surface_taken = emitter.add("surface.csv", _write_rows, header, zip(*columns))
+    emitter.add("surface.csv", _write_rows, header, zip(*columns))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -170,7 +163,8 @@ def run_select(config: RunConfig) -> dict:
                 for i, name in enumerate(names)
             },
         },
-        "surface_path": "surface.csv" if surface_taken else None,
+        # Every select run writes surface.csv; the field stays so that decision.json keeps its bytes.
+        "surface_path": "surface.csv",
     }
     emitter.add("decision.json", _write_json, report)
     emitter.add(
@@ -198,7 +192,7 @@ def run_sweep(config: RunConfig) -> dict:
         "winners": [result.design_names[w] for w in result.winners],
         "distinct_winners": list(result.distinct_winners),
     }
-    emitter = _Emitter(config, "sweep")
+    emitter = _Emitter(config.out_dir)
     cells = list(map(_csv_cell, result.design_names))
     header = ["gamma", "graph_spill", "budget_spill", "carryover"] + cells + ["winner"]
     # One column of formatted cells each, one row per gamma; the sweep's
@@ -228,8 +222,8 @@ def run_sweep(config: RunConfig) -> dict:
 def run_diagnose(config: RunConfig) -> dict:
     """Run the configured theorem-level checks; any failure is a non-zero exit."""
     which = config.checks
-    seed = config.diagnostics_seed
-    emitter = _Emitter(config, "diagnose")
+    seed = config.seed
+    emitter = _Emitter(config.out_dir)
     # Each check's report, in the order the checks run.
     checks: dict[str, dict] = {}
     if "transport" in which:
@@ -314,7 +308,7 @@ def run_simulate(config: RunConfig) -> dict:
     ]
     if panel.propensities is not None:
         columns.append(map(repr, panel.propensities.ravel().tolist()))
-    emitter = _Emitter(config, "simulate")
+    emitter = _Emitter(config.out_dir)
     emitter.add("panel.csv", _write_rows, header, zip(*columns))
     emitter.write()
     return {
@@ -338,7 +332,6 @@ _FLAGS = (
     ("seed", "--seed", {"type": int, "help": "override the master seed"}),
     ("reps", "--reps", {"type": int, "help": "override the replication count"}),
     (None, "--out", {"help": "override the output directory"}),
-    ("formats", "--format", {"type": _split, "help": "comma-separated artifact formats (json,csv,svg)"}),
     ("diagnostics", "--checks", {"type": _split, "help": "comma-separated subset of: " + ",".join(DIAGNOSTIC_NAMES)}),
 )
 
@@ -378,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config).with_overrides(
-            seed=args.seed, reps=args.reps, out=args.out, formats=args.format, checks=args.checks,
+            seed=args.seed, reps=args.reps, out=args.out, checks=args.checks,
         )
         if args.command == "select":
             report = run_select(config)

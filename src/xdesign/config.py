@@ -2,9 +2,10 @@
 
 The config names the panel source (synthetic spec or CSV path), calibration
 overrides, the ambiguity grid, catalog overrides, planning weights, replication
-count, and the master seed. Every key and the type of its value are checked
-when the config is built, whichever command runs; a bad one raises an error
-that names its field. :data:`READS` says which top-level keys each command
+count, the master seed, which seeds every command's draws, the output
+directory and the diagnostics to run. Every key and the type of its value are
+checked when the config is built, whichever command runs; a bad one raises an
+error that names its field. :data:`READS` says which top-level keys each command
 reads: it decides which keys a command's flags may override and which keys
 its config digest covers.
 """
@@ -27,8 +28,6 @@ from .panel import CalibrationScales, CsvSchema, Panel, SyntheticPanelConfig, ca
 from .risk import PlanningWeights
 
 __all__ = ["READS", "RunConfig", "load_config", "config_digest"]
-
-_FORMATS = ("json", "csv", "svg")
 
 
 # The config value type of each dataclass field annotation; None is never a
@@ -59,11 +58,10 @@ _SCHEMA = {
     "reps": int,
     "seed": int,
     "out": str,
-    "formats": [str],
     "shortlist_fraction": float,
     "epsilon_mode": str,
     "sweep": _fields(SweepConfig),
-    "diagnostics": {"checks": [str], "seed": int},
+    "diagnostics": {"checks": [str]},
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
@@ -71,9 +69,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "tru
 # command reads.
 READS = {
     "select": ("panel", "calibration", "grid", "catalog", "weights", "reps", "seed", "shortlist_fraction",
-               "epsilon_mode", "formats"),
-    "sweep": ("panel", "calibration", "catalog", "weights", "sweep", "reps", "seed", "formats"),
-    "diagnose": ("panel", "catalog", "weights", "seed", "diagnostics", "formats"),
+               "epsilon_mode"),
+    "sweep": ("panel", "calibration", "catalog", "weights", "sweep", "reps", "seed"),
+    "diagnose": ("panel", "catalog", "weights", "seed", "diagnostics"),
     "simulate": ("panel", "seed"),
 }
 
@@ -153,8 +151,6 @@ class RunConfig:
             raise ConfigurationError("reps must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.diagnostics_seed < 0:
-            raise ConfigurationError("diagnostics.seed must be >= 0")
         # An absent catalog means the default one; an empty one is a mistake.
         if "catalog" in self.data and not self.data["catalog"]:
             raise ConfigurationError("catalog must be non-empty")
@@ -171,11 +167,6 @@ class RunConfig:
         # An empty path would write the artifacts into the working directory.
         if not self.data.get("out", "out"):
             raise ConfigurationError("out must be non-empty")
-        if not self.formats:
-            raise ConfigurationError("formats must be non-empty")
-        for fmt in self.formats:
-            if fmt not in _FORMATS:
-                raise ConfigurationError(f"unknown format {fmt!r}")
         if self.epsilon_mode not in ("fraction", "stderr"):
             raise ConfigurationError("epsilon_mode must be 'fraction' or 'stderr'")
         # One replication has no spread, so its standard errors would read 0.
@@ -204,10 +195,6 @@ class RunConfig:
         return Path(self.data.get("out", "out"))
 
     @property
-    def formats(self) -> tuple[str, ...]:
-        return tuple(self.data.get("formats", list(_FORMATS)))
-
-    @property
     def shortlist_fraction(self) -> float:
         return float(self.data.get("shortlist_fraction", 0.10))
 
@@ -220,23 +207,16 @@ class RunConfig:
         """The diagnostics that ``diagnose`` runs."""
         return tuple(self.data.get("diagnostics", {}).get("checks", DIAGNOSTIC_NAMES))
 
-    @property
-    def diagnostics_seed(self) -> int:
-        """The diagnostics' seed; it defaults to the run's."""
-        return self.data.get("diagnostics", {}).get("seed", self.seed)
-
     def with_overrides(
         self,
         seed: int | None = None,
         reps: int | None = None,
         out: str | None = None,
-        formats: tuple[str, ...] | None = None,
         checks: tuple[str, ...] | None = None,
     ) -> "RunConfig":
         """A copy with the given values replaced.
 
-        ``seed`` also replaces the ``seed`` that the ``sweep`` and
-        ``diagnostics`` sections set, and ``reps`` the ``reps`` that the
+        ``seed`` and ``reps`` also replace the ``seed`` and ``reps`` that the
         ``sweep`` section sets, so a flag reaches every command that reads
         it; ``checks`` replaces ``diagnostics.checks``.
         """
@@ -244,13 +224,10 @@ class RunConfig:
         for key, value in (("seed", seed), ("reps", reps)):
             if value is not None:
                 data[key] = value
-                for section in ("sweep", "diagnostics"):
-                    if key in data.get(section, {}):
-                        data[section] = {**data[section], key: value}
+                if key in data.get("sweep", {}):
+                    data["sweep"] = {**data["sweep"], key: value}
         if out is not None:
             data["out"] = out
-        if formats is not None:
-            data["formats"] = list(formats)
         if checks is not None:
             data["diagnostics"] = {**data.get("diagnostics", {}), "checks": list(checks)}
         return RunConfig(data)
@@ -340,14 +317,12 @@ def config_digest(config: RunConfig, command: str) -> str:
     """Stable digest of the configuration that affects ``command``'s computation.
 
     It covers the keys that ``command`` reads (:data:`READS`), less the
-    formats and the diagnostics to run, and never the output directory: those
-    choose which artifacts are written, not what any one holds. So one run
-    written to two places, in two formats, or one check run alone or with
-    others, has one digest, and a key the command does not read changes none.
+    ``diagnostics`` section, and never the output directory: the checks to
+    run, the section's only key, and the directory choose which artifacts
+    are written and where, not what any one holds. So one run written to two
+    places, or one check run alone or with others, has one digest, and a key
+    the command does not read changes none.
     """
-    computed = {k: v for k, v in config.data.items() if k in READS[command] and k != "formats"}
-    diagnostics = {k: v for k, v in computed.pop("diagnostics", {}).items() if k != "checks"}
-    if diagnostics:
-        computed["diagnostics"] = diagnostics
+    computed = {k: v for k, v in config.data.items() if k in READS[command] and k != "diagnostics"}
     canonical = json.dumps(computed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -180,12 +180,14 @@ def generate_synthetic_panel(cfg: SyntheticPanelConfig, seed: int | np.random.Se
     rng = np.random.default_rng(seed)
 
     def deal(n_groups: int, prefix: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        # Round-robin fills groups 0..min(n_units, n_groups)-1, so a count
+        # above n_units deals as n_units does; only those groups get a name,
+        # and the names sort as strings ("c1000" before "c101").
+        n_groups = min(cfg.n_units, n_groups)
         order = rng.permutation(cfg.n_units)
         assign = np.empty(cfg.n_units, dtype=np.int64)
         assign[order] = np.arange(cfg.n_units) % n_groups
-        # Round-robin fills groups 0..min(n_units, n_groups)-1; only those get
-        # a name, and the names sort as strings ("c1000" before "c101").
-        group_codes, names = code_labels([f"{prefix}{g:03d}" for g in range(min(cfg.n_units, n_groups))])
+        group_codes, names = code_labels([f"{prefix}{g:03d}" for g in range(n_groups)])
         return group_codes[assign], names
 
     # Dealt in LOCALITIES order, which fixes the draws; names start with the grouping's initial.

@@ -119,6 +119,10 @@ class PlanningWeights:
             )
         if self.t_weeks < 1 or self.periods_per_week < 1:
             raise ConfigurationError("t_weeks and periods_per_week must be >= 1")
+        # A switchback's units are its region-blocks over the horizon, a count
+        # the MDE divides by as a float: 1e100 periods keep it finite on any panel.
+        if self.t_weeks * self.periods_per_week > 1e100:
+            raise ConfigurationError("t_weeks * periods_per_week must be at most 1e100")
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in COMPONENT_NAMES])

@@ -48,7 +48,6 @@ def small_select_config(out_dir: Path, **extra) -> dict:
         "reps": 3,
         "seed": 7,
         "out": str(out_dir),
-        "formats": ["json", "csv", "svg"],
     }
     data.update(extra)
     return data
@@ -78,11 +77,11 @@ class TestSelectCommand:
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
         assert main(["select", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["decision.json", "ranking.svg", "surface.csv"]
         report = json.loads((out / "decision.json").read_text())
         validate("decision.schema.json", report)
         assert report["decision"]["selected"] in report["decision"]["shortlist"]
-        assert (out / "surface.csv").exists()
-        assert (out / "ranking.svg").exists()
+        assert report["surface_path"] == "surface.csv"
         # Surface CSV covers the full catalog x grid.
         lines = (out / "surface.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6 * 8
@@ -125,19 +124,19 @@ class TestSelectCommand:
         data = small_select_config(tmp_path / "out")
         cfg = write_config(tmp_path, data)
         out2 = tmp_path / "alt"
-        assert main(["select", "--config", str(cfg), "--out", str(out2), "--reps", "2", "--format", "json"]) == 0
-        assert os.listdir(out2) == ["decision.json"]
-        assert json.loads((out2 / "decision.json").read_text())["surface_path"] is None
+        assert main(["select", "--config", str(cfg), "--out", str(out2), "--reps", "2"]) == 0
+        assert not (tmp_path / "out").exists()
+        assert main(["select", "--config", str(write_config(tmp_path, {**data, "reps": 2}))]) == 0
+        for name in ("decision.json", "surface.csv", "ranking.svg"):
+            assert (out2 / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "extra, flags, message",
         [
-            ({}, ["--format", ""], "formats must be non-empty"),
-            ({}, ["--format", ","], "formats must be non-empty"),
             ({"epsilon_mode": "stderr"}, ["--reps", "1"], "epsilon_mode 'stderr' needs reps >= 2"),
             ({}, ["--out", ""], "out must be non-empty"),
         ],
-        ids=["format-empty", "format-only-commas", "stderr-epsilon-one-rep", "out-empty"],
+        ids=["stderr-epsilon-one-rep", "out-empty"],
     )
     def test_flag_override_is_checked_like_the_config(self, tmp_path, capsys, extra, flags, message):
         cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **extra))
@@ -173,7 +172,7 @@ class TestSelectCommand:
         for path in (plain, marked):
             out = tmp_path / path.stem
             cfg = write_config(tmp_path, {**data, "panel": {"csv": {"path": str(path)}}, "out": str(out), "reps": 1})
-            assert main(["select", "--config", str(cfg), "--format", "json"]) == 0
+            assert main(["select", "--config", str(cfg)]) == 0
             decisions.append(json.loads((out / "decision.json").read_text())["decision"])
         assert decisions[0] == decisions[1]
 
@@ -193,6 +192,17 @@ class TestSelectCommand:
         assert main(["select", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [message.format(path=path)]
         assert not (tmp_path / "out").exists()
+
+    def test_group_count_above_the_units_runs(self, tmp_path):
+        # A cluster count above n_units gives each unit its own cluster, as a
+        # count of n_units does, however large it is.
+        decisions = []
+        for count in (2**70, 80):
+            data = small_select_config(tmp_path / str(count), reps=1)
+            data["panel"]["synthetic"]["n_clusters"] = count
+            assert main(["select", "--config", str(write_config(tmp_path, data))]) == 0
+            decisions.append(json.loads((tmp_path / str(count) / "decision.json").read_text())["decision"])
+        assert decisions[0] == decisions[1]
 
     def test_single_assignment_unit_is_one_line_error(self, tmp_path, capsys):
         # One region and one period leave the switchback a single assignment
@@ -248,13 +258,13 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, data)
         assert main(["sweep", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["sweep.csv", "sweep.json", "sweep.svg"]
         report = json.loads((out / "sweep.json").read_text())
         validate("sweep.schema.json", report)
         assert len(report["winners"]) == 3
         csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert csv_lines[0].endswith(",winner")
         assert len(csv_lines) == 4
-        assert (out / "sweep.svg").exists()
 
     def test_gamma_past_the_budget_recession_runs(self, tmp_path, capsys):
         # Above gamma 1.2 the budget channel stays at 0 instead of going negative.
@@ -299,14 +309,15 @@ class TestDiagnoseCommand:
             "transport_bound", "minimax_tightness", "catalog_approximation", "dominance_audit",
         ]
 
-    def test_seed_flag_reaches_the_diagnostics_section(self, tmp_path):
+    def test_seed_flag_seeds_the_checks(self, tmp_path):
+        # The checks draw from the run's seed, which the flag replaces.
         checks = "transport,catalog,dominance"
-        for name, flags, section_seed in (("flag", ["--seed", "3"], 0), ("config", [], 3)):
-            data = {"out": str(tmp_path / name), "diagnostics": {"seed": section_seed}}
-            cfg = write_config(tmp_path, data)
+        for name, flags, seed in (("flag", ["--seed", "3"], 0), ("config", [], 3), ("unseeded", [], 0)):
+            cfg = write_config(tmp_path, {"out": str(tmp_path / name), "seed": seed})
             assert main(["diagnose", "--config", str(cfg), "--checks", checks, *flags]) == 0
-        flag, config = (json.loads((tmp_path / name / "diagnostics.json").read_text()) for name in ("flag", "config"))
-        assert flag["checks"] == config["checks"]
+        flag, config, unseeded = (json.loads((tmp_path / name / "diagnostics.json").read_text())
+                                  for name in ("flag", "config", "unseeded"))
+        assert flag["checks"] == config["checks"] != unseeded["checks"]
 
     def test_forced_failure_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         # The config sets no tolerance, so the check itself gets an impossible one.
@@ -369,18 +380,20 @@ class TestDiagnoseCommand:
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert report["passed"]
         assert len(report["checks"]) == 6
-        # Each check also lands in its own JSON report.
-        for name in ("transport", "minimax", "catalog", "mde", "oracle", "dominance"):
-            assert (tmp_path / "out" / f"{name}.json").exists()
+        # Each check also lands in its own JSON report, next to the three figures.
+        checks = ("transport", "minimax", "catalog", "mde", "oracle", "dominance")
+        figures = ("transport.svg", "catalog.svg", "mde.svg")
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(
+            [f"{name}.json" for name in checks] + [*figures, "diagnostics.json"]
+        )
 
 
 class TestSimulateCommand:
     def test_panel_dump_round_trips(self, tmp_path, capsys):
-        # simulate does not read formats, so it writes panel.csv whatever they list.
-        data = small_select_config(tmp_path / "out", formats=["svg"])
-        cfg = write_config(tmp_path, data)
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out"))
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "panel: 80 units x 6 periods" in capsys.readouterr().out
+        assert os.listdir(tmp_path / "out") == ["panel.csv"]
         with open(tmp_path / "out" / "panel.csv", encoding="utf-8", newline="") as handle:
             panel = ingest_log_csv(handle)
         assert panel.n_units == 80
@@ -523,9 +536,9 @@ class TestEmissionCleanup:
             path.write_text("partial", encoding="utf-8")
             raise error
 
-        emitter = _Emitter(RunConfig({"out": str(out), "formats": ["json", "csv"]}), "select")
-        assert emitter.add("first.json", _write_json, {"ok": True})
-        assert emitter.add("second.csv", failing_write)
+        emitter = _Emitter(out)
+        emitter.add("first.json", _write_json, {"ok": True})
+        emitter.add("second.csv", failing_write)
         return emitter
 
     def test_partial_outputs_removed_on_failure(self, tmp_path):
@@ -553,9 +566,9 @@ class TestConfigDigest:
         c = a.with_overrides(seed=99)
         assert config_digest(a, "select") != config_digest(c, "select")
 
-    def test_digest_ignores_output_location_and_formats(self, tmp_path):
+    def test_digest_ignores_output_location(self, tmp_path):
         a = RunConfig(small_select_config(tmp_path / "one"))
-        b = RunConfig(small_select_config(tmp_path / "two", formats=["json"]))
+        b = RunConfig(small_select_config(tmp_path / "two"))
         assert config_digest(a, "select") == config_digest(b, "select")
         assert config_digest(a, "select") != config_digest(a.with_overrides(reps=4), "select")
         # Which diagnostics run chooses reports, not what any one holds.
@@ -564,7 +577,7 @@ class TestConfigDigest:
     @pytest.mark.parametrize(
         "command, unread",
         [
-            ("select", {"sweep": {"gamma_grid": [0.0, 0.5], "reps": 2}, "diagnostics": {"seed": 3}}),
+            ("select", {"sweep": {"gamma_grid": [0.0, 0.5], "reps": 2}, "diagnostics": {"checks": ["minimax"]}}),
             ("sweep", {"grid": {"graph_spill": [0.1]}, "shortlist_fraction": 0.3, "epsilon_mode": "stderr"}),
             ("diagnose", {"reps": 4, "calibration": {"direct_effect": 2.0}, "grid": {"carryover": [0.5]}}),
         ],
@@ -602,9 +615,9 @@ class TestUsage:
     @pytest.mark.parametrize(
         "command, flags",
         [
-            ("select", {"--config", "--seed", "--reps", "--out", "--format"}),
-            ("sweep", {"--config", "--seed", "--reps", "--out", "--format"}),
-            ("diagnose", {"--config", "--seed", "--out", "--format", "--checks"}),
+            ("select", {"--config", "--seed", "--reps", "--out"}),
+            ("sweep", {"--config", "--seed", "--reps", "--out"}),
+            ("diagnose", {"--config", "--seed", "--out", "--checks"}),
             ("simulate", {"--config", "--seed", "--out"}),
         ],
     )
@@ -620,10 +633,14 @@ class TestUsage:
             ["diagnose", "--reps", "3"],
             ["simulate", "--reps", "1"],
             ["simulate", "--format", "json"],
+            ["select", "--format", "json"],
+            ["sweep", "--format", "json"],
+            ["diagnose", "--format", "json"],
             ["select", "--reps", "x"],
             ["select", "--bogus", "1"],
         ],
-        ids=["diagnose-reps", "simulate-reps", "simulate-format", "select-reps-not-int", "select-unknown-flag"],
+        ids=["diagnose-reps", "simulate-reps", "simulate-format", "select-format", "sweep-format", "diagnose-format",
+             "select-reps-not-int", "select-unknown-flag"],
     )
     def test_usage_error_is_one_line_and_exit_2(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -651,7 +668,7 @@ class TestConfigValidation:
             (("catalog",), [{"kind": "user", "op_cost_level": 1.5}], "op_cost_level"),
             (("catalog",), [{"kind": "user", "op_cost": {"effort": 0.1}}], "catalog[0] key 'op_cost'"),
             (("sweep", "seed"), -1, "sweep.seed"),
-            (("diagnostics", "seed"), -1, "diagnostics.seed"),
+            (("diagnostics", "seed"), -1, "unknown diagnostics key 'seed'"),
             (("diagnostics", "transport_count"), 0, "unknown diagnostics key 'transport_count'"),
             (("catalog",), [], "catalog must be non-empty"),
             (("sweep", "reps"), 0, "sweep.reps must be >= 1"),
@@ -666,7 +683,7 @@ class TestConfigValidation:
             (("sweep", "gamma_grid"), [float("inf")], "sweep.gamma_grid[0] must be a finite number"),
             (("grid", "graph_spill"), [], "grid.graph_spill must be non-empty"),
             (("sweep", "gamma"), [0.0, 1.0], "unknown sweep key 'gamma'"),
-            (("formats",), [], "formats must be non-empty"),
+            (("formats",), [], "unknown config key 'formats'"),
             (("out",), "", "out must be non-empty"),
             ((), {"epsilon_mode": "stderr", "reps": 1}, "epsilon_mode 'stderr' needs reps >= 2"),
             (("shortlist_fraction",), 1e308, "epsilon_t is not finite (shortlist_fraction=1e+308)"),
@@ -700,6 +717,22 @@ class TestConfigValidation:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert field in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["select", "sweep", "diagnose"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"formats": ["json"]}, "unknown config key 'formats'"),
+            ({"diagnostics": {"seed": 3}}, "unknown diagnostics key 'seed'"),
+        ],
+        ids=["formats", "diagnostics-seed"],
+    )
+    def test_removed_option_stops_at_load(self, tmp_path, capsys, command, extra, message):
+        # Every command writes all its artifacts and seeds from the run's seed.
+        cfg = write_config(tmp_path, small_select_config(tmp_path / "out", **extra))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -750,6 +783,11 @@ class TestConfigValidation:
             # numpy squares the noise sd to inf, which the selector rejects.
             ("select", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
             ("sweep", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
+            # A switchback's unit count over such a horizon would be no float.
+            ("select", ("weights", "periods_per_week"), 10**400, "weights.t_weeks * periods_per_week must be at most"),
+            ("sweep", ("weights", "t_weeks"), 10**400, "weights.t_weeks * periods_per_week must be at most"),
+            ("diagnose", ("weights", "periods_per_week"), 10**400,
+             "weights.t_weeks * periods_per_week must be at most"),
             # An output directory that is a regular file, or lies under one, cannot be made.
             ("select", ("out",), "afile", "cannot write out afile: File exists"),
             ("sweep", ("out",), "afile/x", "cannot write out afile/x: Not a directory"),
@@ -760,8 +798,8 @@ class TestConfigValidation:
              "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory",
              "reps-beyond-any-dimension", "select-reps-beyond-any-size", "sweep-reps-beyond-any-size",
              "n_units-beyond-any-size", "n_periods-beyond-any-size", "block_length-beyond-int64",
-             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge", "out-a-file",
-             "out-under-a-file"],
+             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge", "select-horizon-huge",
+             "sweep-horizon-huge", "diagnose-horizon-huge", "out-a-file", "out-under-a-file"],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, monkeypatch, command, path, value, message):
         monkeypatch.chdir(tmp_path)

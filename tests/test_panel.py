@@ -151,6 +151,14 @@ class TestSyntheticPanel:
         assert panel.groups["cluster"][1] == ("c000", "c001", "c002", "c003", "c004")
 
 
+    @pytest.mark.parametrize("count", ["n_clusters", "n_budget_groups", "n_regions"])
+    def test_count_above_the_units_deals_as_one_group_per_unit(self, count):
+        # Round-robin over more groups than units gives each unit its own
+        # group, however large the count, so 2**70 deals as n_units does.
+        shape = {"n_units": 40, "n_clusters": 4, "n_budget_groups": 3, "n_regions": 2, "n_periods": 2}
+        huge = generate_synthetic_panel(SyntheticPanelConfig(**{**shape, count: 2**70}), seed=5)
+        assert_same_panel(huge, generate_synthetic_panel(SyntheticPanelConfig(**{**shape, count: 40}), seed=5))
+
     def test_zero_sd_means_constant_baseline(self):
         cfg = SyntheticPanelConfig(n_units=10, n_periods=3, baseline_mean=4.2, baseline_sd=0.0)
         panel = generate_synthetic_panel(cfg, seed=1)
