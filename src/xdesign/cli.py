@@ -119,7 +119,7 @@ def run_select(config: RunConfig) -> dict:
     catalog = config.build_catalog()
     weights = config.build_weights()
     scores = score_grid(panel, catalog, grid, calib, weights, reps=config.reps, master_seed=config.seed)
-    surface = risk_surface(scores, weights)
+    surface = risk_surface(scores, weights, [d.name for d in catalog])
     decision = robust_select(surface, config.shortlist_fraction, epsilon_mode=config.epsilon_mode)
 
     names = [d.name for d in catalog]

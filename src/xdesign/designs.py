@@ -91,17 +91,20 @@ class _AtomRule:
     A replay is one row of ``n_draws`` doubles; see :func:`_draw_uniforms`.
     ``source`` indexes the draw of the row that each atom compares with its
     threshold, and ``labels`` is each atom's int64 assignment-unit label, or
-    None for ``mixed``, whose labels are drawn; every label lies below
-    ``n_labels``, ``n_groups + n_units`` for ``mixed``. ``codes`` maps each
-    unit to the cluster or budget group that the rule draws for, ``n_groups``
-    counts those groups and ``levels`` are the saturation levels.
+    None for ``mixed``, whose labels are drawn. ``codes`` maps each unit to
+    its group in ``grouping``, the clusters or budget groups that the rule
+    draws for, ``n_groups`` counts those groups and ``levels`` are the
+    saturation levels. On unit atoms, the labels are the groups of
+    ``grouping``, or for ``mixed`` those clusters that its coins make whole
+    and the other clusters' units; ``grouping`` is None where every unit is
+    its own label (``user``, and ``switchback``, whose atoms are not units).
     """
 
     design: DesignSpec
     regions: bool
     source: np.ndarray
     labels: np.ndarray | None
-    n_labels: int
+    grouping: str | None
     codes: np.ndarray
     n_groups: int
     levels: np.ndarray
@@ -110,7 +113,8 @@ class _AtomRule:
 
     @classmethod
     def build(cls, design: DesignSpec, panel: Panel) -> "_AtomRule":
-        codes = panel.group_codes("budget" if design.kind == "budget_split" else "cluster")
+        grouping = "budget" if design.kind == "budget_split" else "cluster"
+        codes = panel.group_codes(grouping)
         n_groups = int(codes.max()) + 1
         units = np.arange(panel.n_units, dtype=np.int64)
         source, labels = units, codes
@@ -133,7 +137,7 @@ class _AtomRule:
             regions=design.kind == "switchback",
             source=source,
             labels=labels,
-            n_labels=n_groups + panel.n_units if labels is None else int(labels.max()) + 1,
+            grouping=None if design.kind in ("user", "switchback") else grouping,
             codes=codes,
             n_groups=n_groups,
             levels=np.asarray(design.saturation_levels, dtype=float),
@@ -164,27 +168,27 @@ def _draw_uniforms(rule: _AtomRule, rng: np.random.Generator, draws: np.ndarray)
         rng.random(out=row[rule.n_groups :])
 
 
-def _assign_atoms(rule: _AtomRule, draws: np.ndarray, z: np.ndarray, labels: np.ndarray) -> None:
-    """Map a stack of replays' draws to 0/1 treatment per atom in ``z``, and ``mixed``'s labels in ``labels``.
+def _assign_atoms(rule: _AtomRule, draws: np.ndarray, z: np.ndarray, whole: np.ndarray | None) -> None:
+    """Map a stack of replays' draws to 0/1 treatment per atom in ``z``, and ``mixed``'s whole clusters in ``whole``.
 
-    ``draws`` is a (slots, n_draws) stack that :func:`_draw_uniforms` filled;
-    ``z`` and ``labels`` are (slots, atoms), and ``labels`` is left alone for
-    every kind but ``mixed``. An atom is treated when the draw at its source
-    falls below its threshold: ``treat_prob``, or for ``two_stage`` its
-    cluster's drawn saturation level at the start of the row. A slot's
-    treatment depends only on its own row.
+    ``draws`` is a (slots, n_draws) stack that :func:`_draw_uniforms` filled
+    and ``z`` is (slots, atoms). For ``mixed``, ``whole`` is (slots,
+    n_groups) and takes 1 for each cluster that its coin makes one label and
+    0 for each whose units are labels of their own; every other kind leaves
+    it alone. An atom is treated when the draw at its source falls below its
+    threshold: ``treat_prob``, or for ``two_stage`` its cluster's drawn
+    saturation level at the start of the row. A slot's treatment depends only
+    on its own row.
     """
     design = rule.design
     # np.take along axis 1 gathers the same values as fancy indexing, faster.
     threshold = np.take(draws, rule.codes, axis=1) if design.kind == "two_stage" else design.treat_prob
     drawn = np.take(draws, rule.source, axis=1)
     if design.kind == "mixed":
-        # A whole-cluster unit reads its cluster's uniform, n_groups past the
-        # coins, and takes its cluster as its label; any other is its own.
-        whole_cluster = np.take(draws, rule.codes, axis=1) < design.mixture_prob
-        np.copyto(drawn, np.take(draws, rule.n_groups + rule.codes, axis=1), where=whole_cluster)
-        np.subtract(rule.source, rule.n_groups, out=labels)
-        np.copyto(labels, rule.codes, where=whole_cluster)
+        # A whole cluster's units read its uniform, n_groups past the coins.
+        np.less(draws[:, : rule.n_groups], design.mixture_prob, out=whole)
+        np.copyto(drawn, np.take(draws, rule.n_groups + rule.codes, axis=1),
+                  where=np.take(whole, rule.codes, axis=1) == 1)
     np.less(drawn, threshold, out=z)
 
 

@@ -361,16 +361,17 @@ def regime_sweep(
     ranking.
     """
     catalog = list(catalog)
+    names = tuple(d.name for d in catalog)
     thetas = [cfg.theta(gamma) for gamma in cfg.gamma_grid]
     scores = score_groups(panel, catalog, [thetas], calib, weights, reps=cfg.reps, master_seed=cfg.seed)
     risks = np.empty((len(thetas), len(catalog)))
     for g_idx in range(len(thetas)):
-        risks[g_idx] = risk_surface(scores[:, g_idx : g_idx + 1], weights).risks[:, 0]
+        risks[g_idx] = risk_surface(scores[:, g_idx : g_idx + 1], weights, names, "sweep").risks[:, 0]
     winners = [int(row.argmin()) for row in risks]
     return SweepResult(
         gammas=tuple(float(g) for g in cfg.gamma_grid),
         thetas=tuple(thetas),
-        design_names=tuple(d.name for d in catalog),
+        design_names=names,
         risks=risks,
         winners=tuple(winners),
     )

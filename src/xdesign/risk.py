@@ -36,9 +36,24 @@ channel; their launch effects, the direct effect plus the three strengths; and
 their contamination and switching weights.
 
 Every assignment treats the cells of an atom alike: a unit over all its
-periods, or a (region, period) pair for switchbacks. So the kernel works on
-per-atom sums over the atom's ``m`` cells: the baseline, ``m * z`` for direct
-treatment, ``m * z[prev]`` for the lag, and the group shares.
+periods, or a (region, period) pair for switchbacks. A replication's features
+are, per cell, the baseline, direct treatment, the lag and the group shares;
+the variance needs each label's feature means, and the bias each arm's
+feature sums. On unit atoms, those of every kind but ``switchback``, they
+follow from counts. The units that share their group in each grouping of a
+batch's localities and a design's labels form a class, so a replay's treated
+units per class give every group's treated share ``phi_k``. A label that is
+a group (``cluster``'s, ``budget_split``'s and ``two_stage``'s, and
+``mixed``'s whole clusters) has means ``N_l / n_l`` from its treated count,
+and the mean of ``phi_k`` over its units; labels of one unit (``user``'s, and
+``mixed``'s in split clusters) add up class by class. The baseline enters as
+fixed per-unit sums, less the panel's mean cell. Switchback atoms keep
+per-atom feature rows: the shipped panels have only 24 to 40 (region,
+period) atoms, and their lags and region shares link atoms across periods
+and regions, which no unit atom's do. The rows hold the baseline, ``m * z``
+for direct treatment, ``m * z[prev]`` for the lag of an atom of ``m`` cells,
+and share sums from fixed (regions, regions) matrices, and are summed over
+each region-block label.
 
 Each (design, draw group) has one generator, seeded from ``(master_seed,
 design index, group index)``, and its replications take their replays from it
@@ -57,9 +72,8 @@ on the chunk it falls in, so the chunk size never changes a score.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -137,82 +151,127 @@ def mde(v: float | np.ndarray, n_units: int, weights: PlanningWeights) -> float 
         raise ConfigurationError("variance must be >= 0")
     if n_units < 2:
         raise PlanningError("mde needs at least 2 assignment units")
+    # Imported on first use: statistics, with the fractions module it loads,
+    # would add about 2.5 ms to every import of xdesign.
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf
     return (z(1.0 - weights.alpha / 2.0) + z(1.0 - weights.beta)) * np.sqrt(2.0 * v / n_units)
 
 
-# Feature rows of one replication, each a per-atom sum over the atom's cells.
-# The graph shares of the draw group's localities follow from _BUDGET on; the
+# The features of a replication, which index the rows of its statistics. The
+# graph shares of the draw group's localities follow from _BUDGET on; the
 # budget locality's graph share is the budget share itself, so it has no row
 # of its own. The lag row comes first, so that a layout whose lag sums equal
 # its direct ones reduces the contiguous rest.
 _LAG, _BASE, _DIRECT, _BUDGET = range(4)
 
-# Bytes of one chunk's per-slot arrays, sized for each (design, batch): the
-# atoms-sized features, treatment, drawn labels and label keys; the per-feature
-# label sums, label sizes and occupancy mask, over the label axis but at least
-# atoms-wide as the label keys and gathers are; one replay's row of draws. A
-# slot of select's 200x8 panel takes 25.4 KB over unit atoms (20 per chunk)
-# and 3 KB over its 24 switchback atoms (170 per chunk); one of the sweep's
-# 2000x40 panel takes 254 KB (two per chunk).
+# Bytes of one chunk's per-slot arrays, sized for each (design, batch). On unit
+# atoms, which are reduced from counts: one replay's row of draws; the
+# treatment and its (slot, class) bin keys, one value per unit; two values of
+# each feature per class and per group label. On switchback atoms, which are
+# reduced from feature rows: the draws; the features and the treatment, one
+# value per atom; each feature's label sums. A slot of select's 200x8 panel
+# takes 3.7-9.8 KB over unit atoms (52-140 per chunk) and 2 KB over its 24
+# switchback atoms (227-270 per chunk); one of the sweep's 2000x40 panel takes
+# 55-75 KB over unit atoms (6-9 per chunk), and its switchback's 20 slots of
+# 3.8 KB share one chunk. Budgets of 2**18 and 2**21 both run the shipped
+# select and sweep slower.
 _CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
-class _Atoms:
-    """The atoms of one layout and the fixed maps from per-atom draws to features.
+class _Units:
+    """Unit atoms in classes: the units that share their group in each of some groupings.
 
-    Atoms are units, or (region, period) pairs in region-major order when
-    ``regions`` is set (see :func:`xdesign.designs._assign_atoms`). ``cells`` is each
-    atom's cell count ``m`` and ``baseline`` its baseline sum; ``prev`` is
-    the atom of the period before (itself in the first period), so the lag
-    sum is ``m * z[prev]``, or None when every atom is its own (units, or one
-    period), whose lag sums are the direct ones. ``shares`` maps each
-    grouping to what its per-atom share sums need: for units, the units in
-    group order, each group's first position in it, ``n_periods`` over each
-    group's size and the unit codes; for (region, period) atoms, the
-    (regions, regions) matrix ``M[r, s]`` of the share sum that a treated
-    region ``s`` adds to region ``r`` in one period.
+    The count path scores unit atoms from a replay's treated units per class.
+    Over the groupings of a batch's localities and a design's labels, the
+    units of a class see the same share in every grouping and lie in one
+    group label, so those counts give every group's treated count and every
+    group label's sums. ``code`` is each unit's class and ``size`` each
+    class's unit count. ``groups`` maps each grouping to each class's group
+    and each group's unit count and sum of ``beta``. ``beta`` is each unit's
+    baseline per cell, less the panel's mean cell so that no common mean
+    enters a sum of squares; ``beta_sums`` and ``beta_squares`` add it and
+    its square over each class.
     """
 
-    regions: bool
+    n_periods: int
+    code: np.ndarray
+    size: np.ndarray
+    groups: dict
+    beta: np.ndarray
+    beta_sums: np.ndarray
+    beta_squares: np.ndarray
+
+    @classmethod
+    def build(cls, panel: Panel, groupings: tuple[str, ...]) -> "_Units":
+        codes = np.stack([panel.group_codes(grouping) for grouping in groupings])
+        order = np.lexsort(codes[::-1])
+        codes = codes[:, order]
+        first = np.ones(panel.n_units, dtype=bool)
+        first[1:] = (codes[:, 1:] != codes[:, :-1]).any(axis=0)
+        code = np.empty(panel.n_units, dtype=np.int64)
+        code[order] = np.cumsum(first) - 1
+        size = np.bincount(code).astype(float)
+        beta = (panel.baseline - panel.baseline.mean()).sum(axis=1) / panel.n_periods
+        beta_sums = np.bincount(code, weights=beta)
+        groups = {}
+        for grouping, group in zip(groupings, codes[:, first]):
+            groups[grouping] = (group, np.bincount(group, weights=size), np.bincount(group, weights=beta_sums))
+        return cls(panel.n_periods, code, size, groups, beta, beta_sums, np.bincount(code, weights=np.square(beta)))
+
+
+def _bin_sums(values: np.ndarray, code: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sums of (..., n) ``values`` into the ``n_bins`` bins that the (n,) ``code`` gives, row by row.
+
+    Each bin adds its values in order, so no row's sums depend on the others.
+    """
+    rows = values.size // code.size
+    key = (code + n_bins * np.arange(rows)[:, None]).ravel()
+    return np.bincount(key, weights=values.ravel(), minlength=rows * n_bins).reshape(values.shape[:-1] + (n_bins,))
+
+
+@dataclass(frozen=True)
+class _Regions:
+    """Switchback atoms, the (region, period) pairs in region-major order, and their fixed feature maps.
+
+    ``cells`` is each atom's cell count ``m`` and ``baseline`` its baseline
+    sum, less ``m`` times the panel's mean cell; ``prev`` is the atom of the
+    period before (itself in the first period), so the lag sum is
+    ``m * z[prev]``, or None for one period, whose lag sums are the direct
+    ones. ``shares`` maps each grouping to the (regions, regions) matrix
+    ``M[r, s]`` of the share sum that a treated region ``s`` adds to region
+    ``r`` in one period.
+    """
+
     cells: np.ndarray
     baseline: np.ndarray
     prev: np.ndarray | None
     shares: dict
 
     @classmethod
-    def build(cls, panel: Panel, regions: bool) -> "_Atoms":
-        n_units, n_periods = panel.n_units, panel.n_periods
+    def build(cls, panel: Panel) -> "_Regions":
+        n_periods, n_regions, region_codes = panel.n_periods, panel.n_regions, panel.group_codes("region")
+        per_region = np.bincount(region_codes, minlength=n_regions)
+        cells = np.repeat(per_region.astype(float), n_periods)
+        atom = np.arange(cells.size)
+        prev = atom - (atom % n_periods > 0) if n_periods > 1 else None
+        cell_atom = (region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+        centred = (panel.baseline - panel.baseline.mean()).ravel()
+        baseline = np.bincount(cell_atom, weights=centred, minlength=cells.size)
         shares = {}
-        if regions:
-            n_regions, region_codes = panel.n_regions, panel.group_codes("region")
-            per_region = np.bincount(region_codes, minlength=n_regions)
-            cells = np.repeat(per_region.astype(float), n_periods)
-            atom = np.arange(cells.size)
-            prev = atom - (atom % n_periods > 0) if n_periods > 1 else None
-            cell_atom = (region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
-            baseline = np.bincount(cell_atom, weights=panel.baseline.ravel(), minlength=cells.size)
-            for grouping in LOCALITIES:
-                codes = panel.group_codes(grouping)
-                n_groups = int(codes.max()) + 1
-                # Units per (group, region); a treated region s gives each
-                # group the share overlap[g, s] / size[g], which each of
-                # region r's overlap[g, r] units sees.
-                overlap = np.bincount(codes * n_regions + region_codes, minlength=n_groups * n_regions)
-                overlap = overlap.reshape(n_groups, n_regions).astype(float)
-                seen = overlap / overlap.sum(axis=1, keepdims=True)
-                shares[grouping] = (overlap[:, :, None] * seen[:, None, :]).sum(axis=0)
-        else:
-            cells = np.full(n_units, float(n_periods))
-            prev = None
-            baseline = panel.baseline.sum(axis=1)
-            for grouping in LOCALITIES:
-                codes = panel.group_codes(grouping)
-                order = np.argsort(codes, kind="stable")
-                sizes = np.bincount(codes)
-                shares[grouping] = (order, np.cumsum(sizes) - sizes, n_periods / sizes, codes)
-        return cls(regions, cells, baseline, prev, shares)
+        for grouping in LOCALITIES:
+            codes = panel.group_codes(grouping)
+            n_groups = int(codes.max()) + 1
+            # Units per (group, region); a treated region s gives each
+            # group the share overlap[g, s] / size[g], which each of
+            # region r's overlap[g, r] units sees.
+            overlap = np.bincount(codes * n_regions + region_codes, minlength=n_groups * n_regions)
+            overlap = overlap.reshape(n_groups, n_regions).astype(float)
+            seen = overlap / overlap.sum(axis=1, keepdims=True)
+            shares[grouping] = (overlap[:, :, None] * seen[:, None, :]).sum(axis=0)
+        return cls(cells, baseline, prev, shares)
 
     def share_sums(self, grouping: str, z: np.ndarray, out: np.ndarray) -> None:
         """Per-atom sums of each cell's treated group share, for a (slots, atoms) stack of 0/1 ``z``.
@@ -221,20 +280,13 @@ class _Atoms:
         itself included. Every sum is taken in a fixed order, so a slot's
         sums do not depend on the others in the stack.
         """
-        if self.regions:
-            matrix = self.shares[grouping]
-            n_slots, n_regions = z.shape[0], matrix.shape[0]
-            by_region = z.reshape(n_slots, n_regions, -1)
-            total = out.reshape(by_region.shape)
-            np.multiply(matrix[None, :, 0, None], by_region[:, None, 0], out=total)
-            for source in range(1, n_regions):
-                total += matrix[None, :, source, None] * by_region[:, None, source]
-        else:
-            order, starts, scale, codes = self.shares[grouping]
-            # Sums of 0/1 values are exact integers in any order.
-            treated = np.add.reduceat(np.take(z, order, axis=1), starts, axis=1)
-            # Every code is a valid group; "clip" only spares take a buffered copy of out.
-            np.take(treated * scale, codes, axis=1, out=out, mode="clip")
+        matrix = self.shares[grouping]
+        n_slots, n_regions = z.shape[0], matrix.shape[0]
+        by_region = z.reshape(n_slots, n_regions, -1)
+        total = out.reshape(by_region.shape)
+        np.multiply(matrix[None, :, 0, None], by_region[:, None, 0], out=total)
+        for source in range(1, n_regions):
+            total += matrix[None, :, source, None] * by_region[:, None, source]
 
 
 @dataclass(frozen=True)
@@ -315,43 +367,140 @@ def _support_stress(panel: Panel) -> float:
     return 1.0 - ess_share(panel.propensities) if panel.propensities is not None else 0.0
 
 
-def _project(maps: Iterable[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """Per-feature (points, n) maps applied to (features, n) values: a (points, n) array.
+def _count_stats(rule: _AtomRule, units: _Units, localities: tuple[str, ...], z: np.ndarray, keys: np.ndarray,
+                 whole: np.ndarray | None) -> tuple:
+    """The statistics of a (slots, units) stack of 0/1 treatment ``z`` on unit atoms, from counts.
 
-    Sums in feature order with elementwise products rather than BLAS, so no
-    result depends on how many others share the call, and a replication scores
-    the same in any chunk.
+    Rows are the features from ``_BASE`` on; the lag feature of a unit atom
+    is its direct one. Returns the (2, features, slots) treated and overall
+    sums over cells; the (features, features, slots) sums of products of the
+    occupied labels' feature means about their mean; the count of occupied
+    labels and the sum over them of one over their cell counts, per slot or
+    for all slots. ``keys`` holds each (slot, unit)'s bin, its class plus
+    the class count times its slot, for at least ``z``'s slots. ``whole``
+    holds 1 for each of ``mixed``'s clusters that is one label and 0 for
+    each split into single units, or is None.
+
+    A group label's means follow from its treated count ``N_l`` and the
+    classes' shares: ``N_l / n_l``, and for each grouping ``k`` the mean of
+    ``phi_k`` over its units, where ``phi_k`` is each group's treated count
+    over its size. A single-unit label's means are the unit's ``beta``, its
+    treatment and its ``phi_k``, so sums over such units add up class by
+    class: ``sum z phi_k = sum_c T_c phi_k[c]``, ``sum phi_j phi_k = sum_c
+    n_c phi_j[c] phi_k[c]`` and ``sum beta phi_k = sum_c B_c phi_k[c]``,
+    with ``T_c`` treated units, ``n_c`` units and ``B_c`` the sum of
+    ``beta`` of class ``c``. Products are taken about the labels' mean, as
+    few group labels can have means close together.
     """
-    products = (m * v for m, v in zip(maps, values))
-    total = next(products)
-    for product in products:
-        total += product
-    return total
+    n_slots, n_rows, n_classes = z.shape[0], 2 + len(localities), units.size.size
+    # Treated units per class: sums of 0/1 values are exact integers in any order.
+    treated = np.bincount(keys[: z.size], weights=z.ravel(), minlength=n_slots * n_classes).reshape(n_slots, n_classes)
+    phi = np.empty((len(localities),) + treated.shape)
+    for k, grouping in enumerate(localities):
+        code, size = units.groups[grouping][:2]
+        np.take(_bin_sums(treated, code, size.size) / size, code, axis=1, out=phi[k])
+    z_beta = np.einsum("su,u->s", z, units.beta)
+    n_treated = treated.sum(axis=1)
+    # einsum without optimize never calls BLAS, so no thread count can reach a score.
+    arm = np.empty((2, n_rows, n_slots))
+    arm[0, 0] = z_beta
+    arm[0, 1] = n_treated
+    np.einsum("sc,ksc->ks", treated, phi, out=arm[0, 2:])
+    arm[1, 0] = units.beta_sums.sum()
+    # Each unit's shares in a grouping sum to its treated units.
+    arm[1, 1:] = n_treated
+    arm *= units.n_periods
+
+    # The occupied labels' sums of means: the group labels', whole ones only
+    # for mixed, then the single units', class by class.
+    sums = np.zeros((n_rows, n_slots))
+    count = inverse = 0.0
+    if rule.grouping is not None:
+        code, size, beta_sums = units.groups[rule.grouping]
+        means = np.empty((n_rows, n_slots, size.size))
+        means[0] = beta_sums / size
+        means[1] = _bin_sums(treated, code, size.size) / size
+        means[2:] = _bin_sums(units.size * phi, code, size.size) / size
+        if whole is None:
+            means.sum(axis=-1, out=sums)
+            count, inverse = float(size.size), (1.0 / size).sum()
+        else:
+            np.einsum("fsl,sl->fs", means, whole, out=sums)
+            count, inverse = whole.sum(axis=1), (whole / size).sum(axis=1)
+    singles = rule.grouping is None or whole is not None
+    if singles:
+        values = np.empty((n_rows,) + treated.shape)
+        values[0] = units.beta_sums
+        values[1] = treated
+        np.multiply(units.size, phi, out=values[2:])
+        n_single, beta_squares, z_beta_single = units.size, units.beta_squares.sum(), z_beta
+        if whole is not None:
+            # The units of split clusters only.
+            keep = 1.0 - np.take(whole, code, axis=1)
+            values *= keep
+            n_single = keep * units.size
+            beta_squares = np.einsum("sc,c->s", keep, units.beta_squares)
+            z_beta_single = np.einsum("su,su,u->s", z, np.take(keep, units.code, axis=1), units.beta)
+        single_sums = values.sum(axis=-1)
+        sums += single_sums
+        n_singles = n_single.sum(axis=-1)
+        count, inverse = count + n_singles, inverse + n_singles
+    mean = sums / count
+
+    products = np.zeros((n_rows, n_rows, n_slots))
+    if rule.grouping is not None:
+        means -= mean[..., None]
+        if whole is not None:
+            means *= whole
+        np.einsum("fsl,gsl->fgs", means, means, out=products)
+    if singles:
+        # The single units' baseline and treatment block: sum (a - m_a)(b - m_b)
+        # = sum ab - m_a sum b - m_b sum a + n m_a m_b.
+        block = np.empty((2, 2, n_slots))
+        block[0, 0] = beta_squares
+        block[0, 1] = block[1, 0] = z_beta_single
+        block[1, 1] = single_sums[1]
+        m, s = mean[:2], single_sums[:2]
+        block -= m[:, None] * s + s[:, None] * m - n_singles * m[:, None] * m
+        products[:2, :2] += block
+        # Share columns: per class, the sums of each mean less its label mean,
+        # times the class's shares less theirs.
+        values -= n_single * mean[..., None]
+        phi -= mean[2:, :, None]
+        shares = np.einsum("fsc,ksc->fks", values, phi)
+        products[:, 2:] += shares
+        products[2:, :2] += shares[:2].swapaxes(0, 1)
+    return arm, products, count, inverse / units.n_periods
 
 
-def _label_index(labels: np.ndarray, cells: np.ndarray, n_labels: int) -> tuple[np.ndarray | None, ...]:
-    """Keys and per-label statistics of a (slots, atoms) stack of labels below ``n_labels``.
+def _row_stats(regions: _Regions, localities: tuple[str, ...], z: np.ndarray, block: np.ndarray, first: int,
+               label_starts: np.ndarray, label_cells: np.ndarray) -> tuple:
+    """The statistics of a (slots, atoms) stack of 0/1 treatment ``z`` on (region, period) atoms, from feature rows.
 
-    Returns (slots, ...) arrays: each atom's key, its label plus ``n_labels``
-    times its slot; each label's cell count plus 1 if it holds none; a 0/1
-    mask of the labels that hold cells, or None if all do; each slot's count
-    of such labels; and each slot's mean over them of one over their cell
-    counts. Atom ``a`` holds ``cells[a]`` cells.
+    Fills the (features, slots, atoms) ``block``, whose baseline row is set,
+    with per-atom sums, and reduces its rows from ``first`` on to what
+    :func:`_count_stats` returns. Each label is a run of atoms starting at
+    ``label_starts`` and holding ``label_cells`` cells.
     """
-    n_slots = labels.shape[0]
-    key = labels + (np.arange(n_slots) * n_labels)[:, None]
-    sizes = np.bincount(key.ravel(), weights=np.tile(cells, n_slots), minlength=n_slots * n_labels)
-    occupied = (sizes > 0).astype(float).reshape(n_slots, n_labels)
-    divisor = sizes.reshape(n_slots, n_labels) + (1.0 - occupied)
-    count = occupied.sum(axis=1)
-    inverse_size = (occupied / divisor).sum(axis=1) / count
-    return key, divisor, None if occupied.all() else occupied, count, inverse_size
+    np.multiply(z, regions.cells, out=block[_DIRECT])
+    if regions.prev is not None:
+        np.take(block[_DIRECT], regions.prev, axis=1, out=block[_LAG], mode="clip")
+    for row, grouping in enumerate(localities, _BUDGET):
+        regions.share_sums(grouping, z, out=block[row])
+    live = block[first:]
+    means = np.add.reduceat(live, label_starts, axis=-1)
+    arm = np.empty((2,) + means.shape[:2])
+    np.einsum("fsa,sa->fs", live, z, out=arm[0])
+    means.sum(axis=-1, out=arm[1])
+    means /= label_cells
+    means -= means.sum(axis=-1, keepdims=True) / label_cells.size
+    return arm, np.einsum("fsl,gsl->fgs", means, means), float(label_cells.size), (1.0 / label_cells).sum()
 
 
 def _score_batch(
     rule: _AtomRule,
     batch: _Batch,
-    atoms: _Atoms,
+    layout: _Units | _Regions,
     panel: Panel,
     calib: CalibrationScales,
     out: np.ndarray,
@@ -366,79 +515,66 @@ def _score_batch(
     The batch's slots (group, rep) run in group-major order, each group's from
     its own generator. In each chunk, every run of one group's slots fills its
     rows of ``draws`` with one :func:`_draw_uniforms` call, and one call maps
-    the chunk's draws to per-atom treatment and, for ``mixed``, labels. The
-    buffers hold one chunk, sized for this design and batch; a short last
-    chunk takes their first slots. The baseline row and labels that do not
-    depend on the draws are set up once.
+    the chunk's draws to per-atom treatment and, for ``mixed``, its whole
+    clusters. Unit atoms are reduced from counts (:func:`_count_stats`),
+    switchback atoms from feature rows (:func:`_row_stats`). The buffers hold
+    one chunk, sized for this design and batch; a short last chunk takes
+    their first slots.
     """
     n_features = _BUDGET + len(batch.localities)
-    # The rows that the chunk loop fills and reduces: all, or all but the lag.
-    first = _BASE if atoms.prev is None else _LAG
-    n_atoms, n_labels = atoms.cells.size, rule.n_labels
+    n_atoms = layout.cells.size if rule.regions else panel.n_units
     n_cells = panel.n_units * panel.n_periods
     n_total = batch.seed_index.size * reps
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
-    # Per-feature treated and overall sums of every slot's atoms.
+    # Per-feature treated and overall sums of every slot's cells.
     arm_sums = np.empty((2, n_features, n_total))
     # Each slot's covariance times its degrees of freedom.
     cov = np.empty((n_features, n_features, n_total))
     dof = np.empty(n_total)
     inverse_size = np.empty(n_total)
 
+    # The rows that the chunk loop fills: all, or all but a lag row that equals the direct one.
+    first = _LAG if rule.regions and layout.prev is not None else _BASE
+    if rule.regions:
+        # A switchback's labels, its region-blocks, are runs of atoms.
+        label_starts = np.flatnonzero(np.diff(rule.labels, prepend=-1))
+        label_cells = np.add.reduceat(layout.cells, label_starts)
+        slot_floats = (n_features + 1) * n_atoms + n_features * label_starts.size
+    else:
+        n_labels = 0 if rule.grouping is None else layout.groups[rule.grouping][1].size
+        slot_floats = 2 * n_atoms + 2 * n_features * (layout.size.size + n_labels)
     # One chunk's buffers, for as many slots as _CHUNK_BYTES holds of this design and batch.
-    slot_bytes = ((n_features + 3) * n_atoms + (n_features + 2) * max(n_labels, n_atoms) + rule.n_draws) * 8
-    chunk = max(1, min(n_total, _CHUNK_BYTES // slot_bytes))
-    features = np.empty((n_features, chunk, n_atoms))
-    features[_BASE] = atoms.baseline
+    chunk = max(1, min(n_total, _CHUNK_BYTES // ((slot_floats + rule.n_draws) * 8)))
     treated = np.empty((chunk, n_atoms))
-    labels = np.empty((chunk, n_atoms), dtype=np.int64)
-    label_sums = np.empty((n_features, chunk, n_labels))
+    whole = np.empty((chunk, rule.n_groups)) if rule.labels is None else None
     draws = np.empty((chunk, rule.n_draws))
-    fixed_labels = None
-    if rule.labels is not None:
-        fixed_labels = _label_index(np.broadcast_to(rule.labels, labels.shape), atoms.cells, n_labels)
+    if rule.regions:
+        features = np.empty((n_features, chunk, n_atoms))
+        features[_BASE] = layout.baseline
+    else:
+        keys = (layout.code + layout.size.size * np.arange(chunk)[:, None]).ravel()
 
     for start in range(0, n_total, chunk):
         stop = min(start + chunk, n_total)
         n_slots = stop - start
-        block, z, sums = features[:, :n_slots], treated[:n_slots], label_sums[:, :n_slots]
-        drawn_labels, drawn = labels[:n_slots], draws[:n_slots]
+        z, drawn = treated[:n_slots], draws[:n_slots]
+        coins = None if whole is None else whole[:n_slots]
         for g in range(start // reps, (stop - 1) // reps + 1):
             lo, hi = max(start, g * reps) - start, min(stop, (g + 1) * reps) - start
             _draw_uniforms(rule, streams[g], drawn[lo:hi])
-        _assign_atoms(rule, drawn, z, drawn_labels)
-
-        np.multiply(z, atoms.cells, out=block[_DIRECT])
-        if atoms.prev is not None:
-            np.take(block[_DIRECT], atoms.prev, axis=1, out=block[_LAG], mode="clip")
-        for row, grouping in enumerate(batch.localities, _BUDGET):
-            atoms.share_sums(grouping, z, out=block[row])
-
-        index = fixed_labels or _label_index(drawn_labels, atoms.cells, n_labels)
-        key, divisor, occupied, count, inverse = (a if a is None else a[:n_slots] for a in index)
-        inverse_size[start:stop] = inverse
-        if count.min() < 2:
+        _assign_atoms(rule, drawn, z, coins)
+        if rule.regions:
+            stats = _row_stats(layout, batch.localities, z, features[:, :n_slots], first, label_starts, label_cells)
+        else:
+            stats = _count_stats(rule, layout, batch.localities, z, keys, coins)
+        arm, products, count, inverse = stats
+        if np.min(count) < 2:
             raise PlanningError(f"design {rule.design.name!r}: variance needs at least 2 assignment units")
-        # Per-(slot, label) sums from one bincount per feature; each label
-        # adds its atoms in atom order whatever its slot.
-        key = key.ravel()
-        for f in range(first, n_features):
-            sums[f] = np.bincount(key, weights=block[f].ravel(), minlength=sums[f].size).reshape(sums[f].shape)
-        live = sums[first:]
-        # Treated sums over each slot's atoms; einsum without optimize never
-        # calls BLAS, so no thread count can reach a score. Overall sums add
-        # each slot's labels.
-        np.einsum("fsa,sa->fs", block[first:], z, out=arm_sums[0, first:, start:stop])
-        live.sum(axis=-1, out=arm_sums[1, first:, start:stop])
-        # Label means, centred per slot over its occupied labels; an
-        # unoccupied label's zero sum stays out of every mean and product.
-        live /= divisor
-        live -= (live.sum(axis=-1) / count)[..., None]
-        if occupied is not None:
-            live *= occupied
-        np.einsum("fsl,gsl->fgs", live, live, out=cov[first:, first:, start:stop])
+        arm_sums[:, first:, start:stop] = arm
+        cov[first:, first:, start:stop] = products
         dof[start:stop] = count - 1
+        inverse_size[start:stop] = inverse / count
 
     # A skipped lag row takes the direct row's statistics.
     if first != _LAG:
@@ -450,12 +586,14 @@ def _score_batch(
     # The statistics of each point's replications, (points, reps) per feature.
     slots = batch.group[:, None] * reps + np.arange(reps)
     arm_sums, cov, inverse_size = arm_sums[..., slots], cov[..., slots], inverse_size[slots]
-    outcome = batch.outcome[..., None]
 
-    # o' C o, summed in feature order. Rounding can take it just below the
-    # zero that a constant outcome has, which the variance cannot be. The
-    # noise adds noise_sd**2 / m_l to the variance of label l's mean.
-    v = _project(outcome, [_project(outcome, row) for row in cov])
+    # o' (C o): the inner products first, so that outcome weights that
+    # cancel, such as a direct effect near minus the carryover on features
+    # whose covariances agree, cancel before the outer sum. Rounding can take
+    # it just below the zero that a constant outcome has, which the variance
+    # cannot be. The noise adds noise_sd**2 / m_l to the variance of label
+    # l's mean.
+    v = np.einsum("fp,fpr->pr", batch.outcome, np.einsum("gp,fgpr->fpr", batch.outcome, cov))
     np.maximum(v, 0.0, out=v)
     v += np.square(calib.noise_sd) * inverse_size
 
@@ -476,12 +614,13 @@ def _score_batch(
     shift[_BASE] = 0.0
     two_arm = (n_treated > 0) & (n_control > 0)
     contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, shift)
-    estimate = _project(outcome, contrast)
+    estimate = np.einsum("fp,fpr->pr", batch.outcome, contrast)
 
     scores = np.empty(estimate.shape + (N_CHANNELS,))
     scores[..., 0] = 1.0 - rule.marginal
     scores[..., 1] = v
-    scores[..., 3] = _project(batch.contamination[..., None], control) + batch.switching[:, None] * switch_rate + stress
+    contamination = np.einsum("fp,fpr->pr", batch.contamination, control)
+    scores[..., 3] = contamination + batch.switching[:, None] * switch_rate + stress
     scores[..., 4] = rule.design.op_cost_level
     scores[..., 5] = 1.0 - rule.marginal + stress
     scores[..., 6] = estimate - batch.target[:, None]
@@ -516,11 +655,17 @@ def score_groups(
     stress = _support_stress(panel)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     rules = [_AtomRule.build(design, panel) for design in catalog]
-    layouts = {regions: _Atoms.build(panel, regions) for regions in {rule.regions for rule in rules}}
+    # One layout of switchback atoms, keyed (), and one of unit classes per
+    # set of groupings that a batch's shares and a design's labels need.
+    layouts = {}
     for d, (design, rule) in enumerate(zip(catalog, rules)):
         n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
         for batch in batches:
-            _score_batch(rule, batch, layouts[rule.regions], panel, calib, out[d], reps=reps,
+            needed = () if rule.regions else batch.localities + (rule.grouping,)
+            key = tuple(grouping for grouping in LOCALITIES if grouping in needed)
+            if key not in layouts:
+                layouts[key] = _Units.build(panel, key) if key else _Regions.build(panel)
+            _score_batch(rule, batch, layouts[key], panel, calib, out[d], reps=reps,
                          master_seed=master_seed, design_index=d, stress=stress)
         out[d, ..., 2] = mde(out[d, ..., 1], n_eff, weights)
     return out

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .risk import CONSTANT, N_CHANNELS, PlanningWeights
+from .risk import COMPONENT_NAMES, CONSTANT, N_CHANNELS, PlanningWeights
 
 __all__ = [
     "RiskSurface",
@@ -49,7 +50,9 @@ class RiskSurface:
         return self.raw.shape[1]
 
 
-def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
+def risk_surface(
+    per_rep: np.ndarray, weights: PlanningWeights, names: Sequence[str] | None = None, points: str = "grid"
+) -> RiskSurface:
     """Reduce per-replication scores to normalized, weighted risks.
 
     ``per_rep`` is the (n_designs, n_grid, reps, N_CHANNELS) array from
@@ -58,7 +61,9 @@ def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
     single replication). Geometry, the op cost and mismatch are the same in
     every replication, so they are read from the first one and their
     standard errors are exactly zero. The bias channel does not enter the
-    risk.
+    risk. A component that is not finite is reported with the first design
+    that has one, named from ``names``, and the config sections that scale
+    it: ``calibration`` and the one that set the mechanism ``points``.
     """
     per_rep = np.asarray(per_rep, dtype=float)
     if per_rep.ndim != 4 or per_rep.shape[3] != N_CHANNELS or per_rep.size == 0:
@@ -69,8 +74,15 @@ def risk_surface(per_rep: np.ndarray, weights: PlanningWeights) -> RiskSurface:
     reps = per_rep.shape[2]
     raw = components.mean(axis=2)
     raw[..., CONSTANT] = per_rep[:, :, 0, CONSTANT]
-    if not np.all(np.isfinite(raw)):
-        raise ConfigurationError("component scores must be finite")
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        design = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+        component = COMPONENT_NAMES[int(np.flatnonzero(bad[design].any(axis=0))[0])]
+        name = design if names is None else repr(names[design])
+        raise ConfigurationError(
+            f"component scores must be finite: the {component} of design {name} is not"
+            f" (calibration and {points} scale it)"
+        )
     se = components.std(axis=2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
     se[..., CONSTANT] = 0.0
     scale, safe = _component_scale(raw)

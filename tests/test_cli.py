@@ -357,13 +357,14 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize(
         "checks, section, values, message",
         [
-            # The panel loads, but label means of baselines near 1e300 have no finite variance.
+            # The panel loads, but baselines near 1e300 have no finite variance: their
+            # mean cell rounds one ulp off them, and the squared residues overflow.
             ("mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
-             "design 'user': variance or MDE is not finite (variance=inf)"),
+             "design 'user': variance or MDE is not finite (variance=nan)"),
             ("mde", "weights", {"alpha": 1e-300}, "weights.alpha is too small for a finite normal quantile (1e-300)"),
             # A check that passed before the failing one writes nothing either.
             ("transport,mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
-             "design 'user': variance or MDE is not finite (variance=inf)"),
+             "design 'user': variance or MDE is not finite (variance=nan)"),
         ],
         ids=["baseline_mean-huge", "alpha-tiny", "baseline_mean-huge-after-transport"],
     )
@@ -783,6 +784,14 @@ class TestConfigValidation:
             # numpy squares the noise sd to inf, which the selector rejects.
             ("select", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
             ("sweep", ("calibration", "noise_sd"), 1e200, "component scores must be finite"),
+            # An intensity or a scale near the float maximum overflows a score; the
+            # line names the component, the first design and the sections that scale it.
+            ("select", ("grid", "graph_spill"), [1e308],
+             "component scores must be finite: the variance of design 'user' is not (calibration and grid scale it)"),
+            ("select", ("calibration", "carry_scale"), 1e308,
+             "component scores must be finite: the variance of design 'user' is not (calibration and grid scale it)"),
+            ("sweep", ("calibration", "carry_scale"), 1e308,
+             "component scores must be finite: the variance of design 'user' is not (calibration and sweep scale it)"),
             # A switchback's unit count over such a horizon would be no float.
             ("select", ("weights", "periods_per_week"), 10**400, "weights.t_weeks * periods_per_week must be at most"),
             ("sweep", ("weights", "t_weeks"), 10**400, "weights.t_weeks * periods_per_week must be at most"),
@@ -798,7 +807,8 @@ class TestConfigValidation:
              "select-reps-out-of-memory", "sweep-reps-out-of-memory", "n_units-out-of-memory",
              "reps-beyond-any-dimension", "select-reps-beyond-any-size", "sweep-reps-beyond-any-size",
              "n_units-beyond-any-size", "n_periods-beyond-any-size", "block_length-beyond-int64",
-             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge", "select-horizon-huge",
+             "alpha-tiny", "beta-tiny", "select-noise_sd-huge", "sweep-noise_sd-huge", "select-graph_spill-huge",
+             "select-carry_scale-huge", "sweep-carry_scale-huge", "select-horizon-huge",
              "sweep-horizon-huge", "diagnose-horizon-huge", "out-a-file", "out-under-a-file"],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, monkeypatch, command, path, value, message):

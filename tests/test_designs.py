@@ -38,9 +38,21 @@ def kernel_atoms(rule: _AtomRule, rng: np.random.Generator) -> tuple[np.ndarray,
     """One replay's atoms as the kernel draws them: (n_atoms,) treatment and ``mixed``'s labels, else -1."""
     draws = np.empty((1, rule.n_draws))
     _draw_uniforms(rule, rng, draws)
-    z, labels = np.empty((1, rule.source.size)), np.full((1, rule.source.size), -1, dtype=np.int64)
-    _assign_atoms(rule, draws, z, labels)
-    return z[0], labels[0]
+    z, whole = np.empty((1, rule.source.size)), np.full((1, rule.n_groups), -1.0)
+    _assign_atoms(rule, draws, z, whole)
+    return z[0], whole_cluster_labels(rule, whole[0])
+
+
+def whole_cluster_labels(rule: _AtomRule, whole: np.ndarray) -> np.ndarray:
+    """Each unit's label under the kernel's whole clusters, or -1 for every atom where ``whole`` is untouched (-1).
+
+    A unit of a whole cluster takes its cluster as its label; any other is
+    its own, ``n_groups`` past the clusters.
+    """
+    if np.all(whole == -1):
+        return np.full(rule.source.size, -1, dtype=np.int64)
+    units = np.arange(rule.source.size, dtype=np.int64)
+    return np.where(np.take(whole, rule.codes) == 1, rule.codes, rule.n_groups + units)
 
 
 class TestReplayRules:
@@ -135,7 +147,7 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
     assert 0 <= rule.source.min() and rule.source.max() < rule.n_draws
     chunk, slot_stream = 3, [0, 1, 1, 0, 0, 1, 0]
     draws = np.full((chunk, rule.n_draws), np.nan)
-    z, labels = np.full((chunk, n_atoms), np.nan), np.full((chunk, n_atoms), -1, dtype=np.int64)
+    z, whole = np.full((chunk, n_atoms), np.nan), np.full((chunk, rule.n_groups), -1.0)
     ours = [np.random.default_rng(seed) for seed in (3, 8)]
     theirs = [np.random.default_rng(seed) for seed in (3, 8)]
     for start in range(0, len(slot_stream), chunk):
@@ -146,15 +158,15 @@ def assert_chunked_draws_match(design: DesignSpec, panel) -> None:
             hi = lo + len(list(run))
             _draw_uniforms(rule, ours[s], draws[lo:hi])
             lo = hi
-        _assign_atoms(rule, draws[:n_slots], z[:n_slots], labels[:n_slots])
+        _assign_atoms(rule, draws[:n_slots], z[:n_slots], whole[:n_slots])
         for i, s in enumerate(streams):
             expected_z, expected_labels = allocating_draw_atoms(design, panel, theirs[s])
             assert np.array_equal(z[i], expected_z)
             if design.kind == "mixed":
-                assert np.array_equal(labels[i], expected_labels)
+                assert np.array_equal(whole_cluster_labels(rule, whole[i]), expected_labels)
             else:
                 assert expected_labels is None
-                assert np.all(labels[i] == -1)
+                assert np.all(whole[i] == -1)
         for mine, reference in zip(ours, theirs):
             assert mine.bit_generator.state == reference.bit_generator.state
     assert n_slots < chunk

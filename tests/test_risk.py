@@ -526,23 +526,26 @@ MIXED_GRID = AmbiguityGrid.from_axes(
 )
 
 
-def user_slot_bytes(panel: Panel, n_localities: int) -> int:
-    """Chunk bytes per slot of a ``user`` design over a batch of ``n_localities`` localities.
+def user_slot_bytes(panel: Panel, localities: tuple[str, ...]) -> int:
+    """Chunk bytes per slot of a ``user`` design over a batch of draw groups with these localities.
 
-    Its atoms and labels are the units, and it draws one uniform per unit. So
-    per unit a slot holds the features, the treatment, the drawn labels and
-    the label keys, each feature's label sum, the label's size and its
-    occupancy, and the uniform.
+    Its atoms are the units and it draws one uniform per unit, so per unit a
+    slot holds the uniform, the treatment and the treatment's class key. A
+    class holds the units alike in every grouping of the batch. Every label
+    is a single unit, so there are no group labels, and per class a slot
+    holds two values of each feature.
     """
-    n_features = risk._BUDGET + n_localities
-    return ((n_features + 3) + (n_features + 2) + 1) * panel.n_units * 8
+    n_features = risk._BUDGET + len(localities)
+    n_classes = len(set(zip(*(panel.group_codes(grouping).tolist() for grouping in localities))))
+    return (3 * panel.n_units + 2 * n_features * n_classes) * 8
 
 
 def record_chunks(monkeypatch) -> list[list[int]]:
     """The chunk sizes of every ``_score_batch`` call, in call order.
 
     A chunk's size is the number of replays whose draws one ``_assign_atoms``
-    call maps.
+    call maps. The chunk's one reduction, from counts on unit atoms or from
+    feature rows on switchback atoms, must take exactly those replays.
     """
     calls = []
     score_batch, assign_atoms = risk._score_batch, risk._assign_atoms
@@ -555,8 +558,16 @@ def record_chunks(monkeypatch) -> list[list[int]]:
         calls[-1].append(uniforms.shape[0])
         return assign_atoms(rule, uniforms, *args)
 
+    def checked(reduce, z_index):
+        def reduction(*args):
+            assert args[z_index].shape[0] == calls[-1][-1]
+            return reduce(*args)
+        return reduction
+
     monkeypatch.setattr(risk, "_score_batch", recording_batch)
     monkeypatch.setattr(risk, "_assign_atoms", recording_assign)
+    monkeypatch.setattr(risk, "_count_stats", checked(risk._count_stats, 3))
+    monkeypatch.setattr(risk, "_row_stats", checked(risk._row_stats, 2))
     return calls
 
 
@@ -641,7 +652,7 @@ class TestDrawGroups:
         scores = {}
         every = len(groups) * reps
         calls = record_chunks(monkeypatch)
-        for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, 3)), (every, 2**62)):
+        for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, ("budget", "cluster", "region"))), (every, 2**62)):
             calls.clear()
             monkeypatch.setattr(risk, "_CHUNK_BYTES", chunk_bytes)
             scores[slots] = score_groups(panel, REFERENCE_CATALOG, groups, calib, weights, reps=reps, master_seed=6)
@@ -665,13 +676,12 @@ class TestDrawGroups:
         master_seed=st.integers(0, 2**16),
     )
     def test_dense_label_sums_match_reference_in_any_chunk(self, shape, mixture_prob, panel_seed, master_seed):
-        # Each slot's label sums run over a fixed label axis, n_groups +
-        # n_units wide for mixed, whose drawn labels leave many of it
-        # unoccupied (all clusters' at mixture_prob 0, all units' at 1). One
-        # period makes every region atom its own predecessor, so the kernel
-        # folds the lag row into the direct one. Chunks of 1 slot, of 7 slots
-        # for user and of all a batch's slots give the same bits, and those
-        # match the per-point pipeline.
+        # mixed's coins make each cluster one label or split it into single
+        # units, so its labels mix both kinds (all split at mixture_prob 0,
+        # all whole at 1). One period makes every region atom its own
+        # predecessor, so the kernel folds the lag row into the direct one.
+        # Chunks of 1 slot, of 7 slots for user and of all a batch's slots
+        # give the same bits, and those match the per-point pipeline.
         groups = [(theta,) for theta in MIXED_GRID] + REFERENCE_GROUPS
         n_units, n_clusters, n_budget, n_regions, n_periods = shape
         panel = generate_synthetic_panel(
@@ -688,7 +698,7 @@ class TestDrawGroups:
         scores = {}
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = record_chunks(monkeypatch)
-            for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, 3)), (every, 2**62)):
+            for slots, chunk_bytes in ((1, 1), (7, 7 * user_slot_bytes(panel, ("budget", "cluster", "region"))), (every, 2**62)):
                 monkeypatch.setattr(risk, "_CHUNK_BYTES", chunk_bytes)
                 scores[slots] = score_groups(panel, catalog, groups, calib, weights, reps=reps, master_seed=master_seed)
         assert {1, 7} <= {size for sizes in calls for size in sizes}
@@ -706,7 +716,7 @@ class TestDrawGroups:
         # per-point pipeline under its own seeds.
         panel, calib, weights = setup
         calls = record_chunks(monkeypatch)
-        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * user_slot_bytes(panel, 2))
+        monkeypatch.setattr(risk, "_CHUNK_BYTES", 7 * user_slot_bytes(panel, ("budget", "cluster")))
         catalog = [DesignSpec(kind=kind) for kind in KINDS]
         per_rep = score_grid(panel, catalog, MIXED_GRID, calib, weights, reps=3, master_seed=9)
         assert_chunked(calls, len(catalog), [(theta,) for theta in MIXED_GRID], calib, 3)
@@ -752,6 +762,49 @@ class TestDrawGroups:
         panel, calib, weights = setup
         with pytest.raises(ConfigurationError):
             score_groups(panel, SMALL_CATALOG, [SMALL_GRID.points, ()], calib, weights)
+
+
+class TestCountPathEdges:
+    # On unit atoms the kernel scores a replay from counts: treated units per
+    # class, group and label, and mixed's whole clusters. These panels take
+    # the counts to their edges, and every kind, mixed with all clusters
+    # split and with all whole among them, matches the per-point pipeline.
+    @pytest.mark.parametrize(
+        "shape, baseline_mean, kinds",
+        [
+            # Label means near 1e6 that differ by about 1: a sum of squares
+            # less n times the squared mean would keep none of their spread.
+            ((40, 5, 3, 2, 4), 1e6, KINDS),
+            # Every cluster one unit, so cluster's labels are single units.
+            ((24, 24, 3, 2, 4), 10.0, KINDS),
+            # One budget group, which budget_split cannot split.
+            ((40, 5, 1, 2, 4), 10.0, tuple(kind for kind in KINDS if kind != "budget_split")),
+            ((40, 5, 3, 2, 1), 10.0, KINDS),
+        ],
+        ids=["baseline-huge", "one-unit-per-cluster", "one-budget-group", "one-period"],
+    )
+    def test_every_kind_matches_per_point_pipeline(self, shape, baseline_mean, kinds):
+        panel = generate_synthetic_panel(
+            SyntheticPanelConfig(*shape, baseline_mean=baseline_mean, baseline_sd=1.0), seed=4
+        )
+        # Every score is unchanged by a constant shift of the baseline. The
+        # shift is exact on these cells, and the reference, which sums cells
+        # as they are, keeps their digits only near zero.
+        shifted = dataclasses.replace(panel, baseline=panel.baseline - baseline_mean)
+        catalog = [DesignSpec(kind=kind) for kind in kinds] + [
+            DesignSpec(kind="mixed", mixture_prob=0.0, name="mixed-split"),
+            DesignSpec(kind="mixed", mixture_prob=1.0, name="mixed-whole"),
+        ]
+        calib = CalibrationScales(0.7, 0.4, 0.3, noise_sd=0.3)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        reps = 3
+        per_rep = score_groups(panel, catalog, REFERENCE_GROUPS, calib, weights, reps=reps, master_seed=8)
+        for d, design in enumerate(catalog):
+            expected = np.concatenate([
+                hand_rows(design, group, shifted, calib, weights, group_stream(8, d, g), reps)
+                for g, group in enumerate(REFERENCE_GROUPS)
+            ])
+            assert_matches_reference(per_rep[d], expected)
 
 
 class TestZeroIntensityJump:
