@@ -356,17 +356,27 @@ def regime_sweep(
 
     All sweep points are one draw group (see :func:`xdesign.risk.score_groups`):
     each (design, replication) is replayed once with seed index 0 and scores
-    every intensity. Components are normalized within each sweep point across
-    the catalog, so each column of the risk table is a self-contained design
-    ranking.
+    every intensity. One :func:`risk_surface` call averages the replications
+    of every (design, intensity); each intensity's components are then
+    normalized across the catalog alone, so each column of the risk table is
+    a self-contained design ranking. A component that is not finite is
+    reported at the first intensity that has one.
     """
     catalog = list(catalog)
     names = tuple(d.name for d in catalog)
     thetas = [cfg.theta(gamma) for gamma in cfg.gamma_grid]
     scores = score_groups(panel, catalog, [thetas], calib, weights, reps=cfg.reps, master_seed=cfg.seed)
-    risks = np.empty((len(thetas), len(catalog)))
-    for g_idx in range(len(thetas)):
-        risks[g_idx] = risk_surface(scores[:, g_idx : g_idx + 1], weights, names, "sweep").risks[:, 0]
+    try:
+        raw = risk_surface(scores, weights, names, "sweep").raw
+    except ConfigurationError:
+        # Name the first design that fails at the first failing intensity.
+        for g_idx in range(len(thetas)):
+            risk_surface(scores[:, g_idx : g_idx + 1], weights, names, "sweep")
+        raise
+    scale = np.abs(raw).max(axis=0)
+    normalized = raw / np.where(scale > 0, scale, 1.0)
+    # One (1, 6) row per (design, intensity), as a one-intensity surface weighs it.
+    risks = (normalized[:, :, None] @ weights.as_vector())[..., 0].T
     winners = [int(row.argmin()) for row in risks]
     return SweepResult(
         gammas=tuple(float(g) for g in cfg.gamma_grid),

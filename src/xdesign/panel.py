@@ -194,7 +194,7 @@ def generate_synthetic_panel(cfg: SyntheticPanelConfig, seed: int | np.random.Se
     groups = {g: deal(n, g[0]) for g, n in zip(LOCALITIES, (cfg.n_clusters, cfg.n_budget_groups, cfg.n_regions))}
     baseline = rng.normal(cfg.baseline_mean, cfg.baseline_sd, size=(cfg.n_units, cfg.n_periods))
     return Panel(
-        unit_ids=tuple(map("u{:05d}".format, range(cfg.n_units))),
+        unit_ids=tuple(["u%05d" % i for i in range(cfg.n_units)]),
         groups=groups,
         n_periods=cfg.n_periods,
         baseline=baseline,

@@ -47,7 +47,8 @@ a group (``cluster``'s, ``budget_split``'s and ``two_stage``'s, and
 ``mixed``'s whole clusters) has means ``N_l / n_l`` from its treated count,
 and the mean of ``phi_k`` over its units; labels of one unit (``user``'s, and
 ``mixed``'s in split clusters) add up class by class. The baseline enters as
-fixed per-unit sums, less the panel's mean cell. Switchback atoms keep
+fixed per-unit sums, less the panel's cell nearest its mean, which one
+centring per run shares with the switchback atoms. Switchback atoms keep
 per-atom feature rows: the shipped panels have only 24 to 40 (region,
 period) atoms, and their lags and region shares link atoms across periods
 and regions, which no unit atom's do. The rows hold the baseline, ``m * z``
@@ -64,10 +65,11 @@ draws mapped to per-atom treatment at once and is reduced to each slot's
 sufficient statistics: the treated and overall sums of its features; the
 (features, features) ddof=1 covariance ``C`` of its occupied labels' feature
 means, so that a point whose outcome map is ``o`` has the label-mean
-variance ``o' C o``; and the mean of ``1 / m_l`` over those labels. Every
-point's channels follow once per batch from the statistics of its group's
-slots. No (points, labels) array is built, and no slot's arithmetic depends
-on the chunk it falls in, so the chunk size never changes a score.
+variance ``o' C o``; and the mean of ``1 / m_l`` over those labels. Once
+every design's slots of a batch are reduced, one pass scores the channels of
+every (design, point) of the batch, from the designs' statistics stacked on
+a leading axis. No (points, labels) array is built, and no slot's arithmetic
+depends on the chunk it falls in, so the chunk size never changes a score.
 """
 
 from __future__ import annotations
@@ -191,9 +193,9 @@ class _Units:
     group label's sums. ``code`` is each unit's class and ``size`` each
     class's unit count. ``groups`` maps each grouping to each class's group
     and each group's unit count and sum of ``beta``. ``beta`` is each unit's
-    baseline per cell, less the panel's mean cell so that no common mean
-    enters a sum of squares; ``beta_sums`` and ``beta_squares`` add it and
-    its square over each class.
+    mean cell of the ``centred`` baseline, which is less a cell near the
+    panel's mean so that no common mean enters a sum of squares;
+    ``beta_sums`` and ``beta_squares`` add it and its square over each class.
     """
 
     n_periods: int
@@ -205,7 +207,7 @@ class _Units:
     beta_squares: np.ndarray
 
     @classmethod
-    def build(cls, panel: Panel, groupings: tuple[str, ...]) -> "_Units":
+    def build(cls, panel: Panel, groupings: tuple[str, ...], centred: np.ndarray) -> "_Units":
         codes = np.stack([panel.group_codes(grouping) for grouping in groupings])
         order = np.lexsort(codes[::-1])
         codes = codes[:, order]
@@ -214,7 +216,7 @@ class _Units:
         code = np.empty(panel.n_units, dtype=np.int64)
         code[order] = np.cumsum(first) - 1
         size = np.bincount(code).astype(float)
-        beta = (panel.baseline - panel.baseline.mean()).sum(axis=1) / panel.n_periods
+        beta = centred.sum(axis=1) / panel.n_periods
         beta_sums = np.bincount(code, weights=beta)
         groups = {}
         for grouping, group in zip(groupings, codes[:, first]):
@@ -236,13 +238,12 @@ def _bin_sums(values: np.ndarray, code: np.ndarray, n_bins: int) -> np.ndarray:
 class _Regions:
     """Switchback atoms, the (region, period) pairs in region-major order, and their fixed feature maps.
 
-    ``cells`` is each atom's cell count ``m`` and ``baseline`` its baseline
-    sum, less ``m`` times the panel's mean cell; ``prev`` is the atom of the
-    period before (itself in the first period), so the lag sum is
-    ``m * z[prev]``, or None for one period, whose lag sums are the direct
-    ones. ``shares`` maps each grouping to the (regions, regions) matrix
-    ``M[r, s]`` of the share sum that a treated region ``s`` adds to region
-    ``r`` in one period.
+    ``cells`` is each atom's cell count ``m`` and ``baseline`` its sum of
+    the ``centred`` baseline; ``prev`` is the atom of the period before
+    (itself in the first period), so the lag sum is ``m * z[prev]``, or None
+    for one period, whose lag sums are the direct ones. ``shares`` maps each
+    grouping to the (regions, regions) matrix ``M[r, s]`` of the share sum
+    that a treated region ``s`` adds to region ``r`` in one period.
     """
 
     cells: np.ndarray
@@ -251,15 +252,18 @@ class _Regions:
     shares: dict
 
     @classmethod
-    def build(cls, panel: Panel) -> "_Regions":
+    def build(cls, panel: Panel, centred: np.ndarray) -> "_Regions":
         n_periods, n_regions, region_codes = panel.n_periods, panel.n_regions, panel.group_codes("region")
         per_region = np.bincount(region_codes, minlength=n_regions)
         cells = np.repeat(per_region.astype(float), n_periods)
         atom = np.arange(cells.size)
         prev = atom - (atom % n_periods > 0) if n_periods > 1 else None
-        cell_atom = (region_codes[:, None] * n_periods + np.arange(n_periods)).ravel()
-        centred = (panel.baseline - panel.baseline.mean()).ravel()
-        baseline = np.bincount(cell_atom, weights=centred, minlength=cells.size)
+        # Each (region, period) sum adds its region's units in order, as a
+        # per-cell bincount does; one region over one period is one sum over
+        # the units, which numpy takes pairwise.
+        in_region = (region_codes[:, None] == np.arange(n_regions))[:, :, None]
+        by_region = np.broadcast_to(centred[:, None], (panel.n_units, n_regions, n_periods))
+        baseline = by_region.sum(axis=0, where=in_region).ravel()
         shares = {}
         for grouping in LOCALITIES:
             codes = panel.group_codes(grouping)
@@ -502,16 +506,16 @@ def _score_batch(
     batch: _Batch,
     layout: _Units | _Regions,
     panel: Panel,
-    calib: CalibrationScales,
-    out: np.ndarray,
     *,
     reps: int,
     master_seed: int,
     design_index: int,
-    stress: float,
-) -> None:
-    """Write the scores of one design over one batch, but the mde, into ``out`` (points, reps, N_CHANNELS).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The statistics of one design's slots over one batch.
 
+    Returns, per slot, the (2, features, slots) treated and overall feature
+    sums, the (features, features, slots) covariance of the occupied labels'
+    feature means and the (slots,) mean over those labels of ``1 / m_l``.
     The batch's slots (group, rep) run in group-major order, each group's from
     its own generator. In each chunk, every run of one group's slots fills its
     rows of ``draws`` with one :func:`_draw_uniforms` call, and one call maps
@@ -523,11 +527,9 @@ def _score_batch(
     """
     n_features = _BUDGET + len(batch.localities)
     n_atoms = layout.cells.size if rule.regions else panel.n_units
-    n_cells = panel.n_units * panel.n_periods
     n_total = batch.seed_index.size * reps
     streams = [np.random.default_rng(np.random.SeedSequence((master_seed, design_index, g)))
                for g in batch.seed_index.tolist()]
-    # Per-feature treated and overall sums of every slot's cells.
     arm_sums = np.empty((2, n_features, n_total))
     # Each slot's covariance times its degrees of freedom.
     cov = np.empty((n_features, n_features, n_total))
@@ -582,10 +584,27 @@ def _score_batch(
         cov[_LAG] = cov[_DIRECT]
         cov[:, _LAG] = cov[:, _DIRECT]
     cov /= dof
+    return arm_sums, cov, inverse_size
 
-    # The statistics of each point's replications, (points, reps) per feature.
+
+def _channels(
+    batch: _Batch,
+    rules: list[_AtomRule],
+    stats: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    panel: Panel,
+    calib: CalibrationScales,
+    reps: int,
+    stress: float,
+) -> np.ndarray:
+    """The (designs, points, reps, N_CHANNELS) scores, but the mde, of every design over one batch.
+
+    ``stats`` holds each design's slot statistics from :func:`_score_batch`;
+    they are stacked on a leading design axis and scored at once.
+    """
+    # The statistics of each point's replications, (designs, ..., points, reps).
     slots = batch.group[:, None] * reps + np.arange(reps)
-    arm_sums, cov, inverse_size = arm_sums[..., slots], cov[..., slots], inverse_size[slots]
+    arm_sums, cov, inverse_size = (np.stack(stat)[..., slots] for stat in zip(*stats))
+    n_cells = panel.n_units * panel.n_periods
 
     # o' (C o): the inner products first, so that outcome weights that
     # cancel, such as a direct effect near minus the carryover on features
@@ -593,38 +612,39 @@ def _score_batch(
     # it just below the zero that a constant outcome has, which the variance
     # cannot be. The noise adds noise_sd**2 / m_l to the variance of label
     # l's mean.
-    v = np.einsum("fp,fpr->pr", batch.outcome, np.einsum("gp,fgpr->fpr", batch.outcome, cov))
+    v = np.einsum("fp,dfpr->dpr", batch.outcome, np.einsum("gp,dfgpr->dfpr", batch.outcome, cov))
     np.maximum(v, 0.0, out=v)
     v += np.square(calib.noise_sd) * inverse_size
 
-    treated_sums, totals = arm_sums
-    n_treated = treated_sums[_DIRECT]
+    treated_sums, totals = arm_sums[:, 0], arm_sums[:, 1]
+    n_treated = treated_sums[:, _DIRECT]
     n_control = n_cells - n_treated
     # Exact where the arm is empty, whatever the rounding of the two sums.
-    control_sums = np.where(n_control > 0, totals - treated_sums, 0.0)
+    control_sums = np.where(n_control[:, None] > 0, totals - treated_sums, 0.0)
     # A switch is a treated cell whose lag is 0 or a control cell whose lag
     # is 1 (the first period's lag is the cell itself). Sums of 0/1 products
     # are exact integers, so the rate equals the per-cell count.
-    n_switches = n_treated - treated_sums[_LAG] + control_sums[_LAG]
+    n_switches = n_treated - treated_sums[:, _LAG] + control_sums[:, _LAG]
     switch_rate = n_switches / (panel.n_units * (panel.n_periods - 1)) if panel.n_periods > 1 else 0.0
-    control = control_sums / np.maximum(n_control, 1.0)
+    control = control_sums / np.maximum(n_control[:, None], 1.0)
     # A single-arm replay estimates the launch effect against baseline: the
     # mean shift of every feature but the baseline.
     shift = totals / n_cells
-    shift[_BASE] = 0.0
+    shift[:, _BASE] = 0.0
     two_arm = (n_treated > 0) & (n_control > 0)
-    contrast = np.where(two_arm, treated_sums / np.maximum(n_treated, 1.0) - control, shift)
-    estimate = np.einsum("fp,fpr->pr", batch.outcome, contrast)
+    contrast = np.where(two_arm[:, None], treated_sums / np.maximum(n_treated[:, None], 1.0) - control, shift)
+    estimate = np.einsum("fp,dfpr->dpr", batch.outcome, contrast)
 
+    marginal = np.array([rule.marginal for rule in rules])[:, None, None]
     scores = np.empty(estimate.shape + (N_CHANNELS,))
-    scores[..., 0] = 1.0 - rule.marginal
+    scores[..., 0] = 1.0 - marginal
     scores[..., 1] = v
-    contamination = np.einsum("fp,fpr->pr", batch.contamination, control)
+    contamination = np.einsum("fp,dfpr->dpr", batch.contamination, control)
     scores[..., 3] = contamination + batch.switching[:, None] * switch_rate + stress
-    scores[..., 4] = rule.design.op_cost_level
-    scores[..., 5] = 1.0 - rule.marginal + stress
+    scores[..., 4] = np.array([rule.design.op_cost_level for rule in rules])[:, None, None]
+    scores[..., 5] = 1.0 - marginal + stress
     scores[..., 6] = estimate - batch.target[:, None]
-    out[batch.points] = scores
+    return scores
 
 
 def score_groups(
@@ -655,19 +675,35 @@ def score_groups(
     stress = _support_stress(panel)
     out = np.empty((len(catalog), sum(batch.points.size for batch in batches), reps, N_CHANNELS))
     rules = [_AtomRule.build(design, panel) for design in catalog]
+    # The baseline less its cell nearest the mean: on a constant panel every
+    # residue is then exactly 0, where a mean that rounds off the cells would
+    # leave residues whose squares overflow. One buffer holds the distances
+    # to the mean, then the centred baseline.
+    baseline = panel.baseline
+    centred = baseline - baseline.mean()
+    np.abs(centred, out=centred)
+    np.subtract(baseline, baseline.flat[centred.argmin()], out=centred)
     # One layout of switchback atoms, keyed (), and one of unit classes per
     # set of groupings that a batch's shares and a design's labels need.
     layouts = {}
+    # Designs run one at a time, in catalog order, so an error names the first
+    # design that fails. Each batch keeps every design's slot statistics for
+    # one scoring pass over all designs.
+    stats = [[] for _ in batches]
+    n_eff = []
     for d, (design, rule) in enumerate(zip(catalog, rules)):
-        n_eff = effective_units(design, panel, weights.t_weeks, weights.periods_per_week)
-        for batch in batches:
+        n_eff.append(effective_units(design, panel, weights.t_weeks, weights.periods_per_week))
+        for batch, batch_stats in zip(batches, stats):
             needed = () if rule.regions else batch.localities + (rule.grouping,)
             key = tuple(grouping for grouping in LOCALITIES if grouping in needed)
             if key not in layouts:
-                layouts[key] = _Units.build(panel, key) if key else _Regions.build(panel)
-            _score_batch(rule, batch, layouts[key], panel, calib, out[d], reps=reps,
-                         master_seed=master_seed, design_index=d, stress=stress)
-        out[d, ..., 2] = mde(out[d, ..., 1], n_eff, weights)
+                layouts[key] = _Units.build(panel, key, centred) if key else _Regions.build(panel, centred)
+            batch_stats.append(_score_batch(rule, batch, layouts[key], panel, reps=reps,
+                                            master_seed=master_seed, design_index=d))
+    for batch, batch_stats in zip(batches, stats):
+        out[:, batch.points] = _channels(batch, rules, batch_stats, panel, calib, reps, stress)
+    for d, n in enumerate(n_eff):
+        out[d, ..., 2] = mde(out[d, ..., 1], n, weights)
     return out
 
 

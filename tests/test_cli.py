@@ -21,6 +21,7 @@ from xdesign import ConfigurationError, DesignSpec, SyntheticPanelConfig, genera
 from xdesign import cli
 from xdesign.cli import _Emitter, _write_json, main, run_select, run_simulate, run_sweep
 from xdesign.config import RunConfig, config_digest, load_config
+from xdesign.designs import KINDS
 from xdesign.diagnostics import SweepConfig, regime_sweep
 from xdesign.panel import LOCALITIES
 from xdesign.risk import score_grid
@@ -357,22 +358,28 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize(
         "checks, section, values, message",
         [
-            # The panel loads, but baselines near 1e300 have no finite variance: their
-            # mean cell rounds one ulp off them, and the squared residues overflow.
-            ("mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
-             "design 'user': variance or MDE is not finite (variance=nan)"),
             ("mde", "weights", {"alpha": 1e-300}, "weights.alpha is too small for a finite normal quantile (1e-300)"),
-            # A check that passed before the failing one writes nothing either.
-            ("transport,mde", "panel", {"synthetic": {"baseline_mean": 1e300}},
-             "design 'user': variance or MDE is not finite (variance=nan)"),
         ],
-        ids=["baseline_mean-huge", "alpha-tiny", "baseline_mean-huge-after-transport"],
+        ids=["alpha-tiny"],
     )
     def test_mde_check_without_a_finite_mde_writes_nothing(self, tmp_path, capsys, checks, section, values, message):
         cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), section: values})
         assert main(["diagnose", "--config", str(cfg), "--checks", checks]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("checks", ["mde", "transport,mde"], ids=["mde", "after-transport"])
+    def test_mde_is_finite_on_a_constant_huge_baseline(self, tmp_path, capsys, checks):
+        # Every cell is 1e300. The kernel centres the baseline on one of its
+        # cells, so every residue is exactly 0 and the variance is finite;
+        # a mean cell rounds one ulp off them, and those residues' squares
+        # would overflow.
+        cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), "panel": {"synthetic": {"baseline_mean": 1e300}}})
+        assert main(["diagnose", "--config", str(cfg), "--checks", checks]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "out" / "mde.json").read_text(encoding="utf-8"))["rows"]
+        assert [row["design"] for row in rows] == list(KINDS)
+        assert all(row["variance"] == 0.0 and set(row["mde"].values()) == {0.0} for row in rows)
 
     def test_all_checks_on_defaults_exit_zero(self, tmp_path):
         data = small_select_config(tmp_path / "out")

@@ -29,6 +29,7 @@ from xdesign.diagnostics import (
 )
 from xdesign.errors import ConfigurationError
 from xdesign.panel import calibrate_scales
+from xdesign.risk import score_groups
 
 from reference import group_stream, replay, variance_component
 
@@ -208,6 +209,46 @@ class TestRegimeSweepSmall:
             risks = risk_surface(per_gamma, weights).risks[:, 0]
             assert np.all(np.abs(result.risks[g_idx] - risks) <= 1e-12 * np.maximum(1.0, np.abs(risks)))
             assert result.winners[g_idx] == int(risks.argmin())
+
+    @pytest.mark.parametrize("reps", [1, 4])
+    def test_risks_equal_per_gamma_surfaces_bitwise(self, small_panel, reps):
+        # The sweep reduces all its gammas in one risk_surface call and then
+        # normalizes each gamma across the catalog; each gamma's slice of the
+        # same scores, reduced on its own, gives the same risks to the bit.
+        calib = calibrate_scales(small_panel, direct_effect=1.0)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=4)
+        catalog = default_catalog()
+        cfg = SweepConfig(reps=reps, seed=3)
+        result = regime_sweep(cfg, small_panel, calib, catalog, weights)
+        thetas = [cfg.theta(gamma) for gamma in cfg.gamma_grid]
+        scores = score_groups(small_panel, catalog, [thetas], calib, weights, reps=cfg.reps, master_seed=cfg.seed)
+        expected = np.array([risk_surface(scores[:, g : g + 1], weights).risks[:, 0] for g in range(len(thetas))])
+        assert np.array_equal(result.risks, expected)
+        assert result.winners == tuple(int(row.argmin()) for row in expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_component_is_named_at_the_first_gamma_with_one(self, small_panel):
+        # A huge spillover scale overflows some designs' scores from one gamma
+        # on and others' from a later one. The error names the first design
+        # that fails at the first gamma with a non-finite component, as
+        # scoring each gamma on its own would; here the first design with
+        # one at any gamma is another.
+        calib = calibrate_scales(small_panel, direct_effect=1.0, spill_scale=1e155)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=4)
+        catalog = default_catalog()[::-1]
+        cfg = SweepConfig(reps=2, seed=1)
+        thetas = [cfg.theta(gamma) for gamma in cfg.gamma_grid]
+        scores = score_groups(small_panel, catalog, [thetas], calib, weights, reps=cfg.reps, master_seed=cfg.seed)
+        names = tuple(design.name for design in catalog)
+        first = next(g for g in range(len(thetas)) if not np.isfinite(scores[:, g, :, :-1]).all())
+        with pytest.raises(ConfigurationError) as expected:
+            risk_surface(scores[:, first : first + 1], weights, names, "sweep")
+        with pytest.raises(ConfigurationError) as anywhere:
+            risk_surface(scores, weights, names, "sweep")
+        assert str(anywhere.value) != str(expected.value)
+        with pytest.raises(ConfigurationError) as error:
+            regime_sweep(cfg, small_panel, calib, catalog, weights)
+        assert str(error.value) == str(expected.value)
 
 
 class TestOracleComparison:

@@ -807,6 +807,62 @@ class TestCountPathEdges:
             assert_matches_reference(per_rep[d], expected)
 
 
+class TestConstantBaseline:
+    # The kernel centres the baseline on the panel's cell nearest its mean.
+    # On a constant panel every residue is then exactly 0, so the baseline
+    # adds nothing to any score; a mean that rounds one ulp off the cells
+    # would leave residues whose squares overflow near 1e300.
+    @pytest.mark.parametrize("baseline_mean", [0.1, 1e6, 1e300])
+    def test_variance_is_the_noise_term_alone(self, baseline_mean):
+        shape = SyntheticPanelConfig(40, 5, 3, 2, 4, baseline_sd=0.0)
+        panel = generate_synthetic_panel(dataclasses.replace(shape, baseline_mean=baseline_mean), seed=2)
+        zero = generate_synthetic_panel(dataclasses.replace(shape, baseline_mean=0.0), seed=2)
+        assert np.all(panel.baseline == baseline_mean)
+        catalog = [DesignSpec(kind=kind) for kind in KINDS]
+        calib = CalibrationScales(0.0, 0.0, 0.0, noise_sd=0.3)
+        weights = PlanningWeights(t_weeks=2, periods_per_week=3)
+        per_rep, expected = (
+            score_groups(p, catalog, REFERENCE_GROUPS, calib, weights, reps=3, master_seed=5) for p in (panel, zero)
+        )
+        # A zero baseline leaves the noise term alone in the variance; each
+        # of user's labels is one unit of n_periods cells.
+        assert np.array_equal(per_rep, expected)
+        assert np.all(per_rep[KINDS.index("user"), ..., VARIANCE] == np.square(0.3) / panel.n_periods)
+        assert np.all(np.isfinite(per_rep))
+
+
+class TestRegionSums:
+    @pytest.mark.parametrize("n_regions", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_units, n_periods", [(7, 3), (300, 2), (300, 8)])
+    def test_sums_match_a_per_cell_bincount(self, n_regions, n_units, n_periods):
+        # Each (region, period) atom's baseline sum adds its region's units in
+        # unit order, as a bincount over cells does, whatever order the
+        # region codes come in.
+        rng = np.random.default_rng(n_regions * 1000 + n_units + n_periods)
+        regions = rng.permutation(np.arange(n_units) % n_regions)
+        panel = tiny_panel(
+            n_units, n_periods, rng.normal(0.0, 1e3, (n_units, n_periods)) + rng.normal(0.0, 1e-9, (n_units, n_periods)),
+            region=[f"r{r}" for r in regions],
+        )
+        codes = panel.group_codes("region")
+        assert n_regions == 1 or np.any(np.diff(codes) < 0)
+        centred = panel.baseline - panel.baseline.mean()
+        cell_atom = (codes[:, None] * n_periods + np.arange(n_periods)).ravel()
+        expected = np.bincount(cell_atom, weights=centred.ravel(), minlength=n_regions * n_periods)
+        assert np.array_equal(risk._Regions.build(panel, centred).baseline, expected)
+
+    @pytest.mark.parametrize("n_regions", [1, 2])
+    def test_one_period_sums_match_to_rounding(self, n_regions):
+        # With one period, the sum over one region's units runs along the
+        # units, where numpy may add pairwise rather than in order.
+        rng = np.random.default_rng(n_regions)
+        regions = rng.permutation(np.arange(300) % n_regions)
+        panel = tiny_panel(300, 1, rng.normal(0.0, 1e3, (300, 1)), region=[f"r{r}" for r in regions])
+        centred = panel.baseline - panel.baseline.mean()
+        expected = np.bincount(panel.group_codes("region"), weights=centred[:, 0], minlength=n_regions)
+        assert np.allclose(risk._Regions.build(panel, centred).baseline, expected, rtol=1e-12, atol=1e-9)
+
+
 class TestZeroIntensityJump:
     def test_any_pure_graph_spill_scores_full_contamination(self, setup):
         # Contamination divides each channel's control-arm exposure by the
