@@ -20,34 +20,24 @@ __all__ = [
 ]
 
 
-def _component_scale(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each component's largest absolute value across designs and grid points, and the divisor.
-
-    The divisor is that value, or 1 where it is 0, so that identically zero
-    components stay zero (0/0 guard).
-    """
-    scale = np.abs(raw).max(axis=(0, 1))
-    return scale, np.where(scale > 0, scale, 1.0)
-
-
 @dataclass(frozen=True)
 class RiskSurface:
     """Raw and normalized component scores plus the aggregated risk per cell."""
 
-    raw: np.ndarray  # (n_designs, n_grid, 6) replication means
-    normalized: np.ndarray  # same shape, each component in [-1, 1]
-    risks: np.ndarray  # (n_designs, n_grid)
+    raw: np.ndarray  # (..., n_designs, n_grid, 6) replication means
+    normalized: np.ndarray  # same shape, each component in [-1, 1] within its surface
+    risks: np.ndarray  # (..., n_designs, n_grid)
     weights: PlanningWeights
-    scale: np.ndarray  # (6,) per-component normalizers
+    scale: np.ndarray  # (..., 6) per-component normalizers of each surface
     se: np.ndarray | None = None  # normalized replication standard errors
 
     @property
     def n_designs(self) -> int:
-        return self.raw.shape[0]
+        return self.raw.shape[-3]
 
     @property
     def n_grid(self) -> int:
-        return self.raw.shape[1]
+        return self.raw.shape[-2]
 
 
 def risk_surface(
@@ -56,36 +46,42 @@ def risk_surface(
     """Reduce per-replication scores to normalized, weighted risks.
 
     ``per_rep`` is the (n_designs, n_grid, reps, N_CHANNELS) array from
-    :func:`xdesign.risk.score_grid`. Each component is averaged over
-    replications, with standard error std(ddof=1) / sqrt(reps) (zero for a
-    single replication). Geometry, the op cost and mismatch are the same in
-    every replication, so they are read from the first one and their
-    standard errors are exactly zero. The bias channel does not enter the
+    :func:`xdesign.risk.score_grid`, or a stack of them with leading axes
+    (..., n_designs, n_grid, reps, N_CHANNELS); each leading index is a
+    surface of its own. Each component is averaged over replications, with
+    standard error std(ddof=1) / sqrt(reps) (zero for a single replication).
+    Geometry, the op cost and mismatch are the same in every replication, so
+    they are read from the first one and their standard errors are exactly
+    zero. Each surface divides each component by its largest absolute value
+    over its designs and points (by 1 where that is 0, so a zero component
+    stays zero), then weights the six. The bias channel does not enter the
     risk. A component that is not finite is reported with the first design
-    that has one, named from ``names``, and the config sections that scale
-    it: ``calibration`` and the one that set the mechanism ``points``.
+    that has one in the first surface that has one (C order), named from
+    ``names``, and the config sections that scale it: ``calibration`` and
+    the one that set the mechanism ``points``.
     """
     per_rep = np.asarray(per_rep, dtype=float)
-    if per_rep.ndim != 4 or per_rep.shape[3] != N_CHANNELS or per_rep.size == 0:
+    if per_rep.ndim < 4 or per_rep.shape[-1] != N_CHANNELS or per_rep.size == 0:
         raise ConfigurationError(
-            f"per-replication scores must have shape (n_designs, n_grid, reps, {N_CHANNELS})"
+            f"per-replication scores must have shape (..., n_designs, n_grid, reps, {N_CHANNELS})"
         )
     components = per_rep[..., : N_CHANNELS - 1]
-    reps = per_rep.shape[2]
-    raw = components.mean(axis=2)
-    raw[..., CONSTANT] = per_rep[:, :, 0, CONSTANT]
+    reps = per_rep.shape[-2]
+    raw = components.mean(axis=-2)
+    raw[..., CONSTANT] = per_rep[..., 0, CONSTANT]
     bad = ~np.isfinite(raw)
     if bad.any():
-        design = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
-        component = COMPONENT_NAMES[int(np.flatnonzero(bad[design].any(axis=0))[0])]
+        # C order: the first bad surface, its first bad design, that design's first bad component.
+        *_, design, component = np.argwhere(bad.any(axis=-2))[0]
         name = design if names is None else repr(names[design])
         raise ConfigurationError(
-            f"component scores must be finite: the {component} of design {name} is not"
+            f"component scores must be finite: the {COMPONENT_NAMES[component]} of design {name} is not"
             f" (calibration and {points} scale it)"
         )
-    se = components.std(axis=2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
+    se = components.std(axis=-2, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(raw)
     se[..., CONSTANT] = 0.0
-    scale, safe = _component_scale(raw)
+    scale = np.abs(raw).max(axis=(-3, -2))
+    safe = np.where(scale > 0, scale, 1.0)[..., None, None, :]
     normalized = raw / safe
     return RiskSurface(
         raw=raw,
@@ -129,6 +125,10 @@ def robust_select(
     if epsilon_mode not in ("fraction", "stderr"):
         raise ConfigurationError(f"unknown epsilon_mode {epsilon_mode!r}")
     risks = surface.risks
+    if risks.ndim != 2:
+        raise ConfigurationError(
+            f"robust_select takes one surface, with risks of shape (n_designs, n_grid), not {risks.shape}"
+        )
     if not np.all(np.isfinite(risks)):
         raise ConfigurationError("risk surface contains non-finite cells")
     q = risks.max(axis=1)

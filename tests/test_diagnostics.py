@@ -212,9 +212,9 @@ class TestRegimeSweepSmall:
 
     @pytest.mark.parametrize("reps", [1, 4])
     def test_risks_equal_per_gamma_surfaces_bitwise(self, small_panel, reps):
-        # The sweep reduces all its gammas in one risk_surface call and then
-        # normalizes each gamma across the catalog; each gamma's slice of the
-        # same scores, reduced on its own, gives the same risks to the bit.
+        # The sweep reduces all its gammas in one risk_surface call, as a
+        # stack of one-point surfaces; each gamma's slice of the same scores,
+        # reduced on its own, gives the same risks to the bit.
         calib = calibrate_scales(small_panel, direct_effect=1.0)
         weights = PlanningWeights(t_weeks=2, periods_per_week=4)
         catalog = default_catalog()

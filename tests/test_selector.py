@@ -85,10 +85,40 @@ class TestRiskSurface:
         assert np.all(surface_from_array(raw).risks == 0.0)
 
     def test_wrong_shape_rejected(self):
-        # Wrong ndim, wrong channel count, or no cells at all.
-        for shape in [(2, 3, 7), (2, 3, 1, 1, 7), (2, 3, 1, 6), (2, 3, 1, 8), (0, 3, 1, 7)]:
+        # Too few axes, wrong channel count, or no cells at all. Five axes
+        # with seven channels, such as (2, 3, 1, 1, 7), are a stack.
+        for shape in [(2, 3, 7), (3, 1, 6), (2, 3, 1, 6), (2, 3, 1, 8), (0, 3, 1, 7)]:
             with pytest.raises(ConfigurationError, match="shape"):
                 risk_surface(np.ones(shape), W)
+
+    @pytest.mark.parametrize("reps", [1, 4])
+    def test_stack_slices_equal_their_own_surfaces_bitwise(self, reps):
+        # Each leading index of a stack is reduced and normalized on its own,
+        # also when the stack is a strided view, as the sweep's is.
+        stack = np.random.default_rng(reps).uniform(-1.0, 2.0, size=(3, 2, 4, 5, reps, N_CHANNELS))
+        stack[1, 0, ..., 3] = 0.0  # one surface whose contamination is all zero
+        for per_rep in (stack, stack.swapaxes(0, 1)):
+            surface = risk_surface(per_rep, W)
+            assert surface.n_designs == 4 and surface.n_grid == 5
+            assert surface.scale.shape == per_rep.shape[:2] + (6,)
+            for index in np.ndindex(per_rep.shape[:2]):
+                alone = risk_surface(per_rep[index], W)
+                for field in ("raw", "normalized", "risks", "se", "scale"):
+                    assert np.array_equal(getattr(surface, field)[index], getattr(alone, field)), field
+
+    def test_stack_names_the_first_bad_design_of_the_first_bad_surface(self):
+        # Surface 1's first design and surface 0's last design are bad; the
+        # error names the latter, as surface 0 reduced on its own does.
+        stack = np.ones((2, 3, 2, 1, N_CHANNELS))
+        stack[1, 0, 0, 0, 1] = np.inf
+        stack[0, 2, 1, 0, 4] = np.nan
+        names = ("a", "b", "c")
+        with pytest.raises(ConfigurationError) as alone:
+            risk_surface(stack[0], W, names)
+        with pytest.raises(ConfigurationError) as error:
+            risk_surface(stack, W, names)
+        assert str(error.value) == str(alone.value)
+        assert "the op_cost of design 'c' is not" in str(error.value)
 
     def test_non_finite_scores_rejected(self):
         per_rep = per_rep_from_raw(np.ones((2, 1, 6)))
@@ -152,6 +182,12 @@ class TestRobustSelect:
         assert tight.shortlist == (0,)
         loose = robust_select(surface, epsilon_t=0.5)
         assert loose.shortlist == (0, 1)
+
+    def test_stack_rejected(self):
+        # A stack's maxima would run over the wrong axis.
+        surface = risk_surface(np.ones((2, 3, 1, 1, N_CHANNELS)), W)
+        with pytest.raises(ConfigurationError, match=r"\(2, 3, 1\)"):
+            robust_select(surface)
 
     def test_non_finite_epsilon_rejected(self):
         # A large finite fraction overflows the budget, which no artifact may carry.
